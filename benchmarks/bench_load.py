@@ -15,7 +15,11 @@ data path (the same code ``python -m repro serve --workers N`` runs):
   W-worker sharded tier.  The ratio is the tier's scaling headroom; on a
   single-core container it is ≈1 by construction (W workers share one CPU),
   so the artifact records ``cores`` and ``scripts/ci.sh`` gates the ≥3x
-  expectation only where ≥8 cores exist to scale onto.
+  expectation only where ≥8 cores exist to scale onto.  The flood also
+  records ``frames_per_request`` (``explain_batch`` frames the front end
+  wrote, per request) and ``engine_passes`` (``engine-score`` spans across
+  the workers): the cost of the one-coalescer design, in frames and in
+  batched scoring passes.
 
 Correctness rides along: the DP releases (the ``result`` block) produced by
 the single-process service and the sharded tier for the identical workload
@@ -62,6 +66,7 @@ from repro.obs import (
     MetricsRegistry,
     prometheus_text,
     snapshot_series,
+    snapshot_value,
 )
 from repro.service import ExplainRequest, ExplanationService
 from repro.service.cache import canonical_json
@@ -224,6 +229,12 @@ def _span_counts(snapshot: dict) -> "dict[str, int]":
     }
 
 
+def _frames_written(frontend: AsyncFrontend) -> int:
+    """Frames the front end's process has written (its own registry only)."""
+    snapshot = frontend.metrics.snapshot()
+    return snapshot_value(snapshot, "repro_frames_total", ("written",)) or 0
+
+
 def _result_bytes(envelopes) -> "list[str]":
     return [
         canonical_json(e["result"]) if e.get("status") == "ok" else canonical_json(e)
@@ -297,16 +308,24 @@ def run_load_bench(
                 frontend = AsyncFrontend(supervisor)
                 await frontend.start()
                 open_loop = await _open_loop(frontend, schedule, timeout_s)
+                # Scrapes write control frames, so frame counts are read
+                # inside the scrapes that bracket the flood.
+                spans_before = _span_counts(frontend.metrics_snapshot())
+                frames_before = _frames_written(frontend)
                 flood_s, flood_envelopes = await _flood(
                     frontend, flood, timeout_s
                 )
+                flood_frames = _frames_written(frontend) - frames_before
                 snapshot = frontend.metrics_snapshot()
                 await frontend.close()
-                return open_loop, flood_s, flood_envelopes, snapshot
+                engine_passes = _span_counts(snapshot).get(
+                    "engine-score", 0
+                ) - spans_before.get("engine-score", 0)
+                return (open_loop, flood_s, flood_envelopes, snapshot,
+                        flood_frames, engine_passes)
 
-            open_loop, flood_s, flood_envelopes, snapshot = asyncio.run(
-                session()
-            )
+            (open_loop, flood_s, flood_envelopes, snapshot, flood_frames,
+             engine_passes) = asyncio.run(session())
             worker_latency = [
                 w.get("latency") for w in supervisor.describe()["workers"]
             ]
@@ -333,6 +352,8 @@ def run_load_bench(
             "sharded_s": flood_s,
             "sharded_rps": len(flood) / flood_s,
             "speedup": single_s / flood_s,
+            "frames_per_request": flood_frames / len(flood),
+            "engine_passes": engine_passes,
             "error_classes": _error_classes(flood_envelopes),
         },
         "obs": obs,

@@ -28,7 +28,7 @@ from repro.core.dpclustx import (
     combination_score_tensor,
     combination_score_tensor_reference,
 )
-from repro.core.engine import ScoringEngine, accel, kernels, scoring_engine
+from repro.core.engine import ScoringEngine, scoring_engine
 from repro.core.quality.scores import (
     Weights,
     single_cluster_scores_matrix,
@@ -122,17 +122,6 @@ def _median_time(fn, repeats: int) -> float:
     return statistics.median(times)
 
 
-def _best_time(fn, repeats: int) -> float:
-    """Best-of-N: the noise-robust estimator for sub-millisecond kernels,
-    where a median over few repeats still jitters by tens of percent."""
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
 def run_scoring_bench(
     n_rows: int = 50_000,
     n_clusters: int = 8,
@@ -200,23 +189,6 @@ def run_scoring_bench(
     batched_run()  # warm the memoised engine once
     batched_s = _median_time(batched_run, repeats)
 
-    # Fused vs unfused kernel comparison on the warm stack: the fused
-    # single-sweep Score_gamma kernel against composing the two cached-less
-    # component kernels, both uncached at the kernel level.
-    stack = scoring_engine(counts).stack
-
-    def unfused_kernel_run():
-        return gamma[0] * kernels.interestingness_low_sens_matrix(
-            stack
-        ) + gamma[1] * kernels.sufficiency_low_sens_matrix(stack)
-
-    def fused_kernel_run():
-        return kernels.fused_score_matrix(stack, *gamma)
-
-    assert np.array_equal(fused_kernel_run(), unfused_kernel_run())
-    unfused_kernel_s = _best_time(unfused_kernel_run, repeats * 5)
-    fused_kernel_s = _best_time(fused_kernel_run, repeats * 5)
-
     return {
         "benchmark": "stage1+stage2 scoring",
         "dataset": "diabetes_like",
@@ -232,10 +204,6 @@ def run_scoring_bench(
         "speedup": scalar_s / batched_s,
         "stage1_max_rel_diff": stage1_diff,
         "stage2_max_rel_diff": stage2_diff,
-        "backend": accel.backend(),
-        "unfused_kernel_s": unfused_kernel_s,
-        "fused_kernel_s": fused_kernel_s,
-        "fused_kernel_speedup": unfused_kernel_s / fused_kernel_s,
     }
 
 

@@ -6,13 +6,12 @@ The engine is the vectorised middle layer between the group-by counts
 layering.
 """
 
-from . import accel, kernels
+from . import kernels
 from .engine import ScoringEngine, scoring_engine
 from .shm import SharedStack, SharedStackHandle, StackCounts, attach_counts, share_stack
 from .stacks import CountsStack, DomainBucket, get_stack
 
 __all__ = [
-    "accel",
     "kernels",
     "ScoringEngine",
     "scoring_engine",

@@ -47,9 +47,6 @@ class ScoringEngine:
         self._stack = get_stack(counts, names)
         self._matrices: dict = {}
         self._tvd_square: dict[str, np.ndarray] = {}
-        # Scratch buffers for the fused kernels, reused across calls; the
-        # pool is thread-local inside so service worker threads never race.
-        self._scratch = kernels.ScratchPool()
 
     # -- structure --------------------------------------------------------- #
 
@@ -110,36 +107,23 @@ class ScoringEngine:
 
     # -- Stage-1 score matrices -------------------------------------------- #
 
-    def _fused_stage(
-        self, gamma_int: float, gamma_suf: float, want_pair_tvd: bool = False
-    ) -> np.ndarray:
-        """The cached fused ``Score_gamma`` matrix for one gamma pair.
+    def _score(self, gamma_int: float, gamma_suf: float) -> np.ndarray:
+        """The cached ``gamma_int * Int_p + gamma_suf * Suf_p`` matrix.
 
-        Fills the per-``(gamma_int, gamma_suf)`` score cache and, when asked,
-        the ``pair_tvd`` cache from one :func:`kernels.fused_stage_pass`
-        bucket sweep, so Stage-1 scoring and Stage-2 diversity walk the
-        stacked tensors once between them.  Cached arrays are frozen
-        read-only: they are returned to callers without copying.
+        Composed from the cached :meth:`interestingness_matrix` and
+        :meth:`sufficiency_matrix`, once per gamma pair.  Cached arrays are
+        frozen read-only: they are returned to callers without copying.
         """
         key = ("score", float(gamma_int), float(gamma_suf))
-        need_score = key not in self._matrices
-        need_pair = want_pair_tvd and "pair_tvd" not in self._matrices
-        if need_score or need_pair:
-            score, pair = kernels.fused_stage_pass(
-                self._stack,
-                gamma_int,
-                gamma_suf,
-                want_score=need_score,
-                want_pair_tvd=need_pair,
-                scratch=self._scratch,
+        cached = self._matrices.get(key)
+        if cached is None:
+            cached = (
+                gamma_int * self.interestingness_matrix()
+                + gamma_suf * self.sufficiency_matrix()
             )
-            if need_score:
-                score.flags.writeable = False
-                self._matrices[key] = score
-            if need_pair:
-                pair.flags.writeable = False
-                self._matrices["pair_tvd"] = pair
-        return self._matrices[key]
+            cached.flags.writeable = False
+            self._matrices[key] = cached
+        return cached
 
     def score_matrix(
         self,
@@ -150,11 +134,10 @@ class ScoringEngine:
         """``Score_gamma`` (Definition 4.11) for every (cluster, attribute).
 
         Returns a ``(|C|, |names|)`` matrix with columns in ``names`` order
-        (all stack attributes when omitted).  Served by the fused
-        single-sweep kernel, memoised per gamma pair; the full-width result
-        is a shared read-only array.
+        (all stack attributes when omitted).  Memoised per gamma pair; the
+        full-width result is a shared read-only array.
         """
-        out = self._fused_stage(gamma_int, gamma_suf)
+        out = self._score(gamma_int, gamma_suf)
         if names is not None and tuple(names) != self._stack.names:
             out = out[:, self.columns(names)]
         return out
@@ -241,13 +224,7 @@ class ScoringEngine:
         tensor = np.zeros(shape, dtype=np.float64)
 
         # Additive per-cluster part: (lInt * Int_p + lSuf * Suf_p) / |C|.
-        # One fused sweep also fills the pair-TVD cache the diversity part
-        # reads below, so Stage-1 + Stage-2 walk the bucket tensors once.
-        base = self._fused_stage(
-            weights.lambda_int,
-            weights.lambda_suf,
-            want_pair_tvd=bool(weights.lambda_div) and n_clusters >= 2,
-        )
+        base = self._score(weights.lambda_int, weights.lambda_suf)
         for c in range(n_clusters):
             shp = [1] * n_clusters
             shp[c] = shape[c]
@@ -319,11 +296,7 @@ class ScoringEngine:
         tensor = np.zeros(shape, dtype=np.float64)
 
         # Per-cluster Int/Suf subset sums, averaged over all |C|*ell candidates.
-        base = self._fused_stage(
-            weights.lambda_int,
-            weights.lambda_suf,
-            want_pair_tvd=bool(weights.lambda_div) and n_clusters >= 2,
-        )
+        base = self._score(weights.lambda_int, weights.lambda_suf)
         for c in range(n_clusters):
             shp = [1] * n_clusters
             shp[c] = shape[c]

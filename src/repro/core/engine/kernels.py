@@ -18,170 +18,11 @@ Conventions shared with the scalar layer:
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
-from . import accel
 from .stacks import CountsStack
 
 _EPS = 1e-12
-
-
-class ScratchPool:
-    """Reusable float64 scratch buffers for the fused kernels.
-
-    The fused single-sweep kernels need two ``(|A_b|, |C|, m)`` temporaries
-    per bucket; allocating them on every call dominates the cost for small
-    stacks.  The pool hands out per-``(tag, shape)`` buffers that persist
-    across calls.  Buffers are stored per *thread* (the explanation service
-    scores on a thread pool), so concurrent engine calls never share a
-    scratch array; contents are never meaningful across calls.
-    """
-
-    def __init__(self) -> None:
-        self._local = threading.local()
-
-    def take(self, tag: str, shape: tuple[int, ...]) -> np.ndarray:
-        bufs = getattr(self._local, "bufs", None)
-        if bufs is None:
-            bufs = {}
-            self._local.bufs = bufs
-        key = (tag, shape)
-        buf = bufs.get(key)
-        if buf is None:
-            buf = np.empty(shape, dtype=np.float64)
-            bufs[key] = buf
-        return buf
-
-
-_SCRATCH = ScratchPool()
-
-
-def _fused_score_bucket_numpy(
-    bucket, n: np.ndarray, n_c: np.ndarray, gamma_int: float, gamma_suf: float,
-    scratch: ScratchPool,
-) -> np.ndarray:
-    """``gamma_int * Int_p + gamma_suf * Suf_p`` for one bucket, one sweep.
-
-    Arithmetic mirrors :func:`interestingness_low_sens_matrix` and
-    :func:`sufficiency_low_sens_matrix` operation-for-operation (same ops,
-    same order), so the fused result is bit-identical to composing the two
-    unfused matrices — only the temporaries change, and those come from the
-    scratch pool instead of fresh allocations.
-    """
-    h_c = bucket.by_cluster
-    shape = h_c.shape
-    t = scratch.take("a", shape)
-    vals: np.ndarray | None = None
-    if gamma_int:
-        safe_n = np.where(n > 0, n, 1.0)
-        ratio = n_c / safe_n[:, None]
-        np.multiply(ratio[:, :, None], bucket.full[:, None, :], out=t)
-        np.subtract(h_c, t, out=t)
-        np.abs(t, out=t)
-        int_vals = 0.5 * t.sum(axis=2)
-        int_vals = np.where(n[:, None] > 0, int_vals, 0.0)
-        vals = gamma_int * int_vals
-    if gamma_suf:
-        t2 = scratch.take("b", shape)
-        np.maximum(bucket.full[:, None, :], h_c, out=t)
-        np.maximum(t, _EPS, out=t)
-        np.multiply(h_c, h_c, out=t2)
-        np.divide(t2, t, out=t2)
-        np.multiply(t2, h_c > 0, out=t2)
-        suf_vals = t2.sum(axis=2)
-        vals = gamma_suf * suf_vals if vals is None else vals + gamma_suf * suf_vals
-    if vals is None:
-        vals = np.zeros(shape[:2])
-    return vals
-
-
-def fused_score_matrix(
-    stack: CountsStack,
-    gamma_int: float,
-    gamma_suf: float,
-    scratch: ScratchPool | None = None,
-) -> np.ndarray:
-    """``Score_gamma`` (Definition 4.11) for every pair in one bucket sweep.
-
-    Equivalent to ``gamma_int * interestingness_low_sens_matrix(stack) +
-    gamma_suf * sufficiency_low_sens_matrix(stack)`` but walks each bucket's
-    tensors once while they are hot in cache, with scratch reuse instead of
-    per-term temporaries.  Dispatches to the numba backend when
-    :func:`repro.core.engine.accel.numba_kernels` is live.
-    """
-    score, _ = fused_stage_pass(stack, gamma_int, gamma_suf, scratch=scratch)
-    return score
-
-
-def fused_stage_pass(
-    stack: CountsStack,
-    gamma_int: float,
-    gamma_suf: float,
-    want_score: bool = True,
-    want_pair_tvd: bool = False,
-    scratch: ScratchPool | None = None,
-) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Stage-1 score matrix and Stage-2 pair-TVD tensor in a single sweep.
-
-    The unfused path walks the bucket tensors once for ``Int_p``, once for
-    ``Suf_p`` and once for the diversity TVDs; this computes whatever subset
-    the caller asks for (``want_score`` / ``want_pair_tvd``) in one pass per
-    bucket.  Returns ``(score, pair_tvd)`` with ``None`` for parts not
-    requested; requested parts match the unfused kernels bit-for-bit on the
-    numpy backend and to a few ULPs on numba.
-    """
-    if scratch is None:
-        scratch = _SCRATCH
-    nk = accel.numba_kernels()
-    score = (
-        np.zeros((stack.n_clusters, stack.n_attributes)) if want_score else None
-    )
-    pair = (
-        np.empty((stack.n_attributes, stack.n_clusters, stack.n_clusters))
-        if want_pair_tvd
-        else None
-    )
-    for bucket in stack.buckets:
-        if score is not None:
-            n = stack.totals[bucket.indices]
-            n_c = stack.sizes[bucket.indices]
-            if nk is not None:
-                vals = scratch.take("nb_score", bucket.by_cluster.shape[:2])
-                nk["fused_score_bucket"](
-                    np.ascontiguousarray(bucket.by_cluster),
-                    np.ascontiguousarray(bucket.full),
-                    np.ascontiguousarray(n),
-                    np.ascontiguousarray(n_c),
-                    float(gamma_int),
-                    float(gamma_suf),
-                    vals,
-                )
-            else:
-                vals = _fused_score_bucket_numpy(
-                    bucket, n, n_c, gamma_int, gamma_suf, scratch
-                )
-            score[:, bucket.indices] = vals.T
-        if pair is not None:
-            sizes = stack.sizes[bucket.indices]
-            if nk is not None:
-                block = np.empty(
-                    (len(bucket.indices), stack.n_clusters, stack.n_clusters)
-                )
-                nk["pair_tvd_bucket"](
-                    np.ascontiguousarray(bucket.by_cluster),
-                    np.ascontiguousarray(sizes),
-                    block,
-                )
-                pair[bucket.indices] = block
-            else:
-                nn = np.maximum(sizes, 1.0)
-                p = bucket.by_cluster / nn[:, :, None]
-                pair[bucket.indices] = 0.5 * np.abs(
-                    p[:, :, None, :] - p[:, None, :, :]
-                ).sum(axis=3)
-    return score, pair
 
 
 def interestingness_low_sens_matrix(stack: CountsStack) -> np.ndarray:

@@ -18,9 +18,9 @@ and carried end-to-end:
 
 A **span** is one named timed section recorded into the shared
 ``repro_span_duration_seconds{span=...}`` histogram.  The span taxonomy
-(:data:`SPANS`) covers the request path end to end: frontend queueing,
-the coalescing window, frame round-trip, scoring, DP release, journal
-fsync, and cache lookup.  Spans are aggregate (no per-trace storage) —
+(:data:`SPANS`) covers the request path end to end: frontend queueing
+(until the request's tick flushes its frame), frame round-trip, scoring,
+DP release, journal fsync, and cache lookup.  Spans are aggregate (no per-trace storage) —
 the point is "where do requests spend time", at histogram cost.
 """
 
@@ -38,8 +38,7 @@ SPAN_HELP = "Duration of one named request-path section (span taxonomy)."
 
 #: The span taxonomy — every instrumented section of the request path.
 SPANS = (
-    "frontend-queue",     # explain() enqueue -> batch flush, per request
-    "coalesce-window",    # first buffered request -> flush, per batch
+    "frontend-queue",     # explain() enqueue -> end-of-tick flush, per request
     "frame-rtt",          # frame write -> reply resolve, per request
     "engine-score",       # batched candidate scoring (select_batched)
     "mechanism-release",  # DP histogram releases for selected combos

@@ -50,7 +50,6 @@ layer's append-only ledger journal hangs off.
 from __future__ import annotations
 
 import threading
-import warnings
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -404,31 +403,6 @@ class PrivacyAccountant:
             except ValueError:
                 raise BudgetError(f"no charge with token {token!r} to refund") from None
             self._remove_at(i)
-
-    def refund_last(self, label: str) -> None:
-        """Remove the most recent charge with ``label`` (failure refund).
-
-        .. deprecated:: PR 5
-            Label-matched refunds are unsafe — two distinct charges can
-            share a label (same dataset+seed, different epsilon configs),
-            and this removes whichever matching charge is most recent,
-            which may not be yours.  The service layer stopped using it
-            when :meth:`spend` grew refund tokens; use :meth:`refund` with
-            the token instead.  Behaviour is unchanged for now.
-        """
-        warnings.warn(
-            "PrivacyAccountant.refund_last is deprecated: label-matched "
-            "refunds can remove another caller's charge when labels "
-            "collide; use refund(token) with the token spend() returned",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        with self._lock:
-            for i in range(len(self._charges) - 1, -1, -1):
-                if self._charges[i].label == label:
-                    self._remove_at(i)
-                    return
-        raise BudgetError(f"no charge labelled {label!r} to refund")
 
     def _remove_at(self, i: int) -> None:
         """Drop charge row ``i`` and its token.  Caller holds the lock.

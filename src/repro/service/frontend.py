@@ -2,13 +2,16 @@
 
 :class:`AsyncFrontend` is the data path: it holds one asyncio unix-socket
 connection per shard worker, routes every request to its tenant's owner
-(``shard_of``), and **coalesces same-configuration requests into batches**
-before they hit the wire — requests sharing an
-:meth:`~repro.service.service.ExplainRequest.engine_key` that arrive within
-``batch_window_s`` of each other are flushed as one ``explain_batch`` frame,
-so a burst of equal-parameter requests costs one frame (and, worker-side,
-one batched engine pass) instead of N.  Replies carry the request id and may
-arrive in any order; a reader task per connection matches them to futures.
+(``shard_of``), and **batches per link, per event-loop tick** — every
+request routed to one worker during the current tick goes out in one
+``explain_batch`` frame when the loop runs the flush that the tick's first
+request scheduled (or earlier, once :data:`MAX_FRAME_ITEMS` have
+gathered).  Grouping by
+engine key is the worker's job: its coalescing queue
+(:meth:`~repro.service.queue.RequestQueue.take_batch`) turns same-key
+requests into one batched engine pass, however they arrived.  Replies carry
+the request id and may arrive in any order; a reader task per connection
+matches them to futures.
 
 Failover semantics (the front-end half of the supervisor's contract): when
 a worker connection drops, every in-flight and still-buffered request for
@@ -41,16 +44,24 @@ from ..obs.tracing import attach_trace, new_trace_id, span_histogram
 from .service import ExplainRequest, PipelineRequest
 from .shard import shard_of, worker_restarting_envelope
 from .supervisor import ShardSupervisor
-from .transport import FrameError, read_frame_async, write_frame_async
+from .transport import FrameError, encode_frame, read_frame_async
+
+#: Requests per ``explain_batch`` frame.  A link's outbox is flushed as
+#: soon as it holds this many, so a tick's backlog for one worker beyond it
+#: goes out as several frames; 64 request bodies stay far below
+#: :data:`~repro.service.transport.MAX_FRAME_BYTES`.
+MAX_FRAME_ITEMS = 64
 
 
 class _Link:
-    """One worker connection: reader task, pending futures, batch buffers.
+    """One worker connection: reader task, pending futures, outbox.
 
+    ``outbox`` holds the frame items gathered during the current tick; it
+    is non-empty only while a flush is scheduled.
     ``enqueued``/``sent`` hold per-request ``time.monotonic()`` stamps
     (buffered → flushed-to-wire), ``traces`` the request's trace id — all
-    keyed by request id and popped together on resolve, so the span
-    bookkeeping can never outlive its future.
+    keyed by request id and popped together on resolve or timeout, so the
+    span bookkeeping can never outlive its future.
     """
 
     __slots__ = (
@@ -59,8 +70,7 @@ class _Link:
         "writer",
         "alive",
         "pending",
-        "buffers",
-        "flush_handle",
+        "outbox",
         "reader_task",
         "enqueued",
         "sent",
@@ -73,8 +83,7 @@ class _Link:
         self.writer = None
         self.alive = False
         self.pending: "dict[int, asyncio.Future]" = {}
-        self.buffers: "dict[tuple, list]" = {}
-        self.flush_handle: "asyncio.TimerHandle | None" = None
+        self.outbox: "list[dict]" = []
         self.reader_task: "asyncio.Task | None" = None
         self.enqueued: "dict[int, float]" = {}
         self.sent: "dict[int, float]" = {}
@@ -88,13 +97,9 @@ class AsyncFrontend:
         self,
         supervisor: ShardSupervisor,
         *,
-        batch_window_s: float = 0.002,
-        max_batch: int = 64,
         metrics: "MetricsRegistry | None" = None,
     ):
         self.supervisor = supervisor
-        self.batch_window_s = batch_window_s
-        self.max_batch = max_batch
         self._links = [_Link(i) for i in range(supervisor.n_workers)]
         self._loop: "asyncio.AbstractEventLoop | None" = None
         self._closed = False
@@ -147,9 +152,6 @@ class AsyncFrontend:
     async def close(self) -> None:
         self._closed = True
         for link in self._links:
-            if link.flush_handle is not None:
-                link.flush_handle.cancel()
-                link.flush_handle = None
             if link.reader_task is not None:
                 link.reader_task.cancel()
             if link.writer is not None:
@@ -191,59 +193,50 @@ class AsyncFrontend:
         link.pending[rid] = future
         link.enqueued[rid] = time.monotonic()
         link.traces[rid] = request.trace_id
-        bucket = link.buffers.setdefault(request.engine_key(), [])
-        bucket.append({"id": rid, "request": asdict(request)})
+        if not link.outbox:
+            # First request for this link in the tick: the flush runs after
+            # every callback already scheduled for this tick.
+            loop.call_soon(self._flush, link)
+        link.outbox.append({"id": rid, "request": asdict(request)})
         self.requests_sent += 1
-        if sum(len(b) for b in link.buffers.values()) >= self.max_batch:
-            await self._flush(link)
-        elif link.flush_handle is None:
-            link.flush_handle = loop.call_later(
-                self.batch_window_s,
-                lambda: loop.create_task(self._flush(link)),
-            )
+        if len(link.outbox) >= MAX_FRAME_ITEMS:
+            # A full frame goes out now, so the worker starts on it while
+            # the rest of the tick's requests are still being routed.
+            self._flush(link)
         try:
             return await asyncio.wait_for(future, timeout_s)
-        except TimeoutError:
+        finally:
+            # No-ops after a resolve; drops the bookkeeping of a request
+            # that timed out (asyncio.TimeoutError, which is not the
+            # builtin TimeoutError before Python 3.11) or was cancelled.
             link.pending.pop(rid, None)
             link.enqueued.pop(rid, None)
             link.sent.pop(rid, None)
             link.traces.pop(rid, None)
-            raise
 
-    async def _flush(self, link: _Link) -> None:
-        if link.flush_handle is not None:
-            link.flush_handle.cancel()
-            link.flush_handle = None
-        buffers, link.buffers = link.buffers, {}
-        if not buffers or not link.alive:
-            for items in buffers.values():
-                for item in items:
-                    self._resolve(
-                        link, item["id"], worker_restarting_envelope(link.index)
-                    )
+    def _flush(self, link: _Link) -> None:
+        outbox, link.outbox = link.outbox, []
+        # Only requests still awaited go out: a dropped link has already
+        # resolved its pending requests, and a caller that timed out before
+        # this flush no longer wants an answer.
+        items = [item for item in outbox if item["id"] in link.pending]
+        if not items:
             return
+        now = time.monotonic()
+        for item in items:
+            rid = item["id"]
+            self._spans.observe(now - link.enqueued[rid], ("frontend-queue",))
+            link.sent[rid] = now
         try:
-            # One explain_batch frame per engine key: the worker enqueues
-            # the whole frame before its coalescing queue takes a batch, so
-            # same-key requests land in one engine pass.
-            for items in buffers.values():
-                now = time.monotonic()
-                oldest = now
-                for item in items:
-                    t_in = link.enqueued.get(item["id"])
-                    if t_in is not None:
-                        oldest = min(oldest, t_in)
-                        self._spans.observe(now - t_in, ("frontend-queue",))
-                    link.sent[item["id"]] = now
-                self._spans.observe(now - oldest, ("coalesce-window",))
-                self._batch_size.observe(len(items))
-                await write_frame_async(
-                    link.writer, {"op": "explain_batch", "items": items}
-                )
-                self._frames.inc(1, ("written",))
-                self.batches_sent += 1
-        except (FrameError, OSError, ConnectionError):
+            link.writer.write(
+                encode_frame({"op": "explain_batch", "items": items})
+            )
+        except FrameError:  # unencodable frame: fail the link, not the loop
             self._drop_link(link)
+            return
+        self._batch_size.observe(len(items))
+        self._frames.inc(1, ("written",))
+        self.batches_sent += 1
 
     async def _read_loop(self, link: _Link) -> None:
         try:
@@ -281,10 +274,7 @@ class AsyncFrontend:
 
     def _fail_link(self, link: _Link) -> None:
         envelope = worker_restarting_envelope(link.index)
-        for items in link.buffers.values():
-            for item in items:
-                self._resolve(link, item["id"], dict(envelope))
-        link.buffers = {}
+        link.outbox = []
         for rid in list(link.pending):
             self._resolve(link, rid, dict(envelope))
 
@@ -353,8 +343,6 @@ class ShardedService:
         cache_entries: int = 256,
         compact_every: int = 256,
         service_threads: int = 2,
-        batch_window_s: float = 0.002,
-        max_batch: int = 64,
         socket_dir: "str | None" = None,
         metrics: "MetricsRegistry | None" = None,
     ):
@@ -371,12 +359,7 @@ class ShardedService:
             socket_dir=socket_dir,
             metrics=self.metrics,
         )
-        self.frontend = AsyncFrontend(
-            self.supervisor,
-            batch_window_s=batch_window_s,
-            max_batch=max_batch,
-            metrics=self.metrics,
-        )
+        self.frontend = AsyncFrontend(self.supervisor, metrics=self.metrics)
         self._loop = asyncio.new_event_loop()
         self._loop_thread: "threading.Thread | None" = None
         self._started = False

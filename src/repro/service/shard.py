@@ -9,7 +9,9 @@ for its partition: its tenants' privacy ledgers, journals, explanation
 caches and coalescing queue live in that one process **exclusively** (the
 per-``(tenant, dataset)`` ledger design already makes tenants
 share-nothing), so there is no cross-process locking anywhere on the
-serving path.
+serving path.  That coalescing queue is the tier's only coalescer: an
+``explain_batch`` frame may mix engine keys, and the queue groups the
+same-key requests it holds into one engine pass.
 
 Datasets are *not* re-materialised per worker: the supervisor registers a
 dataset once, packs its counts stack into a PR 6 shared-memory segment, and
@@ -26,7 +28,7 @@ worker answers each request from a future callback as it resolves).  Ops:
 =================  =========================================================
 ``register``       attach a shared dataset (handle + schema + fingerprints)
 ``explain``        one explanation request → service envelope
-``explain_batch``  many requests in one frame (the front end's coalescing)
+``explain_batch``  many requests in one frame (one event-loop tick's worth)
 ``stats``          the worker's ``describe()`` + worker identity
 ``metrics``        the worker's metrics-registry snapshot (scrape merge input)
 ``health``         the worker's ``health(deep=...)`` body + worker identity

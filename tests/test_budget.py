@@ -120,42 +120,6 @@ class TestAccountantConcurrency:
         assert acc.total() <= 0.5  # exact: no tolerance window exists any more
 
 
-class TestRefundLast:
-    """refund_last is deprecated (label-matched refunds are unsafe); its
-    behaviour is unchanged until removal, but every call must warn."""
-
-    def test_refund_last_emits_deprecation_warning(self):
-        acc = PrivacyAccountant()
-        acc.spend(0.2, "a")
-        with pytest.warns(DeprecationWarning, match="refund_last"):
-            acc.refund_last("a")
-        assert acc.total() == 0.0
-
-    def test_refund_removes_the_matching_charge(self):
-        acc = PrivacyAccountant(limit=0.5)
-        acc.spend(0.2, "a")
-        acc.spend(0.3, "b")
-        with pytest.warns(DeprecationWarning):
-            acc.refund_last("b")
-        assert acc.total() == pytest.approx(0.2)
-        acc.spend(0.3, "b")  # room is back
-        assert acc.total() == pytest.approx(0.5)
-
-    def test_refund_targets_the_most_recent_match(self):
-        acc = PrivacyAccountant()
-        acc.spend(0.1, "x")
-        acc.spend(0.2, "x")
-        with pytest.warns(DeprecationWarning):
-            acc.refund_last("x")
-        assert [c.epsilon for c in acc] == [pytest.approx(0.1)]
-
-    def test_refund_unknown_label_raises(self):
-        with pytest.raises(BudgetError, match="refund"), pytest.warns(
-            DeprecationWarning
-        ):
-            PrivacyAccountant().refund_last("never-charged")
-
-
 class TestTokenRefund:
     """Refund-by-token removes the exact reserved charge, never a lookalike."""
 
@@ -203,15 +167,6 @@ class TestTokenRefund:
         with pytest.raises(BudgetError, match="refund"):
             acc.refund(stale)
         assert acc.total() == pytest.approx(0.2)
-
-    def test_refund_last_keeps_token_alignment(self):
-        acc = PrivacyAccountant()
-        first = acc.spend(0.1, "x")
-        acc.spend(0.2, "x")
-        with pytest.warns(DeprecationWarning):
-            acc.refund_last("x")  # removes the 0.2 charge
-        acc.refund(first)  # token still maps to the right row
-        assert acc.total() == pytest.approx(0.0)
 
 
 class TestSnapshotRestore:

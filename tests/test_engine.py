@@ -432,63 +432,28 @@ def test_property_batched_matches_scalar(domain_sizes, n_clusters, n_rows, seed)
 
 
 # --------------------------------------------------------------------------- #
-# fused single-sweep kernels
+# the engine's fused score: Int_p and Suf_p combined into one Score_gamma
 # --------------------------------------------------------------------------- #
 
 
 class TestFusedKernels:
-    """The fused Stage-1/Stage-2 sweep vs the unfused kernels and oracles."""
+    """The engine's cached ``Score_gamma`` — ``Int_p`` and ``Suf_p`` fused
+    into one matrix — vs the separate kernels and the oracles."""
 
     def test_fused_score_equals_unfused_composition_exactly(self):
         from repro.core.engine import kernels
 
         for counts in all_providers():
-            stack = CountsStack.from_provider(counts)
+            engine = ScoringEngine(counts)
+            stack = engine.stack
             for gi, gs in [(0.5, 0.5), (1.0, 0.0), (0.0, 1.0), (0.3, 0.7), (0.0, 0.0)]:
-                fused = kernels.fused_score_matrix(stack, gi, gs)
                 ref = gi * kernels.interestingness_low_sens_matrix(
                     stack
                 ) + gs * kernels.sufficiency_low_sens_matrix(stack)
-                # Bit-identical, not merely close: the fused numpy path
-                # mirrors the unfused operations exactly.
-                assert np.array_equal(fused, ref)
-
-    def test_fused_score_matches_scalar_oracle(self):
-        from repro.core.engine import kernels
-        from repro.core.quality.scores import single_cluster_score
-
-        for counts in all_providers():
-            stack = CountsStack.from_provider(counts)
-            fused = kernels.fused_score_matrix(stack, 0.4, 0.6)
-            oracle = np.array(
-                [
-                    [single_cluster_score(counts, c, a, 0.4, 0.6) for a in counts.names]
-                    for c in range(counts.n_clusters)
-                ]
-            )
-            np.testing.assert_allclose(fused, oracle, **TOL)
-
-    def test_fused_pass_pair_tvd_matches_unfused(self):
-        from repro.core.engine import kernels
-
-        for counts in all_providers():
-            stack = CountsStack.from_provider(counts)
-            score, pair = kernels.fused_stage_pass(
-                stack, 0.5, 0.5, want_pair_tvd=True
-            )
-            assert np.array_equal(pair, kernels.pair_tvd_tensor(stack))
-            assert np.array_equal(score, kernels.fused_score_matrix(stack, 0.5, 0.5))
-
-    def test_fused_pass_partial_requests(self):
-        from repro.core.engine import kernels
-
-        stack = CountsStack.from_provider(all_providers()[0])
-        score, pair = kernels.fused_stage_pass(stack, 0.5, 0.5)
-        assert score is not None and pair is None
-        score, pair = kernels.fused_stage_pass(
-            stack, 0.5, 0.5, want_score=False, want_pair_tvd=True
-        )
-        assert score is None and pair is not None
+                # Bit-identical, not merely close: DP releases select on
+                # these scores, so any reordering of the arithmetic would
+                # change released bytes.
+                assert np.array_equal(engine.score_matrix(gi, gs), ref)
 
     def test_engine_score_matrix_memoised_per_gamma(self):
         counts = all_providers()[0]
@@ -515,59 +480,6 @@ class TestFusedKernels:
             got = engine.combination_score_tensor(sets, Weights())
             ref = combination_score_tensor_reference(counts, sets, Weights())
             np.testing.assert_allclose(got, ref, **TOL)
-
-    def test_scratch_pool_reuses_buffers_per_thread(self):
-        from repro.core.engine.kernels import ScratchPool
-
-        pool = ScratchPool()
-        a = pool.take("a", (3, 4))
-        b = pool.take("a", (3, 4))
-        c = pool.take("b", (3, 4))
-        d = pool.take("a", (2, 2))
-        assert a is b
-        assert c is not a
-        assert d is not a
-
-
-class TestAccelBackend:
-    """REPRO_NUMBA gating: numpy fallback must serve when numba is absent."""
-
-    def test_backend_defaults_to_numpy(self, monkeypatch):
-        from repro.core.engine import accel
-
-        monkeypatch.delenv("REPRO_NUMBA", raising=False)
-        assert accel.backend() == "numpy"
-        assert accel.numba_kernels() is None
-
-    def test_flag_with_numba_absent_falls_back(self, monkeypatch):
-        from repro.core.engine import accel, kernels
-
-        monkeypatch.setenv("REPRO_NUMBA", "1")
-        try:
-            import numba  # noqa: F401
-
-            pytest.skip("numba installed: fallback path not reachable")
-        except ImportError:
-            pass
-        assert accel.flag_requested()
-        assert accel.backend() == "numpy"
-        # and the fused kernels still work (numpy path)
-        stack = CountsStack.from_provider(all_providers()[0])
-        fused = kernels.fused_score_matrix(stack, 0.5, 0.5)
-        ref = 0.5 * kernels.interestingness_low_sens_matrix(
-            stack
-        ) + 0.5 * kernels.sufficiency_low_sens_matrix(stack)
-        assert np.array_equal(fused, ref)
-
-    def test_flag_parsing(self, monkeypatch):
-        from repro.core.engine import accel
-
-        for value, expected in [
-            ("1", True), ("true", True), ("YES", True), ("on", True),
-            ("0", False), ("", False), ("off", False), ("no", False),
-        ]:
-            monkeypatch.setenv("REPRO_NUMBA", value)
-            assert accel.flag_requested() is expected
 
 
 class TestGetStackMemo:

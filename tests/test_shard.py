@@ -20,6 +20,7 @@ import urllib.request
 import pytest
 
 from repro import KMeans, diabetes_like
+from repro.obs import snapshot_value
 from repro.service import (
     ExplainRequest,
     ExplanationService,
@@ -33,6 +34,7 @@ from repro.service import (
     write_frame,
 )
 from repro.service.cache import canonical_json
+from repro.service.frontend import MAX_FRAME_ITEMS
 from repro.service.transport import (
     MAX_FRAME_BYTES,
     encode_frame,
@@ -324,6 +326,86 @@ class TestDeployment:
             inproc.stop()
         got = deployment.explain(request)
         assert canonical_json(_untraced(expected)) == canonical_json(_untraced(got))
+
+
+# --------------------------------------------------------------------------- #
+# frame policy: one frame per worker link per event-loop tick
+# --------------------------------------------------------------------------- #
+
+
+def _tenants_on(worker, n, prefix):
+    names = (f"{prefix}-{i}" for i in range(1000))
+    return [t for t in names if shard_of(t, 2) == worker][:n]
+
+
+def _frames_written(deployment):
+    snapshot = deployment.metrics.snapshot()
+    return snapshot_value(snapshot, "repro_frames_total", ("written",)) or 0
+
+
+def _one_tick(deployment, requests):
+    """Submit every request in one event-loop tick; frames written + replies."""
+    async def burst():
+        return await asyncio.gather(
+            *(deployment.frontend.explain(r) for r in requests)
+        )
+
+    before = _frames_written(deployment)
+    envelopes = deployment._run(burst())
+    return _frames_written(deployment) - before, envelopes
+
+
+class TestFramePolicy:
+    def test_one_frame_per_link_across_engine_keys(self, deployment):
+        # Two engine keys (n_candidates differs) bound for one worker: the
+        # front end does not group by key, so one tick is one frame.
+        a, b = _tenants_on(1, 2, "frames-keys")
+        requests = [_request(a, seed=1, n_candidates=2),
+                    _request(b, seed=2, n_candidates=3)]
+        assert requests[0].engine_key() != requests[1].engine_key()
+        frames, envelopes = _one_tick(deployment, requests)
+        assert frames == 1
+        assert all(e["status"] == "ok" for e in envelopes)
+
+    def test_backlog_past_the_cap_splits_into_frames(self, deployment):
+        tenant, = _tenants_on(1, 1, "frames-cap")
+        # Few distinct seeds: repeats are served without a second charge.
+        requests = [_request(tenant, seed=i % 4)
+                    for i in range(MAX_FRAME_ITEMS + 1)]
+        frames, envelopes = _one_tick(deployment, requests)
+        assert frames == 2
+        assert all(e["status"] == "ok" for e in envelopes)
+
+    def test_mixed_key_frame_releases_match_in_process(
+        self, deployment, dataset, clustering
+    ):
+        tenants = _tenants_on(0, 3, "frames-bytes")
+        requests = [
+            _request(t, seed=60 + i, n_candidates=2 + i % 2)
+            for i, t in enumerate(tenants * 2)
+        ]
+        inproc = ExplanationService(auto_tenant_budget=8.0)
+        inproc.register_dataset("diabetes", dataset, clustering)
+        try:
+            expected = [inproc.explain(r) for r in requests]
+        finally:
+            inproc.stop()
+        frames, got = _one_tick(deployment, requests)
+        assert frames == 1
+        for one, two in zip(expected, got):
+            assert canonical_json(one["result"]) == canonical_json(two["result"])
+
+    def test_timed_out_request_leaves_no_link_state(self, deployment):
+        tenant, = _tenants_on(1, 1, "frames-timeout")
+        frontend = deployment.frontend
+        with pytest.raises(asyncio.TimeoutError):
+            deployment._run(
+                frontend.explain(_request(tenant, seed=3), timeout_s=1e-6)
+            )
+        rid = frontend._next_id
+        link = frontend._links[shard_of(tenant, 2)]
+        for book in (link.pending, link.enqueued, link.sent, link.traces):
+            assert rid not in book
 
 
 # --------------------------------------------------------------------------- #

@@ -53,8 +53,13 @@ class Weights:
         vals = (self.lambda_int, self.lambda_suf, self.lambda_div)
         if any(v < 0 for v in vals):
             raise ValueError("weights must be non-negative")
-        if not np.isclose(sum(vals), 1.0, atol=1e-9):
-            raise ValueError(f"weights must sum to 1, got {sum(vals)}")
+        total = sum(vals)
+        # np.isclose(total, 1.0, atol=1e-9) in plain arithmetic (its default
+        # rtol=1e-5 included): this runs on every service request, and the
+        # numpy call cost more than the rest of admission.  NaN and inf fail
+        # the comparison, as they fail isclose.
+        if not abs(total - 1.0) <= 1e-9 + 1e-5:
+            raise ValueError(f"weights must sum to 1, got {total}")
 
     def gamma(self) -> tuple[float, float]:
         """``(gamma_Int, gamma_Suf)`` — Algorithm 2, Line 1.

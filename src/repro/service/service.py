@@ -31,11 +31,12 @@ requests from many tenants over registered datasets.  A request's lifecycle:
 
 from __future__ import annotations
 
+import copy
 import threading
 import time
 
 from concurrent.futures import Future
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from ..core.dpclustx import DPClustX
@@ -51,6 +52,18 @@ from .queue import RequestQueue, run_worker
 from .registry import DatasetEntry, ServiceRegistry, ServiceError, Tenant
 
 _EXPLAINERS = ("DPClustX",)
+
+
+def _with_trace_id(request, trace_id: str):
+    """A shallow copy of a frozen request with ``trace_id`` set.
+
+    ``dataclasses.replace`` would re-run ``__init__`` and ``__post_init__``
+    on every request; the source is already normalised, so a shallow copy
+    with one field swapped is equal and cheaper.
+    """
+    clone = copy.copy(request)
+    object.__setattr__(clone, "trace_id", trace_id)
+    return clone
 
 
 @dataclass(frozen=True)
@@ -119,7 +132,7 @@ class ExplainRequest:
 
     def with_trace(self, trace_id: str) -> "ExplainRequest":
         """A copy carrying ``trace_id`` (same release identity)."""
-        return replace(self, trace_id=trace_id)
+        return _with_trace_id(self, trace_id)
 
     def budget(self) -> ExplanationBudget:
         return ExplanationBudget(self.eps_cand_set, self.eps_top_comb, self.eps_hist)
@@ -164,6 +177,12 @@ class ExplainRequest:
             self.weights_obj()
         except (BudgetError, TypeError, ValueError) as exc:
             raise ServiceError(400, "invalid-request", str(exc)) from None
+        if not isinstance(self.n_candidates, int) or isinstance(
+            self.n_candidates, bool
+        ):
+            raise ServiceError(
+                400, "invalid-request", "n_candidates must be an integer"
+            )
         if self.n_candidates < 1:
             raise ServiceError(400, "invalid-request", "n_candidates must be >= 1")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
@@ -279,7 +298,7 @@ class PipelineRequest:
 
     def with_trace(self, trace_id: str) -> "PipelineRequest":
         """A copy carrying ``trace_id`` (same release identity)."""
-        return replace(self, trace_id=trace_id)
+        return _with_trace_id(self, trace_id)
 
     def spec(self) -> ClusteringSpec:
         """The clustering half of the request as its release identity."""
@@ -1002,7 +1021,7 @@ class ExplanationService:
                 funded, explanations
             ):
                 payload = explanation_payload(payer.request, entry, explanation)
-                cache_entry = CacheEntry(
+                cache_entry, payer_result = CacheEntry.decoded(
                     canonical_json(payload), payer.request.epsilon_total
                 )
                 self.cache.put(key, cache_entry)
@@ -1018,6 +1037,7 @@ class ExplanationService:
                                 cache_entry,
                                 "miss",
                                 p.request.epsilon_total,
+                                result=payer_result,
                             )
                         )
                     else:
@@ -1184,11 +1204,13 @@ class ExplanationService:
         entry: CacheEntry,
         cache_status: str,
         charged: float,
+        result: "dict | None" = None,
     ) -> dict:
+        """The 200 envelope; ``result`` defaults to a fresh copy of ``entry``."""
         return {
             "status": "ok",
             "code": 200,
-            "result": entry.payload(),
+            "result": entry.payload() if result is None else result,
             "meta": {
                 "cache": cache_status,
                 "charged_epsilon": charged,

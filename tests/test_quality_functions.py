@@ -5,6 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core.counts import ClusteredCounts
 from repro.core.quality.diversity import (
     diversity_range,
@@ -239,6 +242,64 @@ class TestScores:
             Weights(0.5, 0.5, 0.5)
         with pytest.raises(ValueError):
             Weights(-0.1, 0.6, 0.5)
+
+    @staticmethod
+    def _accepts(vals) -> bool:
+        try:
+            Weights(*vals)
+        except ValueError as exc:
+            assert "sum to 1" in str(exc) or "non-negative" in str(exc)
+            return False
+        return True
+
+    @staticmethod
+    def _oracle(vals) -> bool:
+        """The verdict of the former ``np.isclose`` check."""
+        return all(not v < 0 for v in vals) and bool(
+            np.isclose(sum(vals), 1.0, atol=1e-9)
+        )
+
+    @pytest.mark.parametrize(
+        "vals",
+        [
+            (1.0 + (1e-5 + 1e-9), 0.0, 0.0),
+            (1.0 - (1e-5 + 1e-9), 0.0, 0.0),
+            (math.nextafter(1.0 + (1e-5 + 1e-9), math.inf), 0.0, 0.0),
+            (math.nextafter(1.0 + (1e-5 + 1e-9), 0.0), 0.0, 0.0),
+            (math.nextafter(1.0 - (1e-5 + 1e-9), math.inf), 0.0, 0.0),
+            (math.nextafter(1.0 - (1e-5 + 1e-9), 0.0), 0.0, 0.0),
+            (math.nan, 0.5, 0.5),
+            (math.inf, 0.0, 0.0),
+            (0.5, math.inf, -math.inf),
+            (-math.inf, 1.0, 1.0),
+            (1, 0, 0),
+            (0, 1, 0),
+            (1, 1, 0),
+            (0, 0, 0),
+        ],
+    )
+    def test_weights_sum_check_matches_isclose(self, vals):
+        """The plain-arithmetic sum check keeps ``np.isclose``'s verdict."""
+        assert self._accepts(vals) == self._oracle(vals)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.tuples(
+            st.floats(min_value=0.0, max_value=1.0),
+            st.floats(min_value=0.0, max_value=1.0),
+            st.floats(min_value=-1e-4, max_value=1.0),
+        )
+        | st.tuples(
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.floats(allow_nan=True, allow_infinity=True),
+        )
+        | st.floats(min_value=-3e-5, max_value=3e-5).map(
+            lambda d: (0.25, 0.25, 0.5 + d)
+        )
+    )
+    def test_weights_sum_check_matches_isclose_sweep(self, vals):
+        assert self._accepts(vals) == self._oracle(vals)
 
     def test_weights_table1_configs(self):
         assert Weights.without("int").lambda_int == 0.0

@@ -16,6 +16,8 @@ import threading
 import urllib.error
 import urllib.request
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,7 @@ from repro.service import (
     ServiceError,
     ServiceRegistry,
     Tenant,
+    canonical_json,
     make_server,
 )
 
@@ -132,6 +135,9 @@ class TestRequestValidation:
             {"weights": (0.25, 0.25, 0.25, 0.25)},  # wrong arity (JSON shape)
             {"weights": (0.5, 0.5)},
             {"weights": "uniform"},
+            {"n_candidates": "3"},
+            {"n_candidates": 2.5},
+            {"n_candidates": True},
         ],
     )
     def test_malformed_request_refused_without_burning_budget(
@@ -214,9 +220,42 @@ class TestCacheSemantics:
         service.create_tenant("alice", 1.0)
         client = ServiceClient(service, "alice", "diabetes")
         first = client.explain(seed=0)
+        original = canonical_json(first["result"])
         first["result"]["combination"][0] = "tampered"
+        first["result"]["clusters"][0]["attribute"] = "tampered"
+        first["result"]["clusters"][1]["hist_cluster"].append(-1.0)
         second = client.explain(seed=0)
         assert second["result"]["combination"][0] != "tampered"
+        # Nested values too: each hit is a deep copy, so mutating one
+        # response's clusters[i] dicts and histogram lists leaves no trace.
+        second["result"]["clusters"][0]["hist_cluster"][0] = -1.0
+        third = client.explain(seed=0)
+        assert third["meta"]["cache"] == "hit"
+        assert canonical_json(third["result"]) == original
+
+    def test_hits_decode_no_json(self, dataset, clustering, monkeypatch):
+        """A hit re-serves the entry's copy form; it never parses JSON."""
+        import repro.service.cache as cache_mod
+
+        service = make_service(dataset, clustering)
+        service.create_tenant("alice", 1.0)
+        client = ServiceClient(service, "alice", "diabetes")
+        expected = canonical_json(client.explain(seed=0)["result"])
+
+        calls = []
+
+        def counting_loads(*args, **kwargs):
+            calls.append(args)
+            return json.loads(*args, **kwargs)
+
+        monkeypatch.setattr(
+            cache_mod, "json", SimpleNamespace(dumps=json.dumps, loads=counting_loads)
+        )
+        for _ in range(100):
+            envelope = client.explain(seed=0)
+            assert envelope["meta"]["cache"] == "hit"
+        assert calls == []
+        assert canonical_json(envelope["result"]) == expected
 
     def test_reregistering_rebinned_dataset_invalidates(
         self, dataset, clustering

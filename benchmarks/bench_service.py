@@ -18,10 +18,6 @@ artifact — the serial release and the served release consume the same seed
 streams); ``scripts/ci.sh`` fails if the throughput speedup regresses below
 5x or the payloads diverge.
 
-``hit_p50_us`` records the warm cache-hit latency of in-process
-``ExplanationService.explain``: the median over 5 rounds of each round's
-p50 across 2000 hits.  It is reported, not gated.
-
 Entry points:
 
 * ``pytest benchmarks/bench_service.py`` — pytest-benchmark timings;
@@ -135,24 +131,6 @@ def _median_time(fn, repeats: int) -> float:
     return statistics.median(times)
 
 
-def _hit_p50_us(service: ExplanationService, requests, rounds: int = 5,
-                hits: int = 2000) -> float:
-    """Median over ``rounds`` of the p50 latency of ``hits`` warm hits (µs)."""
-    clock = time.perf_counter
-    p50s = []
-    for _ in range(rounds):
-        latencies = []
-        for i in range(hits):
-            request = requests[i % len(requests)]
-            t0 = clock()
-            envelope = service.explain(request)
-            latencies.append(clock() - t0)
-            if envelope["meta"]["cache"] != "hit":
-                raise RuntimeError(f"warm request was not a hit: {envelope['meta']}")
-        p50s.append(statistics.median(latencies) * 1e6)
-    return statistics.median(p50s)
-
-
 def run_service_bench(
     n_rows: int = 8_000,
     n_clusters: int = 5,
@@ -169,7 +147,6 @@ def run_service_bench(
     service_payloads = _serve_batched(service, requests)
     exact_equal = serial_payloads == service_payloads
     stats = service.stats.as_dict()
-    hit_p50_us = _hit_p50_us(service, requests)
 
     serial_s = _median_time(
         lambda: _serve_serial(data, clustering, requests), timing_repeats
@@ -202,7 +179,6 @@ def run_service_bench(
         "engine_calls": stats["engine_calls"],
         "releases": stats["releases"],
         "exact_equal": exact_equal,
-        "hit_p50_us": hit_p50_us,
     }
 
 

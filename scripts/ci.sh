@@ -13,8 +13,7 @@
 # Bench 3 replays a repeat-heavy request workload against the explanation
 # service (coalescing + fingerprint-keyed cache) vs naive per-request serial
 # execution and writes BENCH_service.json; it asserts the served payloads
-# are byte-identical to the serial path's.  It also records the warm
-# in-process cache-hit latency (hit_p50_us), which is printed, not gated.
+# are byte-identical to the serial path's.
 # Bench 4 replays a fit-once/explain-many pipeline workload (server-side DP
 # clustering + explanation) against the /v1/pipeline path vs naive
 # refit-per-request execution and writes BENCH_pipeline.json; the spec-seeded
@@ -193,11 +192,6 @@ print(f"service speedup: {speedup:.1f}x "
       f"{result['engine_calls']} engine call(s) for "
       f"{result['total_requests']} requests), "
       f"exact_equal={result['exact_equal']}")
-# Warm in-process hit latency, printed but deliberately not gated: a fixed
-# timing threshold sits within this host's run-to-run noise and would make
-# the gate flaky rather than informative.
-print(f"service hit p50: {result['hit_p50_us']:.1f} us "
-      "(median of 5 x 2000 warm hits; not gated)")
 assert result["exact_equal"], "service payloads diverged from the serial path"
 assert speedup >= 5.0, f"service speedup regressed below 5x: {speedup:.2f}x"
 assert result["cache_hit_ratio"] >= 0.5, (

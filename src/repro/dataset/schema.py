@@ -80,14 +80,12 @@ class Schema:
     _by_name: Mapping[str, Attribute] = field(
         init=False, repr=False, compare=False, hash=False
     )
-    _names: tuple[str, ...] = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
-        names = tuple(a.name for a in self.attributes)
+        names = [a.name for a in self.attributes]
         if len(set(names)) != len(names):
             raise SchemaError("schema attribute names must be unique")
         object.__setattr__(self, "_by_name", {a.name: a for a in self.attributes})
-        object.__setattr__(self, "_names", names)
 
     @classmethod
     def from_domains(cls, domains: Mapping[str, Sequence[str]]) -> "Schema":
@@ -97,7 +95,7 @@ class Schema:
     @property
     def names(self) -> tuple[str, ...]:
         """Attribute names in schema order."""
-        return self._names
+        return tuple(a.name for a in self.attributes)
 
     @property
     def width(self) -> int:

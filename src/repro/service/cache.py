@@ -10,10 +10,10 @@ n_candidates, weights, seed-stream id)``
 
 Two consequences the service tests pin down:
 
-* a cache hit returns a byte-identical response body (entries store the
-  canonical JSON encoding plus a marshalled copy of its decoded form, and
-  re-serve fresh ``marshal.loads`` copies, so callers can never mutate the
-  cached object) with **zero** new budget charged to any tenant;
+* a cache hit returns a byte-identical response body (entries store a
+  marshalled copy of the decoded canonical JSON encoding and re-serve fresh
+  ``marshal.loads`` copies, so callers can never mutate the cached object)
+  with **zero** new budget charged to any tenant;
 * the dataset fingerprint / clustering signature in the key make staleness
   structural — rebinning, schema changes, or relabeling produce different
   keys, and :meth:`invalidate_fingerprint` additionally evicts the orphaned
@@ -27,7 +27,7 @@ import marshal
 import threading
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 CacheKey = tuple
 
@@ -39,23 +39,16 @@ def canonical_json(payload: dict) -> str:
 
 @dataclass(frozen=True)
 class CacheEntry:
-    """One released explanation: canonical bytes + the epsilon it cost.
+    """One released explanation: its copy form + the epsilon it cost.
 
-    Next to ``canonical`` the entry keeps its copy form: the *decoded*
-    canonical text (so the same lists, floats and key order ``json.loads``
-    gives), marshalled once at creation.  Every hit unmarshals a fresh deep
+    The copy form is the *decoded* canonical JSON text (so the same lists,
+    floats and key order ``json.loads`` gives), marshalled once when the
+    entry is built by :meth:`decoded`.  Every hit unmarshals a fresh deep
     copy from it, about three times faster than parsing the JSON again.
     """
 
-    canonical: str
+    copy_form: bytes
     epsilon_total: float
-    _copy_form: bytes = field(default=b"", repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if not self._copy_form:
-            object.__setattr__(
-                self, "_copy_form", marshal.dumps(json.loads(self.canonical))
-            )
 
     @classmethod
     def decoded(
@@ -67,11 +60,11 @@ class CacheEntry:
         release can be served it without a second decode.
         """
         body = json.loads(canonical)
-        return cls(canonical, epsilon_total, marshal.dumps(body)), body
+        return cls(marshal.dumps(body), epsilon_total), body
 
     def payload(self) -> dict:
         """A fresh (mutation-safe) copy of the response body."""
-        return marshal.loads(self._copy_form)
+        return marshal.loads(self.copy_form)
 
 
 class ExplanationCache:

@@ -637,13 +637,13 @@ class ExplanationService:
                     f"dataset {request.dataset!r} is registered without a "
                     "clustering; fit one server-side via /v1/pipeline",
                 )
-            names = entry.dataset.schema.names
-            if request.n_candidates > len(names):
+            width = entry.dataset.schema.width
+            if request.n_candidates > width:
                 raise ServiceError(
                     400,
                     "invalid-request",
                     f"n_candidates={request.n_candidates} exceeds the "
-                    f"{len(names)} attributes of "
+                    f"{width} attributes of "
                     f"{request.dataset!r}",
                 )
         except ServiceError as exc:
@@ -708,13 +708,13 @@ class ExplanationService:
             request.validated()
             base = self.registry.dataset(request.dataset)
             self.registry.tenant(request.tenant, self.auto_tenant_budget)
-            names = base.dataset.schema.names
-            if request.n_candidates > len(names):
+            width = base.dataset.schema.width
+            if request.n_candidates > width:
                 raise ServiceError(
                     400,
                     "invalid-request",
                     f"n_candidates={request.n_candidates} exceeds the "
-                    f"{len(names)} attributes of {request.dataset!r}",
+                    f"{width} attributes of {request.dataset!r}",
                 )
         except ServiceError as exc:
             self.stats.incr("errors")

@@ -1,52 +1,60 @@
 #!/usr/bin/env bash
-# CI entry point: tier-1 tests + two fast benchmark smokes.
+# CI entry point: repro-lint, tier-1 tests, then seven benchmarks.
 #
-#   scripts/ci.sh            # full tier-1 suite, then both benches
+#   scripts/ci.sh            # full tier-1 suite, then every bench
 #   scripts/ci.sh --fast     # -x fail-fast test run, same benches
 #
-# Bench 1 compares the scalar-oracle scoring path against the batched
-# engine on diabetes_like(50k) with 8 clusters and writes BENCH_scoring.json.
-# Bench 2 compares the serial one-seed-at-a-time run_trials loop against the
-# batched sweep layer on a full 10-run x 5-epsilon sweep of diabetes_like(20k)
-# and writes BENCH_sweeps.json; it also asserts the two paths return exactly
-# equal results under shared RNG streams.
-# Bench 3 replays a repeat-heavy request workload against the explanation
-# service (coalescing + fingerprint-keyed cache) vs naive per-request serial
-# execution and writes BENCH_service.json; it asserts the served payloads
-# are byte-identical to the serial path's.
-# Bench 4 replays a fit-once/explain-many pipeline workload (server-side DP
-# clustering + explanation) against the /v1/pipeline path vs naive
-# refit-per-request execution and writes BENCH_pipeline.json; the spec-seeded
-# fits are byte-reproducible, so it also asserts payload byte-identity.
-# Bench 5 measures budget-ledger charge admission at a 100k-charge ledger
-# (exact O(1) integer accounting vs the seed's O(n) float re-sum) and
-# persistence bytes-per-request (append-only journal vs full snapshot
-# rewrite) and writes BENCH_ledger.json.
-# Bench 7 (bench_load.py standalone) drives the sharded multi-process tier
-# through the async front end — open-loop Poisson arrivals with zipf
-# tenant/seed skew (p50/p99/p999 latency) plus a closed-loop saturation
-# flood vs a single-process service — and merges a "sharded" section into
-# BENCH_service.json.  DP-release byte-identity across deployments is
-# always asserted, and so is the flood's frames/request <= 1/16 (one frame
-# per worker link per event-loop tick); the >=3x multi-worker saturation
-# speedup only where >=8 cores exist to scale onto (recorded in the
-# artifact either way).
-# Bench 7 also gates the observability layer: the metrics registry must
-# cost <=5% single-process throughput (obs.throughput_ratio >= 0.95), must
-# never perturb DP bytes (obs.byte_identical), and the sharded scrape must
-# show non-zero frontend-queue / frame-rtt / engine-score / journal-fsync
-# span counts.
-# Bench 6 (bench_scale.py standalone) measures the large-n regime and merges
-# a "scale" section into BENCH_scoring.json: streaming counts materialisation
-# at 1M and 10M rows (wall time + peak RSS in a fresh spawn child — the raw
-# table is never held, so RSS is gated against a fixed budget) and per-task
-# sweep fan-out cost at 50k vs 1M rows (the shared-memory stack handoff must
-# keep it flat; gated at 1.2x).
-# Before any of that, repro-lint (python -m repro lint src/ --engine=all)
-# gates the run with both the AST rule suite and the interprocedural
-# taint+lockset flow engine: zero findings allowed, suppressions must carry
-# reasons, and the JSON report is archived as LINT_report.json with a SARIF
-# 2.1.0 twin at LINT_report.sarif.
+# Steps, in the order the script runs them:
+#
+# 1. repro-lint (python -m repro lint src/ --engine=all) gates the run with
+#    both the AST rule suite and the interprocedural taint+lockset flow
+#    engine: zero findings allowed, suppressions must carry reasons, and
+#    the JSON report is archived as LINT_report.json with a SARIF 2.1.0
+#    twin at LINT_report.sarif.
+# 2. Tier-1 tests (python -m pytest over tests/, per pytest.ini).
+# 3. Scoring bench (bench_micro.py) compares the scalar-oracle scoring path
+#    against the batched engine on diabetes_like(50k) with 8 clusters and
+#    writes BENCH_scoring.json.
+# 4. Scale bench (bench_scale.py) measures the large-n regime and merges a
+#    "scale" section into BENCH_scoring.json: streaming counts
+#    materialisation at 1M and 10M rows (wall time + peak RSS in a fresh
+#    spawn child — the raw table is never held, so RSS is gated against a
+#    fixed budget) and per-task sweep fan-out cost at 50k vs 1M rows (the
+#    shared-memory stack handoff must keep it flat; gated at 1.2x).
+# 5. Sweep bench (bench_sweeps.py) compares the serial one-seed-at-a-time
+#    run_trials loop against the batched sweep layer on a full 10-run x
+#    5-epsilon sweep of diabetes_like(20k) and writes BENCH_sweeps.json; it
+#    also asserts the two paths return exactly equal results under shared
+#    RNG streams.
+# 6. Service bench (bench_service.py) replays a repeat-heavy request
+#    workload against the explanation service (coalescing +
+#    fingerprint-keyed cache) vs naive per-request serial execution and
+#    writes BENCH_service.json; it asserts the served payloads are
+#    byte-identical to the serial path's.
+# 7. Sharded load bench (bench_load.py) drives the sharded multi-process
+#    tier through the async front end — open-loop Poisson arrivals with
+#    zipf tenant/seed skew (p50/p99/p999 latency) plus a closed-loop
+#    saturation flood vs a single-process service — and merges a "sharded"
+#    section into BENCH_service.json.  DP-release byte-identity across
+#    deployments is always asserted, and so is the flood's frames/request
+#    <= 1/16 (one frame per worker link per event-loop tick); the >=3x
+#    multi-worker saturation speedup only where >=8 cores exist to scale
+#    onto (recorded in the artifact either way).  It also gates the
+#    observability layer: the metrics registry must cost <=5%
+#    single-process throughput (obs.throughput_ratio >= 0.95), must never
+#    perturb DP bytes (obs.byte_identical), and the sharded scrape must show
+#    non-zero frontend-queue / frame-rtt / engine-score / journal-fsync span
+#    counts.
+# 8. Pipeline bench (bench_pipeline.py) replays a fit-once/explain-many
+#    pipeline workload (server-side DP clustering + explanation) against the
+#    /v1/pipeline path vs naive refit-per-request execution and writes
+#    BENCH_pipeline.json; the spec-seeded fits are byte-reproducible, so it
+#    also asserts payload byte-identity.
+# 9. Ledger bench (bench_ledger.py) measures budget-ledger charge admission
+#    at a 100k-charge ledger (exact O(1) integer accounting vs the seed's
+#    O(n) float re-sum) and persistence bytes-per-request (append-only
+#    journal vs full snapshot rewrite) and writes BENCH_ledger.json.
+#
 # All artifacts live at the repo root — the perf-trajectory record across PRs.
 set -euo pipefail
 cd "$(dirname "$0")/.."

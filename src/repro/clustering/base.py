@@ -80,7 +80,7 @@ class ModeBasedClustering(ClusteringFunction):
         return int(self.modes.shape[0])
 
     def assign(self, dataset: Dataset) -> np.ndarray:
-        codes = dataset.to_matrix(self.names).astype(np.int64)
+        codes = dataset.code_matrix(self.names)
         if codes.shape[0] == 0:
             return np.empty(0, dtype=np.int64)
         return nearest_mode(codes, self.modes)

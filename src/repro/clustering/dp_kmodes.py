@@ -53,7 +53,7 @@ class DPKModes:
         d = len(names)
         if len(dataset) == 0:
             raise ValueError("cannot fit DP-k-modes on an empty dataset")
-        codes = dataset.to_matrix(names).astype(np.int64)
+        codes = dataset.code_matrix(names)
         domain_sizes = [dataset.schema.attribute(n).domain_size for n in names]
 
         eps_iter = self.epsilon / self.n_iterations

@@ -6,6 +6,12 @@ integer", Section 6.1), clustering algorithms operate on the matrix of domain
 codes.  Encoders are *fitted statistics + a pure function of tuple values*, so
 a fitted clustering model composes with an encoder into a clustering function
 ``f : dom(R) -> C`` as Definition 3.1 requires.
+
+Because the function is per-attribute, ``transform`` evaluates it once per
+code of ``dom(A)`` and gathers rows through the resulting lookup tables
+(:meth:`Dataset.lookup_matrix`).  Each table entry goes through the same
+IEEE operations as the row-major ``(matrix - means) / scales`` it replaces,
+so the encoded matrix is bit-identical to it, in the same C order.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..dataset.table import Dataset
+from ..dataset.table import Dataset, code_tables
 
 
 @dataclass(frozen=True)
@@ -40,8 +46,13 @@ class StandardEncoder:
         return cls(names, means, scales)
 
     def transform(self, dataset: Dataset) -> np.ndarray:
-        mat = dataset.to_matrix(self.names)
-        return (mat - self.means) / self.scales
+        tables = [
+            (grid - mean) / scale
+            for grid, mean, scale in zip(
+                code_tables(dataset.schema, self.names), self.means, self.scales
+            )
+        ]
+        return dataset.lookup_matrix(self.names, tables)
 
     @property
     def dim(self) -> int:
@@ -72,9 +83,14 @@ class MinMaxEncoder:
         return cls(names, lows, highs)
 
     def transform(self, dataset: Dataset) -> np.ndarray:
-        mat = dataset.to_matrix(self.names)
         span = np.where(self.highs > self.lows, self.highs - self.lows, 1.0)
-        return 2.0 * (mat - self.lows) / span - 1.0
+        tables = [
+            2.0 * (grid - low) / width - 1.0
+            for grid, low, width in zip(
+                code_tables(dataset.schema, self.names), self.lows, span
+            )
+        ]
+        return dataset.lookup_matrix(self.names, tables)
 
     @property
     def dim(self) -> int:

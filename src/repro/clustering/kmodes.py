@@ -33,7 +33,7 @@ class KModes:
             raise ValueError("n_clusters must be >= 1")
         gen = ensure_rng(rng)
         names = dataset.schema.names
-        codes = dataset.to_matrix(names).astype(np.int64)
+        codes = dataset.code_matrix(names)
         n = codes.shape[0]
         if n < self.n_clusters:
             # Row count redacted: raw-data-derived, can reach envelopes.

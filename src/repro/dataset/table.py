@@ -38,6 +38,19 @@ def chunk_spans(n_rows: int, chunk_rows: int) -> "Iterable[slice]":
         yield slice(start, min(start + chunk_rows, n_rows))
 
 
+def code_tables(
+    schema: Schema, names: Sequence[str], dtype=np.float64
+) -> list[np.ndarray]:
+    """The identity table ``[0, 1, ..., |dom(A)|-1]`` of each attribute ``A``.
+
+    Gathering codes through these (:meth:`Dataset.lookup_matrix`) gives the
+    raw code matrix; an encoder evaluates its per-element formula once on
+    them instead, which gives lookup tables whose size does not depend on
+    the data.
+    """
+    return [np.arange(schema.attribute(n).domain_size, dtype=dtype) for n in names]
+
+
 def _update_str(h, s: str) -> None:
     """Length-prefixed string update (no in-band separator can be forged)."""
     b = s.encode("utf-8")
@@ -330,19 +343,46 @@ class Dataset:
     # numeric encoding for clustering substrates
     # ------------------------------------------------------------------ #
 
+    def lookup_matrix(
+        self,
+        names: Sequence[str],
+        tables: Sequence[np.ndarray],
+        dtype=np.float64,
+    ) -> np.ndarray:
+        """Map tuples attribute-wise through per-code tables (n x d, C order).
+
+        Entry ``[i, j]`` is ``tables[j][code]`` for tuple ``i``'s code of
+        ``names[j]``, so ``tables[j]`` must cover ``dom(names[j])`` and
+        have ``dtype``.  Each attribute is one contiguous gather into row
+        ``j`` of a (d x n) buffer, transposed once at the end into the
+        C-order layout that ``np.stack(..., axis=1)`` gives: reductions over
+        rows and BLAS products depend on layout, so every consumer keeps
+        seeing the same bytes as a row-major build.
+        """
+        out = np.empty((len(names), self._n), dtype=dtype)
+        for row, name, table in zip(out, names, tables, strict=True):
+            if len(table) < self._schema.attribute(name).domain_size:
+                raise ValueError(f"lookup table for {name!r} does not cover dom")
+            # Codes are validated in-domain at construction, so "clip" never
+            # clips; it only skips the bounds-check buffer of mode="raise".
+            np.take(table, self._columns[name], out=row, mode="clip")
+        return np.ascontiguousarray(out.T)
+
+    def code_matrix(self, names: Sequence[str] | None = None) -> np.ndarray:
+        """Tuples as an int64 matrix of domain codes (n x d, C order)."""
+        names = list(names) if names is not None else list(self._schema.names)
+        tables = code_tables(self._schema, names, CODE_DTYPE)
+        return self.lookup_matrix(names, tables, CODE_DTYPE)
+
     def to_matrix(self, names: Sequence[str] | None = None) -> np.ndarray:
-        """Encode tuples as a float matrix of domain codes (n x d).
+        """Encode tuples as a float matrix of domain codes (n x d, C order).
 
         This mirrors the paper's preprocessing for clustering: "categorical
         attributes are transformed into equivalent numerical data by mapping
         each domain value to a unique integer" (Section 6.1).
         """
         names = list(names) if names is not None else list(self._schema.names)
-        if not names:
-            return np.empty((self._n, 0), dtype=np.float64)
-        return np.stack(
-            [self._columns[n].astype(np.float64) for n in names], axis=1
-        )
+        return self.lookup_matrix(names, code_tables(self._schema, names))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Dataset(n={self._n}, d={self._schema.width})"

@@ -60,6 +60,8 @@ TAINT_SOURCE_METHODS: "set[str]" = {
     "column",
     "active_domain",
     "to_matrix",
+    "code_matrix",
+    "lookup_matrix",
     "iter_chunks",
     # ClusteredCounts / CountsStack / StreamedCounts accessors (core/counts.py,
     # core/engine/stacks.py) — every one returns true (un-noised) counts.

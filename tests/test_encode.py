@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.clustering.encode import IdentityEncoder, MinMaxEncoder, StandardEncoder
+from repro.dataset import Attribute, Dataset, Schema
 
 from helpers import make_dataset
 
@@ -76,3 +80,82 @@ class TestIdentityEncoder:
         enc = IdentityEncoder.fit(d)
         assert np.array_equal(enc.transform(d), d.to_matrix())
         assert enc.dim == 3
+
+
+# --------------------------------------------------------------------------- #
+# bit-identity with the row-major expressions the lookup tables replace
+# --------------------------------------------------------------------------- #
+
+
+@st.composite
+def coded_tables(draw):
+    """A random dataset plus an ordered subset of its attribute names.
+
+    Domains of 1-40 values (size 1 is a single-value domain); any column may
+    be forced constant, so zero-variance columns show up at every size.
+    """
+    n = draw(st.sampled_from([0, 1, 17, 5000]))
+    specs = draw(
+        st.lists(st.tuples(st.integers(1, 40), st.booleans()), min_size=1, max_size=6)
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    schema = Schema(
+        tuple(
+            Attribute(f"a{i}", tuple(f"v{j}" for j in range(m)))
+            for i, (m, _) in enumerate(specs)
+        )
+    )
+    columns = {
+        f"a{i}": (
+            np.full(n, rng.integers(m)) if constant else rng.integers(0, m, size=n)
+        )
+        for i, (m, constant) in enumerate(specs)
+    }
+    picked = draw(st.lists(st.sampled_from(range(len(specs))), unique=True))
+    return Dataset(schema, columns), tuple(f"a{i}" for i in picked)
+
+
+def row_major(dataset, names, dtype=np.float64):
+    """The former ``to_matrix``: a row-major stack of cast code columns."""
+    if not names:
+        return np.empty((len(dataset), 0), dtype=dtype)
+    return np.stack([dataset.column(n).astype(dtype) for n in names], axis=1)
+
+
+def assert_same_array(got, want):
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coded_tables())
+def test_matrices_match_row_major_stack(case):
+    dataset, names = case
+    assert_same_array(dataset.to_matrix(names), row_major(dataset, names))
+    assert_same_array(
+        dataset.code_matrix(names), row_major(dataset, names, np.int64)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(coded_tables())
+def test_encoders_match_row_major_expressions(case):
+    dataset, names = case
+    mat = row_major(dataset, names)
+
+    std = StandardEncoder.fit(dataset, names)
+    assert_same_array(std.transform(dataset), (mat - std.means) / std.scales)
+
+    mm = MinMaxEncoder.fit(dataset, names)
+    span = np.where(mm.highs > mm.lows, mm.highs - mm.lows, 1.0)
+    assert_same_array(mm.transform(dataset), 2.0 * (mat - mm.lows) / span - 1.0)
+
+    assert_same_array(IdentityEncoder.fit(dataset, names).transform(dataset), mat)
+
+
+def test_lookup_table_must_cover_the_domain():
+    d = make_dataset()
+    with pytest.raises(ValueError, match="does not cover"):
+        d.lookup_matrix(["size"], [np.zeros(3)])

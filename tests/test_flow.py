@@ -58,6 +58,7 @@ def rules_fired(result) -> "set[str]":
 FIRE_CASES = [
     ("taint_unsanitized_release_bad.py", "taint-unsanitized-release", 4),
     ("taint_error_envelope_bad.py", "taint-error-envelope", 2),
+    ("taint_code_matrix_bad.py", "taint-unsanitized-release", 2),
     ("lockset_unguarded_access_bad.py", "lockset-unguarded-access", 1),
     ("lockset_order_cycle_bad.py", "lockset-order-cycle", 2),
 ]
@@ -65,6 +66,7 @@ FIRE_CASES = [
 NO_FIRE_CASES = [
     "taint_unsanitized_release_ok.py",
     "taint_error_envelope_ok.py",
+    "taint_code_matrix_ok.py",
     "lockset_unguarded_access_ok.py",
     "lockset_order_cycle_ok.py",
 ]

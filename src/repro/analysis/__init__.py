@@ -2,26 +2,29 @@
 
 A stdlib-``ast`` checker for this codebase's DP and serving invariants
 (charge-before-release, integer-grid epsilon arithmetic, explicit RNG
-streams, trace-key hygiene, monotonic deadlines, locked ledger mutation,
-in-hook journal durability, copy-on-write cached envelopes).  Run it with
-``python -m repro lint [paths] [--format=text|json] [--rule=NAME]``; it is
-wired into ``scripts/ci.sh`` as a hard gate.
+streams, trace-key hygiene, monotonic deadlines, in-hook journal
+durability, copy-on-write cached envelopes) plus interprocedural privacy
+taint and lockset rules (unsanitized releases, leaks into error envelopes,
+unguarded shared state, locked ledger mutation, lock-order cycles).  Every
+run checks the whole catalogue.  Run it with ``python -m repro lint [paths]
+[--format=text|json] [--rule=NAME]``; it is wired into ``scripts/ci.sh`` as
+a hard gate.
 
 Public surface: :func:`lint_paths` / :class:`Linter` to run,
-:class:`Finding` / :class:`LintResult` to consume results, ``ALL_RULES`` /
-``RULE_NAMES`` for the shipping rule suite, and the suppression helpers
-(:func:`parse_suppression_comment`, :func:`render_suppression`).
+:class:`Finding` / :class:`LintResult` to consume results, ``CATALOGUE``
+for the shipping rules (``ALL_RULES`` / ``RULE_NAMES`` are its syntactic
+half, :data:`repro.analysis.flow.FLOW_RULES` its flow half), and the
+suppression helpers (:func:`parse_suppression_comment`,
+:func:`render_suppression`).
 """
 
 from .engine import (
-    ENGINES,
+    CATALOGUE,
     FRAMEWORK_RULES,
     Linter,
     format_json,
     format_text,
-    known_rule_names,
     lint_paths,
-    rules_for_engine,
 )
 from .loader import (
     Module,
@@ -49,7 +52,7 @@ from .rules import ALL_RULES, LintContext, RULE_NAMES, Rule
 
 __all__ = [
     "ALL_RULES",
-    "ENGINES",
+    "CATALOGUE",
     "FRAMEWORK_RULES",
     "Finding",
     "JSON_SCHEMA_VERSION",
@@ -68,7 +71,6 @@ __all__ = [
     "format_json",
     "format_text",
     "iter_python_files",
-    "known_rule_names",
     "lint_paths",
     "load_module",
     "parse_suppression_comment",
@@ -76,6 +78,5 @@ __all__ = [
     "parse_trace",
     "render_suppression",
     "render_trace",
-    "rules_for_engine",
     "sort_findings",
 ]

@@ -6,7 +6,7 @@
 2. parses each into a :class:`~repro.analysis.loader.Module` — syntax errors
    become ``parse-error`` findings rather than crashes;
 3. builds the intra-package call graph once, shared by every rule;
-4. runs the selected rules per module;
+4. runs every rule of the catalogue (or the ``--rule`` subset) per module;
 5. applies inline suppressions: a finding covered by a
    ``# repro-lint: disable=<rule> — <reason>`` comment moves to the
    ``suppressed`` list (with its reason); malformed suppressions and
@@ -24,6 +24,7 @@ import json
 from dataclasses import dataclass, field
 
 from .callgraph import build_callgraph
+from .flow import FLOW_RULES
 from .loader import Module, iter_python_files, load_module
 from .model import Finding, LintResult, SEVERITY_ERROR, SuppressedFinding, sort_findings
 from .rules import ALL_RULES, LintContext, Rule
@@ -31,69 +32,33 @@ from .rules import ALL_RULES, LintContext, Rule
 #: Rules emitted by the framework itself (not suppressible, always known).
 FRAMEWORK_RULES = ("parse-error", "bad-suppression")
 
-#: Selectable rule suites.  ``flow`` is imported lazily so a plain AST run
-#: never pays for (or depends on) the dataflow engine.
-ENGINES = ("ast", "flow", "all")
+#: The one rule catalogue every run checks: the syntactic rules, then the
+#: interprocedural taint and lockset rules.
+CATALOGUE: "tuple[Rule, ...]" = ALL_RULES + FLOW_RULES
 
-
-def _flow_rules() -> "tuple[Rule, ...]":
-    from .flow import FLOW_RULES
-
-    return FLOW_RULES
-
-
-def rules_for_engine(engine: str) -> "tuple[Rule, ...]":
-    if engine == "ast":
-        return ALL_RULES
-    if engine == "flow":
-        return _flow_rules()
-    if engine == "all":
-        return ALL_RULES + _flow_rules()
-    raise ValueError(
-        f"unknown engine {engine!r} — available: {', '.join(ENGINES)}"
-    )
-
-
-def known_rule_names() -> "set[str]":
-    """Every rule name either engine can emit, plus the framework's own.
-
-    Suppression validation uses this cross-suite set regardless of which
-    engine is running: a file carrying ``disable=taint-error-envelope`` for
-    the flow gate must not be flagged as naming an unknown rule when the
-    AST engine lints the same tree.
-    """
-    return (
-        {r.name for r in ALL_RULES}
-        | {r.name for r in _flow_rules()}
-        | set(FRAMEWORK_RULES)
-    )
+#: Every name a suppression comment may carry.
+_KNOWN_RULES = frozenset(r.name for r in CATALOGUE) | frozenset(FRAMEWORK_RULES)
 
 
 @dataclass
 class Linter:
-    """A configured lint run: an engine's rule suite plus a name filter."""
+    """A configured lint run: the catalogue, optionally narrowed by name."""
 
-    rules: "tuple[Rule, ...] | None" = None
     only: "tuple[str, ...] | None" = None  # --rule filter (None = all)
-    engine: str = "ast"
     _selected: "tuple[Rule, ...]" = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.rules is None:
-            self.rules = rules_for_engine(self.engine)
-        known = {r.name for r in self.rules}
-        if self.only is not None:
-            unknown = [name for name in self.only if name not in known]
-            if unknown:
-                raise ValueError(
-                    f"unknown rule(s) {', '.join(sorted(unknown))!s} — "
-                    f"available: {', '.join(sorted(known))}"
-                )
-            self._selected = tuple(
-                r for r in self.rules if r.name in set(self.only)
+        if self.only is None:
+            self._selected = CATALOGUE
+            return
+        names = {r.name for r in CATALOGUE}
+        unknown = set(self.only) - names
+        if unknown:
+            raise ValueError(
+                f"unknown rule(s) {', '.join(sorted(unknown))} — "
+                f"available: {', '.join(sorted(names))}"
             )
-        else:
-            self._selected = self.rules
+        self._selected = tuple(r for r in CATALOGUE if r.name in self.only)
 
     # ------------------------------------------------------------------ #
 
@@ -109,7 +74,6 @@ class Linter:
             modules.append(module)
 
         ctx = LintContext(modules=modules, callgraph=build_callgraph(modules))
-        known_rules = known_rule_names()
         suppressed: list[SuppressedFinding] = []
 
         for module in modules:
@@ -119,7 +83,7 @@ class Linter:
             # (catches typos that would otherwise silently suppress nothing).
             for sup in module.suppressions:
                 for name in sup.rules:
-                    if name not in known_rules:
+                    if name not in _KNOWN_RULES:
                         findings.append(
                             Finding(
                                 path=module.path,
@@ -129,7 +93,7 @@ class Linter:
                                 message=(
                                     f"suppression names unknown rule "
                                     f"{name!r} — available: "
-                                    f"{', '.join(sorted(known_rules))}"
+                                    f"{', '.join(sorted(_KNOWN_RULES))}"
                                 ),
                                 severity=SEVERITY_ERROR,
                             )
@@ -157,10 +121,16 @@ class Linter:
 def lint_paths(
     paths: "list[str]",
     only: "tuple[str, ...] | None" = None,
-    engine: str = "ast",
+    engine: str = "all",
 ) -> LintResult:
-    """Run the selected engine's (optionally filtered) suite over ``paths``."""
-    return Linter(only=only, engine=engine).run(paths)
+    """Run the catalogue (optionally filtered by ``only``) over ``paths``.
+
+    ``engine`` is kept only because perfbench calls
+    ``lint_paths([corpus], engine="all")``; ``"all"`` is its one value.
+    """
+    if engine != "all":
+        raise ValueError(f"unknown engine {engine!r} — every run checks all rules")
+    return Linter(only=only).run(paths)
 
 
 # --------------------------------------------------------------------------- #
@@ -181,5 +151,5 @@ def format_text(result: LintResult) -> str:
 
 
 def format_json(result: LintResult) -> str:
-    """The stable schema-v1 JSON report (see ``model.py`` for the contract)."""
+    """The stable schema-v2 JSON report (see ``model.py`` for the contract)."""
     return json.dumps(result.report(), indent=2, sort_keys=False)

@@ -1,4 +1,4 @@
-"""``repro.analysis.flow`` — the interprocedural flow engine (``--engine=flow``).
+"""``repro.analysis.flow`` — the interprocedural half of the rule catalogue.
 
 Two rule families on one fixpoint dataflow substrate:
 
@@ -14,27 +14,33 @@ Two rule families on one fixpoint dataflow substrate:
 * **Lockset** (``lockset.py``): infers guarded-by relations for shared
   mutable attributes in classes that own locks, verifies the
   caller-holds-lock helper idiom by fixpoint, and reports accesses outside
-  the inferred lockset (``lockset-unguarded-access``) plus inconsistent
-  lock-acquisition orders (``lockset-order-cycle``).
+  the inferred lockset (``lockset-unguarded-access``), unlocked writes to
+  an accountant's declared-guarded ledger (``locked-ledger-mutation``) and
+  inconsistent lock-acquisition orders (``lockset-order-cycle``).
 
-The rules plug into the same :class:`~repro.analysis.engine.Linter`
-framework as the AST engine: same Finding/suppression model, same report
-schema, same CLI.
+The rules run in the same :class:`~repro.analysis.engine.Linter` pass as
+the syntactic rules of :mod:`repro.analysis.rules`: same
+Finding/suppression model, same report schema, same CLI.
 """
 
 from .dataflow import FlowAnalysis, FunctionSummary, Taint, TaintConfig, fixpoint
-from .lockset import LocksetOrderCycleRule, LocksetUnguardedAccessRule
+from .lockset import (
+    LockedLedgerMutationRule,
+    LocksetOrderCycleRule,
+    LocksetUnguardedAccessRule,
+)
 from .taint import (
     TaintErrorEnvelopeRule,
     TaintUnsanitizedReleaseRule,
     load_taint_config,
 )
 
-#: The flow-engine rule suite, in catalogue order.
+#: The flow half of the rule catalogue, in catalogue order.
 FLOW_RULES = (
     TaintUnsanitizedReleaseRule(),
     TaintErrorEnvelopeRule(),
     LocksetUnguardedAccessRule(),
+    LockedLedgerMutationRule(),
     LocksetOrderCycleRule(),
 )
 
@@ -45,6 +51,7 @@ __all__ = [
     "FLOW_RULE_NAMES",
     "FlowAnalysis",
     "FunctionSummary",
+    "LockedLedgerMutationRule",
     "LocksetOrderCycleRule",
     "LocksetUnguardedAccessRule",
     "Taint",

@@ -1,4 +1,4 @@
-"""The fixpoint interprocedural dataflow engine behind ``--engine=flow``.
+"""The fixpoint interprocedural dataflow engine behind the taint rules.
 
 One analysis unit is a function body.  The transfer function walks its
 statements in source order, carrying an environment that maps local names

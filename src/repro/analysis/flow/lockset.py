@@ -19,9 +19,15 @@ Condition, ...).  For each such class:
   calls).  Any cycle in the per-class edge graph is a
   ``lockset-order-cycle`` finding at each acquisition site on the cycle:
   two threads taking the locks in opposite orders deadlock.
+* **declared ledger guards** — in ``*Accountant`` classes the ledger state
+  (``_charges``, ``_tokens``, ``_spent_units``, ``_next_token``,
+  ``_limit*``, ``_observer``) is guarded by declaration rather than by
+  inference: every write to it with no lock held, outside ``__init__`` and
+  outside a verified helper, is a ``locked-ledger-mutation`` finding (the
+  atomic check-and-charge contract).
 
-Findings carry a two-hop v2 trace: the locked access that established the
-guarded-by relation, then the offending access.
+Inferred-guard findings carry a two-hop v2 trace: the locked access that
+established the guarded-by relation, then the offending access.
 """
 
 from __future__ import annotations
@@ -41,6 +47,11 @@ _LOCK_FACTORIES = {
 }
 _LOCK_NAME_RE = re.compile(r"lock|_cv$|condition", re.IGNORECASE)
 
+#: Accountant ledger attributes, guarded by declaration.
+_LEDGER_ATTR_RE = re.compile(
+    r"^_(charges|tokens|spent_units|next_token|limit|limit_units|observer)$"
+)
+
 #: Container methods that mutate their receiver.
 _MUTATING_METHODS = {
     "append", "appendleft", "add", "clear", "discard", "extend", "insert",
@@ -59,10 +70,12 @@ class _Access:
 
 @dataclass
 class _ClassFacts:
-    """Everything the two rules need about one lock-owning class."""
+    """Everything the lockset rules need about one lock-owning class."""
 
     name: str
     node: ast.ClassDef
+    #: an ``*Accountant`` class, whose ledger attributes are declared guarded
+    ledger: bool = False
     lock_attrs: "set[str]" = field(default_factory=set)
     accesses: "list[_Access]" = field(default_factory=list)
     #: method -> [(caller method, locks held at the call site)]
@@ -105,23 +118,23 @@ def _with_locks(stmt: "ast.With | ast.AsyncWith",
 
 def _collect_class(module: Module,
                    cls: ast.ClassDef) -> "_ClassFacts | None":
-    facts = _ClassFacts(name=cls.name, node=cls)
+    facts = _ClassFacts(name=cls.name, node=cls,
+                        ledger="Accountant" in cls.name)
     for node in cls.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             facts.methods[node.name] = node
-    init = facts.methods.get("__init__")
-    if init is None:
-        return None
     # Lock attributes: created in __init__ by a lock factory, or assigned
     # there under a lock-shaped name.
-    for node in ast.walk(init):
+    init = facts.methods.get("__init__")
+    for node in ast.walk(init) if init is not None else ():
         if isinstance(node, ast.Assign):
             for t in node.targets:
                 attr = _self_attr(t)
                 if attr and (_is_lock_factory(node.value)
                              or _LOCK_NAME_RE.search(attr)):
                     facts.lock_attrs.add(attr)
-    if not facts.lock_attrs:
+    # A lockless accountant is still checked: its every ledger write races.
+    if not facts.lock_attrs and not facts.ledger:
         return None
 
     for name, method in facts.methods.items():
@@ -156,7 +169,11 @@ def _walk_stmt(module: Module, facts: _ClassFacts, method: str,
     for child in ast.iter_child_nodes(stmt):
         if isinstance(child, ast.stmt):
             _walk_stmt(module, facts, method, child, locks)
-        elif isinstance(child, (ast.expr, ast.excepthandler)):
+        elif isinstance(child, ast.excepthandler):
+            if child.type is not None:
+                _scan_exprs(module, facts, method, child.type, locks)
+            _walk_method(module, facts, method, child.body, locks)
+        elif isinstance(child, ast.expr):
             _scan_exprs(module, facts, method, child, locks)
     if isinstance(stmt, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
         targets = stmt.targets if isinstance(stmt, ast.Assign) \
@@ -276,6 +293,15 @@ def _class_facts(module: Module, ctx: LintContext) -> "list[_ClassFacts]":
     return cache[module.path]
 
 
+def _unlocked_writes(facts: _ClassFacts) -> "list[_Access]":
+    """Writes with no lock held, outside ``__init__`` and verified helpers."""
+    return [
+        acc for acc in facts.accesses
+        if acc.is_write and not acc.locks and acc.method != "__init__"
+        and acc.method not in facts.verified_helpers
+    ]
+
+
 class LocksetUnguardedAccessRule(Rule):
     """Writes to lock-associated attributes must hold the lock.
 
@@ -304,12 +330,7 @@ class LocksetUnguardedAccessRule(Rule):
                         sorted(acc.locks)[0],
                         getattr(acc.node, "lineno", 1),
                     )
-            for acc in facts.accesses:
-                if not acc.is_write or acc.locks:
-                    continue
-                if acc.method == "__init__" or \
-                        acc.method in facts.verified_helpers:
-                    continue
+            for acc in _unlocked_writes(facts):
                 guard = guarded.get(acc.attr)
                 if guard is None:
                     continue  # never locked anywhere: thread-confined
@@ -343,6 +364,38 @@ class LocksetUnguardedAccessRule(Rule):
                     )
                 )
         return findings
+
+
+class LockedLedgerMutationRule(Rule):
+    """The accountant's atomic check-and-charge contract.
+
+    In ``*Accountant`` classes the ledger attributes are guarded by
+    declaration: a write to one (assignment, aug-assign, ``del``, subscript
+    store or mutating call) with no lock held — outside ``__init__`` and
+    outside a verified caller-holds-lock helper — lets racing spenders
+    interleave past the cap.
+    """
+
+    name = "locked-ledger-mutation"
+    severity = SEVERITY_ERROR
+    description = (
+        "accountant/ledger state mutates only under the ledger lock "
+        "(atomic check-and-charge; racing spenders must never interleave "
+        "past the cap)"
+    )
+
+    def check(self, module: Module, ctx: LintContext) -> "list[Finding]":
+        return [
+            self.finding(
+                module, acc.node,
+                f"ledger state {facts.name}.{acc.attr} mutated in "
+                f"{acc.method} with no lock held (and not in a verified "
+                "caller-holds-lock helper)",
+            )
+            for facts in _class_facts(module, ctx) if facts.ledger
+            for acc in _unlocked_writes(facts)
+            if _LEDGER_ATTR_RE.match(acc.attr)
+        ]
 
 
 class LocksetOrderCycleRule(Rule):

@@ -7,8 +7,8 @@ gate's archived ``LINT_report.json`` diffs rely on.
 
 JSON report schema (``--format=json``), version 2 — **stable**: fields are
 only ever added, never renamed or removed, so downstream tooling can pin on
-``version``.  Version 2 added the per-finding ``trace`` array (the flow
-engine's source → hops → sink path; empty for AST-engine findings); every
+``version``.  Version 2 added the per-finding ``trace`` array (a flow
+rule's source → hops → sink path; empty when a rule has none); every
 v1 field is untouched, so a v1 consumer reads a v2 report unchanged — the
 compatibility the ``test_v1_consumer_reads_v2_report`` test pins::
 

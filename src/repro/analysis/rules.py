@@ -19,8 +19,6 @@ trace-key-hygiene               ``trace_id`` must not reach engine/cache key
                                 or fingerprint constructions (PR 8)
 monotonic-deadlines             ``time.time()`` is wall clock; deadlines use
                                 ``time.monotonic()`` (PR 3 review)
-locked-ledger-mutation          accountant ledger state mutates only under
-                                ``with self._lock`` (PR 3/5)
 fsync-in-hook                   journal appends happen inside the accountant
                                 mutation hook, never after ``spend`` returns
                                 (PR 5 durability contract)
@@ -28,8 +26,11 @@ no-cached-envelope-mutation     objects from cache ``.get`` paths are
                                 copy-on-write, never mutated in place (PR 8)
 ==============================  =============================================
 
-Heuristics are scoped to keep the signal clean (see each rule's docstring);
-intentional exceptions carry ``# repro-lint: disable=<rule> — <reason>``.
+The interprocedural rules (taint, lockset and ``locked-ledger-mutation``)
+live in :mod:`repro.analysis.flow`; every run checks both halves as one
+catalogue.  Heuristics are scoped to keep the signal clean (see each
+rule's docstring); intentional exceptions carry
+``# repro-lint: disable=<rule> — <reason>``.
 """
 
 from __future__ import annotations
@@ -725,161 +726,6 @@ class MonotonicDeadlinesRule(Rule):
 
 
 # --------------------------------------------------------------------------- #
-# locked-ledger-mutation
-# --------------------------------------------------------------------------- #
-
-_LEDGER_ATTR_RE = re.compile(
-    r"^_(charges|tokens|spent_units|next_token|limit|limit_units|observer)$"
-)
-_MUTATING_METHODS = {"append", "pop", "insert", "remove", "clear", "extend"}
-_LOCK_NAME_RE = re.compile(r"lock", re.IGNORECASE)
-
-
-class LockedLedgerMutationRule(Rule):
-    """The accountant's atomic check-and-charge contract (PR 3/5).
-
-    Scope: classes whose name contains ``Accountant``.  Every write to
-    ledger state (``_charges``, ``_tokens``, ``_spent_units``,
-    ``_next_token``, ``_limit*``, ``_observer`` — assignment, aug-assign,
-    ``del``, subscript store, or ``.append/.pop/...`` call) must be:
-
-    * lexically inside a ``with ...lock...:`` block, or
-    * in ``__init__`` (the object is not shared before construction
-      returns), or
-    * in a private helper whose every intra-module call site is itself
-      under a lock or in an exempt method — the "caller holds the lock"
-      idiom (``_append``, ``_remove_at``), verified instead of trusted.
-    """
-
-    name = "locked-ledger-mutation"
-    severity = SEVERITY_ERROR
-    description = (
-        "accountant/ledger state mutates only under the ledger lock "
-        "(atomic check-and-charge; racing spenders must never interleave "
-        "past the cap)"
-    )
-
-    def check(self, module: Module, ctx: LintContext) -> "list[Finding]":
-        findings: list[Finding] = []
-        for node in module.tree.body:
-            if isinstance(node, ast.ClassDef) and "Accountant" in node.name:
-                findings.extend(self._check_class(module, node))
-        return findings
-
-    def _check_class(self, module: Module, cls: ast.ClassDef):
-        methods = {
-            n.name: n
-            for n in cls.body
-            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-        # method name -> list of (caller method, under lock / exempt?)
-        call_sites: dict[str, list[bool]] = {}
-        for name, method in methods.items():
-            exempt = name == "__init__"
-            for call, locked in self._calls_with_lock_state(method):
-                if (
-                    isinstance(call.func, ast.Attribute)
-                    and isinstance(call.func.value, ast.Name)
-                    and call.func.value.id == "self"
-                    and call.func.attr in methods
-                ):
-                    call_sites.setdefault(call.func.attr, []).append(
-                        locked or exempt
-                    )
-        findings: list[Finding] = []
-        for name, method in methods.items():
-            if name == "__init__":
-                continue
-            private_ok = name.startswith("_") and all(
-                call_sites.get(name, [])
-            )
-            for node, locked in self._mutations_with_lock_state(method):
-                if locked or private_ok:
-                    continue
-                findings.append(
-                    self.finding(
-                        module, node,
-                        f"ledger state mutated in {cls.name}.{name} outside "
-                        "a `with self._lock` scope (and not a private "
-                        "helper whose callers all hold the lock)",
-                    )
-                )
-        return findings
-
-    # -- lock-aware traversal ------------------------------------------ #
-
-    def _walk_with_lock(self, node: ast.AST, locked: bool):
-        """Yield (node, locked) pairs, tracking `with *lock*` scopes."""
-        yield node, locked
-        if isinstance(node, (ast.With, ast.AsyncWith)):
-            inner = locked or any(
-                any(
-                    _LOCK_NAME_RE.search(n)
-                    for n in _node_names(item.context_expr)
-                )
-                for item in node.items
-            )
-            for item in node.items:
-                yield from self._walk_with_lock(item.context_expr, locked)
-            for child in node.body:
-                yield from self._walk_with_lock(child, inner)
-            return
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and \
-                locked is not None:
-            pass
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.Lambda,)):
-                continue
-            yield from self._walk_with_lock(child, locked)
-
-    def _calls_with_lock_state(self, method):
-        seen = set()
-        for node, locked in self._walk_with_lock(method, False):
-            if isinstance(node, ast.Call) and id(node) not in seen:
-                seen.add(id(node))
-                yield node, locked
-
-    def _mutations_with_lock_state(self, method):
-        seen = set()
-        for node, locked in self._walk_with_lock(method, False):
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) \
-                    else [node.target]
-                for t in targets:
-                    if self._is_ledger_target(t):
-                        yield node, locked
-                        break
-            elif isinstance(node, ast.Delete):
-                if any(self._is_ledger_target(t) for t in node.targets):
-                    yield node, locked
-            elif isinstance(node, ast.Call):
-                func = node.func
-                if (
-                    isinstance(func, ast.Attribute)
-                    and func.attr in _MUTATING_METHODS
-                    and isinstance(func.value, ast.Attribute)
-                    and isinstance(func.value.value, ast.Name)
-                    and func.value.value.id == "self"
-                    and _LEDGER_ATTR_RE.match(func.value.attr)
-                ):
-                    yield node, locked
-
-    @staticmethod
-    def _is_ledger_target(t: ast.AST) -> bool:
-        if isinstance(t, (ast.Subscript,)):
-            t = t.value
-        return (
-            isinstance(t, ast.Attribute)
-            and isinstance(t.value, ast.Name)
-            and t.value.id == "self"
-            and bool(_LEDGER_ATTR_RE.match(t.attr))
-        )
-
-
-# --------------------------------------------------------------------------- #
 # fsync-in-hook
 # --------------------------------------------------------------------------- #
 
@@ -1072,7 +918,6 @@ ALL_RULES: "tuple[Rule, ...]" = (
     GlobalRngRule(),
     TraceKeyHygieneRule(),
     MonotonicDeadlinesRule(),
-    LockedLedgerMutationRule(),
     FsyncInHookRule(),
     CachedEnvelopeMutationRule(),
 )

@@ -34,12 +34,9 @@ _LEVELS = {"error": "error", "warning": "warning"}
 
 
 def _rule_descriptions() -> "dict[str, str]":
-    from .engine import FRAMEWORK_RULES
-    from .flow import FLOW_RULES
-    from .rules import ALL_RULES
+    from .engine import CATALOGUE, FRAMEWORK_RULES
 
-    out = {r.name: r.description for r in ALL_RULES}
-    out.update({r.name: r.description for r in FLOW_RULES})
+    out = {r.name: r.description for r in CATALOGUE}
     out.setdefault("parse-error", "file does not parse")
     out.setdefault(
         "bad-suppression",

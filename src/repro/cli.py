@@ -198,11 +198,6 @@ def _run_lint(argv: Sequence[str]) -> int:
     parser.add_argument("--rule", action="append", default=None,
                         metavar="NAME",
                         help="run only this rule (repeatable)")
-    parser.add_argument("--engine", choices=("ast", "flow", "all"),
-                        default="ast",
-                        help="rule suite: 'ast' (syntactic invariants), "
-                             "'flow' (interprocedural taint + lockset), "
-                             "or 'all' (default: ast)")
     parser.add_argument("--diff", metavar="BASE_REF", default=None,
                         help="lint only files changed vs BASE_REF plus "
                              "their call-graph dependents (falls back to "
@@ -221,11 +216,7 @@ def _run_lint(argv: Sequence[str]) -> int:
 
             paths, note = select_diff_paths(paths, args.diff)
             print(f"repro lint: {note}", file=sys.stderr)
-        result = lint_paths(
-            paths,
-            only=tuple(args.rule) if args.rule else None,
-            engine=args.engine,
-        )
+        result = lint_paths(paths, only=tuple(args.rule) if args.rule else None)
     except (ValueError, FileNotFoundError) as exc:
         print(f"repro lint: {exc}", file=sys.stderr)
         return 2

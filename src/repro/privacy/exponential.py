@@ -100,6 +100,6 @@ class ExponentialMechanism:
 
 
 # Self-register this backend's release surface with the taint manifest:
-# `repro lint --engine=flow` treats values returned by these as DP-safe.
+# `repro lint` treats values returned by these as DP-safe.
 register_sanitizer("select_index")
 register_sanitizer("select_indices")

@@ -1,6 +1,6 @@
 """The taint manifest: sources, sanitizers, and sinks of private data.
 
-``repro lint --engine=flow`` (see ``repro.analysis.flow``) proves the
+``repro lint`` (its taint rules, ``repro.analysis.flow``) proves the
 paper's core guarantee statically: every value derived from raw rows or
 counts passes through a *charged DP mechanism release* before it reaches
 any output channel.  That proof needs three vocabularies, declared here —
@@ -124,7 +124,7 @@ def register_sanitizer(name: str) -> str:
 
     Call this at module import time, next to the mechanism definition.  The
     flow engine also discovers calls to this function statically, so an
-    out-of-tree backend is picked up by ``repro lint --engine=flow`` without
+    out-of-tree backend is picked up by ``repro lint`` without
     being imported.
     """
     SANITIZER_METHODS.add(name)

@@ -4,29 +4,31 @@ Covers: per-rule fire/no-fire fixture pairs, the extended call-graph
 resolution (``Class.method``, ``super().method``, ``pkg.mod.fn``), flow
 traces in the v2 JSON schema (hypothesis round-trip + v1-consumer
 compatibility), SARIF 2.1.0 emission, ``--diff`` scoping, suppression
-interplay across engines, and the whole-repo flow-clean gate.
+names across the one rule catalogue, the ledger guard on real accountant
+code, and the whole-repo flow-clean gate.
 """
 
 import ast
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import tarfile
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.analysis import (
+    CATALOGUE,
     JSON_SCHEMA_VERSION,
     Linter,
     TraceHop,
     format_json,
     format_text,
-    known_rule_names,
     lint_paths,
     parse_trace,
     render_trace,
-    rules_for_engine,
 )
 from repro.analysis.callgraph import build_callgraph
 from repro.analysis.diff import select_diff_paths
@@ -36,15 +38,16 @@ from repro.analysis.sarif import to_sarif
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURES = os.path.join(HERE, "fixtures", "lint")
-SRC = os.path.join(os.path.dirname(HERE), "src")
+ROOT = os.path.dirname(HERE)
+SRC = os.path.join(ROOT, "src")
 
 
 def fixture(name: str) -> str:
     return os.path.join(FIXTURES, name)
 
 
-def flow_lint(paths, **kw):
-    return lint_paths(paths, engine="flow", **kw)
+def flow_lint(paths):
+    return lint_paths(paths, only=FLOW_RULE_NAMES)
 
 
 def rules_fired(result) -> "set[str]":
@@ -86,10 +89,6 @@ class TestFlowFixtures:
         assert result.ok, format_text(result)
         assert not result.suppressed
 
-    def test_every_flow_rule_has_a_firing_fixture(self):
-        covered = {rule for _, rule, _ in FIRE_CASES}
-        assert covered == set(FLOW_RULE_NAMES)
-
     def test_envelope_leak_trace_runs_source_to_sink(self):
         """The acceptance fixture: raw count -> error envelope, with trace."""
         result = flow_lint([fixture("taint_unsanitized_release_bad.py")])
@@ -118,6 +117,74 @@ class TestFlowFixtures:
         (f,) = result.findings
         assert "_inflight" in f.message and "self._lock" in f.message
         assert f.trace and "guarded-by inferred" in f.trace[0].note
+
+
+# --------------------------------------------------------------------------- #
+# locked-ledger-mutation on the lockset walker
+# --------------------------------------------------------------------------- #
+
+_REFUND_LOCKED = """\
+        with self._lock:
+            try:
+                i = self._tokens.index(token)
+            except ValueError:
+                raise BudgetError(f"no charge with token {token!r} to refund") from None
+            self._remove_at(i)
+"""
+
+
+class TestLedgerGuard:
+    def _ledger_findings(self, path):
+        result = lint_paths([str(path)], only=("locked-ledger-mutation",))
+        return [f for f in result.findings if f.rule == "locked-ledger-mutation"]
+
+    def test_unlocked_refund_in_the_real_accountant_fires(self, tmp_path):
+        with open(os.path.join(SRC, "repro", "privacy", "budget.py")) as fh:
+            source = fh.read()
+        original = tmp_path / "budget.py"
+        original.write_text(source)
+        assert self._ledger_findings(original) == []
+
+        assert source.count(_REFUND_LOCKED) == 1
+        unlocked = "".join(
+            line[4:] + "\n" for line in _REFUND_LOCKED.splitlines()[1:]
+        )
+        mutated = tmp_path / "mutated" / "budget.py"
+        mutated.parent.mkdir()
+        mutated.write_text(source.replace(_REFUND_LOCKED, unlocked))
+        fired = self._ledger_findings(mutated)
+        # _remove_at loses its verified caller-holds-lock status, so its
+        # ledger writes are reported.
+        assert fired and all("_remove_at" in f.message for f in fired)
+
+    def test_lockless_accountant_is_still_checked(self, tmp_path):
+        f = tmp_path / "mod.py"
+        f.write_text(
+            "class BareAccountant:\n"
+            "    def __init__(self):\n"
+            "        self._charges = []\n"
+            "    def spend(self, units):\n"
+            "        self._charges.append(units)\n"
+        )
+        (finding,) = self._ledger_findings(f)
+        assert finding.line == 5
+
+    def test_write_in_an_except_handler_is_seen(self, tmp_path):
+        f = tmp_path / "mod.py"
+        f.write_text(
+            "import threading\n"
+            "class RollbackAccountant:\n"
+            "    def __init__(self):\n"
+            "        self._lock = threading.Lock()\n"
+            "        self._spent_units = 0\n"
+            "    def undo(self, units, notify):\n"
+            "        try:\n"
+            "            notify()\n"
+            "        except Exception:\n"
+            "            self._spent_units -= units\n"
+        )
+        (finding,) = self._ledger_findings(f)
+        assert finding.line == 10
 
 
 # --------------------------------------------------------------------------- #
@@ -255,6 +322,36 @@ class TestCallgraphResolution:
         })
         assert _resolve_first_call(graph, "caller") is None
 
+    def test_frozen_corpus_resolution_is_pinned(self, tmp_path):
+        """Exact function and resolved-call-site counts on the benchmark's
+        frozen ``src/repro`` snapshot, counted as its ``_resolved_edges``
+        does: a refactor that loses resolution changes these numbers."""
+        archive = os.path.join(
+            ROOT, "perfbench", "corpus", "src-repro-df671ee.tar.gz"
+        )
+        with open(archive, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        assert digest == (
+            "9b7f3b025eb1da5b09b5cf444a986bae5d55cb3484a4a2462107de560c0b57fb"
+        )
+        with tarfile.open(archive) as tar:
+            tar.extractall(tmp_path, filter="data")
+        modules = []
+        for path in iter_python_files([str(tmp_path / "src" / "repro")]):
+            module, err = load_module(path)
+            assert err is None, err
+            modules.append(module)
+        graph = build_callgraph(modules)
+        resolved = sum(
+            1
+            for info in graph.functions.values()
+            for node in ast.walk(info.node)
+            if isinstance(node, ast.Call)
+            and graph.resolve(node, info.module, info.class_name) is not None
+        )
+        assert len(graph.functions) == 1065
+        assert resolved == 1052
+
 
 # --------------------------------------------------------------------------- #
 # flow traces: v2 schema and the render/parse round trip
@@ -389,7 +486,7 @@ class TestSarif:
             [
                 sys.executable, "-m", "repro", "lint",
                 fixture("lockset_unguarded_access_bad.py"),
-                "--engine=flow", "--format=json", f"--sarif={out}",
+                "--format=json", f"--sarif={out}",
             ],
             capture_output=True,
             text=True,
@@ -464,7 +561,7 @@ class TestDiffScoping:
         proc = subprocess.run(
             [
                 sys.executable, "-m", "repro", "lint", str(tmp_path),
-                "--diff", "HEAD", "--engine=flow",
+                "--diff", "HEAD",
             ],
             capture_output=True,
             text=True,
@@ -476,40 +573,32 @@ class TestDiffScoping:
 
 
 # --------------------------------------------------------------------------- #
-# suppression interplay across engines (satellite 4)
+# suppression names: one catalogue, both halves known
 # --------------------------------------------------------------------------- #
 
 class TestSuppressionInterplay:
-    def test_flow_rule_suppression_is_known_to_the_ast_engine(self, tmp_path):
+    def test_known_rules_spans_both_suites(self, tmp_path):
         f = tmp_path / "mod.py"
         f.write_text(
-            "# repro-lint: disable=taint-unsanitized-release — flow-gate "
-            "suppression must not trip the ast engine\n"
+            "# repro-lint: disable=taint-unsanitized-release — a flow rule\n"
+            "# repro-lint: disable=monotonic-deadlines — a syntactic rule\n"
+            "# repro-lint: disable=locked-ledger-mutation — the folded rule\n"
             "VALUE = 1\n"
         )
-        result = lint_paths([str(f)])  # default: ast engine
-        assert result.ok, format_text(result)
+        for only in (None, FLOW_RULE_NAMES, ("monotonic-deadlines",)):
+            result = lint_paths([str(f)], only=only)
+            assert result.ok, format_text(result)
 
-    def test_ast_rule_suppression_is_known_to_the_flow_engine(self, tmp_path):
-        f = tmp_path / "mod.py"
-        f.write_text(
-            "# repro-lint: disable=monotonic-deadlines — display-only stamp\n"
-            "VALUE = 1\n"
-        )
-        result = flow_lint([str(f)])
-        assert result.ok, format_text(result)
-
-    def test_unknown_rule_is_flagged_by_both_engines(self, tmp_path):
+    def test_unknown_rule_is_flagged(self, tmp_path):
         f = tmp_path / "mod.py"
         f.write_text(
             "# repro-lint: disable=lockset-unguarded-acces — typo\n"
             "VALUE = 1\n"
         )
-        for engine in ("ast", "flow"):
-            result = lint_paths([str(f)], engine=engine)
-            bad = [x for x in result.findings if x.rule == "bad-suppression"]
-            assert len(bad) == 1, engine
-            assert "lockset-unguarded-acces" in bad[0].message
+        result = lint_paths([str(f)])
+        bad = [x for x in result.findings if x.rule == "bad-suppression"]
+        assert len(bad) == 1
+        assert "lockset-unguarded-acces" in bad[0].message
 
     def test_multi_rule_disable_covers_both_flow_rules(self, tmp_path):
         f = tmp_path / "mod.py"
@@ -530,30 +619,24 @@ class TestSuppressionInterplay:
             "taint-unsanitized-release", "taint-error-envelope",
         }
 
-    def test_known_rules_spans_both_suites(self):
-        names = known_rule_names()
-        assert set(FLOW_RULE_NAMES) <= names
-        assert "charge-before-release" in names
-        assert "bad-suppression" in names
-
 
 # --------------------------------------------------------------------------- #
-# engine selection and the repo-wide gate
+# rule selection over the one catalogue, and the repo-wide gate
 # --------------------------------------------------------------------------- #
 
 class TestEngineSelection:
-    def test_rules_for_engine(self):
-        assert tuple(r.name for r in rules_for_engine("flow")) == FLOW_RULE_NAMES
-        all_names = {r.name for r in rules_for_engine("all")}
-        assert set(FLOW_RULE_NAMES) < all_names
-        with pytest.raises(ValueError, match="unknown engine"):
-            rules_for_engine("psychic")
-
-    def test_rule_filter_is_engine_scoped(self):
-        linter = Linter(engine="flow", only=("taint-error-envelope",))
-        assert [r.name for r in linter._selected] == ["taint-error-envelope"]
+    def test_rule_filter_accepts_any_catalogue_name(self):
+        names = tuple(r.name for r in CATALOGUE)
+        assert len(names) == len(set(names)) == 12
+        assert set(FLOW_RULE_NAMES) < set(names)
+        for name in names:
+            assert Linter(only=(name,)).run([]).rules_run == (name,)
+        mixed = Linter(only=("lockset-order-cycle", "no-global-rng"))
+        assert mixed.run([]).rules_run == ("no-global-rng", "lockset-order-cycle")
         with pytest.raises(ValueError, match="unknown rule"):
-            Linter(only=("taint-error-envelope",))  # not in the ast suite
+            Linter(only=("taint-error-envelope", "psychic"))
+        with pytest.raises(ValueError, match="unknown engine"):
+            lint_paths([SRC], engine="flow")
 
     def test_whole_repo_is_flow_clean(self):
         result = flow_lint([SRC])
@@ -565,7 +648,8 @@ class TestEngineSelection:
         proc = subprocess.run(
             [
                 sys.executable, "-m", "repro", "lint",
-                fixture("taint_error_envelope_bad.py"), "--engine=flow",
+                fixture("taint_error_envelope_bad.py"),
+                "--rule=taint-error-envelope",
             ],
             capture_output=True,
             text=True,

@@ -13,11 +13,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.analysis import (
-    ALL_RULES,
+    CATALOGUE,
     Finding,
     JSON_SCHEMA_VERSION,
     Linter,
-    RULE_NAMES,
     RULE_NAME_RE,
     format_json,
     format_text,
@@ -26,6 +25,7 @@ from repro.analysis import (
     render_suppression,
     sort_findings,
 )
+from test_flow import FIRE_CASES as FLOW_FIRE_CASES
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURES = os.path.join(HERE, "fixtures", "lint")
@@ -84,8 +84,8 @@ class TestRuleFixtures:
         assert not result.suppressed
 
     def test_every_rule_has_a_firing_fixture(self):
-        covered = {rule for _, rule, _ in FIRE_CASES}
-        assert covered == set(RULE_NAMES)
+        covered = {rule for _, rule, _ in FIRE_CASES + FLOW_FIRE_CASES}
+        assert covered == {rule.name for rule in CATALOGUE}
 
     def test_pr4_regression_shape_is_flagged(self):
         """The linter would have caught PR 4's DPKMeans.fit bug."""
@@ -214,7 +214,7 @@ class TestEngine:
         assert text.strip().endswith("1 file checked")
 
     def test_rule_catalog_is_documented(self):
-        for rule in ALL_RULES:
+        for rule in CATALOGUE:
             assert rule.name and rule.description
             assert RULE_NAME_RE.match(rule.name)
 

@@ -9,6 +9,7 @@ code, and the whole-repo flow-clean gate.
 """
 
 import ast
+import glob
 import hashlib
 import json
 import os
@@ -23,6 +24,7 @@ from repro.analysis import (
     CATALOGUE,
     JSON_SCHEMA_VERSION,
     Linter,
+    RULE_NAMES,
     TraceHop,
     format_json,
     format_text,
@@ -82,6 +84,12 @@ class TestFlowFixtures:
         fired = [f for f in result.findings if f.rule == rule]
         assert len(fired) >= min_count, format_text(result)
         assert rules_fired(result) == {rule}  # and nothing else
+
+    def test_every_flow_rule_has_a_firing_fixture(self):
+        """Each flow-half rule, the folded ledger rule included, fires on
+        some bad fixture when only the flow rules run."""
+        bad = sorted(glob.glob(os.path.join(FIXTURES, "*_bad.py")))
+        assert rules_fired(flow_lint(bad)) == set(FLOW_RULE_NAMES)
 
     @pytest.mark.parametrize("name", NO_FIRE_CASES)
     def test_good_fixture_is_clean(self, name):
@@ -589,6 +597,27 @@ class TestSuppressionInterplay:
             result = lint_paths([str(f)], only=only)
             assert result.ok, format_text(result)
 
+    def test_flow_rule_suppression_is_known_to_the_ast_engine(self, tmp_path):
+        """A run limited to the syntactic rules still knows flow names."""
+        f = tmp_path / "mod.py"
+        f.write_text(
+            "# repro-lint: disable=taint-unsanitized-release — flow-gate "
+            "suppression must not trip a syntactic-only run\n"
+            "VALUE = 1\n"
+        )
+        result = lint_paths([str(f)], only=RULE_NAMES)
+        assert result.ok, format_text(result)
+
+    def test_ast_rule_suppression_is_known_to_the_flow_engine(self, tmp_path):
+        """A run limited to the flow rules still knows syntactic names."""
+        f = tmp_path / "mod.py"
+        f.write_text(
+            "# repro-lint: disable=monotonic-deadlines — display-only stamp\n"
+            "VALUE = 1\n"
+        )
+        result = flow_lint([str(f)])
+        assert result.ok, format_text(result)
+
     def test_unknown_rule_is_flagged(self, tmp_path):
         f = tmp_path / "mod.py"
         f.write_text(
@@ -625,18 +654,26 @@ class TestSuppressionInterplay:
 # --------------------------------------------------------------------------- #
 
 class TestEngineSelection:
-    def test_rule_filter_accepts_any_catalogue_name(self):
+    def test_rules_for_engine(self):
+        """There is one catalogue; ``engine`` accepts only ``"all"``."""
         names = tuple(r.name for r in CATALOGUE)
+        assert names == RULE_NAMES + FLOW_RULE_NAMES
         assert len(names) == len(set(names)) == 12
-        assert set(FLOW_RULE_NAMES) < set(names)
-        for name in names:
+        assert Linter().run([]).rules_run == names
+        assert lint_paths([], engine="all").rules_run == names
+        for engine in ("ast", "flow", "psychic"):
+            with pytest.raises(ValueError, match="unknown engine"):
+                lint_paths([SRC], engine=engine)
+
+    def test_rule_filter_is_engine_scoped(self):
+        """``--rule`` accepts any catalogue name, from either half, and
+        scopes the run to exactly the named rules."""
+        for name in (r.name for r in CATALOGUE):
             assert Linter(only=(name,)).run([]).rules_run == (name,)
         mixed = Linter(only=("lockset-order-cycle", "no-global-rng"))
         assert mixed.run([]).rules_run == ("no-global-rng", "lockset-order-cycle")
         with pytest.raises(ValueError, match="unknown rule"):
             Linter(only=("taint-error-envelope", "psychic"))
-        with pytest.raises(ValueError, match="unknown engine"):
-            lint_paths([SRC], engine="flow")
 
     def test_whole_repo_is_flow_clean(self):
         result = flow_lint([SRC])

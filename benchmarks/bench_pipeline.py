@@ -149,7 +149,7 @@ def run_pipeline_bench(
     service = _make_service(data)
     service_payloads = _serve_pipeline(service, requests)
     exact_equal = naive_payloads == service_payloads
-    stats = service.stats.as_dict()
+    stats = service.describe()["stats"]
 
     serial_s = _median_time(lambda: _serve_naive(data, requests), timing_repeats)
     service_s = _median_time(

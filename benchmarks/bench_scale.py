@@ -15,8 +15,7 @@ Two entry points:
     never held, so RSS must stay under a fixed budget);
   - **fan-out flatness**: per-task cost of a shared-stack sweep worker
     (attach + score) at 50k vs 1M rows — the shared-memory handoff makes it
-    independent of ``|D|`` (ratio gated at 1.2 in CI), versus the legacy
-    re-materialise-per-worker task body whose cost is linear in rows.
+    independent of ``|D|`` (ratio gated at 1.2 in CI).
 
   Results are merged into ``BENCH_scoring.json`` under the ``"scale"`` key.
 """
@@ -79,13 +78,11 @@ def run_materialise_bench(row_counts: "tuple[int, ...]") -> list[dict]:
 
 
 def run_fanout_bench(rows_small: int, rows_large: int) -> dict:
-    """Per-task sweep cost under the shared-stack handoff vs legacy, by size.
+    """Per-task sweep cost under the shared-stack handoff, by size.
 
     The parent materialises counts once per size and shares the stack; a
     fresh spawn child then plays one pool worker (attach + Stage-1 score)
-    and reports its task time.  The legacy task body — regenerate the counts
-    inside the worker, as ``run_grid(share_stacks=False)`` workers do — is
-    measured the same way for contrast.
+    and reports its task time.
     """
     result: dict = {"rows_small": rows_small, "rows_large": rows_large}
     for tag, n_rows in (("small", rows_small), ("large", rows_large)):
@@ -97,13 +94,8 @@ def run_fanout_bench(rows_small: int, rows_large: int) -> dict:
         finally:
             seg.close()
             seg.unlink()
-        legacy = run_measured(scale.rematerialise_and_score_stats, n_rows)
-        result[f"legacy_per_task_{tag}_s"] = legacy["result"]["task_s"]
     result["shared_ratio"] = (
         result["shared_per_task_large_s"] / result["shared_per_task_small_s"]
-    )
-    result["legacy_ratio"] = (
-        result["legacy_per_task_large_s"] / result["legacy_per_task_small_s"]
     )
     return result
 

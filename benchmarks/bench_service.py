@@ -146,7 +146,7 @@ def run_service_bench(
     service = _make_service(data, clustering)
     service_payloads = _serve_batched(service, requests)
     exact_equal = serial_payloads == service_payloads
-    stats = service.stats.as_dict()
+    stats = service.describe()["stats"]
 
     serial_s = _median_time(
         lambda: _serve_serial(data, clustering, requests), timing_repeats

@@ -166,8 +166,7 @@ fan = scale["fanout"]
 print(f"fan-out per-task: shared {fan['shared_per_task_small_s']*1e3:.2f} -> "
       f"{fan['shared_per_task_large_s']*1e3:.2f} ms "
       f"(ratio {fan['shared_ratio']:.2f} at "
-      f"{fan['rows_small']:,} -> {fan['rows_large']:,} rows); "
-      f"legacy ratio {fan['legacy_ratio']:.1f}")
+      f"{fan['rows_small']:,} -> {fan['rows_large']:,} rows)")
 assert fan["shared_ratio"] <= 1.2, (
     f"shared-stack fan-out cost is no longer flat in |D|: "
     f"{fan['shared_ratio']:.2f}x from {fan['rows_small']:,} to "

@@ -1,12 +1,13 @@
 """``repro.analysis`` — the repro-lint static-analysis framework.
 
-A stdlib-``ast`` checker for this codebase's DP and serving invariants
-(charge-before-release, integer-grid epsilon arithmetic, explicit RNG
-streams, trace-key hygiene, monotonic deadlines, in-hook journal
-durability, copy-on-write cached envelopes) plus interprocedural privacy
-taint and lockset rules (unsanitized releases, leaks into error envelopes,
-unguarded shared state, locked ledger mutation, lock-order cycles).  Every
-run checks the whole catalogue.  Run it with ``python -m repro lint [paths]
+A stdlib-``ast`` checker for this codebase's DP and serving invariants:
+syntactic rules (integer-grid epsilon arithmetic, explicit RNG streams,
+trace-key hygiene, monotonic deadlines, in-hook journal durability,
+copy-on-write cached envelopes) plus interprocedural rules on one
+dataflow fixpoint (charge-before-release at any call depth, unsanitized
+releases, leaks into error envelopes) and on the lockset walker
+(unguarded shared state, locked ledger mutation, lock-order cycles).
+Every run checks the whole catalogue.  Run it with ``python -m repro lint [paths]
 [--format=text|json] [--rule=NAME]``; it is wired into ``scripts/ci.sh`` as
 a hard gate.
 

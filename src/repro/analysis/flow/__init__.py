@@ -2,14 +2,17 @@
 
 Two rule families on one fixpoint dataflow substrate:
 
-* **Privacy taint** (``taint.py`` over ``dataflow.py``): sources are the raw
-  row/count accessors, sanitizers are the mechanism release methods declared
-  in :mod:`repro.privacy.manifest` (new backends self-register), sinks are
-  the serving tier's output channels.  Any source → sink path that never
-  crosses a sanitizer is a ``taint-unsanitized-release`` finding; tainted
-  values in exception messages / error envelopes are
-  ``taint-error-envelope`` findings.  Findings carry a full flow trace
-  (source → hops → sink) in the v2 JSON schema.
+* **Dataflow** (``taint.py`` over ``dataflow.py``): ``charge-before-release``
+  reads the walk's charge/draw ordering facts — a noise draw reached, at
+  any call depth, before the ledger charge in an accounting function.  For
+  privacy taint, sources are the raw row/count accessors, sanitizers are
+  the mechanism release methods declared in :mod:`repro.privacy.manifest`
+  (new backends self-register), sinks are the serving tier's output
+  channels.  Any source → sink path that never crosses a sanitizer is a
+  ``taint-unsanitized-release`` finding; tainted values in exception
+  messages / error envelopes are ``taint-error-envelope`` findings.
+  Findings carry a full flow trace (source → hops → sink, or caller →
+  hops → draw) in the v2 JSON schema.
 
 * **Lockset** (``lockset.py``): infers guarded-by relations for shared
   mutable attributes in classes that own locks, verifies the
@@ -30,6 +33,7 @@ from .lockset import (
     LocksetUnguardedAccessRule,
 )
 from .taint import (
+    ChargeBeforeReleaseRule,
     TaintErrorEnvelopeRule,
     TaintUnsanitizedReleaseRule,
     load_taint_config,
@@ -37,6 +41,7 @@ from .taint import (
 
 #: The flow half of the rule catalogue, in catalogue order.
 FLOW_RULES = (
+    ChargeBeforeReleaseRule(),
     TaintUnsanitizedReleaseRule(),
     TaintErrorEnvelopeRule(),
     LocksetUnguardedAccessRule(),
@@ -49,6 +54,7 @@ FLOW_RULE_NAMES = tuple(rule.name for rule in FLOW_RULES)
 __all__ = [
     "FLOW_RULES",
     "FLOW_RULE_NAMES",
+    "ChargeBeforeReleaseRule",
     "FlowAnalysis",
     "FunctionSummary",
     "LockedLedgerMutationRule",

@@ -1,4 +1,4 @@
-"""The fixpoint interprocedural dataflow engine behind the taint rules.
+"""The fixpoint interprocedural dataflow engine behind the flow rules.
 
 One analysis unit is a function body.  The transfer function walks its
 statements in source order, carrying an environment that maps local names
@@ -8,14 +8,23 @@ stops at *sanitizers* (mechanism release methods), and is reported when it
 reaches a *sink* (envelope constructions, logging, metrics label values,
 journal records, frame writers, trace attachments, exception messages).
 
+The same walk carries a ``charged`` flag for ``charge-before-release``:
+a ledger charge sets it, branches OR it (any path), and a noise draw made
+while it is unset is a hit on the ``uncharged-draw`` channel.
+
 Interprocedural propagation is context-insensitive: each function gets a
 :class:`FunctionSummary` saying (a) what its return value's taint is in
-terms of its parameters and any internal sources, and (b) which parameters
-flow into sinks inside it.  Summaries are computed over the extended call
-graph (``analysis/callgraph.py`` — ``name()``, ``self.m()``, ``Cls.m()``,
-``super().m()``, ``pkg.mod.fn()``) by iterating :func:`fixpoint` until no
-summary changes; summaries only ever grow, so termination is by
-monotonicity plus the trace/set caps below.
+terms of its parameters and any internal sources, (b) which parameters
+flow into sinks inside it, (c) whether some path through it charges, and
+(d) the hops to its first draw made before any charge.  Summaries are
+computed over the extended call graph (``analysis/callgraph.py`` —
+``name()``, ``self.m()``, ``Cls.m()``, ``super().m()``, ``pkg.mod.fn()``)
+by iterating :func:`fixpoint` until no summary changes.  Taint summaries
+and ``charges`` only ever grow (``charges`` never reads ``draws_first``).
+``draws_first`` can shrink when a callee's ``charges`` flips, but a draw
+trace never re-enters the function it starts in, so traces are simple
+call paths and finitely many.  :data:`MAX_ROUNDS` bounds the iteration
+regardless; a test pins that the charge facts settle on the whole tree.
 
 Every taint carries a bounded trace of :class:`~repro.analysis.model.
 TraceHop` — the evidence path rendered into the v2 JSON schema.
@@ -30,8 +39,9 @@ from dataclasses import dataclass, field
 from ..callgraph import CallGraph, FunctionInfo
 from ..loader import Module
 from ..model import TraceHop
+from ..rules import NEUTRAL_FUNCS, is_charge_call, is_draw_call
 
-#: Caps keeping the lattice finite: hops per trace, taints per value.
+#: Caps keeping the taint lattice finite: hops per trace, taints per value.
 MAX_TRACE_HOPS = 16
 MAX_TAINTS = 32
 #: Fixpoint iteration bound (reached only by pathological call cycles).
@@ -39,6 +49,10 @@ MAX_ROUNDS = 12
 
 TAG_DATA = "data"   # derived from raw rows/counts
 TAG_EXC = "exc"     # text of a broadly-caught exception (may embed raw data)
+TAG_DRAW = "draw"   # a noise draw made before any ledger charge
+
+#: Hit channel of a noise draw reached before any ledger charge.
+CHANNEL_DRAW = "uncharged-draw"
 
 _BROAD_EXCEPTIONS = {"Exception", "BaseException"}
 
@@ -59,6 +73,8 @@ class TaintConfig:
     source_recv_re: "object"          # compiled regex over receiver names
     sanitizers: "frozenset[str]"
     sink_channels: "dict[str, frozenset[str]]"
+    #: Calls never counted as draws or charges (public data generators).
+    public_generators: "frozenset[str]" = frozenset()
 
 
 @dataclass(frozen=True)
@@ -106,6 +122,11 @@ class FunctionSummary:
     returns: "frozenset[Taint]" = frozenset()
     #: (param index, channel, hops from param entry to sink incl. sink hop).
     param_sinks: "frozenset[tuple[int, str, tuple[TraceHop, ...]]]" = frozenset()
+    #: Some path through the body charges the ledger.
+    charges: bool = False
+    #: Hops from the body to its first draw made before any charge (empty
+    #: when there is none).
+    draws_first: "tuple[TraceHop, ...]" = ()
 
 
 def fixpoint(step, max_rounds: int = MAX_ROUNDS) -> int:
@@ -150,8 +171,9 @@ class FlowAnalysis:
 
     Construct once per lint run (the flow rules share one instance through
     the :class:`~repro.analysis.rules.LintContext` cache), then read
-    ``sink_hits`` — every source-kind taint that reached a sink, attributed
-    to the module/function where source and sink met.
+    ``hits`` — every source-kind taint that reached a sink, attributed to
+    the module/function where source and sink met, and every draw made
+    before any charge, attributed to the function that made or called it.
     """
 
     def __init__(self, modules: "list[Module]", callgraph: CallGraph,
@@ -182,7 +204,7 @@ class FlowAnalysis:
                     changed = True
             return changed
 
-        fixpoint(round_)
+        self.rounds = fixpoint(round_)
         # Reporting pass with stable summaries.
         for info in infos:
             hits: "list[SinkHit]" = []
@@ -206,9 +228,26 @@ class FlowAnalysis:
             env[name] = {Taint("param", param=i)}
         state = _State(self, info, env, collect)
         state.exec_stmts(node.body)
+        for inner in state.closures.values():  # reporting pass only
+            self._report_closure(info, inner)
         return FunctionSummary(
             returns=_limit(state.returns),
             param_sinks=frozenset(state.param_sinks),
+            charges=state.charged,
+            draws_first=state.draws_first,
+        )
+
+    def _report_closure(self, outer: FunctionInfo, node) -> None:
+        """A def nested in a body is no call-graph node: walk it for its own
+        draws only (closures were never taint units)."""
+        qual = f"{outer.class_name}.{node.name}" if outer.class_name \
+            else node.name
+        info = FunctionInfo(outer.module, node, qual, outer.class_name)
+        hits: "list[SinkHit]" = []
+        self._analyze(info, collect=hits)
+        self.hits.extend(
+            (info.module, info, hit) for hit in hits
+            if hit.channel == CHANNEL_DRAW
         )
 
 
@@ -224,6 +263,9 @@ class _State:
         self.collect = collect
         self.returns: "set[Taint]" = set()
         self.param_sinks: "set[tuple[int, str, tuple[TraceHop, ...]]]" = set()
+        self.charged = False
+        self.draws_first: "tuple[TraceHop, ...]" = ()
+        self.closures: "dict[int, ast.FunctionDef]" = {}
 
     @property
     def path(self) -> str:
@@ -236,8 +278,11 @@ class _State:
             self.exec_stmt(stmt)
 
     def exec_stmt(self, stmt: ast.stmt) -> None:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if self.collect is not None:
+                self.closures[id(stmt)] = stmt  # reported after this body
+            return
+        if isinstance(stmt, ast.ClassDef):
             return  # nested scopes are their own analysis unit
         if isinstance(stmt, ast.Assign):
             taints = self.eval_expr(stmt.value)
@@ -276,14 +321,18 @@ class _State:
                     self._bind(item.optional_vars, taints)
             self.exec_stmts(stmt.body)
         elif isinstance(stmt, ast.Try):
+            charged = self.charged
             self._branch([stmt.body])
+            after = self.charged
             for handler in stmt.handlers:
                 saved = {k: set(v) for k, v in self.env.items()}
                 if handler.name:
                     self.env[handler.name] = self._exception_taint(handler)
+                self.charged = charged  # the body may have failed first
                 self.exec_stmts(handler.body)
                 for k, v in saved.items():
                     self.env.setdefault(k, set()).update(v)
+            self.charged = after
             self.exec_stmts(stmt.orelse)
             self.exec_stmts(stmt.finalbody)
         elif isinstance(stmt, (ast.Expr, ast.Assert, ast.Delete)):
@@ -297,12 +346,18 @@ class _State:
             k: set(v) for k, v in self.env.items()
         }
         base = {k: set(v) for k, v in self.env.items()}
+        base_charged = charged = self.charged
         for body in bodies:
             self.env = {k: set(v) for k, v in base.items()}
+            self.charged = base_charged
             self.exec_stmts(body)
             for k, v in self.env.items():
                 merged.setdefault(k, set()).update(v)
+            # Any path: `if accountant is not None: accountant.spend(...)`
+            # is the charging idiom; the other branch has nothing to fund.
+            charged = charged or self.charged
         self.env = merged
+        self.charged = charged
 
     def _exception_taint(self, handler: ast.ExceptHandler) -> "set[Taint]":
         """A broadly-caught exception's text may embed raw values."""
@@ -470,6 +525,11 @@ class _State:
 
         # Sinks first: a sanitizer name can never be a sink in this suite.
         self._check_call_sinks(node, callee_name, arg_nodes, arg_taints)
+        # The arguments are walked, so a draw in one counts before the call.
+        info = self.a.callgraph.resolve(
+            node, self.info.module, self.info.class_name
+        )
+        self._order_call(node, callee_name, info)
 
         # Sanitizer: the returned value is differentially private.
         if callee_name in cfg.sanitizers:
@@ -486,9 +546,6 @@ class _State:
             return {Taint("source", trace=(hop,))}
 
         # Resolved callee: substitute its summary.
-        info = self.a.callgraph.resolve(
-            node, self.info.module, self.info.class_name
-        )
         if info is not None:
             return self._apply_summary(node, info, arg_nodes, arg_taints)
 
@@ -500,10 +557,60 @@ class _State:
             union_args |= self.eval_expr(func.value)
         return union_args
 
+    def _summary(self, info: FunctionInfo) -> FunctionSummary:
+        return self.a.summaries.get(
+            (info.module.path, info.qualname), FunctionSummary()
+        )
+
+    def _order_call(self, node: ast.Call, callee_name: str,
+                    info: "FunctionInfo | None") -> None:
+        """Charge-before-release: does this call charge, draw, or both?"""
+        if self.charged or callee_name in NEUTRAL_FUNCS or \
+                callee_name in self.a.config.public_generators:
+            return
+        if is_charge_call(node):
+            self.charged = True
+        elif is_draw_call(node):
+            func = node.func
+            recv = f"{_receiver_tail(func.value)}." \
+                if isinstance(func, ast.Attribute) else ""
+            self._draw(node, (TraceHop(
+                self.path, node.lineno, f"draw: {recv}{callee_name}()"
+            ),))
+        elif info is not None:
+            summary = self._summary(info)
+            if summary.draws_first and not self._reenters(summary.draws_first):
+                self._draw(node, (TraceHop(
+                    self.path, node.lineno, f"call: {info.qualname}"
+                ),) + summary.draws_first)
+            self.charged = summary.charges
+
+    def _reenters(self, trace: "tuple[TraceHop, ...]") -> bool:
+        """Whether a callee's draw trace calls back into this function: a
+        recursive cycle, whose draw this walk reaches without the cycle."""
+        note = f"call: {self.info.qualname}"
+        return any(
+            hop.note == note and nxt.path == self.path
+            for hop, nxt in zip(trace, trace[1:])
+        )
+
+    def _draw(self, node: ast.Call, trace: "tuple[TraceHop, ...]") -> None:
+        """A draw made before any charge: the summary keeps the first, the
+        reporting pass records every one."""
+        if not self.draws_first:
+            self.draws_first = trace
+        if self.collect is not None:
+            self.collect.append(SinkHit(
+                channel=CHANNEL_DRAW,
+                node_line=node.lineno,
+                node_col=node.col_offset,
+                taint=Taint("source", tag=TAG_DRAW, trace=trace),
+                hop=trace[-1],
+            ))
+
     def _apply_summary(self, node: ast.Call, info: FunctionInfo,
                        arg_nodes, arg_taints) -> "set[Taint]":
-        key = (info.module.path, info.qualname)
-        summary = self.a.summaries.get(key, FunctionSummary())
+        summary = self._summary(info)
         params = [a.arg for a in (
             list(info.node.args.posonlyargs) + list(info.node.args.args)
         )]

@@ -1,7 +1,12 @@
-"""Privacy-taint rules over the interprocedural dataflow engine.
+"""Privacy rules over the interprocedural dataflow engine.
 
-Two rules share one :class:`~repro.analysis.flow.dataflow.FlowAnalysis`
+Three rules share one :class:`~repro.analysis.flow.dataflow.FlowAnalysis`
 (computed once per lint run, cached on the :class:`LintContext`):
+
+``charge-before-release``
+    In a function responsible for accounting, no noise draw — direct or
+    through any number of calls — may happen before the ledger charge that
+    funds it (PR 4's ``DPKMeans.fit`` bug).
 
 ``taint-unsanitized-release``
     A value derived from raw rows/counts (a *source* per the privacy
@@ -18,7 +23,8 @@ Two rules share one :class:`~repro.analysis.flow.dataflow.FlowAnalysis`
     envelopes/logs/sinks.  The sanctioned redaction is ``type(exc).__name__``
     (``type`` is a clean builtin) plus a stable error code.
 
-Both emit v2 findings carrying the full source → hops → sink trace.
+All three emit v2 findings carrying the full trace: source → hops → sink,
+or caller → hops → draw.
 """
 
 from __future__ import annotations
@@ -27,8 +33,9 @@ import ast
 
 from ..loader import Module
 from ..model import Finding, SEVERITY_ERROR
-from ..rules import LintContext, Rule
+from ..rules import LintContext, Rule, references_accountant
 from .dataflow import (
+    CHANNEL_DRAW,
     FlowAnalysis,
     TAG_DATA,
     TAG_EXC,
@@ -66,8 +73,10 @@ def load_taint_config(modules: "list[Module]") -> TaintConfig:
     source_attrs: "set[str]" = set()
     sanitizers: "set[str]" = set()
     sinks: "dict[str, set[str]]" = {}
+    public: "set[str]" = set()
     if manifest is not None:
         sources |= manifest.TAINT_SOURCE_METHODS
+        public |= manifest.PUBLIC_GENERATORS
         source_attrs |= manifest.TAINT_SOURCE_ATTRS
         sanitizers |= manifest.SANITIZER_METHODS
         for channel, names in manifest.SINK_CHANNELS.items():
@@ -105,6 +114,7 @@ def load_taint_config(modules: "list[Module]") -> TaintConfig:
         source_recv_re=recv_re,
         sanitizers=frozenset(sanitizers),
         sink_channels={k: frozenset(v) for k, v in sinks.items()},
+        public_generators=frozenset(public),
     )
 
 
@@ -166,6 +176,46 @@ class _FlowRule(Rule):
             severity=self.severity,
             trace=hit.taint.trace,
         )
+
+
+class ChargeBeforeReleaseRule(_FlowRule):
+    """PR 4's invariant, machine-checked.
+
+    Scope: functions that reference an accountant — the ones *responsible*
+    for accounting.  In one, no noise draw may come before a ledger charge
+    on some path; the dataflow walk's ``charged`` flag and the summaries'
+    ``charges``/``draws_first`` facts follow draws through any number of
+    calls.
+    """
+
+    name = "charge-before-release"
+    severity = SEVERITY_ERROR
+    description = (
+        "noise must never be drawn before the accountant charge that funds "
+        "it has been admitted (a BudgetError after a release has been "
+        "sampled burns privacy the ledger never saw)"
+    )
+
+    def _selects(self, hit) -> bool:
+        return hit.channel == CHANNEL_DRAW
+
+    def check(self, module: Module, ctx: LintContext) -> "list[Finding]":
+        findings: list[Finding] = []
+        for info, hit in self._hits_for(module, ctx):
+            if not references_accountant(info.node):
+                continue
+            first = hit.taint.trace[0].note
+            where = f" (via {first[len('call: '):]} draws first)" \
+                if first.startswith("call: ") else ""
+            findings.append(
+                self._finding(
+                    module, info, hit,
+                    f"noise draw{where} reachable in {info.qualname} before "
+                    "any accountant.spend/parallel charge — charge the "
+                    "ledger first, then sample",
+                )
+            )
+        return findings
 
 
 class TaintUnsanitizedReleaseRule(_FlowRule):

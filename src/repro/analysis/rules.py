@@ -6,9 +6,6 @@ Every rule here encodes a convention the repo already paid a bugfix PR for
 ==============================  =============================================
 rule                            invariant (origin)
 ==============================  =============================================
-charge-before-release           no noise draw reachable in an accounting
-                                ``fit``/``release``/``explain`` body before
-                                the accountant charge on every path (PR 4)
 no-float-epsilon-arithmetic     no float comparison / floor-division /
                                 tolerance slack on epsilon values outside
                                 ``privacy/budget.py`` — decisions route
@@ -26,9 +23,9 @@ no-cached-envelope-mutation     objects from cache ``.get`` paths are
                                 copy-on-write, never mutated in place (PR 8)
 ==============================  =============================================
 
-The interprocedural rules (taint, lockset and ``locked-ledger-mutation``)
-live in :mod:`repro.analysis.flow`; every run checks both halves as one
-catalogue.  Heuristics are scoped to keep the signal clean (see each
+The interprocedural rules (``charge-before-release``, taint, lockset and
+``locked-ledger-mutation``) live in :mod:`repro.analysis.flow`; every run
+checks both halves as one catalogue.  Heuristics are scoped to keep the signal clean (see each
 rule's docstring); intentional exceptions carry
 ``# repro-lint: disable=<rule> — <reason>``.
 """
@@ -40,7 +37,7 @@ import re
 
 from dataclasses import dataclass
 
-from .callgraph import CallGraph, FunctionInfo
+from .callgraph import CallGraph
 from .loader import Module
 from .model import Finding, SEVERITY_ERROR, SEVERITY_WARNING
 
@@ -141,7 +138,7 @@ def _norm_path(path: str) -> str:
 
 
 # --------------------------------------------------------------------------- #
-# charge-before-release
+# charge/draw vocabulary (charge-before-release, no-global-rng, fsync-in-hook)
 # --------------------------------------------------------------------------- #
 
 #: Methods that charge a ledger.
@@ -181,14 +178,14 @@ NEUTRAL_FUNCS = {
 }
 
 
-def _is_charge_call(call: ast.Call) -> bool:
+def is_charge_call(call: ast.Call) -> bool:
     return (
         isinstance(call.func, ast.Attribute)
         and call.func.attr in CHARGE_METHODS
     )
 
 
-def _is_draw_call(call: ast.Call) -> bool:
+def is_draw_call(call: ast.Call) -> bool:
     func = call.func
     has_args = bool(call.args or call.keywords)
     if isinstance(func, ast.Attribute):
@@ -206,7 +203,9 @@ def _is_draw_call(call: ast.Call) -> bool:
     return False
 
 
-def _references_accountant(node: ast.AST) -> bool:
+def references_accountant(node: ast.AST) -> bool:
+    """Whether a function is responsible for accounting: it names an
+    accountant (parameter, local, ``self._accountant``, ``accountant=``)."""
     for n in _walk_no_lambda(node):
         if isinstance(n, ast.Name) and n.id == "accountant":
             return True
@@ -217,190 +216,6 @@ def _references_accountant(node: ast.AST) -> bool:
         if isinstance(n, ast.keyword) and n.arg == "accountant":
             return True
     return False
-
-
-@dataclass
-class _FlowSummary:
-    """What a callee does to the charge/draw ordering, any-path."""
-
-    charges: bool = False
-    uncharged_draw: "ast.Call | None" = None
-
-
-class ChargeBeforeReleaseRule(Rule):
-    """PR 4's invariant, machine-checked.
-
-    Scope: every function that references an accountant (parameter, local,
-    ``self._accountant`` attribute, or ``accountant=`` keyword) — i.e. the
-    functions *responsible* for accounting.  Within one, walking statements
-    in order (descending into loop/branch bodies; a charge on any branch of
-    an ``if`` counts, which is exactly the ``if accountant is not None:``
-    idiom), every noise draw must be preceded by a ledger charge.  Calls are
-    followed up to two hops through the intra-package call graph, so a
-    ``fit`` that delegates its draws to ``self._release_counts`` is still
-    caught.  Mechanism primitives that take no accountant (``mech.release``)
-    are classified as draws at the call site by name.
-    """
-
-    name = "charge-before-release"
-    severity = SEVERITY_ERROR
-    description = (
-        "noise must never be drawn before the accountant charge that funds "
-        "it has been admitted (a BudgetError after a release has been "
-        "sampled burns privacy the ledger never saw)"
-    )
-
-    _MAX_HOPS = 2
-
-    def check(self, module: Module, ctx: LintContext) -> "list[Finding]":
-        findings: list[Finding] = []
-        self._summaries: dict[tuple[str, str], _FlowSummary] = {}
-        self._in_progress: set[tuple[str, str]] = set()
-        for func, class_name in _iter_functions(module):
-            if not _references_accountant(func):
-                continue
-            offending: list[tuple[ast.Call, str]] = []
-            self._scan_body(
-                func.body, False, offending, module, class_name, ctx,
-                self._MAX_HOPS,
-            )
-            for call, via in offending:
-                where = f" (via {via})" if via else ""
-                findings.append(
-                    self.finding(
-                        module,
-                        call,
-                        f"noise draw{where} reachable in "
-                        f"{class_name + '.' if class_name else ''}{func.name} "
-                        "before any accountant.spend/parallel charge — "
-                        "charge the ledger first, then sample",
-                    )
-                )
-        return findings
-
-    # -- ordered-statement flow scan ---------------------------------- #
-
-    def _scan_body(self, body, charged, offending, module, class_name,
-                   ctx, hops) -> bool:
-        for stmt in body:
-            charged = self._scan_stmt(
-                stmt, charged, offending, module, class_name, ctx, hops
-            )
-        return charged
-
-    def _scan_stmt(self, stmt, charged, offending, module, class_name,
-                   ctx, hops) -> bool:
-        scan_body = self._scan_body
-        if isinstance(stmt, (ast.For, ast.AsyncFor, ast.While)):
-            head = stmt.iter if isinstance(stmt, (ast.For, ast.AsyncFor)) \
-                else stmt.test
-            charged = self._scan_expr(
-                head, charged, offending, module, class_name, ctx, hops
-            )
-            after = scan_body(
-                stmt.body, charged, offending, module, class_name, ctx, hops
-            )
-            after = scan_body(
-                stmt.orelse, after, offending, module, class_name, ctx, hops
-            )
-            return charged or after
-        if isinstance(stmt, ast.If):
-            charged = self._scan_expr(
-                stmt.test, charged, offending, module, class_name, ctx, hops
-            )
-            then = scan_body(
-                stmt.body, charged, offending, module, class_name, ctx, hops
-            )
-            other = scan_body(
-                stmt.orelse, charged, offending, module, class_name, ctx, hops
-            )
-            # Any-path: `if accountant is not None: accountant.spend(...)`
-            # is the repo's charging idiom — the uncharged branch is the
-            # accountant-less run, which has nothing to fund.
-            return then or other
-        if isinstance(stmt, ast.Try):
-            after = scan_body(
-                stmt.body, charged, offending, module, class_name, ctx, hops
-            )
-            for handler in stmt.handlers:
-                scan_body(
-                    handler.body, charged, offending, module, class_name,
-                    ctx, hops,
-                )
-            after = scan_body(
-                stmt.orelse, after, offending, module, class_name, ctx, hops
-            )
-            return scan_body(
-                stmt.finalbody, after, offending, module, class_name, ctx,
-                hops,
-            )
-        if isinstance(stmt, (ast.With, ast.AsyncWith)):
-            for item in stmt.items:
-                charged = self._scan_expr(
-                    item.context_expr, charged, offending, module,
-                    class_name, ctx, hops,
-                )
-            return scan_body(
-                stmt.body, charged, offending, module, class_name, ctx, hops
-            )
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            return charged  # nested scopes are their own analysis unit
-        return self._scan_expr(
-            stmt, charged, offending, module, class_name, ctx, hops
-        )
-
-    def _scan_expr(self, node, charged, offending, module, class_name,
-                   ctx, hops) -> bool:
-        for call in _calls_in_order(node):
-            func = call.func
-            callee_name = (
-                func.id if isinstance(func, ast.Name)
-                else func.attr if isinstance(func, ast.Attribute)
-                else ""
-            )
-            if callee_name in NEUTRAL_FUNCS:
-                continue
-            if _is_charge_call(call):
-                charged = True
-                continue
-            if _is_draw_call(call):
-                if not charged:
-                    offending.append((call, ""))
-                continue
-            if hops <= 0:
-                continue
-            info = ctx.callgraph.resolve(call, module, class_name)
-            if info is None:
-                continue
-            summary = self._summarize(info, ctx, hops - 1)
-            if summary.uncharged_draw is not None and not charged:
-                offending.append((call, f"{info.qualname} draws first"))
-            if summary.charges:
-                charged = True
-        return charged
-
-    def _summarize(self, info: FunctionInfo, ctx: LintContext,
-                   hops: int) -> _FlowSummary:
-        key = (info.module.path, info.qualname)
-        cached = self._summaries.get(key)
-        if cached is not None:
-            return cached
-        if key in self._in_progress:  # recursion: assume nothing
-            return _FlowSummary()
-        self._in_progress.add(key)
-        offending: list[tuple[ast.Call, str]] = []
-        charged = self._scan_body(
-            info.node.body, False, offending, info.module, info.class_name,
-            ctx, hops,
-        )
-        summary = _FlowSummary(
-            charges=charged,
-            uncharged_draw=offending[0][0] if offending else None,
-        )
-        self._in_progress.discard(key)
-        self._summaries[key] = summary
-        return summary
 
 
 # --------------------------------------------------------------------------- #
@@ -761,7 +576,7 @@ class FsyncInHookRule(Rule):
         for func, class_name in _iter_functions(module):
             charged_line: "int | None" = None
             for call in _calls_in_order(func):
-                if _is_charge_call(call):
+                if is_charge_call(call):
                     charged_line = charged_line or call.lineno
                     continue
                 if charged_line is None:
@@ -913,7 +728,6 @@ class CachedEnvelopeMutationRule(Rule):
 
 #: The shipping rule suite, in catalogue order.
 ALL_RULES: "tuple[Rule, ...]" = (
-    ChargeBeforeReleaseRule(),
     FloatEpsilonArithmeticRule(),
     GlobalRngRule(),
     TraceKeyHygieneRule(),

@@ -584,22 +584,18 @@ def run_grid(
     n_clusters: int | None = None,
     explainers: tuple[str, ...] | None = None,
     processes: int | None = None,
-    share_stacks: bool = True,
 ) -> list[dict]:
     """The (dataset, method, epsilon) sweep behind Figures 5/6/11/12.
 
     Runs every cell through the batched trial runner; with ``processes > 1``
-    the (dataset, method) cells fan out across a process pool.  By default
-    the parent materialises each cell's counts once and hands workers the
-    stack through shared memory (``share_stacks=True``): the only per-task
-    payload is a segment name plus schema metadata, so fan-out cost is flat
-    in dataset size and no worker duplicates the dataset, the clustering
-    fit, or the ``lru``-cached loaders.  ``share_stacks=False`` restores
-    the legacy re-materialise-per-worker path (each worker warming its own
-    dataset/clustering caches).  Row order — and every row value — is
-    deterministic and independent of the pool size and the handoff mode:
-    the stack holds the exact integer counts, so scores and noisy releases
-    are bit-identical either way.
+    the (dataset, method) cells fan out across a process pool.  The parent
+    materialises each cell's counts once and hands workers the stack
+    through shared memory: the only per-task payload is a segment name plus
+    schema metadata, so fan-out cost is flat in dataset size and no worker
+    duplicates the dataset, the clustering fit, or the ``lru``-cached
+    loaders.  Row order — and every row value — is deterministic and
+    independent of the pool size: the stack holds the exact integer counts,
+    so scores and noisy releases are bit-identical to the serial run.
     """
     from ..experiments.common import eps_grid_for, methods_for
 
@@ -617,12 +613,6 @@ def run_grid(
     ]
     if processes is not None and processes > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
-
-        if not share_stacks:
-            with ProcessPoolExecutor(max_workers=processes) as pool:
-                per_task = list(pool.map(_run_grid_task, tasks))
-            return [row for rows in per_task for row in rows]
-
         from dataclasses import replace
 
         from ..core.engine.shm import share_stack

@@ -229,30 +229,6 @@ def attach_and_score_stats(handle, gamma: tuple[float, float] = (0.5, 0.5)) -> d
         counts.close()
 
 
-def rematerialise_and_score_stats(
-    n_rows: int, gamma: tuple[float, float] = (0.5, 0.5), **source_kwargs
-) -> dict:
-    """The legacy worker task body: regenerate counts, then score.
-
-    What every pool worker paid before the shared-stack handoff — cost is
-    linear in ``n_rows``, which is exactly the contrast the fan-out
-    benchmark records.
-    """
-    import time
-
-    from ..core.engine import ScoringEngine
-
-    t0 = time.perf_counter()
-    counts = ChunkedPlantedSource(n_rows=n_rows, **source_kwargs).counts()
-    engine = ScoringEngine(counts)
-    matrix = engine.score_matrix(*gamma)
-    return {
-        "task_s": time.perf_counter() - t0,
-        "n_attributes": int(matrix.shape[1]),
-        "n_clusters": int(matrix.shape[0]),
-    }
-
-
 def run(
     config: ExperimentConfig | None = None,
     row_grid: tuple[int, ...] = ROW_GRID,

@@ -12,8 +12,8 @@ async front end).  Three metric kinds:
 * :class:`Histogram` — geometric buckets, merged by **vector-adding**
   buckets/counts/sums.
 
-Counters and histograms use the per-thread sharded-lock trick proven in
-the service's ``_Stats``: each thread is pinned round-robin to one of
+Counters and histograms use the per-thread sharded-lock trick first
+proven in the service's own stats counters: each thread is pinned round-robin to one of
 ``n_shards`` independently-locked shards, so the worker pool, HTTP handler
 threads and shard connection threads never contend on one hot lock — the
 merge cost moves to :meth:`MetricsRegistry.snapshot`, which only scrapes
@@ -39,7 +39,7 @@ import os
 import re
 import threading
 
-#: Default geometric bucket geometry — identical to the PR 7 ``_Stats``
+#: Default geometric bucket geometry — identical to the service's PR 7
 #: latency histograms: 100µs base, √2 growth (half-powers of two), 44
 #: buckets covering past 200s with one overflow bucket.
 DEFAULT_BASE = 1e-4

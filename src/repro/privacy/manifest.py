@@ -17,6 +17,10 @@ backend registers its release surface in the same commit that adds it:
   and journal records.  Tainted data reaching a sink without crossing a
   sanitizer is a ``taint-unsanitized-release`` finding.
 
+A fourth, :data:`PUBLIC_GENERATORS`, names the data-independent synthetic
+table generators, whose seeded draws ``charge-before-release`` never
+counts as releases.
+
 Self-registration
 -----------------
 
@@ -92,6 +96,16 @@ TAINT_SOURCE_RECV_RE = re.compile(
 #: Mechanism release / selection methods: crossing one of these makes a
 #: value differentially private.  ``privacy`` backends self-register theirs.
 SANITIZER_METHODS: "set[str]" = set()
+
+#: Data-independent generators: the public synthetic-table entry points of
+#: :mod:`repro.synth`.  They draw from a seeded ``Generator`` to *build* a
+#: public demo table before any private data exists, so their draws are not
+#: releases and ``charge-before-release`` never counts a call to one.
+PUBLIC_GENERATORS: "set[str]" = {
+    "diabetes_like", "diabetes_generator",
+    "census_like", "census_generator",
+    "stackoverflow_like", "stackoverflow_generator",
+}
 
 #: Sink *method* names grouped by channel.  The flow engine applies
 #: receiver/keyword heuristics on top (see ``analysis/flow/taint.py``).

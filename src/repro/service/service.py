@@ -43,7 +43,7 @@ from ..core.dpclustx import DPClustX
 from ..core.hbe import GlobalExplanation
 from ..core.quality.scores import Weights
 from ..evaluation.sweeps import explain_batched
-from ..obs.metrics import MetricsRegistry, histogram_quantile
+from ..obs.metrics import Histogram, MetricsRegistry, histogram_quantile
 from ..obs.tracing import attach_trace, new_trace_id, span_histogram, trace_id_of
 from ..pipeline import ClusteringSpec, FittedClusteringCache
 from ..privacy.budget import BudgetError, ExplanationBudget, PrivacyAccountant
@@ -356,97 +356,52 @@ class _Pending:
     """
 
     request: ExplainRequest
-    stats: "_Stats | None" = None
+    latency: "Histogram | None" = None
     future: "Future[dict]" = field(default_factory=Future)
     enqueued: float = field(default_factory=time.monotonic)
 
     def resolve(self, envelope: dict) -> None:
         if not self.future.done():
             envelope = attach_trace(envelope, self.request.trace_id)
-            if self.stats is not None:
-                self.stats.observe(
-                    _request_class(envelope), time.monotonic() - self.enqueued
+            if self.latency is not None:
+                self.latency.observe(
+                    time.monotonic() - self.enqueued, (_request_class(envelope),)
                 )
             self.future.set_result(envelope)
 
 
-class _Stats:
-    """Service counters + per-class latency histograms on the obs registry.
+#: The lifecycle events ``repro_service_events_total`` counts, in the order
+#: ``/v1/stats`` lists them (zero-filled before the first of each).
+SERVICE_EVENTS = (
+    "requests",
+    "cache_hits",
+    "cache_misses",
+    "coalesced",
+    "refused",
+    "errors",
+    "engine_calls",
+    "releases",
+    "pipeline_requests",
+    "clustering_fits",
+    "clustering_cache_hits",
+)
 
-    Historically this class owned its own per-thread sharded counters;
-    those now live in :class:`~repro.obs.metrics.MetricsRegistry` (which
-    generalised the same trick), and ``_Stats`` is the service-facing view:
-    the lifecycle counter family ``repro_service_events_total{event=...}``
-    and the enqueue→resolve latency histogram
-    ``repro_request_duration_seconds{class=...}``.  One code path serves
-    ``/v1/stats``, ``/metrics``, and cross-worker snapshot merging.
 
-    The latency geometry is unchanged from the pre-registry histograms:
-    geometric buckets from 100µs up, factor √2 (half-powers of two), 44
-    buckets covering past 200s — beyond every timeout in the service.
+def latency_summary(hist: Histogram) -> dict:
+    """Per-class latency from ``hist``: count + p50/p99 (the /v1/stats block).
+
+    Quantiles are bucket upper bounds — within one √2 factor of the
+    true value, which is the resolution tail-latency dashboards need
+    without the service ever holding per-request samples.
     """
-
-    FIELDS = (
-        "requests",
-        "cache_hits",
-        "cache_misses",
-        "coalesced",
-        "refused",
-        "errors",
-        "engine_calls",
-        "releases",
-        "pipeline_requests",
-        "clustering_fits",
-        "clustering_cache_hits",
-    )
-
-    def __init__(self, n_shards: int = 8, registry: "MetricsRegistry | None" = None):
-        self.registry = (
-            registry if registry is not None else MetricsRegistry(n_shards=n_shards)
-        )
-        self._events = self.registry.counter(
-            "repro_service_events_total",
-            "Service lifecycle events by kind (requests, hits, refusals...).",
-            ("event",),
-        )
-        self._latency = self.registry.histogram(
-            "repro_request_duration_seconds",
-            "Enqueue-to-resolve request latency by serving class.",
-            ("class",),
-        )
-
-    def incr(self, field_name: str, by: int = 1) -> None:
-        self._events.inc(by, (field_name,))
-
-    def observe(self, request_class: str, seconds: float) -> None:
-        """Record one enqueue→resolve latency under ``request_class``."""
-        self._latency.observe(seconds, (request_class,))
-
-    def get(self, field_name: str) -> int:
-        return self._events.value((field_name,))
-
-    def as_dict(self) -> dict:
-        merged = {f: 0 for f in self.FIELDS}
-        for (event,), value in self._events.series().items():
-            merged[event] = merged.get(event, 0) + value
-        return merged
-
-    def latency_summary(self) -> dict:
-        """Merged per-class latency: count + p50/p99 (the /v1/stats block).
-
-        Quantiles are bucket upper bounds — within one √2 factor of the
-        true value, which is the resolution tail-latency dashboards need
-        without the service ever holding per-request samples.
-        """
-        hist = self._latency
-        summary = {}
-        for (klass,), (buckets, count, _sum) in sorted(hist.series().items()):
-            summary[klass] = {
-                "count": count,
-                "p50_s": histogram_quantile(buckets, 0.50, hist.base, hist.growth),
-                "p99_s": histogram_quantile(buckets, 0.99, hist.base, hist.growth),
-            }
-        return summary
+    summary = {}
+    for (klass,), (buckets, count, _sum) in sorted(hist.series().items()):
+        summary[klass] = {
+            "count": count,
+            "p50_s": histogram_quantile(buckets, 0.50, hist.base, hist.growth),
+            "p99_s": histogram_quantile(buckets, 0.99, hist.base, hist.growth),
+        }
+    return summary
 
 
 def explanation_payload(
@@ -547,7 +502,20 @@ class ExplanationService:
             fitted_entries, on_evict=self._on_fitted_evicted, metrics=self.metrics
         )
         self._fit_stripes = [threading.Lock() for _ in range(16)]
-        self.stats = _Stats(registry=self.metrics)
+        # Lifecycle events, and enqueue→resolve latency by serving class on
+        # the default geometry (100µs up, factor √2, 44 buckets: past every
+        # service timeout).  One family each serves /v1/stats, /metrics and
+        # cross-worker snapshot merging.
+        self._events = self.metrics.counter(
+            "repro_service_events_total",
+            "Service lifecycle events by kind (requests, hits, refusals...).",
+            ("event",),
+        )
+        self._latency = self.metrics.histogram(
+            "repro_request_duration_seconds",
+            "Enqueue-to-resolve request latency by serving class.",
+            ("class",),
+        )
         self._spans = span_histogram(self.metrics)
         self._budget_refusals = self.metrics.counter(
             "repro_budget_refusals_total",
@@ -624,8 +592,8 @@ class ExplanationService:
         """
         if not request.trace_id:
             request = request.with_trace(new_trace_id())
-        pending = _Pending(request, self.stats)
-        self.stats.incr("requests")
+        pending = _Pending(request, self._latency)
+        self._events.inc(1, ("requests",))
         try:
             request.validated()
             entry = self.registry.dataset(request.dataset)
@@ -647,14 +615,14 @@ class ExplanationService:
                     f"{request.dataset!r}",
                 )
         except ServiceError as exc:
-            self.stats.incr("errors")
+            self._events.inc(1, ("errors",))
             pending.resolve(self._error_envelope(exc))
             return pending.future
         t0 = time.perf_counter()
         cached = self.cache.get(request.cache_key(entry))
         self._spans.observe(time.perf_counter() - t0, ("cache-lookup",))
         if cached is not None:
-            self.stats.incr("cache_hits")
+            self._events.inc(1, ("cache_hits",))
             pending.resolve(self._ok_envelope(request, cached, "hit", 0.0))
             return pending.future
         self._queue.put(request.engine_key(), pending)
@@ -703,7 +671,7 @@ class ExplanationService:
             request = PipelineRequest(**kwargs)
         if not request.trace_id:
             request = request.with_trace(new_trace_id())
-        self.stats.incr("pipeline_requests")
+        self._events.inc(1, ("pipeline_requests",))
         try:
             request.validated()
             base = self.registry.dataset(request.dataset)
@@ -717,7 +685,7 @@ class ExplanationService:
                     f"{width} attributes of {request.dataset!r}",
                 )
         except ServiceError as exc:
-            self.stats.incr("errors")
+            self._events.inc(1, ("errors",))
             return attach_trace(self._error_envelope(exc), request.trace_id)
         spec = request.spec()
         try:
@@ -725,7 +693,7 @@ class ExplanationService:
                 base, spec, request.tenant
             )
         except BudgetError as exc:
-            self.stats.incr("refused")
+            self._events.inc(1, ("refused",))
             self._budget_refusals.inc(1, (request.tenant, request.dataset))
             tenant = self.registry.tenant(request.tenant, self.auto_tenant_budget)
             accountant = tenant.accountant(base.base_id)
@@ -738,10 +706,10 @@ class ExplanationService:
             envelope["error"]["stage"] = "clustering"
             return envelope
         except ServiceError as exc:
-            self.stats.incr("errors")
+            self._events.inc(1, ("errors",))
             return attach_trace(self._error_envelope(exc), request.trace_id)
         except Exception as exc:  # noqa: BLE001 — fit failure must not 500 raw
-            self.stats.incr("errors")
+            self._events.inc(1, ("errors",))
             # Redacted: exception text can embed raw rows/counts a deep
             # layer interpolated; tenants get the type name and a code.
             return attach_trace(
@@ -808,13 +776,13 @@ class ExplanationService:
         key = spec.cache_key(base.fingerprint)
         cached = self.fitted.get(key)
         if cached is not None and self._still_registered(cached):
-            self.stats.incr("clustering_cache_hits")
+            self._events.inc(1, ("clustering_cache_hits",))
             return cached, "hit", 0.0
         with self._fit_stripe(key):
             cached = self.fitted.get(key)
             if cached is not None:
                 if self._still_registered(cached):
-                    self.stats.incr("clustering_cache_hits")
+                    self._events.inc(1, ("clustering_cache_hits",))
                     return cached, "hit", 0.0
                 # Its registry entry was dropped (base replaced mid-put):
                 # the cached fit is stale bookkeeping — evict and refit.
@@ -833,7 +801,7 @@ class ExplanationService:
                 and existing.base_id == base.base_id
             ):
                 self.fitted.put(key, existing)
-                self.stats.incr("clustering_cache_hits")
+                self._events.inc(1, ("clustering_cache_hits",))
                 return existing, "hit", 0.0
             tenant = self.registry.tenant(tenant_id, self.auto_tenant_budget)
             accountant = tenant.accountant(base.base_id)
@@ -866,7 +834,7 @@ class ExplanationService:
                 )
             self.fitted.put(key, entry)
             self.registry.persist_tenant(tenant)
-            self.stats.incr("clustering_fits")
+            self._events.inc(1, ("clustering_fits",))
             return entry, "miss", spec.epsilon
 
     def process_pending(self) -> int:
@@ -999,7 +967,7 @@ class ExplanationService:
             if not funded:
                 return
 
-            self.stats.incr("engine_calls")
+            self._events.inc(1, ("engine_calls",))
             seeds = [payer.request.seed for _, _, payer, _, _ in funded]
             try:
                 explanations = explain_batched(
@@ -1016,7 +984,7 @@ class ExplanationService:
                     self.registry.persist_tenant(tenant)
                 raise  # _execute_batch resolves the futures with a 500
 
-            self.stats.incr("releases", len(funded))
+            self._events.inc(len(funded), ("releases",))
             for (key, group, payer, tenant, _), explanation in zip(
                 funded, explanations
             ):
@@ -1030,7 +998,7 @@ class ExplanationService:
                     if p.future.done():
                         continue  # refused while seeking a payer
                     if p is payer:
-                        self.stats.incr("cache_misses")
+                        self._events.inc(1, ("cache_misses",))
                         p.resolve(
                             self._ok_envelope(
                                 p.request,
@@ -1041,7 +1009,7 @@ class ExplanationService:
                             )
                         )
                     else:
-                        self.stats.incr("coalesced")
+                        self._events.inc(1, ("coalesced",))
                         p.resolve(
                             self._ok_envelope(p.request, cache_entry, "coalesced", 0.0)
                         )
@@ -1105,7 +1073,7 @@ class ExplanationService:
         if cached is not None:
             self._resolve_hits(group, cached)
             return
-        self.stats.incr("errors")
+        self._events.inc(1, ("errors",))
         envelope = self._error_envelope(
             ServiceError(
                 503,
@@ -1119,7 +1087,7 @@ class ExplanationService:
 
     def _resolve_hits(self, group: "list[_Pending]", cached: CacheEntry) -> None:
         for p in group:
-            self.stats.incr("cache_hits")
+            self._events.inc(1, ("cache_hits",))
             p.resolve(self._ok_envelope(p.request, cached, "hit", 0.0))
 
     def _try_claim(self, key: tuple) -> "tuple[bool, threading.Event]":
@@ -1191,7 +1159,7 @@ class ExplanationService:
                 )
                 return p, tenant, token
             except BudgetError as exc:
-                self.stats.incr("refused")
+                self._events.inc(1, ("refused",))
                 self._budget_refusals.inc(1, (request.tenant, request.dataset))
                 p.resolve(self._refusal_envelope(request, accountant, exc))
         return None, None, None
@@ -1273,8 +1241,11 @@ class ExplanationService:
     def describe(self) -> dict:
         """Stats + cache + registered datasets/tenants (the /v1/stats body)."""
         return {
-            "stats": self.stats.as_dict(),
-            "latency": self.stats.latency_summary(),
+            "stats": {
+                **dict.fromkeys(SERVICE_EVENTS, 0),
+                **{event: n for (event,), n in self._events.series().items()},
+            },
+            "latency": latency_summary(self._latency),
             "cache": self.cache.stats(),
             "fitted_clusterings": self.fitted.stats(),
             "datasets": [e.describe() for e in self.registry.datasets()],

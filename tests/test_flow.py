@@ -34,7 +34,8 @@ from repro.analysis import (
 )
 from repro.analysis.callgraph import build_callgraph
 from repro.analysis.diff import select_diff_paths
-from repro.analysis.flow import FLOW_RULE_NAMES
+from repro.analysis.flow import FLOW_RULE_NAMES, FlowAnalysis, load_taint_config
+from repro.analysis.flow.dataflow import MAX_ROUNDS
 from repro.analysis.loader import iter_python_files, load_module
 from repro.analysis.sarif import to_sarif
 
@@ -359,6 +360,50 @@ class TestCallgraphResolution:
         )
         assert len(graph.functions) == 1065
         assert resolved == 1052
+
+
+# --------------------------------------------------------------------------- #
+# charge-before-release summaries on the shared fixpoint
+# --------------------------------------------------------------------------- #
+
+def _flow_analysis(paths) -> FlowAnalysis:
+    modules = [load_module(p)[0] for p in iter_python_files(paths)]
+    analysis = FlowAnalysis(
+        modules, build_callgraph(modules), load_taint_config(modules)
+    )
+    analysis.run()
+    return analysis
+
+
+class TestChargeSummaries:
+    def test_recursive_helpers_converge_before_the_round_cap(self):
+        analysis = _flow_analysis(
+            [fixture("charge_before_release_recursive.py")]
+        )
+        assert analysis.rounds < MAX_ROUNDS
+        summaries = {q: s for (_, q), s in analysis.summaries.items()}
+        assert summaries["RecursiveDrawMechanism.fit"].charges
+        # _perturb recurses through _expand before it draws; that path
+        # re-enters _perturb, so its own draw is the witness.
+        (own,) = summaries["RecursiveDrawMechanism._perturb"].draws_first
+        assert own.note == "draw: gen.laplace()"
+        assert summaries["RecursiveDrawMechanism._expand"].draws_first[1:] \
+            == (own,)
+
+    def test_charge_facts_settle_on_the_whole_tree(self):
+        """One more walk of every function in ``src/`` changes neither
+        ``charges`` nor ``draws_first``: those facts reach their fixpoint
+        even where taint traces are still growing at ``MAX_ROUNDS``."""
+        analysis = _flow_analysis([os.path.join(SRC, "repro")])
+        charging = drawing = 0
+        for key, info in analysis.callgraph.functions.items():
+            settled = analysis.summaries[key]
+            again = analysis._analyze(info, collect=None)
+            assert again.charges == settled.charges, key
+            assert again.draws_first == settled.draws_first, key
+            charging += settled.charges
+            drawing += bool(settled.draws_first)
+        assert charging and drawing
 
 
 # --------------------------------------------------------------------------- #

@@ -22,7 +22,9 @@ from repro.analysis import (
     format_text,
     lint_paths,
     parse_suppression_comment,
+    parse_trace,
     render_suppression,
+    render_trace,
     sort_findings,
 )
 from test_flow import FIRE_CASES as FLOW_FIRE_CASES
@@ -47,6 +49,8 @@ def rules_fired(result) -> "set[str]":
 FIRE_CASES = [
     ("charge_before_release_bad.py", "charge-before-release", 1),
     ("charge_before_release_interprocedural.py", "charge-before-release", 1),
+    ("charge_before_release_deep.py", "charge-before-release", 1),
+    ("charge_before_release_recursive.py", "charge-before-release", 1),
     ("pr4_charge_after_release.py", "charge-before-release", 2),
     ("no_float_epsilon_arithmetic_bad.py", "no-float-epsilon-arithmetic", 3),
     ("no_global_rng_bad.py", "no-global-rng", 3),
@@ -59,6 +63,7 @@ FIRE_CASES = [
 
 NO_FIRE_CASES = [
     "charge_before_release_ok.py",
+    "charge_before_release_public_data_ok.py",
     "no_float_epsilon_arithmetic_ok.py",
     "no_global_rng_ok.py",
     "trace_key_hygiene_ok.py",
@@ -100,6 +105,65 @@ class TestRuleFixtures:
         )
         (f,) = result.findings
         assert "_release_counts" in f.message
+
+    def test_draw_three_hops_down_is_flagged(self):
+        """No hop cap: fit -> _prepare -> _perturb -> _sample draws."""
+        result = lint_paths([fixture("charge_before_release_deep.py")])
+        (f,) = result.findings
+        assert f.line == 12 and "via DeepDrawMechanism._prepare" in f.message
+        assert [hop.note for hop in f.trace] == [
+            "call: DeepDrawMechanism._prepare",
+            "call: DeepDrawMechanism._perturb",
+            "call: DeepDrawMechanism._sample",
+            "draw: gen.laplace()",
+        ]
+
+    def test_deep_trace_round_trips_and_ends_on_the_draw(self):
+        path = fixture("charge_before_release_deep.py")
+        (f,) = lint_paths([path]).findings
+        assert parse_trace(render_trace(f.trace)) == f.trace
+        with open(path) as fh:
+            draw_line = next(
+                i for i, line in enumerate(fh, 1) if "gen.laplace(" in line
+            )
+        assert (f.trace[-1].path, f.trace[-1].line) == (path, draw_line)
+        assert f.as_dict()["trace"][-1]["line"] == draw_line
+
+    def test_mutual_recursion_terminates_and_fires_once(self):
+        result = lint_paths([fixture("charge_before_release_recursive.py")])
+        (f,) = result.findings
+        assert "RecursiveDrawMechanism.fit" in f.message
+        assert f.trace[-1].note == "draw: gen.laplace()"
+
+    def test_accounting_closure_is_checked_for_its_own_draws(self, tmp_path):
+        """A nested def is no call-graph node, but one that references an
+        accountant is still in scope, named after its enclosing class."""
+        f = tmp_path / "closure.py"
+        f.write_text(
+            "class Fitter:\n"
+            "    def fit(self, data, gen):\n"
+            "        def step(accountant):\n"
+            "            noise = gen.laplace(size=len(data))\n"
+            "            accountant.spend(1.0, 'step')\n"
+            "            return noise\n"
+            "        return step\n"
+        )
+        (finding,) = lint_paths([str(f)]).findings
+        assert finding.line == 4 and "in Fitter.step" in finding.message
+
+    def test_public_generator_is_what_keeps_the_demo_shape_clean(
+        self, monkeypatch
+    ):
+        """Without its manifest declaration, the synthetic-table generator
+        would count as a draw before the charge."""
+        from repro.privacy import manifest
+
+        name = fixture("charge_before_release_public_data_ok.py")
+        assert "diabetes_like" in manifest.PUBLIC_GENERATORS
+        assert lint_paths([name]).ok
+        monkeypatch.setattr(manifest, "PUBLIC_GENERATORS", set())
+        (f,) = lint_paths([name]).findings
+        assert "via diabetes_like draws first" in f.message
 
 
 # --------------------------------------------------------------------------- #

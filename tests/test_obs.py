@@ -285,7 +285,7 @@ class TestServiceObservability:
             ) == 1
             assert snapshot_value(
                 snap, "repro_service_events_total", ("requests",)
-            ) == service.stats.get("requests")
+            ) == service.describe()["stats"]["requests"]
             assert snapshot_value(
                 snap, "repro_budget_refusals_total", ("alice", "diabetes")
             ) >= 1

@@ -324,7 +324,7 @@ class TestCoalescing:
             for _ in range(5)
         ]
         assert service.process_pending() == 1
-        assert service.stats.get("engine_calls") == 1
+        assert service.describe()["stats"]["engine_calls"] == 1
         results = [f.result(timeout=5) for f in futures]
         statuses = sorted(r["meta"]["cache"] for r in results)
         assert statuses == ["coalesced"] * 4 + ["miss"]
@@ -343,8 +343,8 @@ class TestCoalescing:
             for s in (0, 1, 2, 0, 1)
         ]
         service.process_pending()
-        assert service.stats.get("engine_calls") == 1
-        assert service.stats.get("releases") == 3
+        assert service.describe()["stats"]["engine_calls"] == 1
+        assert service.describe()["stats"]["releases"] == 3
         for f in futures:
             assert f.result(timeout=5)["status"] == "ok"
         spent = service.registry.tenant("bob").accountant("diabetes").total()
@@ -360,7 +360,7 @@ class TestCoalescing:
             )
         )
         assert service.process_pending() == 2
-        assert service.stats.get("engine_calls") == 2
+        assert service.describe()["stats"]["engine_calls"] == 2
 
     def test_queue_take_batch_groups_by_key(self):
         queue = RequestQueue()
@@ -521,7 +521,7 @@ class TestBudgetEnforcement:
         assert [r["status"] for r in results] == ["ok", "ok"]
         spent = service.registry.tenant("t").accountant("diabetes").total()
         assert spent == pytest.approx(EPS_TOTAL)  # one charge, not two
-        assert service.stats.get("engine_calls") == 1
+        assert service.describe()["stats"]["engine_calls"] == 1
         bodies = {json.dumps(r["result"], sort_keys=True) for r in results}
         assert len(bodies) == 1
 
@@ -966,7 +966,7 @@ class TestPipelineRoute:
             c for c in accountant if c.label.startswith("pipeline: dp-kmeans")
         ]
         assert len(fit_charges) == 1
-        assert service.stats.get("clustering_fits") == 1
+        assert service.describe()["stats"]["clustering_fits"] == 1
 
 
 class TestHTTP:
@@ -1104,33 +1104,41 @@ class TestLatencyStats:
         assert latency["refused"]["count"] == 1
 
     def test_sharded_counters_stay_exact_under_threads(self):
-        from repro.service.service import _Stats
+        from repro.obs.metrics import MetricsRegistry
+        from repro.service.service import latency_summary
 
-        stats = _Stats(n_shards=4)
+        registry = MetricsRegistry(n_shards=4)
+        events = registry.counter("repro_service_events_total", "", ("event",))
+        latency = registry.histogram(
+            "repro_request_duration_seconds", "", ("class",)
+        )
         n_threads, per_thread = 8, 500
 
         def hammer():
             for _ in range(per_thread):
-                stats.incr("requests")
-                stats.observe("miss", 0.001)
+                events.inc(1, ("requests",))
+                latency.observe(0.001, ("miss",))
 
         threads = [threading.Thread(target=hammer) for _ in range(n_threads)]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
-        assert stats.get("requests") == n_threads * per_thread
-        summary = stats.latency_summary()
+        assert events.value(("requests",)) == n_threads * per_thread
+        summary = latency_summary(latency)
         assert summary["miss"]["count"] == n_threads * per_thread
         assert summary["miss"]["p50_s"] <= summary["miss"]["p99_s"]
 
     def test_quantiles_bracket_observed_values(self):
-        from repro.service.service import _Stats
+        from repro.obs.metrics import MetricsRegistry
+        from repro.service.service import latency_summary
 
-        stats = _Stats()
+        latency = MetricsRegistry().histogram(
+            "repro_request_duration_seconds", "", ("class",)
+        )
         for ms in (1, 1, 1, 1, 1, 1, 1, 1, 1, 100):
-            stats.observe("miss", ms / 1000.0)
-        summary = stats.latency_summary()["miss"]
+            latency.observe(ms / 1000.0, ("miss",))
+        summary = latency_summary(latency)["miss"]
         # Geometric buckets: quantiles are upper bounds of their bucket, so
         # p50 sits near 1ms (within one growth factor) and p99 near 100ms.
         assert 0.0005 < summary["p50_s"] < 0.002

@@ -442,7 +442,7 @@ class TestMemoisedExperimentCells:
 
 
 class TestRunGridHandoffModes:
-    """run_grid rows must be identical across serial / shared / legacy paths."""
+    """run_grid rows must be identical across the serial and shared paths."""
 
     def test_rows_identical_across_pool_modes(self):
         from repro.evaluation.sweeps import run_grid
@@ -455,13 +455,8 @@ class TestRunGridHandoffModes:
             rows={"Diabetes": 1_500, "Census": 1_500, "StackOverflow": 1_500},
         )
         serial = run_grid(config, explainers=("DPClustX", "TabEE"))
-        shared = run_grid(
-            config, explainers=("DPClustX", "TabEE"), processes=2, share_stacks=True
-        )
-        legacy = run_grid(
-            config, explainers=("DPClustX", "TabEE"), processes=2, share_stacks=False
-        )
-        assert serial == shared == legacy
+        shared = run_grid(config, explainers=("DPClustX", "TabEE"), processes=2)
+        assert serial == shared
         assert len(serial) > 0
 
     def test_no_shared_segments_leak(self):

@@ -12,8 +12,8 @@ Condition, ...).  For each such class:
 * **caller-holds-lock helpers** — a private method whose every intra-class
   call site holds a lock (or is itself such a helper, or ``__init__``) is
   *verified* by fixpoint iteration; accesses inside it count as locked.
-  This is the ``_append``/``_release_claim`` idiom the PR-9 serving tier
-  leans on — verified, not trusted.
+  This is the ``_append``/``_drain_matching`` idiom the ledger and the
+  request queue lean on — verified, not trusted.
 * **acquisition order** — acquiring lock B while holding lock A adds an
   A → B edge (lexical nesting, plus one hop through resolved intra-class
   calls).  Any cycle in the per-class edge graph is a

@@ -1,10 +1,13 @@
 """End-to-end private pipeline: DP clustering + DP explanation, one ledger.
 
 The paper's evaluation clusters with DP-k-means (eps = 1) *before*
-explaining; this package turns that two-stage workflow into a shared,
-budget-audited implementation used by :class:`~repro.session.PrivateAnalysisSession`,
-the batched sweep layer (:func:`~repro.evaluation.sweeps.run_pipeline_batched`),
-and the explanation service's ``/v1/pipeline`` route.
+explaining; this package turns that two-stage workflow into a
+budget-audited object, :class:`PrivatePipeline`, which
+:class:`~repro.session.PrivateAnalysisSession` builds on.  The
+:class:`ClusteringSpec` release identity is shared more widely: the batched
+sweep layer (:func:`~repro.evaluation.sweeps.run_pipeline_batched`) and the
+explanation service's ``/v1/pipeline`` route call :meth:`ClusteringSpec.fit`
+directly.
 
 Quickstart::
 
@@ -20,12 +23,10 @@ Quickstart::
     assert not again.refit
 """
 
-from .cache import FittedClusteringCache
 from .pipeline import PipelineResult, PrivatePipeline
 from .spec import PIPELINE_METHODS, ClusteringSpec
 
 __all__ = [
-    "FittedClusteringCache",
     "PipelineResult",
     "PrivatePipeline",
     "PIPELINE_METHODS",

@@ -8,14 +8,14 @@ resulting clusters with DPClustX — with *both* stages charged to a single
 epsilon, composed sequentially) is enforced at runtime rather than only on
 paper.
 
-:class:`PrivatePipeline` is the shared implementation behind three front
-ends:
-
-* :class:`~repro.session.PrivateAnalysisSession` (single analyst, CLI);
-* :func:`~repro.evaluation.sweeps.run_pipeline_batched` (fit once, explain a
-  whole seed sweep);
-* the explanation service's ``/v1/pipeline`` route (multi-tenant, with the
-  fitted clustering additionally cached across requests).
+:class:`PrivatePipeline` is the implementation behind
+:class:`~repro.session.PrivateAnalysisSession` (single analyst, CLI).  The
+other two pipeline front ends,
+:func:`~repro.evaluation.sweeps.run_pipeline_batched` (fit once, explain a
+whole seed sweep) and the explanation service's ``/v1/pipeline`` route
+(multi-tenant, with fitted clusterings cached across requests), share its
+:class:`~repro.pipeline.spec.ClusteringSpec` release identity but call
+:meth:`~repro.pipeline.spec.ClusteringSpec.fit` themselves.
 
 Repeat fits of the same :class:`~repro.pipeline.spec.ClusteringSpec` inside
 one pipeline reuse the already-released clustering at zero charge

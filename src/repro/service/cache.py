@@ -1,12 +1,12 @@
-"""Fingerprint-keyed explanation cache with post-processing-is-free semantics.
+"""Fingerprint-keyed release cache with post-processing-is-free semantics.
 
 A differentially private release, once computed, is public: re-serving it is
 post-processing and costs no additional privacy budget (Proposition 2.7).
 :class:`ExplanationCache` therefore memoises *released* explanation payloads
 keyed by everything that determines them byte-for-byte:
 
-``(dataset fingerprint, clustering signature, explainer, budget triple,
-n_candidates, weights, seed-stream id)``
+``(dataset fingerprint, dataset id, clustering signature, explainer,
+budget triple, n_candidates, weights, seed-stream id)``
 
 Two consequences the service tests pin down:
 
@@ -18,6 +18,13 @@ Two consequences the service tests pin down:
   structural — rebinning, schema changes, or relabeling produce different
   keys, and :meth:`invalidate_fingerprint` additionally evicts the orphaned
   entries when a dataset id is re-registered.
+
+The same class holds the service's DP-fitted clusterings (``label=
+"fitted"``), keyed by ``ClusteringSpec.cache_key(fingerprint)`` =
+``(fingerprint, method, n_clusters, epsilon, n_iterations, seed)``.  A fit
+is a released object too, and ``ClusteringSpec.fit`` is byte-reproducible
+given the spec seed, so an eviction can at worst re-charge for the
+identical release: an overcount, never a leak.
 """
 
 from __future__ import annotations
@@ -68,21 +75,37 @@ class CacheEntry:
 
 
 class ExplanationCache:
-    """Thread-safe LRU cache of released explanation payloads.
+    """Thread-safe LRU cache of released objects keyed by fingerprint first.
 
     ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`) adds
     hit/miss/eviction counters to ``repro_cache_events_total`` labelled
-    ``cache="explanation"``; the local integer counters behind
-    :meth:`stats` are kept regardless — they are the exact counts the
-    service tests and ``/v1/stats`` always had.
+    ``cache=label``; the local integer counters behind :meth:`stats` are
+    kept regardless — they are the exact counts the service tests and
+    ``/v1/stats`` always had.
+
+    ``on_evict(key, entry)``, when given, fires for entries pushed out by
+    **LRU pressure** (not for explicit ``remove``/``invalidate``/``clear``,
+    whose callers already know what they dropped).  The service uses it to
+    drop a fitted clustering's derived registry entry alongside, so the
+    registry never becomes an unbounded shadow store of fits the cache
+    already let go.  Callbacks run outside the cache lock.
     """
 
-    def __init__(self, max_entries: int = 256, *, metrics=None):
+    def __init__(
+        self,
+        max_entries: int = 256,
+        *,
+        on_evict=None,
+        metrics=None,
+        label: str = "explanation",
+    ):
         if max_entries < 1:
             raise ValueError("cache needs room for at least one entry")
         self._max = int(max_entries)
+        self._on_evict = on_evict
+        self._label = label
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[CacheKey, CacheEntry]" = OrderedDict()
+        self._entries: "OrderedDict[CacheKey, object]" = OrderedDict()
         self._hits = 0
         self._misses = 0
         self._evictions = 0
@@ -95,7 +118,7 @@ class ExplanationCache:
         else:
             self._events = None
 
-    def get(self, key: CacheKey) -> CacheEntry | None:
+    def get(self, key: CacheKey):
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
@@ -104,29 +127,35 @@ class ExplanationCache:
                 self._entries.move_to_end(key)
                 self._hits += 1
         if self._events is not None:
-            self._events.inc(
-                1, ("explanation", "miss" if entry is None else "hit")
-            )
+            self._events.inc(1, (self._label, "miss" if entry is None else "hit"))
         return entry
 
-    def put(self, key: CacheKey, entry: CacheEntry) -> None:
-        evicted = 0
+    def put(self, key: CacheKey, entry) -> None:
+        evicted: "list[tuple[CacheKey, object]]" = []
         with self._lock:
             self._entries[key] = entry
             self._entries.move_to_end(key)
             while len(self._entries) > self._max:
-                self._entries.popitem(last=False)
-                evicted += 1
-            self._evictions += evicted
-        if evicted and self._events is not None:
-            self._events.inc(evicted, ("explanation", "eviction"))
+                evicted.append(self._entries.popitem(last=False))
+            self._evictions += len(evicted)
+        if evicted:
+            if self._events is not None:
+                self._events.inc(len(evicted), (self._label, "eviction"))
+            if self._on_evict is not None:
+                for k, e in evicted:
+                    self._on_evict(k, e)
+
+    def remove(self, key: CacheKey) -> bool:
+        """Drop one entry by key (no ``on_evict``); True if it existed."""
+        with self._lock:
+            return self._entries.pop(key, None) is not None
 
     def invalidate_fingerprint(self, fingerprint: str) -> int:
         """Evict every entry whose dataset fingerprint matches; return count.
 
         Keys lead with the dataset fingerprint, so a re-registered (rebinned
-        or re-clustered) dataset id can drop its orphaned releases even
-        though the new keys would never collide with them.
+        or re-clustered) dataset id can drop its orphaned releases and fits
+        even though the new keys would never collide with them.
         """
         with self._lock:
             stale = [k for k in self._entries if k and k[0] == fingerprint]

@@ -5,9 +5,16 @@ Concurrent explanation requests against the same *engine key* — the
 tensors — differ only in their seed streams, so N simultaneous callers can
 be served by **one** batched scoring pass
 (:func:`~repro.evaluation.sweeps.explain_batched`).  :meth:`RequestQueue.take_batch`
-implements exactly that coalescing: it blocks for the oldest pending item,
-then drains every other queued item sharing its key, preserving the arrival
-order of both the batch and the remainder.
+implements exactly that coalescing: it blocks for the oldest pending item
+whose key no worker holds, then drains every other queued item sharing its
+key, preserving the arrival order of both the batch and the remainder.
+
+It is also the service's only single-flight: a taken key stays *held*
+until the worker that took it calls :meth:`RequestQueue.release`, and a
+held key's items wait in the queue while other keys are served.  Equal
+cache keys imply equal engine keys, so no two workers ever compute (or
+charge) the same release at once; a duplicate queued behind a running
+batch is taken after that batch has filled the cache, and served from it.
 """
 
 from __future__ import annotations
@@ -25,6 +32,9 @@ class QueueClosed(Exception):
 class RequestQueue:
     """An unbounded FIFO of ``(key, item)`` pairs with same-key batch pops.
 
+    Each key is handed to one taker at a time: :meth:`take_batch` marks the
+    key it returns as held, and :meth:`release` hands it back.
+
     ``metrics`` adds a queue-depth gauge and a coalesce fan-in histogram
     (batch size per :meth:`take_batch`, in powers-of-two buckets).
     """
@@ -32,6 +42,7 @@ class RequestQueue:
     def __init__(self, metrics=None):
         self._cv = threading.Condition()
         self._items: "deque[tuple[Hashable, object]]" = deque()
+        self._held: "set[Hashable]" = set()
         self._closed = False
         if metrics is not None:
             self._depth = metrics.gauge(
@@ -66,39 +77,54 @@ class RequestQueue:
             self._closed = True
             self._cv.notify_all()
 
-    def take_batch(self, timeout: float | None = None) -> "list[object]":
-        """Pop the oldest item plus every queued item sharing its key.
+    def release(self, key: Hashable) -> None:
+        """Hand ``key`` back after its batch ran; its next items become takeable."""
+        with self._cv:
+            self._held.discard(key)
+            self._cv.notify()
 
-        Blocks up to ``timeout`` seconds for a first item (``None`` waits
-        indefinitely); returns ``[]`` on timeout and raises
-        :class:`QueueClosed` once the queue is closed *and* drained — a
-        worker-pool shutdown still processes everything already enqueued.
+    def release_all(self) -> None:
+        """Forget every hold, for a final drain past takers that never returned."""
+        with self._cv:
+            self._held.clear()
+            self._cv.notify_all()
+
+    def take_batch(self, timeout: float | None = None) -> "list[object]":
+        """Pop the oldest takeable item plus every queued item sharing its key.
+
+        An item is takeable when no other taker holds its key; the returned
+        batch's key is held until :meth:`release`.  Blocks up to ``timeout``
+        seconds for a takeable item (``None`` waits indefinitely); returns
+        ``[]`` on timeout and raises :class:`QueueClosed` once the queue is
+        closed *and* drained — a worker-pool shutdown still processes
+        everything already enqueued.
         """
         with self._cv:
-            while not self._items:
-                if self._closed:
+            while True:
+                for key, _ in self._items:
+                    if key not in self._held:
+                        return self._drain_matching(key)
+                if self._closed and not self._items:
                     raise QueueClosed("queue is closed")
                 if not self._cv.wait(timeout):
                     return []
-        return self._drain_matching()
 
-    def _drain_matching(self) -> "list[object]":
-        with self._cv:
-            if not self._items:
-                return []
-            key, first = self._items.popleft()
-            batch = [first]
-            rest: "deque[tuple[Hashable, object]]" = deque()
-            while self._items:
-                k, item = self._items.popleft()
-                if k == key:
-                    batch.append(item)
-                else:
-                    rest.append((k, item))
-            self._items = rest
-            depth = len(rest)
+    def _drain_matching(self, key: Hashable) -> "list[object]":
+        """Move every ``key`` item into a batch and hold ``key``.
+
+        Caller holds ``self._cv``.
+        """
+        batch = []
+        rest: "deque[tuple[Hashable, object]]" = deque()
+        for k, item in self._items:
+            if k == key:
+                batch.append(item)
+            else:
+                rest.append((k, item))
+        self._items = rest
+        self._held.add(key)
         if self._depth is not None:
-            self._depth.set(depth)
+            self._depth.set(len(rest))
             self._fanin.observe(len(batch))
         return batch
 

@@ -13,7 +13,10 @@ requests from many tenants over registered datasets.  A request's lifecycle:
 3. **Coalescing** — misses enqueue on the
    :class:`~repro.service.queue.RequestQueue`; a worker drains every pending
    request sharing the same engine key (dataset + explainer configuration)
-   into one batch.
+   into one batch.  The queue gives each engine key to one worker at a
+   time, so two workers never compute or charge the same release: a
+   duplicate that arrives mid-compute waits in the queue and is served
+   from the cache once the running batch has filled it.
 4. **Ledger** — each *distinct* release in the batch is charged once, to the
    first requester with budget left, via the tenant's thread-safe
    :class:`~repro.privacy.budget.PrivacyAccountant`; over-budget requesters
@@ -45,7 +48,7 @@ from ..core.quality.scores import Weights
 from ..evaluation.sweeps import explain_batched
 from ..obs.metrics import Histogram, MetricsRegistry, histogram_quantile
 from ..obs.tracing import attach_trace, new_trace_id, span_histogram, trace_id_of
-from ..pipeline import ClusteringSpec, FittedClusteringCache
+from ..pipeline import ClusteringSpec
 from ..privacy.budget import BudgetError, ExplanationBudget, PrivacyAccountant
 from .cache import CacheEntry, ExplanationCache, canonical_json
 from .queue import RequestQueue, run_worker
@@ -210,9 +213,18 @@ class ExplainRequest:
         )
 
     def cache_key(self, entry: DatasetEntry) -> tuple:
-        """The release identity: fingerprints + parameters + seed stream."""
+        """The release identity: fingerprints + parameters + seed stream.
+
+        The dataset id follows the fingerprint, which stays first for
+        :meth:`~repro.service.cache.ExplanationCache.invalidate_fingerprint`.
+        The payload names the id, and equal cache keys must imply equal
+        :meth:`engine_key` values: the queue gives each engine key to one
+        worker at a time, and that is what keeps a release from being
+        computed or charged twice.
+        """
         return (
             entry.fingerprint,
+            entry.dataset_id,
             entry.signature,
             self.explainer,
             self.eps_cand_set,
@@ -498,8 +510,11 @@ class ExplanationService:
         # key via striped locks: concurrent identical pipeline requests
         # charge one clustering fit, not N, while fits of *different* keys
         # (almost always on different stripes) proceed in parallel.
-        self.fitted = FittedClusteringCache(
-            fitted_entries, on_evict=self._on_fitted_evicted, metrics=self.metrics
+        self.fitted = ExplanationCache(
+            fitted_entries,
+            on_evict=self._on_fitted_evicted,
+            metrics=self.metrics,
+            label="fitted",
         )
         self._fit_stripes = [threading.Lock() for _ in range(16)]
         # Lifecycle events, and enqueue→resolve latency by serving class on
@@ -527,12 +542,6 @@ class ExplanationService:
         self._stop = threading.Event()
         self._workers: list[threading.Thread] = []
         self._drain_lock = threading.Lock()
-        # In-flight release claims: cache key -> Event set when the owning
-        # worker has either filled the cache or given up.  Closes the
-        # probe→compute window so two worker batches can never charge the
-        # same release twice.
-        self._inflight: "dict[tuple, threading.Event]" = {}
-        self._inflight_lock = threading.Lock()
 
     # -- registry passthroughs ------------------------------------------ #
 
@@ -873,11 +882,18 @@ class ExplanationService:
         return self
 
     def stop(self) -> None:
-        """Stop workers, then drain any stragglers so no future hangs."""
+        """Stop workers, then drain any stragglers so no future hangs.
+
+        A worker that does not join in time is abandoned with its engine
+        key still held; the final drain takes held keys too, so every
+        accepted future resolves.  At worst that computes one release a
+        second time, byte-identically: an overcount, never a leak.
+        """
         self._stop.set()
         for t in self._workers:
             t.join(timeout=10.0)
         self._workers = []
+        self._queue.release_all()
         self.process_pending()
         # Shutdown checkpoint: fold every tenant's journal tail back into
         # its snapshot so a clean restart replays nothing.
@@ -892,7 +908,11 @@ class ExplanationService:
     # -- batch execution -------------------------------------------------- #
 
     def _execute_batch(self, batch: Sequence[_Pending]) -> None:
-        """Serve one coalesced batch; every future resolves, come what may."""
+        """Serve one coalesced batch; every future resolves, come what may.
+
+        The batch's engine key is handed back to the queue however the
+        batch ends, so the key's next queued requests become takeable.
+        """
         try:
             self._serve_batch(list(batch))
         except ServiceError as exc:
@@ -904,6 +924,8 @@ class ExplanationService:
             )
             for p in batch:
                 p.resolve(envelope)
+        finally:
+            self._queue.release(batch[0].request.engine_key())
 
     def _serve_batch(self, batch: "list[_Pending]") -> None:
         request0 = batch[0].request
@@ -914,38 +936,28 @@ class ExplanationService:
 
         # Group by release identity: duplicates (same seed & params) share
         # one DP release — the first funded requester pays, the rest ride
-        # free under post-processing.
+        # free under post-processing.  A release an earlier batch of this
+        # engine key filled while these requests waited is served as a hit.
         groups: "dict[tuple, list[_Pending]]" = {}
         for p in batch:
             groups.setdefault(p.request.cache_key(entry), []).append(p)
-
-        # Claim each missing key or defer to the worker already computing
-        # it; never block while holding claims (no crossed waits).
-        claimed: "list[tuple[tuple, list[_Pending], threading.Event]]" = []
-        deferred: "list[tuple[tuple, list[_Pending]]]" = []
+        missing: "list[tuple[tuple, list[_Pending]]]" = []
         for key, group in groups.items():
             cached = self.cache.get(key)
             if cached is not None:
                 self._resolve_hits(group, cached)
-                continue
-            acquired, event = self._try_claim(key)
-            if acquired:
-                claimed.append((key, group, event))
             else:
-                deferred.append((key, group))
-
-        if claimed:
-            self._compute_groups(entry, explainer, claimed)
-        for key, group in deferred:
-            self._serve_deferred(entry, explainer, key, group)
+                missing.append((key, group))
+        if missing:
+            self._compute_groups(entry, explainer, missing)
 
     def _compute_groups(
         self,
         entry: DatasetEntry,
         explainer: DPClustX,
-        items: "list[tuple[tuple, list[_Pending], threading.Event]]",
+        items: "list[tuple[tuple, list[_Pending]]]",
     ) -> None:
-        """Fund and compute claimed release groups in one batched pass.
+        """Fund and compute missing release groups in one batched pass.
 
         Budget is *reserved* before the engine runs (the atomic
         check-and-charge is what makes caps unbreakable under concurrency)
@@ -956,166 +968,67 @@ class ExplanationService:
         its *own* reservations, never another request's recorded release
         (two requests may share a label: same dataset+seed, different
         epsilon config).  A failed request must not burn its tenant's
-        budget.  Claims are always released.
+        budget.
         """
-        try:
-            funded: "list[tuple[tuple, list[_Pending], _Pending, Tenant, int]]" = []
-            for key, group, _ in items:
-                payer, tenant, charge_token = self._fund_group(entry, group)
-                if payer is not None:
-                    funded.append((key, group, payer, tenant, charge_token))
-            if not funded:
-                return
-
-            self._events.inc(1, ("engine_calls",))
-            seeds = [payer.request.seed for _, _, payer, _, _ in funded]
-            try:
-                explanations = explain_batched(
-                    explainer,
-                    entry.counts,
-                    seeds,
-                    context=entry.context,
-                    metrics=self.metrics,
-                )
-            except Exception:
-                for key, group, payer, tenant, charge_token in funded:
-                    accountant = tenant.accountant(entry.base_id)
-                    accountant.refund(charge_token)
-                    self.registry.persist_tenant(tenant)
-                raise  # _execute_batch resolves the futures with a 500
-
-            self._events.inc(len(funded), ("releases",))
-            for (key, group, payer, tenant, _), explanation in zip(
-                funded, explanations
-            ):
-                payload = explanation_payload(payer.request, entry, explanation)
-                cache_entry, payer_result = CacheEntry.decoded(
-                    canonical_json(payload), payer.request.epsilon_total
-                )
-                self.cache.put(key, cache_entry)
-                self.registry.persist_tenant(tenant)
-                for p in group:
-                    if p.future.done():
-                        continue  # refused while seeking a payer
-                    if p is payer:
-                        self._events.inc(1, ("cache_misses",))
-                        p.resolve(
-                            self._ok_envelope(
-                                p.request,
-                                cache_entry,
-                                "miss",
-                                p.request.epsilon_total,
-                                result=payer_result,
-                            )
-                        )
-                    else:
-                        self._events.inc(1, ("coalesced",))
-                        p.resolve(
-                            self._ok_envelope(p.request, cache_entry, "coalesced", 0.0)
-                        )
-        finally:
-            for key, _, claim_event in items:
-                self._release_claim(key, claim_event)
-
-    # A deferred group waits at most DEFERRED_TIMEOUT_SECONDS of *elapsed*
-    # time for the claim owner before giving up with a 503 — a wedged owner
-    # must not pin a worker thread (and its callers' futures) forever.  The
-    # total is deliberately below explain()'s default 60s future timeout so
-    # the structured 503 reaches HTTP callers before the blunt 504 does.
-    # DEFERRED_WAIT_SECONDS only paces the cache re-probes within that
-    # deadline.
-    DEFERRED_TIMEOUT_SECONDS = 45.0
-    DEFERRED_WAIT_SECONDS = 5.0
-
-    def _serve_deferred(
-        self,
-        entry: DatasetEntry,
-        explainer: DPClustX,
-        key: tuple,
-        group: "list[_Pending]",
-    ) -> None:
-        """Wait for another worker's in-flight release of ``key``.
-
-        Normally the owner fills the cache and this resolves as hits; if
-        the owner failed (or its payer was refused), the first waiter to
-        re-claim computes the release itself.  The wait is bounded by a
-        monotonic deadline (not a wake-up count, so early event churn
-        cannot shorten it); when it expires the *stale claim is evicted* —
-        otherwise a dead owner would wedge the key forever, with every
-        retry pinning a worker for the full timeout — and the group
-        resolves with a 503-style envelope.  Evicting a claim whose owner
-        is merely slow can at worst charge the same release twice, which
-        overcounts spend: safe in the privacy direction.
-        """
-        deadline = time.monotonic() + self.DEFERRED_TIMEOUT_SECONDS
-        while True:
-            cached = self.cache.get(key)
-            if cached is not None:
-                self._resolve_hits(group, cached)
-                return
-            acquired, event = self._try_claim(key)
-            if acquired:
-                self._compute_groups(entry, explainer, [(key, group, event)])
-                return
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
-            event.wait(timeout=min(remaining, self.DEFERRED_WAIT_SECONDS))
-        # Deadline expired on a still-claimed key: evict the stale claim so
-        # later requests can re-claim, wake any other waiters to re-probe,
-        # and give the cache one last look (the owner may have finished as
-        # the deadline ran out).
-        with self._inflight_lock:
-            if self._inflight.get(key) is event:
-                del self._inflight[key]
-        event.set()
-        cached = self.cache.get(key)
-        if cached is not None:
-            self._resolve_hits(group, cached)
+        funded: "list[tuple[tuple, list[_Pending], _Pending, Tenant, int]]" = []
+        for key, group in items:
+            payer, tenant, charge_token = self._fund_group(entry, group)
+            if payer is not None:
+                funded.append((key, group, payer, tenant, charge_token))
+        if not funded:
             return
-        self._events.inc(1, ("errors",))
-        envelope = self._error_envelope(
-            ServiceError(
-                503,
-                "release-timeout",
-                "timed out waiting for another worker's in-flight release "
-                "of the same request; retry",
+
+        self._events.inc(1, ("engine_calls",))
+        seeds = [payer.request.seed for _, _, payer, _, _ in funded]
+        try:
+            explanations = explain_batched(
+                explainer,
+                entry.counts,
+                seeds,
+                context=entry.context,
+                metrics=self.metrics,
             )
-        )
-        for p in group:
-            p.resolve(envelope)
+        except Exception:
+            for key, group, payer, tenant, charge_token in funded:
+                accountant = tenant.accountant(entry.base_id)
+                accountant.refund(charge_token)
+                self.registry.persist_tenant(tenant)
+            raise  # _execute_batch resolves the futures with a 500
+
+        self._events.inc(len(funded), ("releases",))
+        for (key, group, payer, tenant, _), explanation in zip(
+            funded, explanations
+        ):
+            payload = explanation_payload(payer.request, entry, explanation)
+            cache_entry, payer_result = CacheEntry.decoded(
+                canonical_json(payload), payer.request.epsilon_total
+            )
+            self.cache.put(key, cache_entry)
+            self.registry.persist_tenant(tenant)
+            for p in group:
+                if p.future.done():
+                    continue  # refused while seeking a payer
+                if p is payer:
+                    self._events.inc(1, ("cache_misses",))
+                    p.resolve(
+                        self._ok_envelope(
+                            p.request,
+                            cache_entry,
+                            "miss",
+                            p.request.epsilon_total,
+                            result=payer_result,
+                        )
+                    )
+                else:
+                    self._events.inc(1, ("coalesced",))
+                    p.resolve(
+                        self._ok_envelope(p.request, cache_entry, "coalesced", 0.0)
+                    )
 
     def _resolve_hits(self, group: "list[_Pending]", cached: CacheEntry) -> None:
         for p in group:
             self._events.inc(1, ("cache_hits",))
             p.resolve(self._ok_envelope(p.request, cached, "hit", 0.0))
-
-    def _try_claim(self, key: tuple) -> "tuple[bool, threading.Event]":
-        """Claim ``key`` for this worker.
-
-        Returns ``(True, our_event)`` when the claim was acquired (the
-        caller must eventually :meth:`_release_claim` that exact event) or
-        ``(False, owner_event)`` to wait on the current owner.
-        """
-        with self._inflight_lock:
-            event = self._inflight.get(key)
-            if event is None:
-                event = threading.Event()
-                self._inflight[key] = event
-                return True, event
-            return False, event
-
-    def _release_claim(self, key: tuple, event: threading.Event) -> None:
-        """Release our claim on ``key`` and wake its waiters.
-
-        Only removes the in-flight entry if it is still *our* event — a
-        timed-out waiter may have evicted the claim and a third worker
-        re-claimed the key, and their claim must not be torn down mid-compute.
-        """
-        with self._inflight_lock:
-            if self._inflight.get(key) is event:
-                del self._inflight[key]
-        event.set()
 
     @staticmethod
     def _charge_label(request: ExplainRequest) -> str:

@@ -55,9 +55,10 @@ class PrivateAnalysisSession:
     def __post_init__(self) -> None:
         self._accountant = PrivacyAccountant(limit=self.total_epsilon)
         self._rng = ensure_rng(self.seed)
-        # The shared fit-or-reuse implementation behind cluster_dp_kmeans /
-        # cluster_dp_kmodes / run_pipeline — the same engine the service's
-        # /v1/pipeline route and sweeps.run_pipeline_batched build on.
+        # The fit-or-reuse implementation behind cluster_dp_kmeans /
+        # cluster_dp_kmodes / run_pipeline.  The service's /v1/pipeline
+        # route and sweeps.run_pipeline_batched call ClusteringSpec.fit
+        # directly instead.
         self._pipeline = PrivatePipeline(self.dataset, self._accountant)
 
     # -- budget introspection ------------------------------------------- #

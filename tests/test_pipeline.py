@@ -25,13 +25,14 @@ import repro.clustering.dp_kmodes as dp_kmodes_module
 from repro import ClusteringSpec, DPClustX, PrivateAnalysisSession, PrivatePipeline
 from repro.core.counts import ClusteredCounts
 from repro.evaluation.sweeps import run_pipeline_batched
-from repro.pipeline import FittedClusteringCache
+from repro.obs.metrics import MetricsRegistry, snapshot_series
 from repro.privacy.budget import (
     BudgetError,
     ExplanationBudget,
     PrivacyAccountant,
 )
 from repro.privacy.mechanisms import GeometricMechanism, LaplaceMechanism
+from repro.service.cache import ExplanationCache
 from repro.synth import diabetes_like
 
 
@@ -236,8 +237,10 @@ class TestPrivatePipeline:
 
 
 class TestFittedClusteringCache:
+    """The service's fitted-clustering cache: the one LRU, labelled ``fitted``."""
+
     def test_lru_and_fingerprint_invalidation(self):
-        cache = FittedClusteringCache(max_entries=2)
+        cache = ExplanationCache(max_entries=2, label="fitted")
         cache.put(("fp1", "dp-kmeans", 3), "a")
         cache.put(("fp2", "dp-kmeans", 3), "b")
         assert cache.get(("fp1", "dp-kmeans", 3)) == "a"
@@ -247,7 +250,7 @@ class TestFittedClusteringCache:
         assert len(cache) == 0
 
     def test_stats(self):
-        cache = FittedClusteringCache()
+        cache = ExplanationCache(label="fitted")
         cache.get(("x",))
         cache.put(("x",), 1)
         cache.get(("x",))
@@ -257,8 +260,8 @@ class TestFittedClusteringCache:
 
     def test_on_evict_fires_for_lru_pressure_only(self):
         evicted = []
-        cache = FittedClusteringCache(
-            max_entries=1, on_evict=lambda k, e: evicted.append((k, e))
+        cache = ExplanationCache(
+            max_entries=1, on_evict=lambda k, e: evicted.append((k, e)), label="fitted"
         )
         cache.put(("a",), 1)
         cache.put(("b",), 2)  # LRU-evicts ("a",)
@@ -266,6 +269,20 @@ class TestFittedClusteringCache:
         assert cache.remove(("b",)) is True  # explicit: no callback
         assert cache.remove(("b",)) is False
         assert evicted == [(("a",), 1)]
+
+    def test_events_are_labelled_fitted(self):
+        metrics = MetricsRegistry()
+        cache = ExplanationCache(max_entries=1, metrics=metrics, label="fitted")
+        cache.get(("a",))
+        cache.put(("a",), 1)
+        cache.get(("a",))
+        cache.put(("b",), 2)
+        series = snapshot_series(metrics.snapshot(), "repro_cache_events_total")
+        assert series == {
+            ("fitted", "hit"): 1,
+            ("fitted", "miss"): 1,
+            ("fitted", "eviction"): 1,
+        }
 
 
 class TestRunPipelineBatched:

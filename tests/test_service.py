@@ -297,6 +297,27 @@ class TestCacheSemantics:
         fresh = client.explain(seed=0)
         assert fresh["meta"]["cache"] == "miss"
 
+    def test_alias_dataset_id_pays_for_and_names_its_own_release(
+        self, dataset, clustering
+    ):
+        """Two ids over the same data and clustering are distinct releases:
+        the second id is never served a body naming the first, and its own
+        ledger pays for it."""
+        service = ExplanationService()
+        service.register_dataset("a", dataset, clustering)
+        service.register_dataset("b", dataset, clustering)
+        service.create_tenant("alice", 5.0)
+        client = ServiceClient(service, "alice")
+        first = client.explain("a", seed=0)
+        second = client.explain("b", seed=0)
+        assert first["meta"]["cache"] == "miss"
+        assert first["result"]["dataset"] == "a"
+        assert second["meta"]["cache"] == "miss"
+        assert second["result"]["dataset"] == "b"
+        tenant = service.registry.tenant("alice")
+        assert tenant.accountant("a").total() == pytest.approx(EPS_TOTAL)
+        assert tenant.accountant("b").total() == pytest.approx(EPS_TOTAL)
+
     def test_list_weights_accepted_programmatically(self, dataset, clustering):
         """Python callers naturally pass weights as a list; it must be
         normalised to a hashable tuple, not crash cache_key()."""
@@ -369,6 +390,60 @@ class TestCoalescing:
         assert queue.take_batch(timeout=0) == [1, 3]
         assert queue.take_batch(timeout=0) == [2, 4]
         assert queue.take_batch(timeout=0) == []
+
+    def test_queue_skips_a_held_key(self):
+        queue = RequestQueue()
+        queue.put("a", 1)
+        assert queue.take_batch(timeout=0) == [1]  # "a" is now held
+        queue.put("a", 2)
+        queue.put("b", 3)
+        assert queue.take_batch(timeout=0) == [3]  # no head-of-line blocking
+        assert len(queue) == 1
+
+    def test_queue_hands_out_a_released_key(self):
+        queue = RequestQueue()
+        queue.put("a", 1)
+        assert queue.take_batch(timeout=0) == [1]
+        queue.put("a", 2)
+        queue.put("a", 3)
+        queue.release("a")
+        assert queue.take_batch(timeout=0) == [2, 3]
+
+    def test_queue_returns_nothing_when_only_held_keys_are_queued(self):
+        queue = RequestQueue()
+        queue.put("a", 1)
+        queue.put("b", 2)
+        assert queue.take_batch(timeout=0) == [1]
+        assert queue.take_batch(timeout=0) == [2]
+        queue.put("a", 3)
+        queue.put("b", 4)
+        assert queue.take_batch(timeout=0) == []
+        assert queue.take_batch(timeout=0.01) == []
+        assert len(queue) == 2
+
+    def test_queue_release_wakes_a_blocked_taker(self):
+        queue = RequestQueue()
+        queue.put("a", 1)
+        assert queue.take_batch(timeout=0) == [1]
+        queue.put("a", 2)
+        taken: "list[list]" = []
+        taker = threading.Thread(target=lambda: taken.append(queue.take_batch(30)))
+        taker.start()
+        queue.release("a")
+        taker.join(timeout=30)
+        assert taken == [[2]]
+
+    def test_queue_release_all_hands_out_every_held_key(self):
+        queue = RequestQueue()
+        queue.put("a", 1)
+        queue.put("b", 2)
+        queue.take_batch(timeout=0)
+        queue.take_batch(timeout=0)
+        queue.put("a", 3)
+        queue.put("b", 4)
+        queue.release_all()
+        assert queue.take_batch(timeout=0) == [3]
+        assert queue.take_batch(timeout=0) == [4]
 
 
 class TestBudgetEnforcement:
@@ -463,47 +538,23 @@ class TestBudgetEnforcement:
         assert accountant.total() == pytest.approx(EPS_TOTAL)
         assert [c.epsilon for c in accountant] == [pytest.approx(EPS_TOTAL)]
 
-    def test_deferred_wait_is_bounded_and_evicts_the_stale_claim(
-        self, dataset, clustering
-    ):
-        """A wedged claim owner must not pin callers forever: after the
-        elapsed-time deadline the deferred group resolves with a 503
-        envelope, the stale claim is evicted, and a retry can re-claim the
-        key and succeed instead of wedging on it again."""
-        service = make_service(dataset, clustering)
-        service.DEFERRED_TIMEOUT_SECONDS = 0.05
-        service.DEFERRED_WAIT_SECONDS = 0.01
-        service.create_tenant("t", 1.0)
-        request = ExplainRequest(tenant="t", dataset="diabetes", seed=0)
-        entry = service.registry.dataset("diabetes")
-        # Simulate a stuck in-flight owner that never fills the cache.
-        acquired, _ = service._try_claim(request.cache_key(entry))
-        assert acquired
-        envelope = service.explain(request, timeout=30.0)
-        assert envelope["status"] == "error"
-        assert envelope["code"] == 503
-        assert envelope["error"]["reason"] == "release-timeout"
-        # Nothing was charged for the abandoned request.
-        assert service.registry.tenant("t").accountant("diabetes").total() == 0.0
-        # The stale claim was evicted, so the retry the 503 invites works.
-        retry = service.explain(request, timeout=30.0)
-        assert retry["status"] == "ok"
-
     def test_concurrent_batches_never_double_charge_one_release(
         self, dataset, clustering, monkeypatch
     ):
-        """Two workers racing on the same cache key charge exactly once."""
-        import time as time_module
-
+        """Two workers, one release: the twin arrives while the first batch
+        is inside the engine, and is served from the cache it fills."""
         import repro.service.service as service_module
 
         real = service_module.explain_batched
+        entered = threading.Event()
+        gate = threading.Event()
 
-        def slow_explain_batched(*args, **kwargs):
-            time_module.sleep(0.3)  # hold the in-flight window open
+        def gated_explain_batched(*args, **kwargs):
+            entered.set()
+            assert gate.wait(timeout=30)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(service_module, "explain_batched", slow_explain_batched)
+        monkeypatch.setattr(service_module, "explain_batched", gated_explain_batched)
         service = make_service(dataset, clustering)
         service.create_tenant("t", 5.0)
         service.start(workers=2)
@@ -511,19 +562,86 @@ class TestBudgetEnforcement:
             first = service.submit(
                 ExplainRequest(tenant="t", dataset="diabetes", seed=0)
             )
-            time_module.sleep(0.1)  # first batch is mid-engine by now
+            assert entered.wait(timeout=30)  # the first batch is mid-engine
             second = service.submit(
                 ExplainRequest(tenant="t", dataset="diabetes", seed=0)
             )
+            gate.set()
             results = [first.result(timeout=30), second.result(timeout=30)]
         finally:
+            gate.set()
             service.stop()
         assert [r["status"] for r in results] == ["ok", "ok"]
+        assert [r["meta"]["cache"] for r in results] == ["miss", "hit"]
         spent = service.registry.tenant("t").accountant("diabetes").total()
         assert spent == pytest.approx(EPS_TOTAL)  # one charge, not two
         assert service.describe()["stats"]["engine_calls"] == 1
         bodies = {json.dumps(r["result"], sort_keys=True) for r in results}
         assert len(bodies) == 1
+
+    def test_held_key_waits_queued_while_other_keys_are_served(
+        self, dataset, clustering, monkeypatch
+    ):
+        """Worker 1 holds engine key A in a gated batch.  A same-key twin
+        stays queued and uncharged, worker 2 serves a different engine key
+        meanwhile, and once the gate opens the twin is a hit: one charge
+        for A in total."""
+        import repro.service.service as service_module
+
+        real = service_module.explain_batched
+        entered = threading.Event()
+        gate = threading.Event()
+        workers: "dict[float, str]" = {}
+
+        def gate_key_a(explainer, *args, **kwargs):
+            eps_hist = explainer.budget.eps_hist
+            workers[eps_hist] = threading.current_thread().name
+            if eps_hist == pytest.approx(0.1):  # key A; key B has 0.2
+                entered.set()
+                assert gate.wait(timeout=30)
+            return real(explainer, *args, **kwargs)
+
+        monkeypatch.setattr(service_module, "explain_batched", gate_key_a)
+        service = make_service(dataset, clustering)
+        service.create_tenant("t", 5.0)
+        accountant = service.registry.tenant("t").accountant("diabetes")
+        service.start(workers=2)
+        try:
+            first = service.submit(
+                ExplainRequest(tenant="t", dataset="diabetes", seed=0)
+            )
+            assert entered.wait(timeout=30)
+            twin = service.submit(
+                ExplainRequest(tenant="t", dataset="diabetes", seed=0)
+            )
+            other = service.submit(
+                ExplainRequest(tenant="t", dataset="diabetes", seed=0, eps_hist=0.2)
+            )
+            # Worker 2 passes over the queued twin to serve key B.
+            served = other.result(timeout=30)
+            assert served["status"] == "ok" and served["meta"]["cache"] == "miss"
+            assert workers[0.2] != workers[0.1]
+            assert not twin.done()
+            assert service.describe()["queued"] == 1
+            assert [c.epsilon for c in accountant] == [
+                pytest.approx(EPS_TOTAL),
+                pytest.approx(0.4),
+            ]
+            gate.set()
+            results = [first.result(timeout=30), twin.result(timeout=30)]
+        finally:
+            gate.set()
+            service.stop()
+        assert [r["meta"]["cache"] for r in results] == ["miss", "hit"]
+        assert results[1]["meta"]["charged_epsilon"] == 0.0
+        assert canonical_json(results[0]["result"]) == canonical_json(
+            results[1]["result"]
+        )
+        assert [c.epsilon for c in accountant] == [
+            pytest.approx(EPS_TOTAL),
+            pytest.approx(0.4),
+        ]
+        assert service.describe()["stats"]["engine_calls"] == 2
 
     def test_no_cap_exceeded_under_parallel_load(self, dataset, clustering):
         """Hard acceptance criterion: concurrent load cannot overspend."""

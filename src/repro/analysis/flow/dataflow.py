@@ -21,10 +21,25 @@ computed over the extended call graph (``analysis/callgraph.py`` —
 ``name()``, ``self.m()``, ``Cls.m()``, ``super().m()``, ``pkg.mod.fn()``)
 by iterating :func:`fixpoint` until no summary changes.  Taint summaries
 and ``charges`` only ever grow (``charges`` never reads ``draws_first``).
-``draws_first`` can shrink when a callee's ``charges`` flips, but a draw
-trace never re-enters the function it starts in, so traces are simple
-call paths and finitely many.  :data:`MAX_ROUNDS` bounds the iteration
-regardless; a test pins that the charge facts settle on the whole tree.
+``draws_first`` can shrink when a callee's ``charges`` flips.  A callee
+draw trace that re-enters the caller is not taken in: draws do not depend
+on parameters, so the caller's own walk reaches that draw without the
+cycle.  A param-to-sink trace that re-enters the caller is kept only as
+the shortest trace of its (param, channel) (see
+:meth:`_State.settled_param_sinks`), so call cycles stop extending those
+traces and converge.  Return taints are taken in whole: their traces do
+not grow around the cycles of this tree.  :data:`MAX_ROUNDS` bounds the
+iteration regardless.
+
+Each round walks only the *dirty* functions.  Every function starts
+dirty, and every walk records, at each resolved call, the reverse edge
+callee -> caller.  A walk reads nothing but its body and the summaries
+of the callees it resolves, and which calls resolve is fixed by the body
+alone.  So when a summary changes, its callers become dirty and are
+walked later in the same round (if they come later in source order) or
+in the next, and nothing else needs a walk: the summaries, hits and
+round count are those of walking every function every round, at about
+one walk per function.  Tests pin both.
 
 Every taint carries a bounded trace of :class:`~repro.analysis.model.
 TraceHop` — the evidence path rendered into the v2 JSON schema.
@@ -34,6 +49,7 @@ from __future__ import annotations
 
 import ast
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from ..callgraph import CallGraph, FunctionInfo
@@ -141,6 +157,10 @@ def fixpoint(step, max_rounds: int = MAX_ROUNDS) -> int:
     return max_rounds
 
 
+def _key(info: FunctionInfo) -> "tuple[str, str]":
+    return (info.module.path, info.qualname)
+
+
 def _limit(taints: "set[Taint]") -> "frozenset[Taint]":
     if len(taints) <= MAX_TAINTS:
         return frozenset(taints)
@@ -184,6 +204,9 @@ class FlowAnalysis:
         self.summaries: "dict[tuple[str, str], FunctionSummary]" = {}
         #: (module path) -> list of resolved sink hits with their functions
         self.hits: "list[tuple[Module, FunctionInfo, SinkHit]]" = []
+        #: callee key -> keys of the functions whose bodies resolve a call
+        #: to it: the summaries each walk reads, recorded as it reads them.
+        self._callers: "defaultdict[tuple[str, str], set]" = defaultdict(set)
         self._ran = False
 
     # ------------------------------------------------------------------ #
@@ -192,21 +215,25 @@ class FlowAnalysis:
         if self._ran:
             return
         self._ran = True
-        infos = list(self.callgraph.functions.values())
+        infos = list(self.callgraph.functions.items())
+        dirty = {key for key, _ in infos}
 
         def round_() -> bool:
             changed = False
-            for info in infos:
+            for key, info in infos:
+                if key not in dirty:
+                    continue
+                dirty.discard(key)
                 new = self._analyze(info, collect=None)
-                key = (info.module.path, info.qualname)
                 if self.summaries.get(key) != new:
                     self.summaries[key] = new
+                    dirty.update(self._callers[key])
                     changed = True
             return changed
 
         self.rounds = fixpoint(round_)
         # Reporting pass with stable summaries.
-        for info in infos:
+        for _, info in infos:
             hits: "list[SinkHit]" = []
             self._analyze(info, collect=hits)
             for hit in hits:
@@ -232,7 +259,7 @@ class FlowAnalysis:
             self._report_closure(info, inner)
         return FunctionSummary(
             returns=_limit(state.returns),
-            param_sinks=frozenset(state.param_sinks),
+            param_sinks=state.settled_param_sinks(),
             charges=state.charged,
             draws_first=state.draws_first,
         )
@@ -263,6 +290,9 @@ class _State:
         self.collect = collect
         self.returns: "set[Taint]" = set()
         self.param_sinks: "set[tuple[int, str, tuple[TraceHop, ...]]]" = set()
+        #: Param-to-sink entries routed through a callee that calls back
+        #: into this function; see :meth:`settled_param_sinks`.
+        self.cycle_sinks: "set[tuple[int, str, tuple[TraceHop, ...]]]" = set()
         self.charged = False
         self.draws_first: "tuple[TraceHop, ...]" = ()
         self.closures: "dict[int, ast.FunctionDef]" = {}
@@ -529,6 +559,8 @@ class _State:
         info = self.a.callgraph.resolve(
             node, self.info.module, self.info.class_name
         )
+        if info is not None:
+            self.a._callers[_key(info)].add(_key(self.info))
         self._order_call(node, callee_name, info)
 
         # Sanitizer: the returned value is differentially private.
@@ -558,9 +590,7 @@ class _State:
         return union_args
 
     def _summary(self, info: FunctionInfo) -> FunctionSummary:
-        return self.a.summaries.get(
-            (info.module.path, info.qualname), FunctionSummary()
-        )
+        return self.a.summaries.get(_key(info), FunctionSummary())
 
     def _order_call(self, node: ast.Call, callee_name: str,
                     info: "FunctionInfo | None") -> None:
@@ -586,8 +616,11 @@ class _State:
             self.charged = summary.charges
 
     def _reenters(self, trace: "tuple[TraceHop, ...]") -> bool:
-        """Whether a callee's draw trace calls back into this function: a
-        recursive cycle, whose draw this walk reaches without the cycle."""
+        """Whether a callee's draw or param-to-sink trace calls back into
+        this function.  Both run in call order: a ``call: f`` hop, then
+        the hops inside ``f``.  Return traces run the other way (source
+        first, each caller appending its hop), so this test does not
+        apply to them."""
         note = f"call: {self.info.qualname}"
         return any(
             hop.note == note and nxt.path == self.path
@@ -646,11 +679,15 @@ class _State:
                 for at in taints_of_param(t.param):
                     out.add(at.with_hop(call_hop))
         for param_idx, channel, hops in summary.param_sinks:
+            cycle = self._reenters(hops)
             for at in taints_of_param(param_idx):
                 routed = at.with_hop(call_hop)
                 for hop in hops:
                     routed = routed.with_hop(hop)
-                self._record_hit(channel, node, routed)
+                if cycle and routed.kind == "param":
+                    self.cycle_sinks.add((routed.param, channel, routed.trace))
+                else:
+                    self._record_hit(channel, node, routed)
         return out
 
     # -- sinks ---------------------------------------------------------- #
@@ -715,3 +752,26 @@ class _State:
                     ),
                 )
             )
+
+    def settled_param_sinks(self) -> "frozenset":
+        """This walk's param-to-sink entries for the summary.
+
+        An entry that re-enters this function through a call cycle is kept
+        only where it is the shortest trace of its (param, channel).  The
+        keys a caller can be reported on stay the same, and so does the
+        shortest trace, the one a finding shows (below
+        :data:`MAX_TRACE_HOPS`); the longer laps of the cycle, which would
+        grow each round, are dropped.  A source routed into a cycle is a
+        hit, never an entry, so it is always reported.
+        """
+        if not self.cycle_sinks:
+            return frozenset(self.param_sinks)
+        best: dict = {}
+        for entry in self.param_sinks | self.cycle_sinks:
+            order = (len(entry[2]),
+                     tuple((h.path, h.line, h.note) for h in entry[2]))
+            key = entry[:2]
+            if key not in best or order < best[key][0]:
+                best[key] = (order, entry)
+        shortest = {entry for _, entry in best.values()}
+        return frozenset(self.param_sinks | (self.cycle_sinks & shortest))

@@ -3,7 +3,9 @@
 The loader walks the given paths, parses every ``*.py`` with the stdlib
 ``ast`` module (nothing is ever imported or executed — linting a file with
 import-time side effects is safe), and extracts inline suppressions from the
-comment stream via ``tokenize``.
+comment stream via ``tokenize``.  Only a file whose text contains
+``repro-lint`` is tokenized: every marker carries that literal, so a file
+without it (most of a tree) holds no suppression and skips the tokenizer.
 
 Suppression grammar
 -------------------
@@ -136,6 +138,8 @@ def parse_suppressions(
     path: str, source: str
 ) -> "tuple[tuple[Suppression, ...], tuple[Finding, ...]]":
     """Extract every suppression (and every malformed one) from a file."""
+    if "repro-lint" not in source:
+        return (), ()  # no marker can match: skip the tokenizer
     sups: list[Suppression] = []
     bad: list[Finding] = []
     try:

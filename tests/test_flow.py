@@ -5,7 +5,8 @@ resolution (``Class.method``, ``super().method``, ``pkg.mod.fn``), flow
 traces in the v2 JSON schema (hypothesis round-trip + v1-consumer
 compatibility), SARIF 2.1.0 emission, ``--diff`` scoping, suppression
 names across the one rule catalogue, the ledger guard on real accountant
-code, and the whole-repo flow-clean gate.
+code, the dirty-set fixpoint against a full-round reference, and the
+whole-repo flow-clean gate.
 """
 
 import ast
@@ -35,7 +36,7 @@ from repro.analysis import (
 from repro.analysis.callgraph import build_callgraph
 from repro.analysis.diff import select_diff_paths
 from repro.analysis.flow import FLOW_RULE_NAMES, FlowAnalysis, load_taint_config
-from repro.analysis.flow.dataflow import MAX_ROUNDS
+from repro.analysis.flow.dataflow import MAX_ROUNDS, fixpoint
 from repro.analysis.loader import iter_python_files, load_module
 from repro.analysis.sarif import to_sarif
 
@@ -65,6 +66,8 @@ FIRE_CASES = [
     ("taint_unsanitized_release_bad.py", "taint-unsanitized-release", 4),
     ("taint_error_envelope_bad.py", "taint-error-envelope", 2),
     ("taint_code_matrix_bad.py", "taint-unsanitized-release", 2),
+    ("taint_recursive_params_bad.py", "taint-unsanitized-release", 2),
+    ("taint_cross_module_bad", "taint-unsanitized-release", 1),
     ("lockset_unguarded_access_bad.py", "lockset-unguarded-access", 1),
     ("lockset_order_cycle_bad.py", "lockset-order-cycle", 2),
 ]
@@ -120,6 +123,17 @@ class TestFlowFixtures:
             if "call: _wrap" in hop.note
         ]
         assert hops, format_text(result)
+
+    def test_call_cycle_that_swaps_parameters_still_reports(self):
+        """A param-to-sink trace that re-enters its function is kept where
+        it is the only path for that parameter: the finding's trace runs
+        through the whole cycle."""
+        result = flow_lint([fixture("taint_recursive_params_bad.py")])
+        (f,) = [f for f in result.findings if "summarize" in f.message]
+        notes = [hop.note for hop in f.trace]
+        assert notes[1:4] == [
+            "call: describe", "call: _forward", "call: describe",
+        ], format_text(result)
 
     def test_unguarded_inflight_names_the_guard(self):
         result = flow_lint([fixture("lockset_unguarded_access_bad.py")])
@@ -366,11 +380,15 @@ class TestCallgraphResolution:
 # charge-before-release summaries on the shared fixpoint
 # --------------------------------------------------------------------------- #
 
-def _flow_analysis(paths) -> FlowAnalysis:
+def _unrun_analysis(paths) -> FlowAnalysis:
     modules = [load_module(p)[0] for p in iter_python_files(paths)]
-    analysis = FlowAnalysis(
+    return FlowAnalysis(
         modules, build_callgraph(modules), load_taint_config(modules)
     )
+
+
+def _flow_analysis(paths) -> FlowAnalysis:
+    analysis = _unrun_analysis(paths)
     analysis.run()
     return analysis
 
@@ -392,9 +410,9 @@ class TestChargeSummaries:
 
     def test_charge_facts_settle_on_the_whole_tree(self):
         """One more walk of every function in ``src/`` changes neither
-        ``charges`` nor ``draws_first``: those facts reach their fixpoint
-        even where taint traces are still growing at ``MAX_ROUNDS``."""
+        ``charges`` nor ``draws_first``: those facts reach their fixpoint."""
         analysis = _flow_analysis([os.path.join(SRC, "repro")])
+        assert analysis.rounds < MAX_ROUNDS
         charging = drawing = 0
         for key, info in analysis.callgraph.functions.items():
             settled = analysis.summaries[key]
@@ -404,6 +422,70 @@ class TestChargeSummaries:
             charging += settled.charges
             drawing += bool(settled.draws_first)
         assert charging and drawing
+
+
+# --------------------------------------------------------------------------- #
+# the dirty-set fixpoint walks less and computes the same summaries
+# --------------------------------------------------------------------------- #
+
+def _full_rounds(analysis: FlowAnalysis) -> FlowAnalysis:
+    """The reference the dirty set must match: every round walks every
+    function, then the same reporting pass as ``FlowAnalysis.run``."""
+    infos = list(analysis.callgraph.functions.items())
+
+    def round_() -> bool:
+        changed = False
+        for key, info in infos:
+            new = analysis._analyze(info, collect=None)
+            if analysis.summaries.get(key) != new:
+                analysis.summaries[key] = new
+                changed = True
+        return changed
+
+    analysis.rounds = fixpoint(round_)
+    for _, info in infos:
+        hits = []
+        analysis._analyze(info, collect=hits)
+        analysis.hits.extend((info.module, info, hit) for hit in hits)
+    return analysis
+
+
+_EQUIVALENCE_TARGETS = [
+    fixture(name) for name in sorted(os.listdir(FIXTURES))
+] + [os.path.join(SRC, "repro")]
+
+
+class TestDirtySetFixpoint:
+    @pytest.mark.parametrize(
+        "path", _EQUIVALENCE_TARGETS,
+        ids=[os.path.basename(p) for p in _EQUIVALENCE_TARGETS],
+    )
+    def test_matches_full_rounds(self, path):
+        fast = _unrun_analysis([path])
+        ref = _full_rounds(
+            FlowAnalysis(fast.modules, fast.callgraph, fast.config)
+        )
+        fast.run()
+        assert fast.summaries == ref.summaries
+        assert fast.hits == ref.hits
+        assert fast.rounds == ref.rounds
+
+    def test_walks_only_functions_whose_callees_changed(self):
+        """Full rounds would walk every function ``rounds`` times; the
+        dirty set walks each about once on ``src/``."""
+        analysis = _unrun_analysis([os.path.join(SRC, "repro")])
+        walk = analysis._analyze
+        walks = []
+
+        def counted(info, collect):
+            if collect is None:
+                walks.append(info)
+            return walk(info, collect)
+
+        analysis._analyze = counted
+        analysis.run()
+        assert analysis.rounds > 2
+        assert len(walks) < 2 * len(analysis.callgraph.functions)
 
 
 # --------------------------------------------------------------------------- #

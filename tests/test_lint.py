@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import tokenize
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,6 +23,7 @@ from repro.analysis import (
     format_text,
     lint_paths,
     parse_suppression_comment,
+    parse_suppressions,
     parse_trace,
     render_suppression,
     render_trace,
@@ -205,6 +207,28 @@ class TestSuppressions:
             "# repro-lint: disable=no-global-rng -- ascii separator works"
         )
         assert parsed == (("no-global-rng",), "ascii separator works")
+
+    def test_source_without_marker_is_never_tokenized(self, monkeypatch):
+        def refuse(readline):
+            raise AssertionError("tokenize ran on a marker-free source")
+
+        monkeypatch.setattr(tokenize, "generate_tokens", refuse)
+        source = "import os\n\n# an ordinary comment\nx = os.sep  # noqa\n"
+        assert parse_suppressions("m.py", source) == ((), ())
+
+    def test_marker_text_inside_a_string_is_not_a_suppression(self):
+        source = (
+            'NOTE = "# repro-lint: disable=no-global-rng — in a string"\n'
+        )
+        assert parse_suppressions("m.py", source) == ((), ())
+
+    def test_malformed_marker_is_still_flagged(self):
+        source = "x = 1  # repro-lint: disable=no-global-rng\n"
+        sups, bad = parse_suppressions("m.py", source)
+        assert sups == ()
+        (finding,) = bad
+        assert finding.rule == "bad-suppression"
+        assert (finding.line, finding.col) == (1, 7)
 
     def test_every_repo_suppression_reason_is_nonempty(self):
         result = lint_paths([SRC])

@@ -12,9 +12,14 @@ Replays heavy charge traffic against two accounting designs:
   charge.
 
 The artifact records admission throughput with a 100k-charge ledger
-already on the books, and persistence bytes-per-request at small vs large
-ledger sizes.  ``scripts/ci.sh`` fails if the admission speedup at 100k
-charges regresses below 10x or journal records stop being O(1).
+already on the books, persistence bytes-per-request at small vs large
+ledger sizes, and journal fsyncs per request for one coalesced batch of 16
+funded misses through :class:`~repro.service.ExplanationService` (group
+commit: one fsync per touched tenant journal), read from the service's own
+``journal-fsync`` span count — for one tenant, and for 16 zipf-skewed
+tenants.  ``scripts/ci.sh`` fails if the admission speedup at 100k charges
+regresses below 10x, journal records stop being O(1), or the single-tenant
+batch pays more than one fsync per 16 requests.
 
 Entry points:
 
@@ -31,7 +36,13 @@ import os
 import tempfile
 import time
 
+import numpy as np
+
+from repro import KMeans, diabetes_like
+from repro.obs.metrics import snapshot_series
+from repro.obs.tracing import SPAN_HISTOGRAM
 from repro.privacy.budget import PrivacyAccountant
+from repro.service import ExplainRequest, ExplanationService
 from repro.service.journal import TenantLedgerStore
 
 #: A realistic service ledger line (see ExplanationService._charge_label).
@@ -41,6 +52,8 @@ LABEL = (
     "0.3333333333333333)"
 )
 CHARGE_EPS = 0.3
+#: Funded misses in the group-commit batch (``fsyncs_per_request``).
+BATCH_REQUESTS = 16
 
 
 class _SeedAccountant:
@@ -136,6 +149,51 @@ def _journal_bytes_per_record(ledger_size: int, records: int) -> float:
     return size / records
 
 
+def _fsync_spans(service: ExplanationService) -> int:
+    cell = snapshot_series(service.metrics.snapshot(), SPAN_HISTOGRAM).get(
+        ("journal-fsync",)
+    )
+    return cell["count"] if cell else 0
+
+
+def _fsyncs_per_request(
+    n_tenants: int, requests: int = BATCH_REQUESTS, skew: float = 1.1
+) -> float:
+    """Journal fsyncs per funded miss for one coalesced batch of misses.
+
+    ``requests`` unique seeds go to one ``process_pending`` batch; tenants
+    are drawn zipf(``skew``) from ``n_tenants`` (all one tenant when
+    ``n_tenants == 1``).  The count is the service's own ``journal-fsync``
+    span count, which observes each actual fsync once.
+    """
+    dataset = diabetes_like(n_rows=1_500, n_groups=3, seed=7)
+    clustering = KMeans(3).fit(dataset, rng=0)
+    weights = np.arange(1, n_tenants + 1, dtype=np.float64) ** -skew
+    picks = np.random.default_rng(0).choice(
+        n_tenants, size=requests, p=weights / weights.sum()
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        service = ExplanationService(ledger_dir=tmp)
+        service.register_dataset("diabetes", dataset, clustering)
+        for t in range(n_tenants):
+            service.create_tenant(f"t{t}", 1e6)
+        before = _fsync_spans(service)
+        futures = [
+            service.submit(
+                ExplainRequest(tenant=f"t{t}", dataset="diabetes", seed=i)
+            )
+            for i, t in enumerate(picks)
+        ]
+        if service.process_pending() != 1:
+            raise RuntimeError("the misses did not coalesce into one batch")
+        served = [f.result(timeout=60)["meta"]["cache"] for f in futures]
+        if served != ["miss"] * requests:
+            raise RuntimeError(f"expected {requests} funded misses: {served}")
+        fsyncs = _fsync_spans(service) - before
+        service.stop()
+    return fsyncs / requests
+
+
 def run_ledger_bench(
     ledger_size: int = 100_000,
     seed_charges: int = 300,
@@ -150,6 +208,8 @@ def run_ledger_bench(
     seed_bytes_large = _snapshot_bytes(ledger_size)
     journal_small = _journal_bytes_per_record(small_ledger, journal_records)
     journal_large = _journal_bytes_per_record(ledger_size, journal_records)
+    fsyncs_single = _fsyncs_per_request(n_tenants=1)
+    fsyncs_zipf = _fsyncs_per_request(n_tenants=16)
 
     return {
         "benchmark": (
@@ -167,6 +227,9 @@ def run_ledger_bench(
         "journal_bytes_per_request_large": journal_large,
         "journal_bytes_growth": journal_large / journal_small,
         "persistence_bytes_ratio_at_large": seed_bytes_large / journal_large,
+        "batch_requests": BATCH_REQUESTS,
+        "fsyncs_per_request": fsyncs_single,
+        "fsyncs_per_request_zipf16": fsyncs_zipf,
     }
 
 

@@ -16,9 +16,11 @@ trace-key-hygiene               ``trace_id`` must not reach engine/cache key
                                 or fingerprint constructions (PR 8)
 monotonic-deadlines             ``time.time()`` is wall clock; deadlines use
                                 ``time.monotonic()`` (PR 3 review)
-fsync-in-hook                   journal appends happen inside the accountant
-                                mutation hook, never after ``spend`` returns
-                                (PR 5 durability contract)
+fsync-in-hook                   every charge is durable before the first
+                                draw: journal appends happen inside the
+                                accountant mutation hook, never after a
+                                charge returned, and no draw sits inside an
+                                open commit scope (journal durability)
 no-cached-envelope-mutation     objects from cache ``.get`` paths are
                                 copy-on-write, never mutated in place (PR 8)
 ==============================  =============================================
@@ -142,7 +144,7 @@ def _norm_path(path: str) -> str:
 # --------------------------------------------------------------------------- #
 
 #: Methods that charge a ledger.
-CHARGE_METHODS = {"spend", "parallel"}
+CHARGE_METHODS = {"spend", "parallel", "spend_many"}
 
 #: Receiver names that look like a ``numpy.random.Generator``.
 GEN_NAME_RE = re.compile(r"^(gen|rng|g)$|(_rng|_gen)$|^generator$")
@@ -549,31 +551,45 @@ _JOURNAL_APPEND_METHODS = {
 }
 _JOURNAL_RECV_RE = re.compile(r"journal|store|ledger", re.IGNORECASE)
 
+#: Context managers that defer journal fsyncs to their exit (the journal's
+#: group commit): the charges made in the body are durable only after it.
+COMMIT_SCOPE_FUNCS = {"commit_scope"}
+
 
 class FsyncInHookRule(Rule):
-    """PR 5's durability contract: charges are on disk before spend returns.
+    """The durability contract: every charge is durable before the first draw.
 
-    The journal record for a charge is written (and fsync'd) *inside* the
-    accountant's mutation observer, under the ledger lock — so by the time
-    ``spend()`` returns, the charge is durable and no noise has been drawn
-    against an unpersisted reservation.  This rule flags the anti-pattern
-    that would silently re-open the crash window: a journal/store append
-    (or raw ``os.fsync``/``_fsync_write``) issued *after* a
-    ``spend``/``parallel`` call in the same function body — durability
-    bolted on after the charge already returned.
+    The journal record for a charge is written *inside* the accountant's
+    mutation observer, under the ledger lock, and fsync'd either there or
+    when the enclosing journal commit scope exits — so no noise is ever
+    drawn against an unpersisted reservation.  This rule flags the two
+    anti-patterns that would silently re-open the crash window:
+
+    * a journal/store append (or raw ``os.fsync``/``_fsync_write``) issued
+      *after* a charge call in the same function body — durability bolted
+      on after the charge already returned;
+    * a noise draw lexically inside an open ``with commit_scope():`` body —
+      the scope's charges become durable only at its exit, so the draw
+      must follow the ``with``.
     """
 
     name = "fsync-in-hook"
     severity = SEVERITY_ERROR
     description = (
-        "journal appends belong inside the accountant mutation hook, not "
-        "after spend() has already returned (crash between the two loses "
-        "the charge)"
+        "every charge must be durable before the first draw: journal "
+        "appends belong inside the accountant mutation hook, not after a "
+        "charge returned, and draws follow an open commit scope's exit"
     )
 
     def check(self, module: Module, ctx: LintContext) -> "list[Finding]":
         findings: list[Finding] = []
+        # Only a module naming a commit scope can open one: skip the walk
+        # for draws inside scopes everywhere else.
+        scoped = any(name in module.source for name in COMMIT_SCOPE_FUNCS)
         for func, class_name in _iter_functions(module):
+            qual = f"{class_name + '.' if class_name else ''}{func.name}"
+            if scoped:
+                findings.extend(self._draws_in_open_scope(module, func, qual))
             charged_line: "int | None" = None
             for call in _calls_in_order(func):
                 if is_charge_call(call):
@@ -582,7 +598,6 @@ class FsyncInHookRule(Rule):
                 if charged_line is None:
                     continue
                 if self._is_journal_append(call):
-                    qual = f"{class_name + '.' if class_name else ''}{func.name}"
                     findings.append(
                         self.finding(
                             module, call,
@@ -594,6 +609,36 @@ class FsyncInHookRule(Rule):
                         )
                     )
         return findings
+
+    def _draws_in_open_scope(self, module, func, qual) -> "list[Finding]":
+        findings: list[Finding] = []
+        seen: "set[int]" = set()  # a draw inside nested scopes reports once
+        for node in _walk_no_lambda(func):
+            if not isinstance(node, (ast.With, ast.AsyncWith)) or not any(
+                self._is_commit_scope(item.context_expr) for item in node.items
+            ):
+                continue
+            for stmt in node.body:
+                for call in _calls_in_order(stmt):
+                    if is_draw_call(call) and id(call) not in seen:
+                        seen.add(id(call))
+                        findings.append(self.finding(
+                            module, call,
+                            f"noise draw in {qual} inside an open commit "
+                            f"scope (line {node.lineno}) — its charges are "
+                            "not durable until the scope exits; draw after "
+                            "the with block",
+                        ))
+        return findings
+
+    @staticmethod
+    def _is_commit_scope(expr: ast.AST) -> bool:
+        if not isinstance(expr, ast.Call):
+            return False
+        func = expr.func
+        name = func.attr if isinstance(func, ast.Attribute) else \
+            getattr(func, "id", "")
+        return name in COMMIT_SCOPE_FUNCS
 
     @staticmethod
     def _is_journal_append(call: ast.Call) -> bool:

@@ -30,7 +30,7 @@ from ..core.hbe import (
 )
 from ..core.quality.scores import Weights
 from ..dataset.table import Dataset
-from ..privacy.budget import BudgetError, PrivacyAccountant, check_epsilon
+from ..privacy.budget import PrivacyAccountant, check_epsilon
 from ..privacy.histograms import GeometricHistogram, HistogramMechanism
 from ..privacy.rng import ensure_rng
 from .tabee import TabEE
@@ -98,26 +98,17 @@ class DPNaive:
         if hasattr(counts, "materialise"):
             counts.materialise()  # fused one-pass group-by over all attributes
 
-        # Charge the whole release up front, before any noise is sampled:
-        # if any composition block is refused, roll the admitted ones back
-        # so a refusal leaves both the ledger and the generator untouched.
+        # Charge the whole release up front, before any noise is sampled,
+        # all or nothing: a refusal leaves both the ledger and the
+        # generator untouched.
         if accountant is not None:
-            tokens: list[int] = []
-            try:
-                tokens.append(
-                    accountant.spend(eps_each * len(names), "dp-naive: full hists")
-                )
-                for a in names:
-                    tokens.append(
-                        accountant.parallel(
-                            [eps_each] * counts.n_clusters,
-                            f"dp-naive: cluster hists {a}",
-                        )
-                    )
-            except BudgetError:
-                for token in reversed(tokens):
-                    accountant.refund(token)
-                raise
+            accountant.spend_many(
+                [(eps_each * len(names), "dp-naive: full hists")]
+                + [
+                    ([eps_each] * counts.n_clusters, f"dp-naive: cluster hists {a}")
+                    for a in names
+                ]
+            )
 
         # Every histogram of the release in one noise draw: per attribute,
         # the full-data histogram stacked on the (|C|, m) by-cluster matrix

@@ -34,12 +34,7 @@ import numpy as np
 from ..core.counts import CountsProvider
 from ..core.engine.kernels import tvd_rows
 from ..core.hbe import AttributeCombination
-from ..privacy.budget import (
-    BudgetError,
-    PrivacyAccountant,
-    check_epsilon,
-    quantize_epsilon,
-)
+from ..privacy.budget import PrivacyAccountant, check_epsilon, quantize_epsilon
 from ..privacy.histograms import GeometricHistogram, HistogramMechanism
 from ..privacy.rng import ensure_rng
 
@@ -93,27 +88,16 @@ class ManualEDASession:
         mech = self.histogram_mechanism.with_epsilon(self.eps_probe)
         n_probed = min(self.n_rounds, len(names))
 
-        # The whole session is charged before the first draw; a refused
-        # charge rolls back so refusal leaves ledger and generator untouched.
+        # The whole session is charged before the first draw, all or
+        # nothing, so a refusal leaves ledger and generator untouched.
         if accountant is not None:
-            tokens: list[int] = []
-            try:
-                tokens.append(
-                    accountant.spend(
-                        self.eps_probe * n_probed,
-                        "manual-eda: full-data histograms",
-                    )
-                )
-                tokens.append(
-                    accountant.parallel(
-                        [self.eps_probe * n_probed] * n_clusters,
-                        "manual-eda: cluster histograms",
-                    )
-                )
-            except BudgetError:
-                for token in reversed(tokens):
-                    accountant.refund(token)
-                raise
+            accountant.spend_many([
+                (self.eps_probe * n_probed, "manual-eda: full-data histograms"),
+                (
+                    [self.eps_probe * n_probed] * n_clusters,
+                    "manual-eda: cluster histograms",
+                ),
+            ])
 
         order = gen.permutation(len(names))[:n_probed]
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..dataset.table import Dataset
-from ..privacy.budget import BudgetError, PrivacyAccountant, check_epsilon
+from ..privacy.budget import PrivacyAccountant, check_epsilon
 from ..privacy.mechanisms import LaplaceMechanism
 from ..privacy.rng import ensure_rng
 from .base import CenterBasedClustering, nearest_center
@@ -69,22 +69,15 @@ class DPKMeans:
         centers = gen.uniform(-1.0, 1.0, size=(self.n_clusters, d))
         for it in range(self.n_iterations):
             labels = nearest_center(points, centers)
-            # Charge the full iteration *before* any noise is drawn: a
-            # BudgetError must never fire after a release has already been
-            # sampled.  If the second charge is refused, the first (whose
-            # noise was equally never drawn) is rolled back by token, so an
-            # aborted iteration leaves the ledger exactly as it found it.
+            # Charge the full iteration *before* any noise is drawn, all or
+            # nothing: a BudgetError must never fire after a release has
+            # already been sampled, and a refused iteration leaves the
+            # ledger exactly as it found it.
             if accountant is not None:
-                token = accountant.parallel(
-                    [eps_count] * self.n_clusters, f"dp-kmeans iter {it} counts"
-                )
-                try:
-                    accountant.parallel(
-                        [eps_sum] * self.n_clusters, f"dp-kmeans iter {it} sums"
-                    )
-                except BudgetError:
-                    accountant.refund(token)
-                    raise
+                accountant.spend_many([
+                    ([eps_count] * self.n_clusters, f"dp-kmeans iter {it} counts"),
+                    ([eps_sum] * self.n_clusters, f"dp-kmeans iter {it} sums"),
+                ])
             new_centers = centers.copy()
             noisy_counts = np.empty(self.n_clusters)
             noisy_sums = np.empty((self.n_clusters, d))

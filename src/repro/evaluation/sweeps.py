@@ -51,7 +51,6 @@ from ..core.quality.scores import (
     Weights,
 )
 from ..core.select_candidates import stage1_mechanism
-from ..privacy.budget import BudgetError, quantize_epsilon
 from ..privacy.exponential import ExponentialMechanism
 from ..privacy.rng import ensure_rng, spawn
 from ..privacy.topk import OneShotTopK
@@ -395,10 +394,11 @@ def run_pipeline_batched(
     scoring pass, per-seed byte-identical to serial ``DPClustX.explain``).
 
     With an ``accountant``, the fit charges iteration-wise through it and
-    each seed's ``budget.total`` is reserved *before* any explanation noise
-    is drawn; a refusal mid-reservation rolls back that call's own
-    reservations by token, so a partially-affordable sweep leaves the
-    ledger exactly as it found it (the already-released fit stays charged).
+    every seed's ``budget.total`` is then reserved in one all-or-nothing
+    :meth:`~repro.privacy.budget.PrivacyAccountant.spend_many` *before* any
+    explanation noise is drawn: a sweep the cap cannot fund in full is
+    refused with the ledger as the fit left it (the already-released fit
+    stays charged), and an engine failure refunds the reservations.
     """
     from ..pipeline.spec import ClusteringSpec  # local: keep layering acyclic
 
@@ -409,41 +409,23 @@ def run_pipeline_batched(
     clustering = spec.fit(dataset, accountant=accountant)
     counts = ClusteredCounts(dataset, clustering)
     ctx = SweepContext(counts)
-    if accountant is not None and seeds:
-        # Exact whole-sweep affordability, before any per-seed reservation:
-        # the sweep needs len(seeds) * budget.total on the accountant's
-        # integer grid, so a sweep the cap cannot fund is refused in O(1)
-        # instead of building (and rolling back) a pile of reservations.
-        balance = accountant.balance()
-        needed_units = quantize_epsilon(explainer.budget.total) * len(seeds)
-        if (
-            balance.remaining_units is not None
-            and needed_units > balance.remaining_units
-        ):
-            raise BudgetError(
-                f"explaining {len(seeds)} seeds needs "
-                f"eps={explainer.budget.total * len(seeds):.4g} but only "
-                f"{balance.remaining:.4g} remains after the fit"
-            )
     tokens: "list[int]" = []
+    if accountant is not None:
+        budget = explainer.budget
+        eps = f"eps=({budget.eps_cand_set},{budget.eps_top_comb},{budget.eps_hist})"
+        tags = [
+            seed if isinstance(seed, int) else f"rng[{i}]"
+            for i, seed in enumerate(seeds)
+        ]
+        tokens = accountant.spend_many([
+            (budget.total, f"pipeline explain {spec.slug()} seed={tag} {eps}")
+            for tag in tags
+        ])
     try:
-        if accountant is not None:
-            for i, seed in enumerate(seeds):
-                tag = seed if isinstance(seed, int) else f"rng[{i}]"
-                tokens.append(
-                    accountant.spend(
-                        explainer.budget.total,
-                        f"pipeline explain {spec.slug()} seed={tag} "
-                        f"eps=({explainer.budget.eps_cand_set},"
-                        f"{explainer.budget.eps_top_comb},"
-                        f"{explainer.budget.eps_hist})",
-                    )
-                )
         explanations = explain_batched(explainer, counts, seeds, context=ctx)
     except Exception:
-        # A refused reservation *or* an engine failure rolls back this
-        # call's own reservations (nothing was released); the already-
-        # released fit stays charged.
+        # An engine failure rolls back this call's own reservations
+        # (nothing was released); the already-released fit stays charged.
         for token in tokens:
             accountant.refund(token)
         raise

@@ -42,7 +42,8 @@ SPANS = (
     "frame-rtt",          # frame write -> reply resolve, per request
     "engine-score",       # batched candidate scoring (select_batched)
     "mechanism-release",  # DP histogram releases for selected combos
-    "journal-fsync",      # ledger journal append + fsync, per record
+    "journal-fsync",      # one ledger journal fsync: a lone record's
+                          # append + fsync, or one commit-scope sync
     "cache-lookup",       # explanation-cache probe in submit()
 )
 

@@ -45,15 +45,19 @@ the pre-quantization format (float epsilons only) load via quantization.
 An optional mutation observer (:meth:`PrivacyAccountant.set_observer`) is
 invoked under the lock for every charge/refund — the hook the service
 layer's append-only ledger journal hangs off.
+:meth:`PrivacyAccountant.spend_many` admits a multi-charge release
+all-or-nothing, with one admission check and (through the observer's
+commit group) one fsync for all its records.
 """
 
 from __future__ import annotations
 
 import threading
 
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 #: Nano-epsilon grid: integer accounting units per 1.0 of epsilon.
 GRID = 10**9
@@ -165,6 +169,7 @@ class PrivacyAccountant:
         self._limit: float | None = None
         self._limit_units: int | None = None
         self._observer: "Callable[[dict], None] | None" = None
+        self._group: "Callable[[], AbstractContextManager]" = nullcontext
         if limit is not None:
             self._set_limit(limit)
 
@@ -196,22 +201,31 @@ class PrivacyAccountant:
 
     # -- observer --------------------------------------------------------- #
 
-    def set_observer(self, observer: "Callable[[dict], None] | None") -> None:
+    def set_observer(
+        self,
+        observer: "Callable[[dict], None] | None",
+        group: "Callable[[], AbstractContextManager] | None" = None,
+    ) -> None:
         """Install a mutation hook, called *under the ledger lock* with one
         event dict per charge (``{"op": "charge", "token", "label",
         "epsilon", "units", "composition"}``) or refund (``{"op": "refund",
         "token", "units"}``).  Both events also carry the post-mutation
         position (``"spent_units"``, ``"limit_units"``) so telemetry sinks
         can publish budget-remaining gauges without a second lock round —
-        the journal layer strips these before persisting.  The service
-        layer's journal appends (and fsyncs) its record inside this hook,
-        so a charge is durable before :meth:`spend` returns — i.e. before
-        any mechanism draws noise against it.  :meth:`restore` does *not*
-        emit events; callers that restore a wired accountant must resync
-        their sink out-of-band.
+        the journal layer strips these before persisting.  :meth:`restore`
+        does *not* emit events; callers that restore a wired accountant
+        must resync their sink out-of-band.
+
+        The service layer's journal writes its record inside this hook.
+        Every charge is durable before the first draw against it: a lone
+        :meth:`spend` fsyncs its record before returning, and ``group`` —
+        a context-manager factory, the journal's commit scope — lets
+        :meth:`spend_many` (and a service batch) defer the fsync to the
+        group's exit, one per journal, taken outside the ledger lock.
         """
         with self._lock:
             self._observer = observer
+            self._group = nullcontext if group is None else group
 
     def _notify(self, event: dict) -> None:
         if self._observer is not None:
@@ -231,12 +245,10 @@ class PrivacyAccountant:
         :meth:`refund` — the only safe way to roll back a reservation when
         other charges may share its label.
         """
-        what = f"charge {label!r}"
-        eps = check_epsilon(epsilon, name=what)
-        units = quantize_epsilon(eps, name=what)
+        charge = self._sequential(epsilon, label)
         with self._lock:
-            self._admit(units, what)
-            return self._append(Charge(label, eps, "sequential", units))
+            self._admit(charge.units, f"charge {label!r}")
+            return self._append(charge)
 
     def parallel(self, epsilons: list[float], label: str) -> int:
         """Record charges against *disjoint* partitions; only max(eps) counts.
@@ -248,14 +260,64 @@ class PrivacyAccountant:
 
         Returns a refund token, as :meth:`spend` does.
         """
+        charge = self._parallel(epsilons, label)
+        with self._lock:
+            self._admit(charge.units, f"parallel charge {label!r}")
+            return self._append(charge)
+
+    def spend_many(
+        self, items: "Sequence[tuple[float | Sequence[float], str]]"
+    ) -> "list[int]":
+        """Record several charges all-or-nothing; returns their tokens.
+
+        Each item is ``(epsilon, label)`` — a sequential charge, as
+        :meth:`spend` — or ``(epsilons, label)`` with a list or tuple of
+        epsilons — a parallel group, as :meth:`parallel`.  Under one lock
+        acquisition the summed units face one integer admission check;
+        then every item is appended, or none is.  A refusal raises
+        :class:`BudgetError` with the ledger untouched and no record
+        written.  The records go out inside the observer's commit group,
+        so a journal-backed ledger pays one fsync for all of them, taken
+        before this returns (or, inside an enclosing commit scope, at that
+        scope's exit).  If a record or the commit fails, the items already
+        appended are refunded and the error propagates.
+        """
+        charges = [
+            self._parallel(eps, label) if isinstance(eps, (list, tuple))
+            else self._sequential(eps, label)
+            for eps, label in items
+        ]
+        if not charges:
+            return []
+        what = f"{len(charges)} charges from {charges[0].label!r}"
+        tokens: "list[int]" = []
+        try:
+            with self._group():
+                with self._lock:
+                    self._admit(sum(c.units for c in charges), what)
+                    for charge in charges:
+                        tokens.append(self._append(charge))
+        except BaseException:
+            with self._lock:
+                for token in reversed(tokens):
+                    self._remove_at(self._tokens.index(token))
+            raise
+        return tokens
+
+    @staticmethod
+    def _sequential(epsilon: float, label: str) -> Charge:
+        what = f"charge {label!r}"
+        eps = check_epsilon(epsilon, name=what)
+        return Charge(label, eps, "sequential", quantize_epsilon(eps, name=what))
+
+    @staticmethod
+    def _parallel(epsilons: "Sequence[float]", label: str) -> Charge:
         what = f"parallel charge {label!r}"
         if not epsilons:
             raise BudgetError(f"{what} needs at least one epsilon")
         eps = max(check_epsilon(e, name=what) for e in epsilons)
         units = max(quantize_epsilon(e, name=what) for e in epsilons)
-        with self._lock:
-            self._admit(units, what)
-            return self._append(Charge(label, eps, "parallel-group", units))
+        return Charge(label, eps, "parallel-group", units)
 
     def can_spend(self, epsilon: float) -> bool:
         """O(1) admission query: would a charge of ``epsilon`` be admitted?

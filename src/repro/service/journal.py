@@ -11,8 +11,9 @@ persistence:
   onto the accounting grid by
   :meth:`~repro.privacy.budget.PrivacyAccountant.restore`);
 * **journal** (``<tenant>.journal``) — an append-only JSONL tail of every
-  charge/refund since the snapshot, one fsync'd record per mutation, O(1)
-  bytes per request;
+  charge/refund since the snapshot, one O(1)-byte record per mutation;
+  a record outside a :func:`commit_scope` is fsync'd on its own, records
+  inside one share a single fsync per tenant journal at scope exit;
 * **crash replay** = snapshot + tail.  Replay is *idempotent*: charge
   records key on the accountant's persistent ``(dataset, token)`` charge
   identity, so a record that was already folded into the snapshot (crash
@@ -23,12 +24,19 @@ persistence:
   and rewrites the journal, keeping any record appended concurrently with
   the snapshot capture (idempotence makes the overlap safe).
 
-Durability ordering: the store's :meth:`record` runs inside the
-accountant's mutation hook (under the ledger lock), so a charge is on disk
-*before* ``spend()`` returns — before the engine draws any noise against
-it, and therefore before any response is released.  A crash can only lose
-a charge that never funded a release (safe), or persist a charge whose
-release never happened (overcounting — safe in the privacy direction).
+Durability ordering — *every charge is durable before the first draw*.
+The store's :meth:`record` runs inside the accountant's mutation hook
+(under the ledger lock) and writes its line before the charging call
+returns.  Outside a commit scope it also fsyncs there, so the charge is on
+disk before ``spend()`` returns.  Inside a :func:`commit_scope` (the
+service funds a whole batch in one) the fsync is deferred to scope exit:
+one ``os.fsync`` per touched tenant journal, taken under the store lock and
+never under an accountant lock, and the caller draws no noise until the
+scope has exited cleanly.  A scope whose commit fails raises, and its
+caller refunds every charge it made before any noise is drawn.  A crash
+can therefore only lose a charge that never funded a release (safe), or
+persist a charge whose release never happened (overcounting — safe in the
+privacy direction).
 
 The store raises :class:`LedgerStoreError` (a ``ValueError``) on corrupt
 state; the registry maps it to its structured ``corrupt-ledger`` refusal.
@@ -44,11 +52,49 @@ import os
 import threading
 import time
 
+from contextlib import contextmanager
+
 from ..obs.tracing import span_histogram
 
 
 class LedgerStoreError(ValueError):
     """Corrupt or inconsistent persisted ledger state."""
+
+
+#: Per-thread open commit scope: the stores (an insertion-ordered dict used
+#: as a set) whose records this thread wrote without an fsync yet.
+_scope = threading.local()
+
+
+@contextmanager
+def commit_scope():
+    """Group-commit every journal record this thread writes in the body.
+
+    Inside the scope :meth:`TenantLedgerStore.record` still writes and
+    flushes its line (and bumps ``seq``) under the store lock, but skips the
+    fsync and enrols its store instead.  On a clean exit the scope syncs
+    each enrolled store once (:meth:`TenantLedgerStore.sync`), so a batch of
+    charges costs one fsync per touched tenant journal rather than one per
+    charge.  The caller must draw no noise against those charges until the
+    ``with`` block has exited: that exit is the point the charges become
+    durable.
+
+    A body that raises commits nothing, and a failed sync raises out of the
+    ``with``; either way the caller refunds its charges (their refund
+    records are fsync'd on their own).  A scope opened inside another one
+    on the same thread joins it: the outermost scope commits.
+    """
+    if getattr(_scope, "stores", None) is not None:
+        yield
+        return
+    stores: "dict[TenantLedgerStore, None]" = {}
+    _scope.stores = stores
+    try:
+        yield
+    finally:
+        _scope.stores = None
+    for store in stores:
+        store.sync()
 
 
 def _fsync_write(path: str, data: str) -> None:
@@ -88,6 +134,7 @@ class TenantLedgerStore:
         self._fh = None  # append handle, opened lazily
         self._seq = 0
         self._tail_records = 0  # journal records since the last compaction
+        self._unsynced = 0  # records written but not yet fsync'd
         if metrics is not None:
             self._spans = span_histogram(metrics)
             self._m_records = metrics.counter(
@@ -132,19 +179,25 @@ class TenantLedgerStore:
     def close(self) -> None:
         with self._lock:
             if self._fh is not None:
+                if self._unsynced:
+                    os.fsync(self._fh.fileno())
+                    self._unsynced = 0
                 self._fh.close()
                 self._fh = None
 
     # -- journaling ------------------------------------------------------- #
 
     def record(self, dataset_id: str, event: dict) -> None:
-        """Append one fsync'd charge/refund record — O(1) bytes, O(1) time.
+        """Append one charge/refund record — O(1) bytes, O(1) time.
 
         ``event`` is a :meth:`PrivacyAccountant.set_observer` event dict;
         the record adds the dataset id (one tenant journal covers all of
         the tenant's per-dataset ledgers) and a monotonic ``seq`` for
-        ordering diagnostics.
+        ordering diagnostics.  Outside a :func:`commit_scope` the record is
+        fsync'd before this returns; inside one the fsync is deferred to
+        the scope's exit.
         """
+        stores = getattr(_scope, "stores", None)
         t0 = time.perf_counter()
         with self._lock:
             self._seq += 1
@@ -155,11 +208,33 @@ class TenantLedgerStore:
             fh = self._open_journal()
             fh.write(line + "\n")
             fh.flush()
-            os.fsync(fh.fileno())
+            if stores is None:
+                os.fsync(fh.fileno())
+                self._unsynced = 0
+            else:
+                self._unsynced += 1
             self._tail_records += 1
+        if stores is not None:
+            stores[self] = None
+        elif self._spans is not None:
+            self._spans.observe(time.perf_counter() - t0, ("journal-fsync",))
+        if self._m_records is not None:
+            self._m_records.inc()
+
+    def sync(self) -> None:
+        """Commit: one fsync covering every record written since the last.
+
+        A no-op when nothing is pending — another thread's fsync or a
+        compaction rewrite already made those records durable.
+        """
+        t0 = time.perf_counter()
+        with self._lock:
+            if not self._unsynced:
+                return
+            os.fsync(self._fh.fileno())
+            self._unsynced = 0
         if self._spans is not None:
             self._spans.observe(time.perf_counter() - t0, ("journal-fsync",))
-            self._m_records.inc()
 
     def _open_journal(self):
         if self._fh is None:
@@ -211,7 +286,8 @@ class TenantLedgerStore:
             _fsync_write(
                 self.snapshot_path,
                 json.dumps(
-                    {"format": 2, "journal_seq": fence, **body}, indent=2
+                    {"format": 2, "journal_seq": fence, **body},
+                    separators=(",", ":"),
                 )
                 + "\n",
             )
@@ -233,6 +309,7 @@ class TenantLedgerStore:
             ),
         )
         self._tail_records = len(records)
+        self._unsynced = 0  # every kept record was just fsync'd
 
     # -- replay ----------------------------------------------------------- #
 

@@ -15,10 +15,13 @@ metered per dataset.  :class:`ServiceRegistry` owns:
 Ledgers persist under ``ledger_dir`` as one snapshot (``<tenant>.json``)
 plus one append-only journal (``<tenant>.journal``) per tenant — a
 :class:`~repro.service.journal.TenantLedgerStore`.  Every charge/refund is
-one fsync'd O(1) journal record, written from the accountant's mutation
-hook *before* the charging call returns (so a charge is durable before any
-noise is drawn against it); :meth:`ServiceRegistry.persist_tenant` is the
-periodic checkpoint that folds a grown journal back into the snapshot.
+one O(1) journal record, written from the accountant's mutation hook
+*before* the charging call returns, and every charge is fsync'd before the
+first draw against it: a lone charge fsyncs its own record, a service
+batch funds all its releases inside one commit scope that fsyncs each
+touched tenant journal once before the batch draws any noise;
+:meth:`ServiceRegistry.persist_tenant` is the periodic checkpoint that
+folds a grown journal back into the snapshot.
 Both files reload on construction — a restarted service refuses requests a
 crashed one could no longer afford — and PR 3/4-era snapshot-only
 directories load unchanged (float charges quantized onto the exact
@@ -44,7 +47,7 @@ from ..privacy.budget import (
     check_epsilon,
     epsilon_from_units,
 )
-from .journal import TenantLedgerStore
+from .journal import TenantLedgerStore, commit_scope
 
 #: The accountant-event keys the journal persists.  Observer events also
 #: carry the post-mutation balance (``spent_units``/``limit_units``) for
@@ -231,10 +234,11 @@ class Tenant:
     def attach_store(self, store: "TenantLedgerStore | None") -> None:
         """Wire every (current and future) ledger to the journal store.
 
-        Each accountant's mutation hook appends one fsync'd record to the
-        tenant's journal *under the ledger lock* — a charge is on disk
-        before ``spend()`` returns, replacing the old
-        snapshot-rewrite-per-request persistence.
+        Each accountant's mutation hook appends one record to the tenant's
+        journal *under the ledger lock*, and the journal's commit scope is
+        the accountant's commit group: a lone ``spend()`` fsyncs its record
+        before returning, a scope (``spend_many``, a service batch) fsyncs
+        once at exit — before any noise is drawn either way.
         """
         with self._lock:
             self._store = store
@@ -274,7 +278,7 @@ class Tenant:
                 except Exception:
                     pass  # telemetry must never undo a durable charge
 
-        acc.set_observer(observer)
+        acc.set_observer(observer, commit_scope if store is not None else None)
 
     def accountant(self, dataset_id: str) -> PrivacyAccountant:
         """The (lazily created) ledger for one dataset id."""
@@ -552,10 +556,11 @@ class ServiceRegistry:
     def persist_tenant(self, tenant: Tenant, *, force: bool = False) -> None:
         """Compaction checkpoint for one tenant (no-op without a dir).
 
-        Durability itself no longer lives here: every charge/refund was
-        already fsync'd as one O(1) journal record inside the accountant
-        call that made it.  This method folds the journal back into the
-        snapshot once it has grown past ``compact_every`` records (or
+        Durability itself no longer lives here: every charge/refund is one
+        O(1) journal record, fsync'd by the accountant call that made it or
+        by the commit scope it was made in, before any draw.  This method
+        folds the journal back into the snapshot once it has grown past
+        ``compact_every`` records (or
         always, with ``force=True``) — the crash-safe temp-file +
         ``os.replace`` snapshot write, amortised over many requests
         instead of paid on every one.

@@ -51,6 +51,7 @@ from ..obs.tracing import attach_trace, new_trace_id, span_histogram, trace_id_o
 from ..pipeline import ClusteringSpec
 from ..privacy.budget import BudgetError, ExplanationBudget, PrivacyAccountant
 from .cache import CacheEntry, ExplanationCache, canonical_json
+from .journal import commit_scope
 from .queue import RequestQueue, run_worker
 from .registry import DatasetEntry, ServiceRegistry, ServiceError, Tenant
 
@@ -969,12 +970,22 @@ class ExplanationService:
         (two requests may share a label: same dataset+seed, different
         epsilon config).  A failed request must not burn its tenant's
         budget.
+
+        The whole batch is funded inside one journal commit scope: each
+        touched tenant journal is fsync'd once as the scope exits, and the
+        engine draws no noise until it has.  A failed commit refunds every
+        reservation and fails the batch before any draw.
         """
         funded: "list[tuple[tuple, list[_Pending], _Pending, Tenant, int]]" = []
-        for key, group in items:
-            payer, tenant, charge_token = self._fund_group(entry, group)
-            if payer is not None:
-                funded.append((key, group, payer, tenant, charge_token))
+        try:
+            with commit_scope():
+                for key, group in items:
+                    payer, tenant, charge_token = self._fund_group(entry, group)
+                    if payer is not None:
+                        funded.append((key, group, payer, tenant, charge_token))
+        except Exception:
+            self._refund_funded(entry, funded)
+            raise  # _execute_batch resolves the futures with a 500
         if not funded:
             return
 
@@ -989,10 +1000,7 @@ class ExplanationService:
                 metrics=self.metrics,
             )
         except Exception:
-            for key, group, payer, tenant, charge_token in funded:
-                accountant = tenant.accountant(entry.base_id)
-                accountant.refund(charge_token)
-                self.registry.persist_tenant(tenant)
+            self._refund_funded(entry, funded)
             raise  # _execute_batch resolves the futures with a 500
 
         self._events.inc(len(funded), ("releases",))
@@ -1024,6 +1032,12 @@ class ExplanationService:
                     p.resolve(
                         self._ok_envelope(p.request, cache_entry, "coalesced", 0.0)
                     )
+
+    def _refund_funded(self, entry: DatasetEntry, funded: list) -> None:
+        """Roll back a failed batch's reservations; nothing was released."""
+        for _key, _group, _payer, tenant, charge_token in funded:
+            tenant.accountant(entry.base_id).refund(charge_token)
+            self.registry.persist_tenant(tenant)
 
     def _resolve_hits(self, group: "list[_Pending]", cached: CacheEntry) -> None:
         for p in group:

@@ -10,9 +10,10 @@ one unix socket each — plus everything a worker cannot durably own itself:
   the frame, for respawn replay) until :meth:`stop` unlinks the segments;
 * the **failover contract**: a monitor thread waits on process sentinels;
   when a worker dies it is respawned with the *same* ``WorkerConfig``, its
-  registration frames are replayed, and — because every charge was an
-  fsync'd journal record *before* its noise was drawn — the fresh process
-  reloads exactly the ledgers the dead one had committed.  Requests that
+  registration frames are replayed, and — because every charge of a
+  batch is fsync'd to its tenant journal *before* that batch's first draw
+  — the fresh process reloads exactly the ledgers the dead one had
+  committed.  Requests that
   were in flight on the dead worker are failed by the front end with a
   structured 503 (``worker-restarting``); their charges, if any, are in the
   journal and therefore correctly absent or present, never half-applied.

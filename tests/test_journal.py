@@ -1,21 +1,35 @@
 """Tests for the append-only ledger journal (PR 5 tentpole, durability half).
 
-The contract under test: persistence is **one fsync'd O(1) record per
-charge/refund** (no full-snapshot rewrite per request), crash replay =
-snapshot + journal tail, replay is idempotent (a record already folded into
-a snapshot re-applies as a no-op), compaction folds the tail back
-periodically, and PR 3/4-era snapshot-only directories migrate in place.
+The contract under test: persistence is **one O(1) record per
+charge/refund** (no full-snapshot rewrite per request), fsync'd on its own
+or once per touched journal by a commit scope, so every charge is durable
+before the first draw; crash replay = snapshot + journal tail, replay is
+idempotent (a record already folded into a snapshot re-applies as a no-op),
+compaction folds the tail back periodically, and older snapshot-only
+directories migrate in place.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
+import threading
 
+import numpy as np
 import pytest
 
+from helpers import CodeModuloClustering, make_dataset
+
+from repro.baselines.dp_naive import DPNaive
+from repro.core.counts import ClusteredCounts
+from repro.obs.metrics import snapshot_series
 from repro.privacy.budget import BudgetError, PrivacyAccountant
-from repro.service.journal import LedgerStoreError, TenantLedgerStore
+from repro.service.journal import (
+    LedgerStoreError,
+    TenantLedgerStore,
+    commit_scope,
+)
 from repro.service.registry import ServiceRegistry, Tenant
 
 
@@ -166,7 +180,271 @@ class TestCrashReplayIdentity:
             TenantLedgerStore.open(str(tmp_path / "ghost"))
 
 
+class CountingFsync:
+    """Counts ``os.fsync`` calls; raises on the calls listed in ``fail``."""
+
+    def __init__(self, monkeypatch, fail=()):
+        self.calls = 0
+        self.fail = set(fail)
+        self._real = os.fsync
+        monkeypatch.setattr(os, "fsync", self)
+
+    def __call__(self, fd):
+        self.calls += 1
+        if self.calls in self.fail:
+            raise OSError("fsync failed")
+        self._real(fd)
+
+
+def journal_lines(path) -> "list[str]":
+    return path.read_text().splitlines(keepends=True)
+
+
+class TestGroupCommit:
+    def test_scope_fsyncs_once_per_touched_tenant(self, tmp_path, monkeypatch):
+        a, _ = make_tenant(tmp_path, "a")
+        b, _ = make_tenant(tmp_path, "b")
+        fsync = CountingFsync(monkeypatch)
+        with commit_scope():
+            for i in range(4):
+                a.accountant("d").spend(0.1, f"a{i}")
+                b.accountant("d").spend(0.1, f"b{i}")
+            assert fsync.calls == 0  # written and flushed, not yet synced
+            assert len(journal_lines(tmp_path / "a.journal")) == 4
+        assert fsync.calls == 2
+        assert reload_state(tmp_path, "a").accountant("d").total_units() == (
+            4 * 100_000_000
+        )
+
+    def test_outside_a_scope_each_record_fsyncs(self, tmp_path, monkeypatch):
+        tenant, _ = make_tenant(tmp_path)
+        fsync = CountingFsync(monkeypatch)
+        for i in range(3):
+            tenant.accountant("d").spend(0.1, f"c{i}")
+        assert fsync.calls == 3
+
+    def test_nested_scope_joins_the_outer_commit(self, tmp_path, monkeypatch):
+        tenant, _ = make_tenant(tmp_path)
+        fsync = CountingFsync(monkeypatch)
+        with commit_scope():
+            tenant.accountant("d").spend_many([(0.1, "x"), (0.2, "y")])
+            assert fsync.calls == 0
+            tenant.accountant("d").spend(0.1, "z")
+        assert fsync.calls == 1
+
+    def test_failed_commit_raises_out_of_the_scope(self, tmp_path, monkeypatch):
+        tenant, _ = make_tenant(tmp_path)
+        CountingFsync(monkeypatch, fail={1})
+        with pytest.raises(OSError):
+            with commit_scope():
+                tenant.accountant("d").spend(0.1, "unsynced")
+
+    def test_span_observed_once_per_commit(self, tmp_path):
+        registry = ServiceRegistry(ledger_dir=tmp_path)
+        tenant = registry.create_tenant("t", 10.0)
+
+        def fsync_spans() -> int:
+            series = snapshot_series(
+                registry.metrics.snapshot(), "repro_span_duration_seconds"
+            )
+            cell = series.get(("journal-fsync",))
+            return cell["count"] if cell else 0
+
+        before = fsync_spans()
+        with commit_scope():
+            for i in range(5):
+                tenant.accountant("d").spend(0.1, f"c{i}")
+        assert fsync_spans() - before == 1
+        tenant.accountant("d").spend(0.1, "lone")
+        assert fsync_spans() - before == 2
+
+
+class TestGroupCrashReplay:
+    def test_cut_inside_a_two_tenant_group_replays_a_prefix(self, tmp_path):
+        """Crash injection inside a group commit: cut each tenant journal at
+        every record boundary of the group (and once mid-line).  Each cut
+        must replay to none or a prefix of that tenant's group charges, and
+        never past the cap."""
+        caps = {"a": 1.0, "b": 0.6}
+        tenants = {t: make_tenant(tmp_path, t, cap=c)[0] for t, c in caps.items()}
+        tenants["a"].accountant("d").spend(0.2, "before")
+        tenants["b"].accountant("d").spend(0.1, "before")
+        before = {t: len(journal_lines(tmp_path / f"{t}.journal")) for t in caps}
+        group = {"a": [0.3, 0.1, 0.4], "b": [0.2, 0.3]}  # fills both caps
+        with commit_scope():
+            for i in range(3):
+                for t, eps in group.items():
+                    if i < len(eps):
+                        tenants[t].accountant("d").spend(eps[i], f"g{i}")
+        full = {t: journal_lines(tmp_path / f"{t}.journal") for t in caps}
+        cuts = {
+            t: [
+                "".join(full[t][:n])
+                for n in range(before[t], len(full[t]) + 1)
+            ] + ["".join(full[t][:before[t] + 1])[:-7]]  # torn mid-line
+            for t in caps
+        }
+        for i, (cut_a, cut_b) in enumerate(
+            (x, y) for x in cuts["a"] for y in cuts["b"]
+        ):
+            crash_dir = tmp_path / f"crash{i}"
+            crash_dir.mkdir()
+            for t, cut in (("a", cut_a), ("b", cut_b)):
+                (crash_dir / f"{t}.json").write_bytes(
+                    (tmp_path / f"{t}.json").read_bytes()
+                )
+                (crash_dir / f"{t}.journal").write_text(cut)
+                acc = reload_state(crash_dir, t).accountant("d")
+                labels = [c.label for c in acc]
+                assert labels[0] == "before"
+                replayed = labels[1:]
+                assert replayed == [f"g{k}" for k in range(len(replayed))]
+                assert acc.total_units() <= round(caps[t] * 1e9)
+
+    def test_compaction_racing_an_open_group_keeps_later_records(
+        self, tmp_path, monkeypatch
+    ):
+        """A ``persist_tenant`` checkpoint lands while a group is open and a
+        group charge races in after the snapshot capture: every record with
+        seq > fence stays in the journal, and replay sees the whole group."""
+        registry = ServiceRegistry(ledger_dir=tmp_path, compact_every=1)
+        tenant = registry.create_tenant("t", 10.0)
+        acc = tenant.accountant("d")
+        store = registry._stores["t"]
+        capture = tenant.snapshot
+        fence_seen = []
+
+        def racing_snapshot():
+            fence_seen.append(store.current_seq())
+            state = capture()
+            acc.spend(0.2, "raced")  # after the capture, before the rewrite
+            return state
+
+        with commit_scope():
+            acc.spend(0.1, "g0")
+            acc.spend(0.1, "g1")
+            monkeypatch.setattr(tenant, "snapshot", racing_snapshot)
+            registry.persist_tenant(tenant)
+            monkeypatch.undo()
+        # The scope's exit found its records already durable (snapshot and
+        # rewritten journal are both fsync'd) and had nothing left to sync.
+        (fence,) = fence_seen
+        seqs = [
+            json.loads(ln)["seq"]
+            for ln in journal_lines(tmp_path / "t.journal")
+        ]
+        assert seqs == [fence + 1]  # "raced"; g0/g1 are in the snapshot
+        acc.spend(0.3, "after")
+        reloaded = ServiceRegistry(ledger_dir=tmp_path)
+        labels = [c.label for c in reloaded.tenant("t").accountant("d")]
+        assert labels == ["g0", "g1", "raced", "after"]
+
+
+class TestSpendMany:
+    def test_records_share_one_fsync(self, tmp_path, monkeypatch):
+        tenant, _ = make_tenant(tmp_path)
+        fsync = CountingFsync(monkeypatch)
+        tokens = tenant.accountant("d").spend_many(
+            [(0.1, "seq"), ([0.2, 0.3], "par"), (0.1, "seq2")]
+        )
+        assert fsync.calls == 1
+        assert len(tokens) == 3
+        acc = reload_state(tmp_path).accountant("d")
+        assert [(c.label, c.composition, c.units) for c in acc] == [
+            ("seq", "sequential", 100_000_000),
+            ("par", "parallel-group", 300_000_000),
+            ("seq2", "sequential", 100_000_000),
+        ]
+
+    def test_refusal_leaves_ledger_journal_and_generator_untouched(
+        self, tmp_path
+    ):
+        counts = ClusteredCounts(make_dataset(), CodeModuloClustering("color", 2))
+        tenant, _ = make_tenant(tmp_path, cap=1.0)
+        acc = tenant.accountant("d")
+        acc.spend(0.5, "earlier")
+        journal_before = (tmp_path / "t.journal").read_bytes()
+        snapshot_before = acc.snapshot()
+        gen = np.random.default_rng(7)
+        state_before = gen.bit_generator.state
+        with pytest.raises(BudgetError):
+            DPNaive(epsilon=0.6).release_noisy_counts(counts, gen, acc)
+        assert gen.bit_generator.state == state_before
+        assert acc.snapshot() == snapshot_before
+        assert (tmp_path / "t.journal").read_bytes() == journal_before
+
+    def test_refusal_is_one_integer_check_on_the_sum(self):
+        acc = PrivacyAccountant(limit=0.3)
+        with pytest.raises(BudgetError):
+            acc.spend_many([(0.1, "a"), ([0.1, 0.15], "b"), (0.06, "c")])
+        assert acc.charges() == ()
+        # The sum fills the cap to the last unit: admitted in full.
+        acc.spend_many([(0.1, "a"), ([0.1, 0.15], "b"), (0.05, "c")])
+        assert acc.total_units() == 300_000_000
+        with pytest.raises(BudgetError):
+            acc.spend_many([(1e-9, "one unit past")])
+
+    def test_failed_commit_refunds_every_item(self, tmp_path, monkeypatch):
+        tenant, _ = make_tenant(tmp_path, cap=1.0)
+        acc = tenant.accountant("d")
+        acc.spend(0.2, "earlier")
+        CountingFsync(monkeypatch, fail={1})  # the group's commit
+        with pytest.raises(OSError):
+            acc.spend_many([(0.3, "x"), ([0.1, 0.2], "y")])
+        assert [c.label for c in acc] == ["earlier"]
+        assert reload_state(tmp_path, cap=1.0).accountant("d").total_units() == (
+            200_000_000
+        )
+
+    def test_concurrent_calls_never_overspend_the_cap(self, tmp_path):
+        tenant, _ = make_tenant(tmp_path, cap=2.0)
+        acc = tenant.accountant("d")
+        admitted = []
+        barrier = threading.Barrier(8)
+
+        def worker(w: int) -> None:
+            barrier.wait()
+            for i in range(6):
+                try:
+                    acc.spend_many([(0.05, f"w{w}.{i}a"), ([0.05, 0.02], "b")])
+                    admitted.append(w)
+                except BudgetError:
+                    pass
+
+        threads = [threading.Thread(target=worker, args=(w,)) for w in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(admitted) == 20  # 2.0 / (0.05 + 0.05), exactly
+        assert acc.total_units() == 2_000_000_000
+        replayed = reload_state(tmp_path, cap=2.0).accountant("d")
+        assert replayed.total_units() == acc.total_units()
+
+
 class TestCompaction:
+    def test_indented_snapshot_still_replays(self, tmp_path):
+        """Snapshots written before compaction switched to compact
+        separators were indented; they must replay to the same ledger."""
+        tenant, store = make_tenant(tmp_path)
+        acc = tenant.accountant("d")
+        for i in range(3):
+            acc.spend(0.1, f"c{i}")
+        store.compact(tenant.snapshot(), covered_seq=store.current_seq())
+        acc.spend(0.2, "tail")
+        path = tmp_path / "t.json"
+        compact_text = path.read_text()
+        assert "\n " not in compact_text  # one line, compact separators
+        compact = reload_state(tmp_path).accountant("d").snapshot()
+        path.write_text(json.dumps(json.loads(compact_text), indent=2) + "\n")
+        assert reload_state(tmp_path).accountant("d").snapshot() == compact
+
     def test_compaction_folds_tail_into_snapshot(self, tmp_path):
         tenant, store = make_tenant(tmp_path)
         acc = tenant.accountant("d")

@@ -60,6 +60,7 @@ FIRE_CASES = [
     ("monotonic_deadlines_bad.py", "monotonic-deadlines", 2),
     ("locked_ledger_mutation_bad.py", "locked-ledger-mutation", 2),
     ("fsync_in_hook_bad.py", "fsync-in-hook", 1),
+    ("fsync_in_hook_open_scope_bad.py", "fsync-in-hook", 1),
     ("no_cached_envelope_mutation_bad.py", "no-cached-envelope-mutation", 2),
 ]
 
@@ -72,6 +73,7 @@ NO_FIRE_CASES = [
     "monotonic_deadlines_ok.py",
     "locked_ledger_mutation_ok.py",
     "fsync_in_hook_ok.py",
+    "fsync_in_hook_open_scope_ok.py",
     "no_cached_envelope_mutation_ok.py",
 ]
 

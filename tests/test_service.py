@@ -12,6 +12,7 @@ Covers the four contracts the ISSUE pins down:
 from __future__ import annotations
 
 import json
+import os
 import threading
 import urllib.error
 import urllib.request
@@ -837,6 +838,100 @@ class TestPersistence:
         assert accountant.limit == pytest.approx(0.5)
         with pytest.raises(Exception):
             accountant.spend(0.2, "over")  # 0.4 + 0.2 > 0.5
+
+
+class TestGroupCommit:
+    """A batch funds every release in one journal commit scope: one fsync
+    per touched tenant journal, all before the batch's first draw."""
+
+    def test_batch_fsyncs_once_per_touched_tenant(
+        self, dataset, clustering, tmp_path, monkeypatch
+    ):
+        service = make_service(dataset, clustering, ledger_dir=tmp_path)
+        for tenant in ("a", "b"):
+            service.create_tenant(tenant, 50.0)
+        real_fsync = os.fsync
+        calls = []
+
+        def counting_fsync(fd):
+            calls.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        futures = [
+            service.submit(
+                ExplainRequest(tenant="ab"[i % 2], dataset="diabetes", seed=i)
+            )
+            for i in range(16)
+        ]
+        assert service.process_pending() == 1
+        assert [f.result(timeout=5)["meta"]["cache"] for f in futures] == (
+            ["miss"] * 16
+        )
+        assert len(calls) == 2
+        monkeypatch.undo()
+        reloaded = make_service(dataset, clustering, ledger_dir=tmp_path)
+        for tenant in ("a", "b"):
+            acc = reloaded.registry.tenant(tenant).accountant("diabetes")
+            assert acc.total_units() == 8 * 300_000_000
+
+    def test_failed_commit_answers_500_and_draws_nothing(
+        self, dataset, clustering, tmp_path, monkeypatch
+    ):
+        """``os.fsync`` fails at the batch's commit: every reservation is
+        refunded, the batch answers 500, and no noise is drawn — the engine
+        (which builds each seed's generator) never runs."""
+        import repro.service.service as service_module
+
+        service = make_service(dataset, clustering, ledger_dir=tmp_path)
+        service.create_tenant("t", 5.0)
+        client = ServiceClient(service, "t", "diabetes")
+        assert client.explain(seed=0)["status"] == "ok"
+        accountant = service.registry.tenant("t").accountant("diabetes")
+        units_before = accountant.total_units()
+
+        real_fsync = os.fsync
+        failures = []
+
+        def failing_commit(fd):
+            if not failures:
+                failures.append(fd)
+                raise OSError("fsync failed")
+            real_fsync(fd)
+
+        engine_calls = []
+        real_engine = service_module.explain_batched
+
+        def spy_engine(*args, **kwargs):
+            engine_calls.append(args)
+            return real_engine(*args, **kwargs)
+
+        monkeypatch.setattr(os, "fsync", failing_commit)
+        monkeypatch.setattr(service_module, "explain_batched", spy_engine)
+        futures = [
+            service.submit(ExplainRequest(tenant="t", dataset="diabetes", seed=s))
+            for s in (1, 2, 3)
+        ]
+        service.process_pending()
+        envelopes = [f.result(timeout=5) for f in futures]
+        assert failures, "the commit fsync was never attempted"
+        assert all(e["status"] == "error" and e["code"] == 500 for e in envelopes)
+        assert engine_calls == []
+        assert accountant.total_units() == units_before
+        monkeypatch.undo()
+
+        reloaded = make_service(dataset, clustering, ledger_dir=tmp_path)
+        acc = reloaded.registry.tenant("t").accountant("diabetes")
+        assert acc.total_units() == units_before
+        # Nothing was drawn or cached: the retry is the release a fresh
+        # service makes for the same seed.
+        retry = client.explain(seed=1)
+        fresh = make_service(dataset, clustering)
+        fresh.create_tenant("t", 5.0)
+        assert retry["meta"]["cache"] == "miss"
+        assert retry["result"] == (
+            ServiceClient(fresh, "t", "diabetes").explain(seed=1)["result"]
+        )
 
 
 class TestPipelineRoute:

@@ -11,7 +11,9 @@ Two entry points:
 * ``python benchmarks/bench_micro.py [--rows N --clusters C --out F]`` —
   standalone before/after comparison of Stage-1 + Stage-2 scoring that
   emits a JSON artifact (default ``BENCH_scoring.json``) recording the
-  scalar-vs-batched speedup and the numerical agreement of the two paths.
+  scalar-vs-batched speedup and the numerical agreement of the two paths,
+  plus the cold counts build (row assignment and materialisation) that
+  precedes scoring on a fresh clustering.
 """
 
 from __future__ import annotations
@@ -143,6 +145,11 @@ def run_scoring_bench(
       counts provider, as ``DPClustX.select_combination`` and every baseline
       use it): kernel matrices are shared across runs, which is the standard
       experiment loop (``n_runs`` repeats on one clustering).
+
+    ``counts_build_s`` is the median cold ``ClusteredCounts(data,
+    clustering)`` plus ``materialise()``: nearest-center assignment of
+    every row and the per-attribute group-bys, the work a fresh clustering
+    pays before any scoring.
     """
     weights = Weights()
     data = diabetes_like(n_rows=n_rows, n_groups=n_clusters, seed=0)
@@ -188,6 +195,9 @@ def run_scoring_bench(
     batched_cold_s = _median_time(batched_cold_run, repeats)
     batched_run()  # warm the memoised engine once
     batched_s = _median_time(batched_run, repeats)
+    counts_build_s = _median_time(
+        lambda: ClusteredCounts(data, clustering).materialise(), repeats
+    )
 
     return {
         "benchmark": "stage1+stage2 scoring",
@@ -204,6 +214,7 @@ def run_scoring_bench(
         "speedup": scalar_s / batched_s,
         "stage1_max_rel_diff": stage1_diff,
         "stage2_max_rel_diff": stage2_diff,
+        "counts_build_s": counts_build_s,
     }
 
 

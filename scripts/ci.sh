@@ -15,7 +15,9 @@
 # 2. Tier-1 tests (python -m pytest over tests/, per pytest.ini).
 # 3. Scoring bench (bench_micro.py) compares the scalar-oracle scoring path
 #    against the batched engine on diabetes_like(50k) with 8 clusters and
-#    writes BENCH_scoring.json.
+#    writes BENCH_scoring.json.  It also records counts_build_s, the median
+#    cold ClusteredCounts build + materialise() on the same table (row
+#    assignment and group-bys; reported, not gated).
 # 4. Scale bench (bench_scale.py) measures the large-n regime and merges a
 #    "scale" section into BENCH_scoring.json: streaming counts
 #    materialisation at 1M and 10M rows (wall time + peak RSS in a fresh
@@ -139,6 +141,7 @@ speedup = result["speedup"]
 agree = max(result["stage1_max_rel_diff"], result["stage2_max_rel_diff"])
 print(f"scoring speedup: {speedup:.1f}x (cold {result['speedup_cold']:.1f}x), "
       f"max rel diff {agree:.2e}")
+print(f"cold counts build: {result['counts_build_s'] * 1e3:.1f} ms (reported, not gated)")
 assert speedup >= 10.0, f"scoring speedup regressed below 10x: {speedup:.2f}x"
 assert agree < 1e-12, f"batched/scalar scoring disagree: {agree:.2e}"
 EOF

@@ -96,7 +96,7 @@ class DPNaive:
         eps_each = self.epsilon / (2.0 * len(names))
         mech = self.histogram_mechanism.with_epsilon(eps_each)
         if hasattr(counts, "materialise"):
-            counts.materialise()  # fused one-pass group-by over all attributes
+            counts.materialise()  # one-pass group-by over all attributes
 
         # Charge the whole release up front, before any noise is sampled,
         # all or nothing: a refusal leaves both the ledger and the

@@ -62,10 +62,9 @@ class CenterBasedClustering(ClusteringFunction):
         return int(self.centers.shape[0])
 
     def assign(self, dataset: Dataset) -> np.ndarray:
-        points = self.encoder.transform(dataset)
-        if points.shape[0] == 0:
-            return np.empty(0, dtype=np.int64)
-        return nearest_center(points, self.centers)
+        return nearest_center_columns(
+            self.encoder.transform_columns(dataset), self.centers
+        )
 
 
 @dataclass(frozen=True)
@@ -100,14 +99,24 @@ class GaussianMixtureClustering(ClusteringFunction):
         return int(self.means.shape[0])
 
     def log_joint(self, points: np.ndarray) -> np.ndarray:
-        """``log pi_k + log N(x | mu_k, diag(var_k))`` for every point/component."""
-        diff = points[:, None, :] - self.means[None, :, :]
-        quad = np.sum(diff * diff / self.variances[None, :, :], axis=2)
+        """``log pi_k + log N(x | mu_k, diag(var_k))`` for every point/component.
+
+        Evaluated in row blocks whose ``(rows, k, d)`` temporaries hold at
+        most ``_BLOCK_ELEMS`` elements.  Each entry still sums its own
+        contiguous ``d`` terms, so the result does not depend on the block.
+        """
+        n, d = points.shape
+        k = self.means.shape[0]
+        out = np.empty((n, k), dtype=np.float64)
         log_det = np.sum(np.log(self.variances), axis=1)
-        d = points.shape[1]
-        return self.log_weights[None, :] - 0.5 * (
-            quad + log_det[None, :] + d * np.log(2.0 * np.pi)
-        )
+        rows = max(1, _BLOCK_ELEMS // max(k * d, 1))
+        for start in range(0, n, rows):
+            diff = points[start : start + rows, None, :] - self.means[None, :, :]
+            quad = np.sum(diff * diff / self.variances[None, :, :], axis=2)
+            out[start : start + rows] = self.log_weights[None, :] - 0.5 * (
+                quad + log_det[None, :] + d * np.log(2.0 * np.pi)
+            )
+        return out
 
     def assign(self, dataset: Dataset) -> np.ndarray:
         points = self.encoder.transform(dataset)
@@ -142,18 +151,50 @@ class PredicateClustering(ClusteringFunction):
         return labels
 
 
+#: Element bound on one block's scratch in the row-blocked kernels: the
+#: ``(k, rows)`` distance matrix of :func:`nearest_center_columns` and the
+#: ``(rows, k, d)`` temporaries of ``GaussianMixtureClustering.log_joint``.
+_BLOCK_ELEMS = 4_000_000
+
+
 def nearest_center(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Index of the closest center (squared Euclidean) per point, blockwise."""
-    n = points.shape[0]
+    """Index of the closest center (squared Euclidean) per row of ``points``."""
+    return nearest_center_columns(points.T, centers)
+
+
+def nearest_center_columns(columns: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Index of the closest center per column of the ``(d, n)`` ``columns``.
+
+    ``||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2`` and ``||x||^2`` is the same
+    for every center, so each block ranks ``||c||^2 - 2 C @ X``.  The block
+    is a ``(k, rows)`` matrix: scaling it by ``-2`` in place is exact, so it
+    holds the same values as ``c_sq - 2.0 * (X.T @ C.T)``.  The labels come
+    from a running strict-``<`` minimum over its ``k`` rows (``argmin``
+    over the short axis of a ``(rows, k)`` matrix is several times slower);
+    like ``argmin`` it sends ties to the lowest index.  The label update is
+    ``max(label, j * below)``, exact because every earlier label is below
+    ``j``, and much cheaper than a masked copy on a random mask.  Distances
+    are assumed finite (a NaN would not win as it does under ``argmin``).
+    """
+    n = columns.shape[1]
+    k = centers.shape[0]
     out = np.empty(n, dtype=np.int64)
-    block = max(1, int(4_000_000 // max(centers.shape[0], 1)))
-    c_sq = np.sum(centers * centers, axis=1)
-    for start in range(0, n, block):
-        chunk = points[start : start + block]
-        # ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2 ; ||x||^2 constant per row.
-        d = chunk @ centers.T
-        d = c_sq[None, :] - 2.0 * d
-        out[start : start + block] = np.argmin(d, axis=1)
+    rows = max(1, _BLOCK_ELEMS // max(k, 1))
+    c_sq = np.sum(centers * centers, axis=1)[:, None]
+    for start in range(0, n, rows):
+        dist = centers @ columns[:, start : start + rows]
+        dist *= -2.0
+        dist += c_sq
+        label = out[start : start + rows]
+        label.fill(0)
+        best = dist[0]
+        below = np.empty(best.shape, dtype=bool)
+        step = np.empty_like(label)
+        for j in range(1, k):
+            np.less(dist[j], best, out=below)
+            np.minimum(best, dist[j], out=best)
+            np.multiply(below, j, out=step)
+            np.maximum(label, step, out=label)
     return out
 
 

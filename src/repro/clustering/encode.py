@@ -7,11 +7,13 @@ codes.  Encoders are *fitted statistics + a pure function of tuple values*, so
 a fitted clustering model composes with an encoder into a clustering function
 ``f : dom(R) -> C`` as Definition 3.1 requires.
 
-Because the function is per-attribute, ``transform`` evaluates it once per
-code of ``dom(A)`` and gathers rows through the resulting lookup tables
-(:meth:`Dataset.lookup_matrix`).  Each table entry goes through the same
-IEEE operations as the row-major ``(matrix - means) / scales`` it replaces,
-so the encoded matrix is bit-identical to it, in the same C order.
+Because the function is per-attribute, an encoder evaluates it once per
+code of ``dom(A)`` (:meth:`tables`) and gathers tuples through the resulting
+lookup tables.  Each table entry goes through the same IEEE operations as
+the row-major ``(matrix - means) / scales`` it replaces, so the encoded
+values are bit-identical to it.  ``transform_columns`` returns them
+attribute-major, as the gather writes them (:meth:`Dataset.lookup_columns`);
+``transform`` returns the tuple-major C-order matrix the fitters reduce over.
 """
 
 from __future__ import annotations
@@ -21,11 +23,34 @@ from typing import Sequence
 
 import numpy as np
 
+from ..dataset.schema import Schema
 from ..dataset.table import Dataset, code_tables
 
 
+class _TableEncoder:
+    """Shared ``transform`` surface of the lookup-table encoders."""
+
+    names: tuple[str, ...]
+
+    def tables(self, schema: Schema) -> list[np.ndarray]:
+        """The encoded value of every code of each attribute in ``names``."""
+        raise NotImplementedError
+
+    def transform(self, dataset: Dataset) -> np.ndarray:
+        """Encoded tuples, tuple-major (n x dim, C order)."""
+        return dataset.lookup_matrix(self.names, self.tables(dataset.schema))
+
+    def transform_columns(self, dataset: Dataset) -> np.ndarray:
+        """Encoded tuples, attribute-major (dim x n, C order)."""
+        return dataset.lookup_columns(self.names, self.tables(dataset.schema))
+
+    @property
+    def dim(self) -> int:
+        return len(self.names)
+
+
 @dataclass(frozen=True)
-class StandardEncoder:
+class StandardEncoder(_TableEncoder):
     """Z-score encoding of the code matrix (zero-variance columns pass through)."""
 
     names: tuple[str, ...]
@@ -45,22 +70,17 @@ class StandardEncoder:
             scales = np.where(scales > 0, scales, 1.0)
         return cls(names, means, scales)
 
-    def transform(self, dataset: Dataset) -> np.ndarray:
-        tables = [
+    def tables(self, schema: Schema) -> list[np.ndarray]:
+        return [
             (grid - mean) / scale
             for grid, mean, scale in zip(
-                code_tables(dataset.schema, self.names), self.means, self.scales
+                code_tables(schema, self.names), self.means, self.scales
             )
         ]
-        return dataset.lookup_matrix(self.names, tables)
-
-    @property
-    def dim(self) -> int:
-        return len(self.names)
 
 
 @dataclass(frozen=True)
-class MinMaxEncoder:
+class MinMaxEncoder(_TableEncoder):
     """Scale codes into ``[-1, 1]^d`` using *data-independent* domain bounds.
 
     DP-k-means needs coordinates bounded by a constant to calibrate noise;
@@ -82,23 +102,16 @@ class MinMaxEncoder:
         )
         return cls(names, lows, highs)
 
-    def transform(self, dataset: Dataset) -> np.ndarray:
+    def tables(self, schema: Schema) -> list[np.ndarray]:
         span = np.where(self.highs > self.lows, self.highs - self.lows, 1.0)
-        tables = [
+        return [
             2.0 * (grid - low) / width - 1.0
-            for grid, low, width in zip(
-                code_tables(dataset.schema, self.names), self.lows, span
-            )
+            for grid, low, width in zip(code_tables(schema, self.names), self.lows, span)
         ]
-        return dataset.lookup_matrix(self.names, tables)
-
-    @property
-    def dim(self) -> int:
-        return len(self.names)
 
 
 @dataclass(frozen=True)
-class IdentityEncoder:
+class IdentityEncoder(_TableEncoder):
     """Raw integer codes as floats (used by k-modes, which works on codes)."""
 
     names: tuple[str, ...]
@@ -108,9 +121,5 @@ class IdentityEncoder:
         names = tuple(names) if names is not None else dataset.schema.names
         return cls(names)
 
-    def transform(self, dataset: Dataset) -> np.ndarray:
-        return dataset.to_matrix(self.names)
-
-    @property
-    def dim(self) -> int:
-        return len(self.names)
+    def tables(self, schema: Schema) -> list[np.ndarray]:
+        return code_tables(schema, self.names)

@@ -21,16 +21,63 @@ from ..dataset.schema import Schema
 from ..dataset.table import CODE_DTYPE, Dataset, FingerprintAccumulator, chunk_spans
 from ..clustering.base import ClusteringFunction
 
-# Default scratch bound for chunked materialisation: the transient
-# (|A|, chunk) flat-code matrix is kept under ~64 MiB regardless of |D|,
-# so a 10M-row dataset group-bys in bounded memory.
+# Row-chunk size rule for chunked materialisation: one chunk's codes over
+# every attribute, as int64, fill at most ~64 MiB.  That bounds what a chunk
+# reads from a memory-mapped source; the counting scratch itself is only a
+# few chunk-length vectors (see ``_count_chunk``), so a 10M-row dataset
+# group-bys in bounded memory.
 _CHUNK_SCRATCH_BYTES = 64 * 1024 * 1024
 
 
 def _materialise_chunk_rows(n_attributes: int) -> int:
-    """Rows per chunk keeping the (|A|, chunk) int64 scratch under budget."""
+    """Rows per chunk keeping the chunk's (|A|, chunk) int64 codes under budget."""
     per_row = max(n_attributes, 1) * np.dtype(CODE_DTYPE).itemsize
     return max(_CHUNK_SCRATCH_BYTES // per_row, 1024)
+
+
+def _validated_labels(labels: np.ndarray) -> np.ndarray:
+    """``labels`` as int64, refusing non-finite or fractional floats.
+
+    A plain ``astype`` would truncate ``1.9`` to cluster 1 and count it
+    there.  Whole-valued floats are accepted.  The messages carry no label
+    value or row index: both are derived from the sensitive rows.
+    """
+    labels = np.asarray(labels)
+    if labels.dtype.kind == "f":
+        if not np.isfinite(labels).all():
+            raise ValueError("labels must be finite")
+        if not np.array_equal(labels, np.trunc(labels)):
+            raise ValueError("labels must be whole numbers")
+    elif labels.dtype.kind not in "biu":
+        raise ValueError("labels must be an integer array")
+    return labels.astype(np.int64)
+
+
+def _count_chunk(
+    hists: Sequence[np.ndarray],
+    labels: np.ndarray,
+    columns: Sequence[np.ndarray],
+    domain_sizes: Sequence[int],
+) -> None:
+    """Add one row chunk's by-cluster counts into per-attribute histograms.
+
+    ``hists[j]`` is the C-order ``(|C|, m_j)`` int64 histogram of attribute
+    ``j``; flattened, it gains ``np.bincount(labels * m_j + columns[j])``.  Attributes
+    are visited grouped by domain size, so ``labels * m`` is formed once per
+    distinct ``m`` and the scratch stays at two chunk-length vectors.
+    Bincount is an exact integer sum, so any chunking of the rows gives the
+    same histograms.
+    """
+    by_size: dict[int, list[int]] = {}
+    for j, m in enumerate(domain_sizes):
+        by_size.setdefault(int(m), []).append(j)
+    index = np.empty(labels.shape, dtype=np.int64)
+    for m, members in by_size.items():
+        scaled = labels * m
+        for j in members:
+            np.add(scaled, columns[j], out=index)
+            flat = hists[j].reshape(-1)
+            flat += np.bincount(index, minlength=flat.shape[0])
 
 
 def _signature_digest(fingerprint: str, n_clusters: int, label_digest: bytes) -> str:
@@ -110,7 +157,7 @@ class ClusteredCounts:
         if isinstance(clustering, np.ndarray):
             if n_clusters is None:
                 raise ValueError("n_clusters is required with a label array")
-            labels = clustering.astype(np.int64)
+            labels = _validated_labels(clustering)
             self._n_clusters = int(n_clusters)
         else:
             labels = clustering.assign(dataset)
@@ -176,60 +223,37 @@ class ClusteredCounts:
         cached = self._by_cluster.get(name)
         if cached is None:
             m = self.domain_size(name)
-            codes = np.asarray(self._dataset.column(name))
-            flat = self._labels * m + codes
-            cached = (
-                np.bincount(flat, minlength=self._n_clusters * m)
-                .reshape(self._n_clusters, m)
-                .astype(np.int64)
-            )
+            cached = np.zeros((self._n_clusters, m), dtype=np.int64)
+            _count_chunk([cached], self._labels, [self._dataset.column(name)], [m])
             self._by_cluster[name] = cached
         return cached
 
     def materialise(self, chunk_rows: int | None = None) -> None:
-        """Fused streaming group-by over every not-yet-cached attribute.
+        """Streaming group-by over every not-yet-cached attribute.
 
-        All attributes are encoded into one flat code vector with cumulative
-        domain offsets, so ``np.bincount`` over
-        ``labels * total_bins + offset_A + code`` yields every
-        ``(|C|, m_A)`` by-cluster matrix at once — one pass over the
-        ``n x |A|`` codes instead of ``|A|`` separate label-scaling +
-        bincount passes.  The pass runs over fixed-size row chunks
-        (``chunk_rows`` rows; default bounds the transient (|A|, chunk)
-        code matrix to ~64 MiB), accumulating the integer histogram chunk
-        by chunk — bincount is an exact integer sum, so the result is
-        bit-identical to the one-shot pass for every chunk size, while the
-        peak scratch stays flat in ``|D|`` (the seed path stacked the full
-        (|A|, n) code matrix: ~3.8 GiB at 10M rows x 47 attributes).
-        Idempotent; :meth:`by_cluster_stack` calls it so the dense engine
-        stack is fed directly from the fused histogram.
+        One pass over fixed-size row chunks (``chunk_rows`` rows; the
+        default keeps one chunk's ``(|A|, chunk)`` codes under ~64 MiB).
+        Each chunk adds, per attribute ``A``, ``np.bincount(labels * m_A +
+        codes_A)`` into that attribute's ``(|C|, m_A)`` histogram, with
+        ``labels * m`` formed once per distinct domain size
+        (``_count_chunk``, shared with :class:`StreamingCountsBuilder`).
+        Nothing of size ``|A| x chunk`` is built: the scratch is two
+        chunk-length vectors.  Bincount is an exact integer sum, so the
+        result is bit-identical for every chunk size, and peak scratch is
+        flat in ``|D|``.  Idempotent; :meth:`by_cluster_stack` calls it so
+        the dense engine stack is fed from one pass over the rows.
         """
         missing = [n for n in self.names if n not in self._by_cluster]
         if not missing:
             return
-        sizes = np.array([self.domain_size(n) for n in missing], dtype=np.int64)
-        offsets = np.concatenate(([0], np.cumsum(sizes)))
-        total_bins = int(offsets[-1])
+        sizes = [self.domain_size(n) for n in missing]
         if chunk_rows is None:
             chunk_rows = _materialise_chunk_rows(len(missing))
-        hist = np.zeros((self._n_clusters, total_bins), dtype=np.int64)
-        flat_hist = hist.reshape(-1)
-        n = len(self._dataset)
-        for span in chunk_spans(n, chunk_rows):
-            # (|A|, chunk) codes + per-attribute offsets + scaled labels,
-            # broadcast into one flat index vector for the chunk's bincount.
-            flat = np.stack(
-                [np.asarray(self._dataset.column(a)[span]) for a in missing]
-            )
-            flat += offsets[:-1, None]
-            flat += self._labels[span] * total_bins
-            flat_hist += np.bincount(
-                flat.ravel(), minlength=self._n_clusters * total_bins
-            )
-        for j, name in enumerate(missing):
-            self._by_cluster[name] = np.ascontiguousarray(
-                hist[:, offsets[j] : offsets[j + 1]], dtype=np.int64
-            )
+        hists = [np.zeros((self._n_clusters, m), dtype=np.int64) for m in sizes]
+        columns = [self._dataset.column(a) for a in missing]
+        for span in chunk_spans(len(self._dataset), chunk_rows):
+            _count_chunk(hists, self._labels[span], [c[span] for c in columns], sizes)
+        self._by_cluster.update(zip(missing, hists))
 
     def full(self, name: str) -> np.ndarray:
         cached = self._full.get(name)
@@ -260,9 +284,9 @@ class ClusteredCounts:
     def by_cluster_stack(self):
         """Lazily-built dense stack feeding the batched scoring engine.
 
-        The fused :meth:`materialise` pass runs first, so the stack is
-        assembled from the single-bincount histogram rather than ``|A|``
-        separate group-by passes over the ``n`` rows.
+        The chunked :meth:`materialise` pass runs first, so the stack is
+        assembled from one pass over the rows rather than ``|A|`` separate
+        :meth:`by_cluster` calls, each over all ``n`` rows.
         """
         if self._stack is None:
             from .engine.stacks import CountsStack
@@ -279,12 +303,14 @@ class StreamingCountsBuilder:
     source — slices of an in-RAM :class:`~repro.dataset.table.Dataset`
     (``Dataset.iter_chunks``), memory-mapped columns, or a generator that
     synthesises chunks on the fly — and :meth:`finalise` returns a
-    :class:`StreamedCounts` provider holding only the ``(|C|, total_bins)``
-    fused histogram, per-cluster sizes, and streaming content hashes.  The
+    :class:`StreamedCounts` provider holding only the per-attribute
+    ``(|C|, m_A)`` histograms, per-cluster sizes, and streaming content
+    hashes.  The
     raw table is never materialised, so peak memory is flat in ``|D|``.
 
-    Exactness contract: the accumulated histogram is an integer sum of
-    per-chunk ``np.bincount`` results, so the by-cluster matrices are
+    Exactness contract: each accumulated histogram is an integer sum of
+    per-chunk ``np.bincount`` results (``_count_chunk``, the helper
+    ``ClusteredCounts`` counts with), so the by-cluster matrices are
     bit-identical to ``ClusteredCounts(dataset, labels).materialise()`` over
     the concatenated rows for *any* chunking — and the streaming
     fingerprint/signature equal ``dataset.fingerprint()`` /
@@ -298,13 +324,10 @@ class StreamingCountsBuilder:
         self._schema = schema
         self._names = schema.names
         self._n_clusters = int(n_clusters)
-        self._domain_sizes = np.array(
-            [schema.attribute(n).domain_size for n in self._names], dtype=np.int64
-        )
-        self._offsets = np.concatenate(([0], np.cumsum(self._domain_sizes)))
-        self._total_bins = int(self._offsets[-1])
-        self._hist = np.zeros((self._n_clusters, self._total_bins), dtype=np.int64)
-        self._flat_hist = self._hist.reshape(-1)
+        self._domain_sizes = [schema.attribute(n).domain_size for n in self._names]
+        self._hists = [
+            np.zeros((self._n_clusters, m), dtype=np.int64) for m in self._domain_sizes
+        ]
         self._sizes = np.zeros(self._n_clusters, dtype=np.int64)
         self._n = 0
         self._fingerprint_acc = FingerprintAccumulator(schema)
@@ -321,7 +344,7 @@ class StreamingCountsBuilder:
         """Accumulate one row chunk (validated, hashed, bincounted)."""
         if self._finalised:
             raise RuntimeError("builder already finalised")
-        labels = np.ascontiguousarray(labels, dtype=np.int64)
+        labels = _validated_labels(labels)
         if labels.ndim != 1:
             raise ValueError("labels chunk must be one-dimensional")
         k = labels.shape[0]
@@ -344,12 +367,7 @@ class StreamingCountsBuilder:
             return
         self._fingerprint_acc.update(dict(zip(self._names, cols)))
         self._label_hasher.update(labels.tobytes())
-        flat = np.stack(cols)
-        flat += self._offsets[:-1, None]
-        flat += labels * self._total_bins
-        self._flat_hist += np.bincount(
-            flat.ravel(), minlength=self._n_clusters * self._total_bins
-        )
+        _count_chunk(self._hists, labels, cols, self._domain_sizes)
         self._sizes += np.bincount(labels, minlength=self._n_clusters)
         self._n += k
 
@@ -375,14 +393,9 @@ class StreamingCountsBuilder:
         signature = _signature_digest(
             fingerprint, self._n_clusters, self._label_hasher.digest()
         )
-        by_cluster = {}
-        for j, name in enumerate(self._names):
-            by_cluster[name] = np.ascontiguousarray(
-                self._hist[:, self._offsets[j] : self._offsets[j + 1]]
-            )
         return StreamedCounts(
             schema=self._schema,
-            by_cluster=by_cluster,
+            by_cluster=dict(zip(self._names, self._hists)),
             sizes=self._sizes,
             n_rows=self._n,
             fingerprint=fingerprint,
@@ -395,8 +408,8 @@ class StreamedCounts:
 
     Serves the full :class:`CountsProvider` interface (plus the vectorised
     ``totals_vector``/``sizes_matrix`` fast paths and the cached
-    ``by_cluster_stack``) from the fused histogram alone — no dataset, no
-    label array.  ``fingerprint()``/``signature()`` reproduce the values the
+    ``by_cluster_stack``) from the per-attribute histograms alone — no
+    dataset, no label array.  ``fingerprint()``/``signature()`` reproduce the values the
     equivalent in-RAM ``Dataset``/``ClusteredCounts`` would report, so the
     service's cache and ledger keys are source-agnostic.
     """

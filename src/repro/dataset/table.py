@@ -43,7 +43,7 @@ def code_tables(
 ) -> list[np.ndarray]:
     """The identity table ``[0, 1, ..., |dom(A)|-1]`` of each attribute ``A``.
 
-    Gathering codes through these (:meth:`Dataset.lookup_matrix`) gives the
+    Gathering codes through these (:meth:`Dataset.lookup_columns`) gives the
     raw code matrix; an encoder evaluates its per-element formula once on
     them instead, which gives lookup tables whose size does not depend on
     the data.
@@ -343,21 +343,20 @@ class Dataset:
     # numeric encoding for clustering substrates
     # ------------------------------------------------------------------ #
 
-    def lookup_matrix(
+    def lookup_columns(
         self,
         names: Sequence[str],
         tables: Sequence[np.ndarray],
         dtype=np.float64,
     ) -> np.ndarray:
-        """Map tuples attribute-wise through per-code tables (n x d, C order).
+        """Map tuples attribute-wise through per-code tables (d x n, C order).
 
-        Entry ``[i, j]`` is ``tables[j][code]`` for tuple ``i``'s code of
+        Entry ``[j, i]`` is ``tables[j][code]`` for tuple ``i``'s code of
         ``names[j]``, so ``tables[j]`` must cover ``dom(names[j])`` and
-        have ``dtype``.  Each attribute is one contiguous gather into row
-        ``j`` of a (d x n) buffer, transposed once at the end into the
-        C-order layout that ``np.stack(..., axis=1)`` gives: reductions over
-        rows and BLAS products depend on layout, so every consumer keeps
-        seeing the same bytes as a row-major build.
+        have ``dtype``.  The attribute-major layout is the gather's own:
+        each attribute is one contiguous ``np.take`` into row ``j``, with
+        no transpose.  Consumers that work per attribute or feed a BLAS
+        product (nearest-center assignment) read it as it is.
         """
         out = np.empty((len(names), self._n), dtype=dtype)
         for row, name, table in zip(out, names, tables, strict=True):
@@ -366,7 +365,22 @@ class Dataset:
             # Codes are validated in-domain at construction, so "clip" never
             # clips; it only skips the bounds-check buffer of mode="raise".
             np.take(table, self._columns[name], out=row, mode="clip")
-        return np.ascontiguousarray(out.T)
+        return out
+
+    def lookup_matrix(
+        self,
+        names: Sequence[str],
+        tables: Sequence[np.ndarray],
+        dtype=np.float64,
+    ) -> np.ndarray:
+        """:meth:`lookup_columns` as a tuple-major matrix (n x d, C order).
+
+        One transposing copy of the gather gives the layout that
+        ``np.stack(..., axis=1)`` gives.  Row-wise consumers need it: the
+        axis-0 reductions of the fitters (``mean(axis=0)``, ``std``) sum
+        in an order that depends on layout.
+        """
+        return np.ascontiguousarray(self.lookup_columns(names, tables, dtype).T)
 
     def code_matrix(self, names: Sequence[str] | None = None) -> np.ndarray:
         """Tuples as an int64 matrix of domain codes (n x d, C order)."""

@@ -66,6 +66,7 @@ TAINT_SOURCE_METHODS: "set[str]" = {
     "to_matrix",
     "code_matrix",
     "lookup_matrix",
+    "lookup_columns",
     "iter_chunks",
     # ClusteredCounts / CountsStack / StreamedCounts accessors (core/counts.py,
     # core/engine/stacks.py) — every one returns true (un-noised) counts.

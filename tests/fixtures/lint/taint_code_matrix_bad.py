@@ -1,7 +1,8 @@
 """FIXTURE (bad): rows of the raw code matrices reach a response envelope.
 
-``Dataset.code_matrix`` and ``Dataset.lookup_matrix`` (like ``to_matrix``)
-return every tuple's domain codes or their encodings; a helper that echoes
+``Dataset.code_matrix``, ``Dataset.lookup_matrix`` and the attribute-major
+``Dataset.lookup_columns`` (like ``to_matrix``) return every tuple's domain
+codes or their encodings; a helper that echoes
 one row back to the caller leaks a raw tuple with no DP release between.
 """
 
@@ -14,3 +15,8 @@ def first_row_envelope(dataset, names):
 def first_point_envelope(dataset, names, tables):
     points = dataset.lookup_matrix(names, tables)  # source: encoded tuples
     return {"status": "ok", "result": {"point": points[0].tolist()}}  # FIRES
+
+
+def first_column_point_envelope(dataset, names, tables):
+    columns = dataset.lookup_columns(names, tables)  # source: encoded tuples
+    return {"status": "ok", "result": {"point": columns[:, 0].tolist()}}  # FIRES

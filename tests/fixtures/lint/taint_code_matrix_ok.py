@@ -15,3 +15,9 @@ def first_point_envelope(mech, dataset, names, tables):
     points = dataset.lookup_matrix(names, tables)
     noisy = mech.release(points[0])  # sanitized
     return {"status": "ok", "result": {"point": noisy}}
+
+
+def first_column_point_envelope(mech, dataset, names, tables):
+    columns = dataset.lookup_columns(names, tables)
+    noisy = mech.release(columns[:, 0])  # sanitized
+    return {"status": "ok", "result": {"point": noisy}}

@@ -2,19 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.clustering.base as base
 from repro.clustering.base import (
     CenterBasedClustering,
     GaussianMixtureClustering,
     ModeBasedClustering,
     PredicateClustering,
     nearest_center,
+    nearest_center_columns,
     nearest_mode,
     subsample_indices,
 )
-from repro.clustering.encode import IdentityEncoder
+from repro.clustering.encode import IdentityEncoder, MinMaxEncoder, StandardEncoder
 
-from helpers import make_dataset
+from helpers import make_dataset, random_dataset
 
 
 class TestNearestCenter:
@@ -32,6 +36,80 @@ class TestNearestCenter:
             ((pts[:, None, :] - centers[None]) ** 2).sum(axis=2), axis=1
         )
         assert np.array_equal(got, direct)
+
+
+def row_major_reference(points, centers):
+    """The former kernel: ``argmin`` over a row-major ``(n, k)`` block."""
+    c_sq = np.sum(centers * centers, axis=1)
+    return np.argmin(c_sq[None, :] - 2.0 * (points @ centers.T), axis=1)
+
+
+@st.composite
+def kernel_cases(draw):
+    """Points and centers; some centers duplicated, some data on a grid.
+
+    Small-integer coordinates make distinct centers tie exactly, and
+    duplicated centers tie always, so the tie rule is exercised as well as
+    the ranking.
+    """
+    n = draw(st.sampled_from([0, 1, 2, 37, 300]))
+    k = draw(st.integers(1, 9))
+    d = draw(st.integers(1, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        points = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+        centers = rng.integers(-2, 3, size=(k, d)).astype(np.float64)
+    else:
+        points = rng.normal(size=(n, d))
+        centers = rng.normal(size=(k, d))
+    copies = draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1))))
+    for src, dst in copies:
+        centers[dst] = centers[src]
+    return points, centers
+
+
+class TestNearestCenterKernel:
+    """The ``(k, n)`` kernel gives exactly the row-major ``argmin`` labels."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_cases(), st.sampled_from([None, 1, 5, 64]))
+    def test_matches_row_major_reference(self, case, block_elems):
+        points, centers = case
+        want = row_major_reference(points, centers)
+        with pytest.MonkeyPatch.context() as mp:
+            if block_elems is not None:
+                # Small blocks: n spans many of them, with a short last one.
+                mp.setattr(base, "_BLOCK_ELEMS", block_elems * centers.shape[0])
+            got = nearest_center(points, centers)
+            got_columns = nearest_center_columns(
+                np.ascontiguousarray(points.T), centers
+            )
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+        assert np.array_equal(got_columns, want)
+
+    def test_duplicated_centers_tie_to_lowest_index(self):
+        centers = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
+        points = np.array([[0.0, 0.0], [1.0, 1.0], [0.5, 0.5]])
+        assert nearest_center(points, centers).tolist() == [1, 0, 0]
+
+    def test_single_center_and_no_points(self):
+        points = np.random.default_rng(0).normal(size=(9, 3))
+        assert nearest_center(points, points[:1]).tolist() == [0] * 9
+        empty = nearest_center(np.empty((0, 3)), points[:4])
+        assert empty.shape == (0,) and empty.dtype == np.int64
+
+    @pytest.mark.parametrize("encoder", [StandardEncoder, MinMaxEncoder, IdentityEncoder])
+    def test_assign_matches_tuple_major_kernel(self, encoder):
+        rng = np.random.default_rng(7)
+        data = random_dataset(rng, 50_000, (2, 5, 9, 3, 17, 4))
+        enc = encoder.fit(data)
+        points = enc.transform(data)
+        centers = points[rng.choice(len(data), size=8, replace=False)]
+        centers = centers + rng.normal(scale=0.1, size=centers.shape)
+        labels = CenterBasedClustering(enc, centers).assign(data)
+        assert np.array_equal(labels, nearest_center(points, centers))
+        assert np.array_equal(labels, row_major_reference(points, centers))
 
 
 class TestNearestMode:
@@ -95,6 +173,24 @@ class TestGaussianMixtureClustering:
         labels = f.assign(d)
         assert labels[0] == 0  # ("red","S","no") = (0,0,0)
         assert labels[5] == 1  # ("blue","XL","yes") = (2,3,1)
+
+    def test_log_joint_is_independent_of_the_row_block(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        points = rng.normal(size=(257, 5))
+        means = rng.normal(size=(4, 5))
+        variances = rng.uniform(0.5, 2.0, size=(4, 5))
+        model = GaussianMixtureClustering(
+            None, means, variances, np.log(np.full(4, 0.25))
+        )
+        diff = points[:, None, :] - means[None, :, :]
+        quad = np.sum(diff * diff / variances[None, :, :], axis=2)
+        log_det = np.sum(np.log(variances), axis=1)
+        want = model.log_weights[None, :] - 0.5 * (
+            quad + log_det[None, :] + 5 * np.log(2.0 * np.pi)
+        )
+        assert np.array_equal(model.log_joint(points), want)
+        monkeypatch.setattr(base, "_BLOCK_ELEMS", 3 * 4 * 5)  # 3-row blocks
+        assert np.array_equal(model.log_joint(points), want)
 
     def test_weights_break_ties(self):
         d = make_dataset([("red", "S", "no")])

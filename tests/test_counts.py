@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.counts import ClusteredCounts, NoisyCounts
+from repro.core.counts import ClusteredCounts, NoisyCounts, StreamingCountsBuilder
+from repro.service.service import ExplanationService
 
-from helpers import CodeModuloClustering, make_dataset
+from helpers import CodeModuloClustering, make_dataset, random_dataset
 
 
 class TestClusteredCounts:
@@ -67,6 +70,106 @@ class TestClusteredCounts:
         cc = ClusteredCounts(dataset, labels, 3)
         assert cc.cluster_size("color", 2) == 0.0
         assert cc.cluster("color", 2).sum() == 0
+
+
+class TestLabelValidation:
+    """Label arrays must hold whole numbers; floats are never truncated."""
+
+    FRACTIONAL = np.array([0.2, 1.9, 0, 1, 0, 1, 0, 1, 0, 1.5])
+
+    @pytest.fixture
+    def data10(self):
+        return random_dataset(np.random.default_rng(0), 10)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            FRACTIONAL,
+            np.array([0, 1, 0, 1, 0, 1, 0, 1, 0, np.nan]),
+            np.array([0, 1, 0, 1, 0, 1, 0, 1, 0, np.inf]),
+            np.array([0, 1, 0, 1, 0, 1, 0, 1, 0, -np.inf]),
+        ],
+    )
+    def test_non_integral_float_labels_are_refused(self, data10, bad):
+        with pytest.raises(ValueError) as info:
+            ClusteredCounts(data10, bad, 2)
+        message = str(info.value)
+        # No label value and no row index may reach the message.
+        for leaked in ("0.2", "1.9", "1.5", "nan", "inf", "9"):
+            assert leaked not in message
+
+    def test_whole_floats_count_like_integers(self, data10):
+        ints = np.array([0, 1, 0, 1, 0, 1, 0, 1, 0, 1])
+        from_floats = ClusteredCounts(data10, ints.astype(np.float64), 2)
+        from_ints = ClusteredCounts(data10, ints, 2)
+        assert from_floats.labels.dtype == np.int64
+        assert from_floats.signature() == from_ints.signature()
+        for name in from_ints.names:
+            assert np.array_equal(from_floats.by_cluster(name), from_ints.by_cluster(name))
+
+    def test_non_numeric_labels_are_refused(self, data10):
+        with pytest.raises(ValueError, match="integer"):
+            ClusteredCounts(data10, np.array(["0"] * 10), 2)
+
+    def test_streaming_builder_refuses_fractional_labels(self, data10):
+        builder = StreamingCountsBuilder(data10.schema, 2)
+        with pytest.raises(ValueError, match="whole"):
+            builder.add_dataset(data10, self.FRACTIONAL)
+        assert builder.n_rows == 0
+
+    def test_service_registration_refuses_fractional_labels(self, data10):
+        service = ExplanationService()
+        with pytest.raises(ValueError, match="whole"):
+            service.register_dataset("d", data10, self.FRACTIONAL, n_clusters=2)
+
+    def test_labels_are_copied(self, data10):
+        labels = np.zeros(10, dtype=np.int64)
+        counts = ClusteredCounts(data10, labels, 2)
+        labels[:] = 1
+        assert counts.sizes().tolist() == [10, 0]
+
+
+def reference_by_cluster(data, labels, k, name):
+    """``(k, m)`` counts by unbuffered scatter-add, one row at a time."""
+    ref = np.zeros((k, data.schema.attribute(name).domain_size), dtype=np.int64)
+    np.add.at(ref, (labels, np.asarray(data.column(name))), 1)
+    return ref
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_rows=st.integers(0, 400),
+    chunk_rows=st.integers(1, 450),
+    # Few distinct sizes, so attributes often share their scaled labels.
+    domains=st.lists(st.sampled_from([1, 2, 3, 7]), min_size=1, max_size=7).map(tuple),
+    k=st.integers(1, 6),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_per_attribute_counts_match_independent_references(
+    n_rows, chunk_rows, domains, k, seed
+):
+    rng = np.random.default_rng(seed)
+    data = random_dataset(rng, n_rows, domains)
+    labels = rng.integers(0, k, size=n_rows)
+
+    lazy = ClusteredCounts(data, labels, k)
+    chunked = ClusteredCounts(data, labels, k)
+    chunked.materialise(chunk_rows=chunk_rows)
+    streamed = (
+        StreamingCountsBuilder(data.schema, k)
+        .add_dataset(data, labels, chunk_rows=chunk_rows)
+        .finalise()
+    )
+    for name in data.schema.names:
+        want = reference_by_cluster(data, labels, k, name)
+        for got in (
+            lazy.by_cluster(name),
+            chunked.by_cluster(name),
+            streamed.by_cluster(name),
+        ):
+            assert got.dtype == np.int64
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, want)
 
 
 class TestNoisyCounts:

@@ -65,7 +65,7 @@ def rules_fired(result) -> "set[str]":
 FIRE_CASES = [
     ("taint_unsanitized_release_bad.py", "taint-unsanitized-release", 4),
     ("taint_error_envelope_bad.py", "taint-error-envelope", 2),
-    ("taint_code_matrix_bad.py", "taint-unsanitized-release", 2),
+    ("taint_code_matrix_bad.py", "taint-unsanitized-release", 3),
     ("taint_recursive_params_bad.py", "taint-unsanitized-release", 2),
     ("taint_cross_module_bad", "taint-unsanitized-release", 1),
     ("lockset_unguarded_access_bad.py", "lockset-unguarded-access", 1),

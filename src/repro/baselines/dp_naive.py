@@ -49,16 +49,9 @@ def _true_blocks(
     re-stacking ``|A|`` matrices every seed.  Weakly keyed like the scoring
     engine's memo, so the cache dies with the provider.
     """
-    try:
-        per_names = _TRUE_BLOCKS.get(counts)
-    except TypeError:  # unhashable/unweakrefable provider: no memoisation
-        per_names = None
+    per_names = _TRUE_BLOCKS.get(counts)
     if per_names is None:
-        per_names = {}
-        try:
-            _TRUE_BLOCKS[counts] = per_names
-        except TypeError:
-            pass
+        per_names = _TRUE_BLOCKS[counts] = {}
     blocks = per_names.get(names)
     if blocks is None:
         blocks = [
@@ -95,8 +88,7 @@ class DPNaive:
         names = names if names is not None else counts.names
         eps_each = self.epsilon / (2.0 * len(names))
         mech = self.histogram_mechanism.with_epsilon(eps_each)
-        if hasattr(counts, "materialise"):
-            counts.materialise()  # one-pass group-by over all attributes
+        counts.materialise()  # one-pass group-by over all attributes
 
         # Charge the whole release up front, before any noise is sampled,
         # all or nothing: a refusal leaves both the ledger and the

@@ -1,19 +1,25 @@
 """Count providers: the group-by machinery behind every quality function.
 
 All quality functions of Section 4 are functions of ``cnt_{A=a}(D)`` and
-``cnt_{A=a}(D_c)``.  :class:`ClusteredCounts` materialises those counts from a
-dataset and a clustering function (two group-by queries per attribute, as the
-complexity analysis in Section 5.2 counts them).  :class:`NoisyCounts` serves
-the same interface from pre-released noisy histograms — this is what the
-DP-Naive baseline post-processes — with ``|D|`` / ``|D_c|`` proxied by the
-per-attribute noisy totals.
+``cnt_{A=a}(D_c)``.  :class:`CountsProvider` is the one base class serving
+them: a subclass supplies the per-cluster matrix ``by_cluster(name)`` and the
+base derives the full-data counts, totals, cluster sizes and the dense engine
+stack.  Five subclasses exist.  :class:`ClusteredCounts` materialises the
+counts from a dataset and a clustering function (two group-by queries per
+attribute, as the complexity analysis in Section 5.2 counts them), and
+:class:`StreamedCounts` holds the same counts built from row chunks by
+:class:`StreamingCountsBuilder`.  :class:`NoisyCounts` serves pre-released
+noisy histograms — this is what the DP-Naive baseline post-processes — with
+``|D|`` / ``|D_c|`` proxied by the per-attribute noisy totals.
+``ProductCounts`` (:mod:`repro.core.pairs`) exposes attribute pairs, and
+``StackCounts`` (:mod:`repro.core.engine.shm`) reads an attached shared stack.
 """
 
 from __future__ import annotations
 
 import hashlib
 
-from typing import Iterable, Mapping, Protocol, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -36,13 +42,16 @@ def _materialise_chunk_rows(n_attributes: int) -> int:
 
 
 def _validated_labels(labels: np.ndarray) -> np.ndarray:
-    """``labels`` as int64, refusing non-finite or fractional floats.
+    """``labels`` as a one-dimensional int64 array.
 
-    A plain ``astype`` would truncate ``1.9`` to cluster 1 and count it
+    Refuses arrays of any other shape, and non-finite or fractional floats:
+    a plain ``astype`` would truncate ``1.9`` to cluster 1 and count it
     there.  Whole-valued floats are accepted.  The messages carry no label
     value or row index: both are derived from the sensitive rows.
     """
     labels = np.asarray(labels)
+    if labels.ndim != 1:
+        raise ValueError("labels must be one-dimensional")
     if labels.dtype.kind == "f":
         if not np.isfinite(labels).all():
             raise ValueError("labels must be finite")
@@ -94,46 +103,76 @@ def _signature_digest(fingerprint: str, n_clusters: int, label_digest: bytes) ->
     return h.hexdigest()
 
 
-class CountsProvider(Protocol):
-    """Structural interface consumed by the quality functions."""
+class CountsProvider:
+    """Base of every counts provider consumed by the quality functions.
 
-    @property
-    def names(self) -> tuple[str, ...]: ...
+    A subclass serves ``names``, ``n_clusters``, ``domain_size(name)`` and
+    ``by_cluster(name)`` — the ``(n_clusters, |dom(A)|)`` matrix of
+    ``h_A(D_c)`` — and, when its counts are exact, ``n`` (``|D|``) and
+    ``_sizes`` (the int vector ``(|D_c|)_c``).  Everything else is derived
+    here once: ``h_A(D)`` (:meth:`full`), one cluster's row, the totals and
+    cluster sizes (scalar and vectorised), and the cached dense
+    :class:`~repro.core.engine.stacks.CountsStack` the batched scoring
+    engine runs on.  Providers of noisy proxies override the size accessors.
+    """
 
-    @property
-    def n_clusters(self) -> int: ...
-
-    def domain_size(self, name: str) -> int: ...
+    def __init__(self) -> None:
+        self._full: dict[str, np.ndarray] = {}
+        self._stack = None
 
     def full(self, name: str) -> np.ndarray:
         """``h_A(D)`` — counts over ``dom(A)`` for the whole dataset."""
-        ...
+        cached = self._full.get(name)
+        if cached is None:
+            cached = self.by_cluster(name).sum(axis=0)
+            self._full[name] = cached
+        return cached
 
     def cluster(self, name: str, c: int) -> np.ndarray:
         """``h_A(D_c)`` — counts over ``dom(A)`` for cluster ``c``."""
-        ...
+        return self.by_cluster(name)[c]
 
-    def by_cluster(self, name: str) -> np.ndarray:
-        """The ``(n_clusters, |dom(A)|)`` matrix stacking every cluster."""
-        ...
+    def sizes(self) -> np.ndarray:
+        """``(|D_c|)_c`` as an int vector."""
+        return self._sizes.copy()
 
     def total(self, name: str) -> float:
         """``|D|`` (or its noisy proxy for the given attribute)."""
-        ...
+        return float(self.n)
 
     def cluster_size(self, name: str, c: int) -> float:
         """``|D_c|`` (or its noisy proxy for the given attribute)."""
-        ...
+        return float(self._sizes[c])
+
+    def totals_vector(self, names: Sequence[str]) -> np.ndarray:
+        """Vectorised :meth:`total` over many attributes."""
+        return np.full(len(names), float(self.n), dtype=np.float64)
+
+    def sizes_matrix(self, names: Sequence[str]) -> np.ndarray:
+        """Vectorised :meth:`cluster_size`: the ``(|names|, |C|)`` matrix."""
+        return np.broadcast_to(
+            self._sizes.astype(np.float64), (len(names), self.n_clusters)
+        ).copy()
+
+    def materialise(self) -> None:
+        """Build every attribute's counts ahead of use; a no-op by default."""
 
     def by_cluster_stack(self):
-        """The cached :class:`~repro.core.engine.stacks.CountsStack` over all
-        attributes — the dense tensor view the batched scoring engine runs
-        on.  Providers lacking it are stacked attribute-by-attribute via
-        :func:`~repro.core.engine.stacks.get_stack`."""
-        ...
+        """Lazily-built dense stack feeding the batched scoring engine.
+
+        :meth:`materialise` runs first, so a provider with a one-pass build
+        feeds the stack from one pass over the rows rather than ``|A|``
+        separate :meth:`by_cluster` calls.
+        """
+        if self._stack is None:
+            from .engine.stacks import CountsStack
+
+            self.materialise()
+            self._stack = CountsStack.from_provider(self)
+        return self._stack
 
 
-class ClusteredCounts:
+class ClusteredCounts(CountsProvider):
     """Exact counts from a dataset + clustering function, lazily cached.
 
     Parameters
@@ -153,6 +192,7 @@ class ClusteredCounts:
         clustering: "ClusteringFunction | np.ndarray",
         n_clusters: int | None = None,
     ):
+        super().__init__()
         self._dataset = dataset
         if isinstance(clustering, np.ndarray):
             if n_clusters is None:
@@ -169,8 +209,6 @@ class ClusteredCounts:
         self._labels = labels
         self._sizes = np.bincount(labels, minlength=self._n_clusters).astype(np.int64)
         self._by_cluster: dict[str, np.ndarray] = {}
-        self._full: dict[str, np.ndarray] = {}
-        self._stack = None
         self._signature: str | None = None
 
     @property
@@ -195,10 +233,6 @@ class ClusteredCounts:
 
     def domain_size(self, name: str) -> int:
         return self._dataset.schema.attribute(name).domain_size
-
-    def sizes(self) -> np.ndarray:
-        """``(|D_c|)_c`` as an int vector."""
-        return self._sizes.copy()
 
     def signature(self) -> str:
         """Stable hash of (dataset fingerprint, |C|, label assignment).
@@ -255,46 +289,6 @@ class ClusteredCounts:
             _count_chunk(hists, self._labels[span], [c[span] for c in columns], sizes)
         self._by_cluster.update(zip(missing, hists))
 
-    def full(self, name: str) -> np.ndarray:
-        cached = self._full.get(name)
-        if cached is None:
-            cached = self.by_cluster(name).sum(axis=0)
-            self._full[name] = cached
-        return cached
-
-    def cluster(self, name: str, c: int) -> np.ndarray:
-        return self.by_cluster(name)[c]
-
-    def total(self, name: str) -> float:
-        return float(self.n)
-
-    def cluster_size(self, name: str, c: int) -> float:
-        return float(self._sizes[c])
-
-    def totals_vector(self, names: Sequence[str]) -> np.ndarray:
-        """Vectorised :meth:`total` over many attributes (stack fast path)."""
-        return np.full(len(names), float(self.n), dtype=np.float64)
-
-    def sizes_matrix(self, names: Sequence[str]) -> np.ndarray:
-        """Vectorised :meth:`cluster_size`: the ``(|names|, |C|)`` matrix."""
-        return np.broadcast_to(
-            self._sizes.astype(np.float64), (len(names), self._n_clusters)
-        ).copy()
-
-    def by_cluster_stack(self):
-        """Lazily-built dense stack feeding the batched scoring engine.
-
-        The chunked :meth:`materialise` pass runs first, so the stack is
-        assembled from one pass over the rows rather than ``|A|`` separate
-        :meth:`by_cluster` calls, each over all ``n`` rows.
-        """
-        if self._stack is None:
-            from .engine.stacks import CountsStack
-
-            self.materialise()
-            self._stack = CountsStack.from_provider(self)
-        return self._stack
-
 
 class StreamingCountsBuilder:
     """One-pass accumulator turning ``(columns, labels)`` row chunks into counts.
@@ -345,8 +339,6 @@ class StreamingCountsBuilder:
         if self._finalised:
             raise RuntimeError("builder already finalised")
         labels = _validated_labels(labels)
-        if labels.ndim != 1:
-            raise ValueError("labels chunk must be one-dimensional")
         k = labels.shape[0]
         if k and (labels.min() < 0 or labels.max() >= self._n_clusters):
             raise ValueError("labels out of range")
@@ -403,15 +395,14 @@ class StreamingCountsBuilder:
         )
 
 
-class StreamedCounts:
+class StreamedCounts(CountsProvider):
     """Exact counts materialised by :class:`StreamingCountsBuilder`.
 
-    Serves the full :class:`CountsProvider` interface (plus the vectorised
-    ``totals_vector``/``sizes_matrix`` fast paths and the cached
-    ``by_cluster_stack``) from the per-attribute histograms alone — no
-    dataset, no label array.  ``fingerprint()``/``signature()`` reproduce the values the
-    equivalent in-RAM ``Dataset``/``ClusteredCounts`` would report, so the
-    service's cache and ledger keys are source-agnostic.
+    Serves the :class:`CountsProvider` interface from the per-attribute
+    histograms alone — no dataset, no label array.
+    ``fingerprint()``/``signature()`` reproduce the values the equivalent
+    in-RAM ``Dataset``/``ClusteredCounts`` would report, so the service's
+    cache and ledger keys are source-agnostic.
     """
 
     def __init__(
@@ -423,14 +414,13 @@ class StreamedCounts:
         fingerprint: str,
         signature: str,
     ):
+        super().__init__()
         self._schema = schema
         self._by_cluster = dict(by_cluster)
-        self._full: dict[str, np.ndarray] = {}
         self._sizes = np.asarray(sizes, dtype=np.int64)
         self._n = int(n_rows)
         self._fingerprint = fingerprint
         self._signature = signature
-        self._stack = None
 
     @property
     def schema(self) -> Schema:
@@ -451,54 +441,14 @@ class StreamedCounts:
     def domain_size(self, name: str) -> int:
         return self._schema.attribute(name).domain_size
 
-    def sizes(self) -> np.ndarray:
-        return self._sizes.copy()
-
     def fingerprint(self) -> str:
         return self._fingerprint
 
     def signature(self) -> str:
         return self._signature
 
-    def materialise(self) -> None:
-        """No-op: streamed counts are materialised by construction."""
-
     def by_cluster(self, name: str) -> np.ndarray:
         return self._by_cluster[name]
-
-    def full(self, name: str) -> np.ndarray:
-        cached = self._full.get(name)
-        if cached is None:
-            cached = self._by_cluster[name].sum(axis=0)
-            self._full[name] = cached
-        return cached
-
-    def cluster(self, name: str, c: int) -> np.ndarray:
-        return self._by_cluster[name][c]
-
-    def total(self, name: str) -> float:
-        return float(self._n)
-
-    def cluster_size(self, name: str, c: int) -> float:
-        return float(self._sizes[c])
-
-    def totals_vector(self, names: Sequence[str]) -> np.ndarray:
-        """Vectorised :meth:`total` over many attributes (stack fast path)."""
-        return np.full(len(names), float(self._n), dtype=np.float64)
-
-    def sizes_matrix(self, names: Sequence[str]) -> np.ndarray:
-        """Vectorised :meth:`cluster_size`: the ``(|names|, |C|)`` matrix."""
-        return np.broadcast_to(
-            self._sizes.astype(np.float64), (len(names), self.n_clusters)
-        ).copy()
-
-    def by_cluster_stack(self):
-        """Lazily-built dense stack feeding the batched scoring engine."""
-        if self._stack is None:
-            from .engine.stacks import CountsStack
-
-            self._stack = CountsStack.from_provider(self)
-        return self._stack
 
 
 def materialise_stream(
@@ -520,7 +470,7 @@ def materialise_stream(
     return builder.finalise()
 
 
-class NoisyCounts:
+class NoisyCounts(CountsProvider):
     """Counts served from released noisy histograms (post-processing only).
 
     ``full_hists[name]`` is the noisy full-data histogram; ``cluster_hists``
@@ -536,17 +486,19 @@ class NoisyCounts:
         cluster_hists: Mapping[str, np.ndarray],
         n_clusters: int,
     ):
+        super().__init__()
         self._names = tuple(names)
         self._n_clusters = int(n_clusters)
-        self._full = {n: np.asarray(full_hists[n], dtype=np.float64) for n in names}
+        self._released_full = {
+            n: np.asarray(full_hists[n], dtype=np.float64) for n in names
+        }
         self._clusters = {
             n: np.asarray(cluster_hists[n], dtype=np.float64) for n in names
         }
         for n in names:
             mat = self._clusters[n]
-            if mat.shape != (self._n_clusters, self._full[n].shape[0]):
+            if mat.shape != (self._n_clusters, self._released_full[n].shape[0]):
                 raise ValueError(f"shape mismatch for attribute {n!r}")
-        self._stack = None
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -557,19 +509,17 @@ class NoisyCounts:
         return self._n_clusters
 
     def domain_size(self, name: str) -> int:
-        return int(self._full[name].shape[0])
-
-    def full(self, name: str) -> np.ndarray:
-        return self._full[name]
-
-    def cluster(self, name: str, c: int) -> np.ndarray:
-        return self._clusters[name][c]
+        return int(self._released_full[name].shape[0])
 
     def by_cluster(self, name: str) -> np.ndarray:
         return self._clusters[name]
 
+    def full(self, name: str) -> np.ndarray:
+        # Released on its own, not summed from the noisy cluster rows.
+        return self._released_full[name]
+
     def total(self, name: str) -> float:
-        return max(float(self._full[name].sum()), 1.0)
+        return max(float(self._released_full[name].sum()), 1.0)
 
     def cluster_size(self, name: str, c: int) -> float:
         # Clamped to 1 like ``total`` (the documented contract): a noisy
@@ -578,22 +528,9 @@ class NoisyCounts:
         return max(float(self._clusters[name][c].sum()), 1.0)
 
     def totals_vector(self, names: Sequence[str]) -> np.ndarray:
-        """Vectorised :meth:`total` over many attributes (stack fast path)."""
-        return np.array(
-            [max(float(self._full[n].sum()), 1.0) for n in names],
-            dtype=np.float64,
-        )
+        return np.array([self.total(n) for n in names], dtype=np.float64)
 
     def sizes_matrix(self, names: Sequence[str]) -> np.ndarray:
-        """Vectorised :meth:`cluster_size`: one axis-sum per attribute."""
         return np.stack(
             [np.maximum(self._clusters[n].sum(axis=1), 1.0) for n in names]
         )
-
-    def by_cluster_stack(self):
-        """Lazily-built dense stack feeding the batched scoring engine."""
-        if self._stack is None:
-            from .engine.stacks import CountsStack
-
-            self._stack = CountsStack.from_provider(self)
-        return self._stack

@@ -9,7 +9,7 @@ layering.
 from . import kernels
 from .engine import ScoringEngine, scoring_engine
 from .shm import SharedStack, SharedStackHandle, StackCounts, attach_counts, share_stack
-from .stacks import CountsStack, DomainBucket, get_stack
+from .stacks import CountsStack, DomainBucket
 
 __all__ = [
     "kernels",
@@ -17,7 +17,6 @@ __all__ = [
     "scoring_engine",
     "CountsStack",
     "DomainBucket",
-    "get_stack",
     "SharedStack",
     "SharedStackHandle",
     "StackCounts",

@@ -30,21 +30,18 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .stacks import CountsStack, get_stack
+from .stacks import CountsStack
 
 
 class ScoringEngine:
     """Vectorised quality evaluation over one counts provider."""
 
-    def __init__(self, counts, names: Sequence[str] | None = None):
+    def __init__(self, counts):
         # Hold the provider weakly: scoring_engine() keys its memo table on
         # the provider, so a strong reference here would keep every entry
         # (provider + dataset + stack) alive forever.
-        try:
-            self._counts_ref = weakref.ref(counts)
-        except TypeError:
-            self._counts_ref = lambda: counts
-        self._stack = get_stack(counts, names)
+        self._counts_ref = weakref.ref(counts)
+        self._stack = counts.by_cluster_stack()
         self._matrices: dict = {}
         self._tvd_square: dict[str, np.ndarray] = {}
 
@@ -343,14 +340,7 @@ def scoring_engine(counts) -> ScoringEngine:
     (Stage-1, Stage-2, baselines, evaluation) shares one stack and one set
     of cached score matrices, and the cache dies with the provider.
     """
-    try:
-        engine = _ENGINES.get(counts)
-    except TypeError:  # unhashable/unweakrefable provider: no memoisation
-        return ScoringEngine(counts)
+    engine = _ENGINES.get(counts)
     if engine is None:
-        engine = ScoringEngine(counts)
-        try:
-            _ENGINES[counts] = engine
-        except TypeError:
-            pass
+        engine = _ENGINES[counts] = ScoringEngine(counts)
     return engine

@@ -41,6 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..counts import CountsProvider
 from .stacks import CountsStack, DomainBucket, _bucket_layout
 
 _ALIGN = 64  # cache-line alignment for every packed array
@@ -244,12 +245,12 @@ class _RawSegment:
             self._mmap.close()
 
 
-class StackCounts:
-    """A read-only :class:`CountsProvider` served from an attached stack.
+class StackCounts(CountsProvider):
+    """A read-only :class:`~repro.core.counts.CountsProvider` over an attached stack.
 
-    The worker-side counterpart of ``ClusteredCounts``: every protocol
-    method — per-attribute matrices, totals, cluster sizes, the cached
-    ``by_cluster_stack`` — is answered from the shared tensors, so a worker
+    The worker-side counterpart of ``ClusteredCounts``: the per-attribute
+    matrices, full counts, totals, cluster sizes and ``by_cluster_stack``
+    are read off the shared tensors, so a worker
     never touches the dataset, the labels, or the clustering that produced
     them.  Counts come back float64 (the stack's dtype); they are exact
     integer values well inside float64's 2**53 integer range, so every
@@ -264,6 +265,7 @@ class StackCounts:
     """
 
     def __init__(self, stack: CountsStack, shm=None, dataset=None):
+        super().__init__()
         self._stack = stack
         self._shm = shm
         self.dataset = dataset
@@ -285,9 +287,6 @@ class StackCounts:
         b, r = self._stack.locator[name]
         return int(self._stack.buckets[b].domain_sizes[r])
 
-    def materialise(self) -> None:
-        """No-op: the stack was materialised by the sharing process."""
-
     def by_cluster(self, name: str) -> np.ndarray:
         mat, _ = self._stack.attribute_counts(name)
         return mat
@@ -295,9 +294,6 @@ class StackCounts:
     def full(self, name: str) -> np.ndarray:
         _, full = self._stack.attribute_counts(name)
         return full
-
-    def cluster(self, name: str, c: int) -> np.ndarray:
-        return self.by_cluster(name)[c]
 
     def total(self, name: str) -> float:
         return float(self._stack.totals[self._stack.index[name]])

@@ -3,7 +3,8 @@
 Every quality function of Section 4 is a function of the per-attribute count
 matrices ``h_A(D_c)`` and vectors ``h_A(D)``.  The scalar API fetches them one
 ``(cluster, attribute)`` pair at a time; :class:`CountsStack` materialises
-them *once* as dense tensors so the kernels in
+them *once* as dense tensors (``CountsProvider.by_cluster_stack`` builds and
+caches one per provider) so the kernels in
 :mod:`repro.core.engine.kernels` can evaluate all ``O(|C| * |A|)`` pairs in a
 handful of NumPy expressions.
 
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import types
-import weakref
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -121,54 +121,25 @@ class CountsStack:
         return bucket.by_cluster[r, :, :m], bucket.full[r, :m]
 
     @classmethod
-    def from_provider(cls, counts, names: Sequence[str] | None = None) -> "CountsStack":
-        """Materialise the stack from any counts provider.
+    def from_provider(cls, counts) -> "CountsStack":
+        """Materialise the stack from a :class:`~repro.core.counts.CountsProvider`.
 
-        Uses the provider's ``by_cluster`` fast path when available and falls
-        back to per-cluster ``cluster(name, c)`` calls otherwise, so any
-        object satisfying the original :class:`CountsProvider` protocol can
-        be stacked.
+        Reads each attribute's ``by_cluster`` matrix and ``full`` vector once,
+        and the totals and sizes through the provider's vectorised
+        ``totals_vector`` / ``sizes_matrix``.
         """
-        names = tuple(names) if names is not None else tuple(counts.names)
+        names = tuple(counts.names)
         n_clusters = int(counts.n_clusters)
         sizes_tuple = tuple(int(counts.domain_size(n)) for n in names)
         layout, locator, index = _bucket_layout(names, sizes_tuple)
-
-        # Vectorised totals/sizes when the provider offers them (all in-tree
-        # providers do); the scalar fallback keeps exotic providers working.
-        if hasattr(counts, "totals_vector") and hasattr(counts, "sizes_matrix"):
-            totals = np.asarray(counts.totals_vector(names), dtype=np.float64)
-            sizes = np.asarray(counts.sizes_matrix(names), dtype=np.float64)
-        else:
-            totals = np.array(
-                [float(counts.total(n)) for n in names], dtype=np.float64
-            )
-            sizes = np.array(
-                [
-                    [float(counts.cluster_size(n, c)) for c in range(n_clusters)]
-                    for n in names
-                ],
-                dtype=np.float64,
-            )
-
-        has_matrix = hasattr(counts, "by_cluster")
         buckets: list[DomainBucket] = []
         for width, cols in layout:
             tensor = np.zeros((len(cols), n_clusters, width), dtype=np.float64)
             full = np.zeros((len(cols), width), dtype=np.float64)
             for r, j in enumerate(cols):
-                name = names[j]
                 m = sizes_tuple[j]
-                if has_matrix:
-                    tensor[r, :, :m] = np.asarray(
-                        counts.by_cluster(name), dtype=np.float64
-                    )
-                else:
-                    for c in range(n_clusters):
-                        tensor[r, c, :m] = np.asarray(
-                            counts.cluster(name, c), dtype=np.float64
-                        )
-                full[r, :m] = np.asarray(counts.full(name), dtype=np.float64)
+                tensor[r, :, :m] = counts.by_cluster(names[j])
+                full[r, :m] = counts.full(names[j])
             buckets.append(
                 DomainBucket(
                     indices=np.asarray(cols, dtype=np.intp),
@@ -182,47 +153,9 @@ class CountsStack:
         return cls(
             names=names,
             n_clusters=n_clusters,
-            totals=totals,
-            sizes=sizes,
+            totals=np.asarray(counts.totals_vector(names), dtype=np.float64),
+            sizes=np.asarray(counts.sizes_matrix(names), dtype=np.float64),
             buckets=tuple(buckets),
             index=index,
             locator=locator,
         )
-
-
-# Fallback-stack memo for providers without by_cluster_stack(): weakly keyed
-# on provider identity, holding {names subset -> stack}.  Stacks are
-# snapshots, so the memo assumes a provider's counts never change once
-# stacked — true for every in-tree provider (counts are built once and
-# read-only thereafter).
-_FALLBACK_STACKS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def get_stack(counts, names: Sequence[str] | None = None) -> CountsStack:
-    """The provider's cached full stack, or its memoised subset stack.
-
-    Providers exposing ``by_cluster_stack()`` (all in-tree providers do) keep
-    one lazily-built stack for their whole attribute set.  Other providers —
-    and ``names`` subsets — are served from a per-provider weak memo, so
-    repeated engine builds over the same provider stack it once instead of
-    re-walking every attribute; unhashable or unweakrefable providers simply
-    skip the memo.
-    """
-    if names is None and hasattr(counts, "by_cluster_stack"):
-        return counts.by_cluster_stack()
-    key = tuple(names) if names is not None else None
-    try:
-        per = _FALLBACK_STACKS.get(counts)
-    except TypeError:  # unhashable provider
-        return CountsStack.from_provider(counts, names)
-    if per is None:
-        per = {}
-        try:
-            _FALLBACK_STACKS[counts] = per
-        except TypeError:  # unweakrefable provider
-            return CountsStack.from_provider(counts, names)
-    stack = per.get(key)
-    if stack is None:
-        stack = CountsStack.from_provider(counts, names)
-        per[key] = stack
-    return stack

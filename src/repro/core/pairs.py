@@ -8,8 +8,8 @@ compute them under DP."
 
 We implement exactly that extension: :class:`ProductCounts` wraps a base
 counts provider and exposes every requested attribute *pair* as a pseudo-
-attribute whose domain is the Cartesian product.  Because it satisfies the
-:class:`~repro.core.counts.CountsProvider` protocol, the unmodified
+attribute whose domain is the Cartesian product.  Because it subclasses
+:class:`~repro.core.counts.CountsProvider`, the unmodified
 Algorithms 1-2 run over pairs — quality functions, sensitivities (still 1:
 one tuple still lands in exactly one product-domain cell) and privacy
 analysis all carry over.  The small-counts caveat the paper predicts is
@@ -20,12 +20,12 @@ so histogram noise hurts more.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from ..dataset.schema import Attribute
-from .counts import ClusteredCounts
+from .counts import ClusteredCounts, CountsProvider
 
 PAIR_SEPARATOR = "*"
 
@@ -51,7 +51,7 @@ def product_attribute(first: Attribute, second: Attribute) -> Attribute:
     return Attribute(pair_name(first.name, second.name), domain)
 
 
-class ProductCounts:
+class ProductCounts(CountsProvider):
     """Counts provider over attribute pairs (Cartesian-product domains).
 
     Parameters
@@ -73,7 +73,9 @@ class ProductCounts:
         pairs: Iterable[tuple[str, str]] | None = None,
         include_singletons: bool = True,
     ):
+        super().__init__()
         self._base = base
+        self._sizes = base.sizes()
         if pairs is None:
             pairs = itertools.combinations(base.names, 2)
         self._pairs: dict[str, tuple[str, str]] = {}
@@ -91,10 +93,6 @@ class ProductCounts:
             else tuple(self._pairs)
         )
         self._by_cluster_cache: dict[str, np.ndarray] = {}
-        self._full_cache: dict[str, np.ndarray] = {}
-        self._stack = None
-
-    # -- protocol ----------------------------------------------------------
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -103,6 +101,10 @@ class ProductCounts:
     @property
     def n_clusters(self) -> int:
         return self._base.n_clusters
+
+    @property
+    def n(self) -> int:
+        return self._base.n
 
     @property
     def base(self) -> ClusteredCounts:
@@ -148,35 +150,6 @@ class ProductCounts:
             )
             self._by_cluster_cache[name] = cached
         return cached
-
-    def full(self, name: str) -> np.ndarray:
-        if name not in self._pairs:
-            return self._base.full(name)
-        cached = self._full_cache.get(name)
-        if cached is None:
-            cached = self.by_cluster(name).sum(axis=0)
-            self._full_cache[name] = cached
-        return cached
-
-    def cluster(self, name: str, c: int) -> np.ndarray:
-        return self.by_cluster(name)[c]
-
-    def total(self, name: str) -> float:
-        return float(self._base.n)
-
-    def cluster_size(self, name: str, c: int) -> float:
-        return self._base.cluster_size(name, c)
-
-    def by_cluster_stack(self):
-        """Dense stack over the full (singleton + pair) pseudo-attribute pool.
-
-        Bucketing by domain size keeps the Cartesian-product domains from
-        forcing a single max-padded tensor."""
-        if self._stack is None:
-            from .engine.stacks import CountsStack
-
-            self._stack = CountsStack.from_provider(self)
-        return self._stack
 
 
 def explain_with_pairs(

@@ -130,8 +130,7 @@ def single_cluster_scores_matrix_reference(
 ) -> np.ndarray:
     """Scalar-loop reference for :func:`single_cluster_scores_matrix`.
 
-    Kept as the test oracle the batched kernels are pinned against (and for
-    exotic providers that cannot be stacked)."""
+    Kept as the test oracle the batched kernels are pinned against."""
     names = names if names is not None else counts.names
     out = np.empty((counts.n_clusters, len(names)))
     for c in range(counts.n_clusters):

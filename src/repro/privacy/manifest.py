@@ -50,7 +50,9 @@ from __future__ import annotations
 import re
 
 #: Accessor methods returning raw row- or count-derived values.  Seeded with
-#: the Dataset / ClusteredCounts / CountsStack / StreamedCounts surfaces.
+#: the Dataset and CountsStack surfaces and the accessors of the
+#: ``CountsProvider`` base, whose exact subclasses (ClusteredCounts,
+#: StreamedCounts, ProductCounts, StackCounts) return true counts.
 #: A call only counts as a source when the method name appears here AND the
 #: receiver matches :data:`TAINT_SOURCE_RECV_RE` — ``dataset.histogram(...)``
 #: is raw, ``query_engine.histogram(...)`` is a charged DP release with the
@@ -68,8 +70,9 @@ TAINT_SOURCE_METHODS: "set[str]" = {
     "lookup_matrix",
     "lookup_columns",
     "iter_chunks",
-    # ClusteredCounts / CountsStack / StreamedCounts accessors (core/counts.py,
-    # core/engine/stacks.py) — every one returns true (un-noised) counts.
+    # CountsProvider / CountsStack accessors (core/counts.py,
+    # core/engine/stacks.py) — on every exact provider subclass they return
+    # true (un-noised) counts; only NoisyCounts serves released ones.
     "full",
     "cluster",
     "total",

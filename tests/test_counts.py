@@ -88,6 +88,9 @@ class TestLabelValidation:
             np.array([0, 1, 0, 1, 0, 1, 0, 1, 0, np.nan]),
             np.array([0, 1, 0, 1, 0, 1, 0, 1, 0, np.inf]),
             np.array([0, 1, 0, 1, 0, 1, 0, 1, 0, -np.inf]),
+            # Passes the length check; numpy's bincount would refuse it
+            # with its own message.
+            np.array([0, 1, 0, 1, 0, 1, 0, 1, 0, 1]).reshape(10, 1),
         ],
     )
     def test_non_integral_float_labels_are_refused(self, data10, bad):
@@ -106,6 +109,14 @@ class TestLabelValidation:
         assert from_floats.signature() == from_ints.signature()
         for name in from_ints.names:
             assert np.array_equal(from_floats.by_cluster(name), from_ints.by_cluster(name))
+
+    def test_both_builders_refuse_two_dimensional_labels_alike(self, data10):
+        labels = np.zeros((10, 1), dtype=np.int64)
+        with pytest.raises(ValueError) as in_ram:
+            ClusteredCounts(data10, labels, 2)
+        with pytest.raises(ValueError) as streamed:
+            StreamingCountsBuilder(data10.schema, 2).add_dataset(data10, labels)
+        assert str(in_ram.value) == str(streamed.value)
 
     def test_non_numeric_labels_are_refused(self, data10):
         with pytest.raises(ValueError, match="integer"):
@@ -228,3 +239,57 @@ class TestNoisyCounts:
         )
         assert np.isfinite(cluster_sufficiency_normalized(nc, 0, "a"))
         assert np.isfinite(pair_diversity_low_sens(nc, 0, 1, "a", "a"))
+
+
+class TestProviderInventory:
+    """Every counts provider in ``src/repro`` subclasses one base.
+
+    Scanned from the source, not imported, so a provider in a module no test
+    imports is still counted.  A new provider changes the pinned set: add it
+    here after deciding whether its counts are raw or released.
+    """
+
+    PROVIDERS = {
+        "ClusteredCounts",
+        "StreamedCounts",
+        "NoisyCounts",
+        "ProductCounts",
+        "StackCounts",
+    }
+
+    @pytest.fixture(scope="class")
+    def classes(self):
+        import ast
+        import pathlib
+
+        import repro
+
+        found = {}
+        for path in sorted(pathlib.Path(repro.__file__).parent.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.ClassDef):
+                    bases = {
+                        b.id if isinstance(b, ast.Name) else getattr(b, "attr", None)
+                        for b in node.bases
+                    }
+                    methods = {
+                        n.name
+                        for n in node.body
+                        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    }
+                    found[node.name] = (bases, methods)
+        return found
+
+    def test_every_by_cluster_class_subclasses_the_base(self, classes):
+        defining = [
+            name for name, (_, methods) in classes.items() if "by_cluster" in methods
+        ]
+        assert defining
+        for name in defining:
+            assert "CountsProvider" in classes[name][0], name
+
+    def test_subclass_set_is_the_five_providers(self, classes):
+        subclasses = {
+            name for name, (bases, _) in classes.items() if "CountsProvider" in bases
+        }
+        assert subclasses == self.PROVIDERS

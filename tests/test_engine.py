@@ -2,8 +2,10 @@
 
 Every kernel in ``repro.core.engine`` must reproduce the scalar quality
 functions of ``repro.core.quality`` to 1e-12 across random schemas, cluster
-counts, and empty clusters — both on exact :class:`ClusteredCounts` and on
-:class:`NoisyCounts` (where full counts can fall below cluster counts).
+counts, and empty clusters — on every counts provider: exact
+:class:`ClusteredCounts`, :class:`StreamedCounts`, :class:`ProductCounts`
+and an attached :class:`StackCounts`, and :class:`NoisyCounts` (where full
+counts can fall below cluster counts).
 """
 
 from __future__ import annotations
@@ -15,15 +17,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.counts import ClusteredCounts, NoisyCounts
+from repro.core.counts import ClusteredCounts, NoisyCounts, StreamingCountsBuilder
 from repro.core.dpclustx import (
     combination_score_tensor,
     combination_score_tensor_reference,
 )
-from repro.core.engine import CountsStack, ScoringEngine, scoring_engine
+from repro.core.engine import (
+    CountsStack,
+    ScoringEngine,
+    attach_counts,
+    scoring_engine,
+    share_stack,
+)
 from repro.core.engine.kernels import tvd_rows
 from repro.core.hbe import MultiAttributeCombination
 from repro.core.multi import multi_global_score
+from repro.core.pairs import ProductCounts
 from repro.core.quality.distances import normalize_counts, tvd_counts, tvd_probs
 from repro.core.quality.diversity import pair_diversity_low_sens
 from repro.core.quality.exclusivity import exclusivity_low_sens
@@ -87,6 +96,24 @@ def random_noisy(
     return NoisyCounts(names, full, clusters, n_clusters)
 
 
+def random_streamed(rng: np.random.Generator):
+    """Exact counts streamed from row chunks of a random dataset."""
+    exact = random_clustered(rng, n_rows=150, n_clusters=3, domain_sizes=(5, 2, 3))
+    builder = StreamingCountsBuilder(exact.dataset.schema, exact.n_clusters)
+    return builder.add_dataset(exact.dataset, exact.labels, chunk_rows=40).finalise()
+
+
+def random_attached(rng: np.random.Generator):
+    """A :class:`StackCounts` attached to a shared copy of an exact stack.
+
+    The owner unlinks the segment at once; the attached mapping stays valid
+    for the provider's lifetime, so no segment outlives this call.
+    """
+    exact = random_clustered(rng, n_clusters=3, domain_sizes=(4, 2, 6))
+    with share_stack(exact.by_cluster_stack()) as seg:
+        return attach_counts(seg.handle)
+
+
 def all_providers(seed: int = 0):
     rng = np.random.default_rng(seed)
     return [
@@ -96,6 +123,9 @@ def all_providers(seed: int = 0):
         random_noisy(rng),
         random_noisy(rng, n_clusters=4, domain_sizes=(2, 2, 9), zero_cluster=False),
         random_noisy(rng, n_clusters=3, domain_sizes=(4, 3), low=-6),
+        random_streamed(rng),
+        ProductCounts(random_clustered(rng, n_clusters=3, domain_sizes=(3, 4, 2))),
+        random_attached(rng),
     ]
 
 
@@ -162,13 +192,6 @@ class TestCountsStack:
         gc.collect()
         assert ref() is None
         assert not any(k is ref() for k in list(_ENGINES))
-
-    def test_subset_stack_falls_back_to_cluster_calls(self):
-        counts = all_providers()[0]
-        sub = CountsStack.from_provider(counts, names=counts.names[:2])
-        assert sub.names == counts.names[:2]
-        mat, _ = sub.attribute_counts(counts.names[0])
-        np.testing.assert_array_equal(mat, counts.by_cluster(counts.names[0]))
 
 
 # --------------------------------------------------------------------------- #
@@ -483,19 +506,6 @@ class TestFusedKernels:
 
 
 class TestGetStackMemo:
-    def test_subset_stacks_memoised_per_provider(self):
-        from repro.core.engine.stacks import get_stack
-
-        counts = all_providers()[0]
-        names = counts.names[:2]
-        a = get_stack(counts, names)
-        b = get_stack(counts, names)
-        assert a is b
-        c = get_stack(counts, counts.names[:3])
-        assert c is not a
-
     def test_full_stack_still_served_by_provider_cache(self):
-        counts = all_providers()[0]
-        from repro.core.engine.stacks import get_stack
-
-        assert get_stack(counts) is counts.by_cluster_stack()
+        for counts in all_providers():
+            assert scoring_engine(counts).stack is counts.by_cluster_stack()

@@ -54,6 +54,14 @@ class TestProductCounts:
         assert joint[red * m_size + s] == 2
         assert joint.sum() == len(dataset)
 
+    def test_stack_totals_and_sizes_are_the_base_counts(self, counts):
+        pc = ProductCounts(counts)
+        stack = pc.by_cluster_stack()
+        assert stack.names == pc.names
+        assert np.array_equal(stack.totals, np.full(len(pc.names), float(counts.n)))
+        for j in range(len(pc.names)):
+            assert np.array_equal(stack.sizes[j], counts.sizes().astype(np.float64))
+
     def test_cluster_joint_partitions_full(self, counts):
         pc = ProductCounts(counts)
         name = pair_name("size", "flag")

@@ -2,7 +2,7 @@
 
 The fan-out layer ships a `SharedStackHandle` (a few hundred bytes) instead
 of pickled tensors or dataset recipes; these tests pin the contract — an
-attached `StackCounts` answers the whole counts-provider protocol with
+attached `StackCounts` answers every `CountsProvider` accessor with
 exactly the owner's values, segments never outlive their owner, and attaches
 after unlink fail loudly.
 """

@@ -102,30 +102,18 @@ class DPNaive:
                 ]
             )
 
-        # Every histogram of the release in one noise draw: per attribute,
-        # the full-data histogram stacked on the (|C|, m) by-cluster matrix
-        # forms one (1 + |C|, m) block, and ``release_blocks`` consumes a
-        # single flat noise sample block-by-block — stream-identical to the
-        # scalar loop (per attribute: full release first, then cluster by
-        # cluster) while collapsing |A| * (|C| + 1) generator round-trips
-        # into one.  Composition is unchanged: sequential across the full
-        # rows, parallel across the disjoint cluster rows.
+        # Every histogram of the release in one ``release_blocks`` call: per
+        # attribute, the full-data histogram stacked on the (|C|, m)
+        # by-cluster matrix forms one (1 + |C|, m) block, released row by
+        # row (per attribute: full release first, then cluster by cluster)
+        # from one generator.  Composition is unchanged: sequential across
+        # the full rows, parallel across the disjoint cluster rows.
         full_hists: dict[str, np.ndarray] = {}
         cluster_hists: dict[str, np.ndarray] = {}
-        if hasattr(mech, "release_blocks"):
-            blocks = _true_blocks(counts, names)
-            for a, noisy in zip(names, mech.release_blocks(blocks, gen)):
-                full_hists[a] = noisy[0]
-                cluster_hists[a] = noisy[1:]
-        else:
-            for a in names:
-                full_hists[a] = mech.release(counts.full(a), gen)
-                cluster_hists[a] = np.stack(
-                    [
-                        mech.release(counts.cluster(a, c), gen)
-                        for c in range(counts.n_clusters)
-                    ]
-                )
+        blocks = _true_blocks(counts, names)
+        for a, noisy in zip(names, mech.release_blocks(blocks, gen)):
+            full_hists[a] = noisy[0]
+            cluster_hists[a] = noisy[1:]
         return NoisyCounts(names, full_hists, cluster_hists, counts.n_clusters)
 
     def select_combination(

@@ -18,11 +18,8 @@ import numpy as np
 
 from ..clustering.base import ClusteringFunction
 from ..core.counts import ClusteredCounts, CountsProvider
-from ..core.hbe import (
-    AttributeCombination,
-    GlobalExplanation,
-    SingleClusterExplanation,
-)
+from ..core.dpclustx import release_cluster_histograms
+from ..core.hbe import AttributeCombination, GlobalExplanation
 from ..core.engine import scoring_engine
 from ..core.quality.scores import SENSITIVE_SCORE_SENSITIVITY, Weights
 from ..core.select_candidates import stage1_mechanism
@@ -101,32 +98,17 @@ class DPTabEE:
             counts = ClusteredCounts(dataset, clustering)
         combination = self.select_combination(counts, gen, accountant)
 
-        distinct = combination.distinct_attributes()
-        eps_hist_all = self.budget.eps_hist / (2.0 * len(distinct))
-        eps_hist_cluster = self.budget.eps_hist / 2.0
-        full_mech = self.histogram_mechanism.with_epsilon(eps_hist_all)
-        cluster_mech = self.histogram_mechanism.with_epsilon(eps_hist_cluster)
-        if accountant is not None:
-            accountant.spend(eps_hist_all * len(distinct), "dp-tabee full hists")
-        noisy_full = {a: full_mech.release(counts.full(a), gen) for a in distinct}
-        if accountant is not None:
-            accountant.parallel(
-                [eps_hist_cluster] * counts.n_clusters, "dp-tabee cluster hists"
-            )
-        explanations = []
-        for c in range(counts.n_clusters):
-            a = combination[c]
-            noisy_c = cluster_mech.release(counts.cluster(a, c), gen)
-            explanations.append(
-                SingleClusterExplanation(
-                    cluster=c,
-                    attribute=dataset.schema.attribute(a),
-                    hist_rest=np.maximum(noisy_full[a] - noisy_c, 0.0),
-                    hist_cluster=noisy_c,
-                )
-            )
+        per_cluster = release_cluster_histograms(
+            self.histogram_mechanism,
+            self.budget.eps_hist,
+            counts,
+            [(a,) for a in combination.attributes],
+            dataset.schema.attribute,
+            gen,
+            accountant,
+        )
         return GlobalExplanation(
-            per_cluster=tuple(explanations),
+            per_cluster=tuple(e for (e,) in per_cluster),
             combination=combination,
             metadata={"framework": "DP-TabEE", "budget": self.budget},
         )

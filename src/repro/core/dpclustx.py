@@ -13,10 +13,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
 
 from ..clustering.base import ClusteringFunction
+from ..dataset.schema import Attribute
 from ..dataset.table import Dataset
 from ..privacy.budget import ExplanationBudget, PrivacyAccountant
 from ..privacy.exponential import ExponentialMechanism
@@ -103,6 +105,71 @@ def combination_score_tensor_reference(
             expand = mat[tuple(view[i] for i in range(n_clusters))]
             tensor += weights.lambda_div * expand / n_pairs
     return tensor
+
+
+def release_cluster_histograms(
+    mechanism: HistogramMechanism,
+    eps_hist: float,
+    counts: CountsProvider,
+    attribute_sets: "Sequence[Sequence[str]]",
+    attribute: "Callable[[str], Attribute]",
+    rng: np.random.Generator | int | None = None,
+    accountant: PrivacyAccountant | None = None,
+) -> "tuple[tuple[SingleClusterExplanation, ...], ...]":
+    """Lines 8-19 of Algorithm 2: noisy histograms of the selected attributes.
+
+    ``attribute_sets[c]`` names the ``ell`` attributes explaining cluster
+    ``c`` (``ell = 1`` outside Appendix B).  The full-data histograms of
+    the distinct attributes ``A'`` compose sequentially at
+    ``eps_hist / (2 |A'|)`` each (Lines 8-12).  A cluster's ``ell``
+    histograms compose sequentially at ``eps_hist / (2 ell)`` each, and the
+    disjoint clusters in parallel (Lines 14-16).  Out-of-cluster histograms
+    are post-processing (Line 17).  Both halves are charged in one
+    all-or-nothing ``spend_many`` before any noise is drawn, so a refusal
+    leaves the ledger and ``rng`` as they were.  Each half is then one
+    ``release_blocks`` call: the full-data histograms first, then the
+    cluster rows in cluster order.  ``attribute`` maps a name to the
+    :class:`~repro.dataset.schema.Attribute` the explanation renders.
+    Returns one tuple of ``ell`` explanations per cluster.
+    """
+    gen = ensure_rng(rng)
+    distinct = tuple(dict.fromkeys(a for attrs in attribute_sets for a in attrs))
+    ell = max(len(attrs) for attrs in attribute_sets)
+    eps_full = eps_hist / (2.0 * len(distinct))
+    eps_cluster = eps_hist / (2.0 * ell)
+    if accountant is not None:
+        accountant.spend_many([
+            (eps_full * len(distinct), "histograms: full dataset"),
+            (
+                [eps_cluster * ell] * len(attribute_sets),
+                "histograms: clusters (parallel)",
+            ),
+        ])
+    full = mechanism.with_epsilon(eps_full).release_blocks(
+        [counts.full(a)[None] for a in distinct], gen
+    )
+    noisy_full = {a: h[0] for a, h in zip(distinct, full)}
+    rows = [
+        counts.cluster(a, c)[None]
+        for c, attrs in enumerate(attribute_sets)
+        for a in attrs
+    ]
+    noisy_rows = iter(mechanism.with_epsilon(eps_cluster).release_blocks(rows, gen))
+    per_cluster = []
+    for c, attrs in enumerate(attribute_sets):
+        explanations = []
+        for a in attrs:
+            (noisy_c,) = next(noisy_rows)
+            explanations.append(
+                SingleClusterExplanation(
+                    cluster=c,
+                    attribute=attribute(a),
+                    hist_rest=np.maximum(noisy_full[a] - noisy_c, 0.0),
+                    hist_cluster=noisy_c,
+                )
+            )
+        per_cluster.append(tuple(explanations))
+    return tuple(per_cluster)
 
 
 @dataclass(frozen=True)
@@ -219,63 +286,20 @@ class DPClustX:
         layer's ``explain_batched``, the explanation service) can run
         Stage-1/2 selection for many seeds in one scoring pass and then
         continue each seed's generator here — the stream consumption is
-        identical to the serial ``explain`` call.  Charges ``eps_hist``
-        against ``accountant`` exactly as before; extra ``metadata``
-        entries (e.g. the candidate sets) are merged into the output's
-        provenance record.
+        identical to the serial ``explain`` call.  The release and its
+        ``eps_hist`` charge happen in :func:`release_cluster_histograms`;
+        extra ``metadata`` entries (e.g. the candidate sets) are merged into
+        the output's provenance record.
         """
-        gen = ensure_rng(rng)
-
-        # Lines 8-9: budget allocation for histograms.
-        distinct = combination.distinct_attributes()
-        eps_hist_all = self.budget.eps_hist / (2.0 * len(distinct))
-        eps_hist_cluster = self.budget.eps_hist / 2.0
-
-        # Lines 10-12: full-dataset histograms (sequential composition).
-        # Charged before sampling: once noise is drawn the privacy is spent
-        # whether or not the ledger admitted it.
-        full_mech = self.histogram_mechanism.with_epsilon(eps_hist_all)
-        if accountant is not None:
-            accountant.spend(
-                eps_hist_all * len(distinct), "histograms: full dataset"
-            )
-        noisy_full: dict[str, np.ndarray] = {}
-        for a in distinct:
-            noisy_full[a] = full_mech.release(counts.full(a), gen)
-
-        # Lines 14-19: per-cluster histograms (parallel composition) and
-        # out-of-cluster histograms by post-processing (Line 17).  When all
-        # selected attributes share one domain width (the common case) the
-        # |C| releases collapse into a single ``release_rows`` call over the
-        # stacked (|C|, m) count matrix — stream-identical to the loop, and
-        # still parallel composition since clusters are disjoint.  Ragged
-        # widths or mechanisms without ``release_rows`` keep the loop.
-        cluster_mech = self.histogram_mechanism.with_epsilon(eps_hist_cluster)
-        rows = [counts.cluster(combination[c], c) for c in range(counts.n_clusters)]
-        if accountant is not None:
-            accountant.parallel(
-                [eps_hist_cluster] * counts.n_clusters,
-                "histograms: clusters (parallel)",
-            )
-        widths = {row.shape[0] for row in rows}
-        if len(widths) == 1 and hasattr(cluster_mech, "release_rows"):
-            noisy_rows = cluster_mech.release_rows(np.stack(rows), gen)
-        else:
-            noisy_rows = [cluster_mech.release(row, gen) for row in rows]
-        schema = counts.dataset.schema
-        explanations: list[SingleClusterExplanation] = []
-        for c in range(counts.n_clusters):
-            a_c = combination[c]
-            noisy_c = noisy_rows[c]
-            noisy_rest = np.maximum(noisy_full[a_c] - noisy_c, 0.0)
-            explanations.append(
-                SingleClusterExplanation(
-                    cluster=c,
-                    attribute=schema.attribute(a_c),
-                    hist_rest=noisy_rest,
-                    hist_cluster=noisy_c,
-                )
-            )
+        per_cluster = release_cluster_histograms(
+            self.histogram_mechanism,
+            self.budget.eps_hist,
+            counts,
+            [(a,) for a in combination.attributes],
+            counts.dataset.schema.attribute,
+            rng,
+            accountant,
+        )
         provenance: dict[str, object] = {
             "framework": "DPClustX",
             "budget": self.budget,
@@ -285,7 +309,7 @@ class DPClustX:
         provenance.update(metadata or {})
         provenance["epsilon_total"] = self.budget.total
         return GlobalExplanation(
-            per_cluster=tuple(explanations),
+            per_cluster=tuple(e for (e,) in per_cluster),
             combination=combination,
             metadata=provenance,
         )

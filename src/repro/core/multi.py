@@ -30,11 +30,8 @@ from ..privacy.histograms import GeometricHistogram, HistogramMechanism
 from ..privacy.rng import ensure_rng
 from .counts import ClusteredCounts, CountsProvider
 from .engine import scoring_engine
-from .hbe import (
-    MultiAttributeCombination,
-    MultiGlobalExplanation,
-    SingleClusterExplanation,
-)
+from .dpclustx import release_cluster_histograms
+from .hbe import MultiAttributeCombination, MultiGlobalExplanation
 from .quality.diversity import pair_diversity_low_sens
 from .quality.interestingness import interestingness_low_sens
 from .quality.scores import SCORE_SENSITIVITY, Weights
@@ -152,39 +149,17 @@ class MultiDPClustX:
             counts = ClusteredCounts(dataset, clustering)
         combination = self.select_combination(counts, gen, accountant)
 
-        distinct = combination.distinct_attributes()
-        eps_hist_all = self.budget.eps_hist / (2.0 * len(distinct))
-        # Within a cluster the ell histograms compose sequentially.
-        eps_hist_cluster = self.budget.eps_hist / (2.0 * self.ell)
-
-        full_mech = self.histogram_mechanism.with_epsilon(eps_hist_all)
-        if accountant is not None:
-            accountant.spend(eps_hist_all * len(distinct), "histograms: full dataset")
-        noisy_full = {a: full_mech.release(counts.full(a), gen) for a in distinct}
-
-        cluster_mech = self.histogram_mechanism.with_epsilon(eps_hist_cluster)
-        if accountant is not None:
-            accountant.parallel(
-                [eps_hist_cluster * self.ell] * counts.n_clusters,
-                "histograms: clusters (parallel across, sequential within)",
-            )
-        per_cluster: list[tuple[SingleClusterExplanation, ...]] = []
-        for c in range(counts.n_clusters):
-            cluster_expls = []
-            for a in combination[c]:
-                noisy_c = cluster_mech.release(counts.cluster(a, c), gen)
-                noisy_rest = np.maximum(noisy_full[a] - noisy_c, 0.0)
-                cluster_expls.append(
-                    SingleClusterExplanation(
-                        cluster=c,
-                        attribute=dataset.schema.attribute(a),
-                        hist_rest=noisy_rest,
-                        hist_cluster=noisy_c,
-                    )
-                )
-            per_cluster.append(tuple(cluster_expls))
+        per_cluster = release_cluster_histograms(
+            self.histogram_mechanism,
+            self.budget.eps_hist,
+            counts,
+            combination.attribute_sets,
+            dataset.schema.attribute,
+            gen,
+            accountant,
+        )
         return MultiGlobalExplanation(
-            per_cluster=tuple(per_cluster),
+            per_cluster=per_cluster,
             combination=combination,
             metadata={
                 "framework": "MultiDPClustX",

@@ -168,40 +168,22 @@ def explain_with_pairs(
     product pseudo-attributes (rendered with "u | v" labelled bins).
     """
     from ..privacy.rng import ensure_rng
-    from .hbe import GlobalExplanation, SingleClusterExplanation
+    from .dpclustx import release_cluster_histograms
+    from .hbe import GlobalExplanation
 
     gen = ensure_rng(rng)
-    selection = explainer.select_combination(counts, gen, accountant)
-    combination = selection.combination
-
-    distinct = combination.distinct_attributes()
-    eps_hist_all = explainer.budget.eps_hist / (2.0 * len(distinct))
-    eps_hist_cluster = explainer.budget.eps_hist / 2.0
-    full_mech = explainer.histogram_mechanism.with_epsilon(eps_hist_all)
-    cluster_mech = explainer.histogram_mechanism.with_epsilon(eps_hist_cluster)
-
-    # Charge each composition block before its noise is sampled.
-    if accountant is not None:
-        accountant.spend(eps_hist_all * len(distinct), "pair histograms: full")
-    noisy_full = {a: full_mech.release(counts.full(a), gen) for a in distinct}
-    if accountant is not None:
-        accountant.parallel(
-            [eps_hist_cluster] * counts.n_clusters, "pair histograms: clusters"
-        )
-    explanations = []
-    for c in range(counts.n_clusters):
-        a_c = combination[c]
-        noisy_c = cluster_mech.release(counts.cluster(a_c, c), gen)
-        explanations.append(
-            SingleClusterExplanation(
-                cluster=c,
-                attribute=counts.attribute(a_c),
-                hist_rest=np.maximum(noisy_full[a_c] - noisy_c, 0.0),
-                hist_cluster=noisy_c,
-            )
-        )
+    combination = explainer.select_combination(counts, gen, accountant).combination
+    per_cluster = release_cluster_histograms(
+        explainer.histogram_mechanism,
+        explainer.budget.eps_hist,
+        counts,
+        [(a,) for a in combination.attributes],
+        counts.attribute,
+        gen,
+        accountant,
+    )
     return GlobalExplanation(
-        per_cluster=tuple(explanations),
+        per_cluster=tuple(e for (e,) in per_cluster),
         combination=combination,
         metadata={
             "framework": "DPClustX+pairs",

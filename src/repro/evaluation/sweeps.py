@@ -255,9 +255,9 @@ def _select_dpnaive(
     """All seeds of ``DPNaive.select_combination``.
 
     The noisy releases are inherently per-seed (each seed post-processes its
-    own noisy histograms), but within a seed the releases are batched
-    (``release_rows``) and the TabEE Stage-2 over the noisy counts runs as
-    one Quality tensor instead of ``k^|C|`` scalar evaluations.
+    own noisy histograms), but within a seed they are one
+    ``release_blocks`` call and the TabEE Stage-2 over the noisy counts runs
+    as one Quality tensor instead of ``k^|C|`` scalar evaluations.
     """
     from ..baselines.tabee import TabEE
 

@@ -28,12 +28,11 @@ construction: children sum to parents).  All inference is post-processing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from ..dataset.table import Dataset
-from .budget import check_epsilon
-from .manifest import register_sanitizer
+from .histograms import HistogramMechanism, as_blocks
 from .mechanisms import LaplaceMechanism
 from .rng import ensure_rng
 
@@ -53,53 +52,50 @@ def _tree_shape(n_bins: int, branching: int) -> tuple[int, int]:
 
 
 @dataclass(frozen=True)
-class HierarchicalHistogram:
+class HierarchicalHistogram(HistogramMechanism):
     """Tree-structured DP histogram release with consistency post-processing.
 
-    Implements the same protocol as the flat mechanisms
-    (:class:`~repro.privacy.histograms.GeometricHistogram`), so it drops into
+    Subclasses :class:`~repro.privacy.histograms.HistogramMechanism`, as the
+    flat mechanisms do, so it drops into
     ``DPClustX(histogram_mechanism=HierarchicalHistogram(1.0))`` unchanged.
     """
 
-    epsilon: float
     branching: int = 2
     clamp_negative: bool = True
 
     def __post_init__(self) -> None:
-        check_epsilon(self.epsilon)
+        super().__post_init__()
         if self.branching < 2:
             raise ValueError("branching factor must be >= 2")
 
-    def release(
-        self, counts: np.ndarray, rng: np.random.Generator | int | None = None
-    ) -> np.ndarray:
-        """Release a consistent noisy histogram over ``len(counts)`` bins."""
+    def release_blocks(
+        self,
+        blocks: "Sequence[np.ndarray]",
+        rng: np.random.Generator | int | None = None,
+    ) -> "list[np.ndarray]":
+        """Release every row of each ``(R_i, m_i)`` block as its own tree,
+        one consistent noisy histogram over ``m_i`` bins per row."""
+        mats = as_blocks(blocks, np.float64)
         gen = ensure_rng(rng)
-        counts = np.asarray(counts, dtype=np.float64)
-        m = counts.shape[0]
-        leaves, height = _tree_shape(m, self.branching)
-        if height == 1:  # single bin: flat Laplace release
-            mech = LaplaceMechanism(self.epsilon, 1.0)
-            out = np.asarray(mech.randomise(counts, gen), dtype=np.float64)
-            return np.maximum(out, 0.0) if self.clamp_negative else out
-
-        padded = np.zeros(leaves)
-        padded[:m] = counts
-
-        # levels[0] = leaves ... levels[-1] = root; true interval sums.
-        levels = [padded]
-        while levels[-1].shape[0] > 1:
-            levels.append(levels[-1].reshape(-1, self.branching).sum(axis=1))
-
-        eps_level = self.epsilon / height
-        mech = LaplaceMechanism(eps_level, 1.0)
-        noisy = [np.asarray(mech.randomise(level, gen)) for level in levels]
-
-        z = self._upward_pass(noisy)
-        hbar = self._downward_pass(z)
-        out = hbar[0][:m]
-        if self.clamp_negative:
-            out = np.maximum(out, 0.0)
+        out = [np.empty(m.shape) for m in mats]
+        for m, noisy_block in zip(mats, out):
+            n_bins = m.shape[1]
+            leaves, height = _tree_shape(n_bins, self.branching)
+            mech = LaplaceMechanism(self.epsilon / height, 1.0)
+            for r, counts in enumerate(m):
+                padded = np.zeros(leaves)
+                padded[:n_bins] = counts
+                # levels[0] = leaves ... levels[-1] = root; true interval sums.
+                levels = [padded]
+                while levels[-1].shape[0] > 1:
+                    levels.append(
+                        levels[-1].reshape(-1, self.branching).sum(axis=1)
+                    )
+                noisy = [np.asarray(mech.randomise(lv, gen)) for lv in levels]
+                hbar = self._downward_pass(self._upward_pass(noisy))
+                noisy_block[r] = hbar[0][:n_bins]
+            if self.clamp_negative:
+                np.maximum(noisy_block, 0.0, out=noisy_block)
         return out
 
     def _upward_pass(self, noisy: list[np.ndarray]) -> list[np.ndarray]:
@@ -125,19 +121,6 @@ class HierarchicalHistogram:
             hbar[l] = (child_z + correction[:, None]).reshape(-1)
         return hbar
 
-    def release_column(
-        self,
-        dataset: Dataset,
-        attribute: str,
-        rng: np.random.Generator | int | None = None,
-        mask: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """``M_hist(pi_A(D), eps)`` with the hierarchical mechanism."""
-        return self.release(dataset.histogram(attribute, mask=mask), rng)
-
-    def with_epsilon(self, epsilon: float) -> "HierarchicalHistogram":
-        return HierarchicalHistogram(epsilon, self.branching, self.clamp_negative)
-
     def range_query(
         self,
         released: np.ndarray,
@@ -158,8 +141,3 @@ class HierarchicalHistogram:
         _, height = _tree_shape(n_bins, self.branching)
         scale = height / self.epsilon
         return 2.0 * scale * scale
-
-
-# Self-register this backend's release surface with the taint manifest.
-register_sanitizer("release")
-register_sanitizer("release_column")

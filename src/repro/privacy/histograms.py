@@ -10,171 +10,80 @@ use the Geometric mechanism as implemented by diffprivlib.  We provide:
 * :class:`LaplaceHistogram` — real-valued alternative;
 * both optionally clamp negatives to zero (post-processing, free).
 
-Each mechanism exposes ``release(counts, rng)`` so it can consume a
-pre-computed count vector, and ``release_column(dataset, attr, rng)`` matching
-the paper's ``M_hist(pi_A(D), eps_hist)`` signature.
+Every mechanism subclasses :class:`HistogramMechanism` and draws noise in
+one method, ``release_blocks(blocks, rng)``, which releases a sequence of
+``(R, m)`` count matrices row by row from one generator.  The base derives
+the rest from it: ``release(counts, rng)`` for one pre-computed count vector
+and ``release_column(dataset, attr, rng)`` matching the paper's
+``M_hist(pi_A(D), eps_hist)`` signature.
 """
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
-from typing import Protocol, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
 from ..dataset.table import Dataset
 from .budget import check_epsilon
 from .manifest import register_sanitizer
-from .mechanisms import GeometricMechanism, LaplaceMechanism
 from .rng import ensure_rng
 
 
-@functools.lru_cache(maxsize=32)
-def _geometric_block_plan(
-    shapes: "tuple[tuple[int, int], ...]",
-) -> "tuple[np.ndarray, np.ndarray, tuple[int, ...], int]":
-    """Gather plan for a multi-block geometric release.
+def as_blocks(blocks: "Sequence[np.ndarray]", dtype) -> "list[np.ndarray]":
+    """``blocks`` as ``dtype`` arrays; each must be an ``(R, m)`` matrix."""
+    mats = [np.asarray(b, dtype=dtype) for b in blocks]
+    if any(m.ndim != 2 for m in mats):
+        raise ValueError("every block must be an (R, m) matrix")
+    return mats
 
-    For blocks of the given ``(R_i, m_i)`` shapes, returns the positions of
-    the positive/negative geometric draws inside one flat sample that
-    consumes the stream in per-row-interleaved order (row ``r`` of a block:
-    ``m`` positive draws, then ``m`` negative), plus the per-block split
-    offsets of the flattened output and the total draw count.  Cached:
-    sweeps release the same block structure thousands of times.
-    """
-    pos_idx: list[np.ndarray] = []
-    neg_idx: list[np.ndarray] = []
-    splits = [0]
+
+def _flatten(mats: "Sequence[np.ndarray]", dtype) -> np.ndarray:
+    """The blocks' counts end to end, in row-major order."""
+    return np.concatenate([m.ravel() for m in mats] or [np.empty(0, dtype)])
+
+
+def _split(flat: np.ndarray, mats: "Sequence[np.ndarray]") -> "list[np.ndarray]":
+    """Inverse of :func:`_flatten`: one view of ``flat`` per block."""
+    out = []
     pos = 0
-    for r, m in shapes:
-        rows = pos + 2 * m * np.arange(r, dtype=np.intp)[:, None]
-        cols = np.arange(m, dtype=np.intp)
-        pos_idx.append((rows + cols).ravel())
-        neg_idx.append((rows + m + cols).ravel())
-        pos += 2 * r * m
-        splits.append(splits[-1] + r * m)
-    return (
-        np.concatenate(pos_idx) if pos_idx else np.empty(0, dtype=np.intp),
-        np.concatenate(neg_idx) if neg_idx else np.empty(0, dtype=np.intp),
-        tuple(splits),
-        pos,
-    )
-
-
-class HistogramMechanism(Protocol):
-    """Structural interface for ``M_hist``: any eps-DP histogram release."""
-
-    epsilon: float
-
-    def release(
-        self, counts: np.ndarray, rng: np.random.Generator | int | None = None
-    ) -> np.ndarray: ...
-
-    def release_rows(
-        self, counts: np.ndarray, rng: np.random.Generator | int | None = None
-    ) -> np.ndarray: ...
-
-    def release_blocks(
-        self,
-        blocks: "Sequence[np.ndarray]",
-        rng: np.random.Generator | int | None = None,
-    ) -> "list[np.ndarray]": ...
-
-    def release_column(
-        self,
-        dataset: Dataset,
-        attribute: str,
-        rng: np.random.Generator | int | None = None,
-        mask: np.ndarray | None = None,
-    ) -> np.ndarray: ...
-
-    def with_epsilon(self, epsilon: float) -> "HistogramMechanism": ...
+    for m in mats:
+        out.append(flat[pos : pos + m.size].reshape(m.shape))
+        pos += m.size
+    return out
 
 
 @dataclass(frozen=True)
-class GeometricHistogram:
-    """Per-bin two-sided geometric noise (the paper's default ``M_hist``)."""
+class HistogramMechanism:
+    """``M_hist``: an eps-DP histogram release (Section 2.1).
+
+    Subclasses implement :meth:`release_blocks`, the only method that draws
+    noise.  Rows are released in order from one generator, and each row
+    spends ``epsilon``: rows over disjoint data (the clusters) compose in
+    parallel, rows over the same data sequentially, as the caller charges.
+    """
 
     epsilon: float
-    clamp_negative: bool = True
 
     def __post_init__(self) -> None:
         check_epsilon(self.epsilon)
-
-    def release(
-        self, counts: np.ndarray, rng: np.random.Generator | int | None = None
-    ) -> np.ndarray:
-        """Add geometric noise to a count vector; clamp to >= 0 if configured."""
-        counts = np.asarray(counts, dtype=np.int64)
-        mech = GeometricMechanism(self.epsilon, sensitivity=1.0)
-        noisy = counts + mech.sample_noise(counts.shape, rng)
-        if self.clamp_negative:
-            noisy = np.maximum(noisy, 0)
-        return noisy.astype(np.float64)
-
-    def release_rows(
-        self, counts: np.ndarray, rng: np.random.Generator | int | None = None
-    ) -> np.ndarray:
-        """Release every row of an ``(R, m)`` count matrix in one call.
-
-        The two one-sided geometric streams are drawn as a single
-        ``(R, 2, m)`` sample, which consumes the generator in exactly the
-        order of the per-row loop (row ``r``: ``m`` draws for the positive
-        side, then ``m`` for the negative) — the output is therefore
-        *stream-identical* to ``np.stack([release(row, rng) for row in
-        counts])`` on the same generator.  Used to batch per-cluster
-        histogram releases (clusters compose in parallel, so one call
-        spends the same ``epsilon`` as the loop).
-        """
-        counts = np.asarray(counts, dtype=np.int64)
-        if counts.ndim != 2:
-            raise ValueError("counts must be an (R, m) matrix")
-        gen = ensure_rng(rng)
-        p = 1.0 - float(np.exp(-self.epsilon))
-        g = gen.geometric(p, size=(counts.shape[0], 2, counts.shape[1]))
-        noisy = counts + (g[:, 0, :] - g[:, 1, :]).astype(np.int64)
-        if self.clamp_negative:
-            noisy = np.maximum(noisy, 0)
-        return noisy.astype(np.float64)
 
     def release_blocks(
         self,
         blocks: "Sequence[np.ndarray]",
         rng: np.random.Generator | int | None = None,
     ) -> "list[np.ndarray]":
-        """Release a sequence of ``(R_i, m_i)`` count matrices in one draw.
+        """Release every row of a sequence of ``(R_i, m_i)`` count matrices."""
+        raise NotImplementedError
 
-        One flat geometric sample covers every block and is consumed
-        block-by-block in row-major ``(R_i, 2, m_i)`` order, so the output
-        is *stream-identical* to sequential :meth:`release_rows` calls (and
-        hence to the fully scalar release loop).  This collapses the
-        ``|A| * (|C| + 1)`` generator round-trips of an all-histograms
-        release (DP-Naive) into a single one per seed; the composition
-        accounting is unchanged — noise is i.i.d. per count either way.
-        """
-        mats = [np.asarray(b, dtype=np.int64) for b in blocks]
-        for m in mats:
-            if m.ndim != 2:
-                raise ValueError("every block must be an (R, m) matrix")
-        gen = ensure_rng(rng)
-        p = 1.0 - float(np.exp(-self.epsilon))
-        shapes = tuple(m.shape for m in mats)
-        pos_idx, neg_idx, splits, total = _geometric_block_plan(shapes)
-        flat = gen.geometric(p, size=total)
-        true_flat = (
-            np.concatenate([m.ravel() for m in mats])
-            if mats
-            else np.empty(0, dtype=np.int64)
-        )
-        noisy_flat = true_flat + flat[pos_idx] - flat[neg_idx]
-        if self.clamp_negative:
-            np.maximum(noisy_flat, 0, out=noisy_flat)
-        noisy_flat = noisy_flat.astype(np.float64)
-        return [
-            noisy_flat[splits[i] : splits[i + 1]].reshape(m.shape)
-            for i, m in enumerate(mats)
-        ]
+    def release(
+        self, counts: np.ndarray, rng: np.random.Generator | int | None = None
+    ) -> np.ndarray:
+        """Release a count array of any shape as one row."""
+        counts = np.asarray(counts)
+        noisy = self.release_blocks([counts.reshape(1, -1)], rng)[0]
+        return noisy.reshape(counts.shape)
 
     def release_column(
         self,
@@ -186,8 +95,45 @@ class GeometricHistogram:
         """``M_hist(pi_A(D), eps)`` over the full domain ``dom(A)``."""
         return self.release(dataset.histogram(attribute, mask=mask), rng)
 
-    def with_epsilon(self, epsilon: float) -> "GeometricHistogram":
-        return GeometricHistogram(epsilon, self.clamp_negative)
+    def with_epsilon(self, epsilon: float) -> "HistogramMechanism":
+        return replace(self, epsilon=epsilon)
+
+
+@dataclass(frozen=True)
+class GeometricHistogram(HistogramMechanism):
+    """Per-bin two-sided geometric noise (the paper's default ``M_hist``)."""
+
+    clamp_negative: bool = True
+
+    def release_blocks(
+        self,
+        blocks: "Sequence[np.ndarray]",
+        rng: np.random.Generator | int | None = None,
+    ) -> "list[np.ndarray]":
+        """Release ``(R_i, m_i)`` count matrices from one geometric draw.
+
+        Each count gets the difference of two one-sided geometric draws.
+        One flat sample is consumed row by row: a row of ``m`` counts takes
+        ``m`` draws for the positive side, then ``m`` for the negative one,
+        the order of releasing the rows one at a time.
+        """
+        mats = as_blocks(blocks, np.int64)
+        gen = ensure_rng(rng)
+        p = 1.0 - float(np.exp(-self.epsilon))
+        # A row of width m whose first count has flat index s owns draws
+        # [2s, 2s + 2m): count k of it takes draw k + s, minus draw k + s + m.
+        widths = np.repeat(
+            np.array([m.shape[1] for m in mats], dtype=np.intp),
+            [m.shape[0] for m in mats],
+        )
+        pos = np.arange(widths.sum()) + np.repeat(np.cumsum(widths) - widths, widths)
+        draws = gen.geometric(p, size=2 * pos.size)
+        noisy = _flatten(mats, np.int64)
+        noisy += draws[pos]
+        noisy -= draws[pos + np.repeat(widths, widths)]
+        if self.clamp_negative:
+            np.maximum(noisy, 0, out=noisy)
+        return _split(noisy.astype(np.float64), mats)
 
     def expected_l1_error(self, domain_size: int) -> float:
         """Expected L1 noise mass over a ``domain_size``-bin histogram."""
@@ -198,79 +144,25 @@ class GeometricHistogram:
 
 
 @dataclass(frozen=True)
-class LaplaceHistogram:
+class LaplaceHistogram(HistogramMechanism):
     """Per-bin Laplace(1/eps) noise — the classical real-valued variant."""
 
-    epsilon: float
     clamp_negative: bool = True
-
-    def __post_init__(self) -> None:
-        check_epsilon(self.epsilon)
-
-    def release(
-        self, counts: np.ndarray, rng: np.random.Generator | int | None = None
-    ) -> np.ndarray:
-        counts = np.asarray(counts, dtype=np.float64)
-        mech = LaplaceMechanism(self.epsilon, sensitivity=1.0)
-        noisy = np.asarray(mech.randomise(counts, ensure_rng(rng)))
-        if self.clamp_negative:
-            noisy = np.maximum(noisy, 0.0)
-        return noisy
-
-    def release_rows(
-        self, counts: np.ndarray, rng: np.random.Generator | int | None = None
-    ) -> np.ndarray:
-        """Release every row of an ``(R, m)`` count matrix in one call.
-
-        Laplace noise is drawn value-by-value from the stream, so a single
-        ``(R, m)`` draw is already *stream-identical* to the per-row loop on
-        the same generator (parallel composition across rows, as for the
-        geometric variant).
-        """
-        counts = np.asarray(counts, dtype=np.float64)
-        if counts.ndim != 2:
-            raise ValueError("counts must be an (R, m) matrix")
-        return self.release(counts, rng)
 
     def release_blocks(
         self,
         blocks: "Sequence[np.ndarray]",
         rng: np.random.Generator | int | None = None,
     ) -> "list[np.ndarray]":
-        """Release a sequence of ``(R_i, m_i)`` count matrices in one draw.
-
-        One flat Laplace sample is consumed block-by-block in row-major
-        order — stream-identical to sequential :meth:`release_rows` calls.
-        """
-        mats = [np.asarray(b, dtype=np.float64) for b in blocks]
-        for m in mats:
-            if m.ndim != 2:
-                raise ValueError("every block must be an (R, m) matrix")
+        """Release ``(R_i, m_i)`` count matrices from one Laplace draw,
+        consumed block by block in row-major order."""
+        mats = as_blocks(blocks, np.float64)
         gen = ensure_rng(rng)
-        scale = 1.0 / self.epsilon
-        total = int(sum(m.size for m in mats))
-        flat = gen.laplace(loc=0.0, scale=scale, size=total)
-        out: list[np.ndarray] = []
-        pos = 0
-        for m in mats:
-            noisy = m + flat[pos : pos + m.size].reshape(m.shape)
-            pos += m.size
-            if self.clamp_negative:
-                noisy = np.maximum(noisy, 0.0)
-            out.append(noisy)
-        return out
-
-    def release_column(
-        self,
-        dataset: Dataset,
-        attribute: str,
-        rng: np.random.Generator | int | None = None,
-        mask: np.ndarray | None = None,
-    ) -> np.ndarray:
-        return self.release(dataset.histogram(attribute, mask=mask), rng)
-
-    def with_epsilon(self, epsilon: float) -> "LaplaceHistogram":
-        return LaplaceHistogram(epsilon, self.clamp_negative)
+        noisy = _flatten(mats, np.float64)
+        noisy += gen.laplace(loc=0.0, scale=1.0 / self.epsilon, size=noisy.size)
+        if self.clamp_negative:
+            np.maximum(noisy, 0.0, out=noisy)
+        return _split(noisy, mats)
 
     def expected_l1_error(self, domain_size: int) -> float:
         return domain_size / self.epsilon
@@ -308,6 +200,5 @@ def epsilon_for_l1_error(
 
 # Self-register this backend's release surface with the taint manifest.
 register_sanitizer("release")
-register_sanitizer("release_rows")
 register_sanitizer("release_blocks")
 register_sanitizer("release_column")

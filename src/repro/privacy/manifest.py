@@ -42,7 +42,7 @@ for the shipped package and for code the linter merely parses:
 
 Names registered here are **method/function names**, not qualified paths:
 the linter is a conservative AST tool and classifies call sites by name.
-Keep names specific (``release_rows``, not ``get``).
+Keep names specific (``release_blocks``, not ``get``).
 """
 
 from __future__ import annotations

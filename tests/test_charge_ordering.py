@@ -25,8 +25,9 @@ from repro.core.counts import ClusteredCounts
 from repro.core.dpclustx import DPClustX
 from repro.core.hbe import AttributeCombination
 from repro.core.multi import MultiDPClustX
+from repro.core.pairs import ProductCounts, explain_with_pairs
 from repro.core.select_candidates import select_candidates
-from repro.privacy.budget import BudgetError, PrivacyAccountant
+from repro.privacy.budget import BudgetError, PrivacyAccountant, quantize_epsilon
 from repro.privacy.queries import QueryEngine
 
 
@@ -121,6 +122,57 @@ class TestRefusalDrawsNoNoise:
             acc, gen,
             lambda: engine.partitioned_histograms("color", "size", 0.1),
         )
+
+
+def _explainers(counts):
+    """``name -> (explain(gen, acc), select(gen, acc))`` for every explainer
+    whose histograms go through Algorithm 2's shared histogram stage."""
+    dataset = counts.dataset
+    clustering = CodeModuloClustering("color", 2)
+    pairs = ProductCounts(counts)
+    return {
+        "DPClustX": (
+            lambda g, a: DPClustX().explain(dataset, clustering, g, a, counts),
+            lambda g, a: DPClustX().select_combination(counts, g, a),
+        ),
+        "DPTabEE": (
+            lambda g, a: DPTabEE().explain(dataset, clustering, g, a, counts),
+            lambda g, a: DPTabEE().select_combination(counts, g, a),
+        ),
+        "MultiDPClustX": (
+            lambda g, a: MultiDPClustX(ell=2).explain(
+                dataset, clustering, g, a, counts
+            ),
+            lambda g, a: MultiDPClustX(ell=2).select_combination(counts, g, a),
+        ),
+        "pairs": (
+            lambda g, a: explain_with_pairs(DPClustX(), pairs, g, a),
+            lambda g, a: DPClustX().select_combination(pairs, g, a),
+        ),
+    }
+
+
+class TestRefusedHistogramStageChargesNothing:
+    """A ledger with room for both selection stages (0.1 each) and the
+    full-data histograms (0.05), but not the cluster histograms (0.05):
+    the histogram stage is refused whole.  Neither half stays charged and
+    no histogram noise is drawn."""
+
+    @pytest.mark.parametrize(
+        "name", ["DPClustX", "DPTabEE", "MultiDPClustX", "pairs"]
+    )
+    def test_refusal_leaves_only_the_selection_charges(self, counts, name):
+        explain, select = _explainers(counts)[name]
+        acc = PrivacyAccountant(limit=0.25)
+        gen = np.random.default_rng(7)
+        with pytest.raises(BudgetError):
+            explain(gen, acc)
+        assert acc.total_units() == 2 * quantize_epsilon(0.1)
+        assert len(acc.charges()) == 2
+        # The generator stopped where selection alone leaves it.
+        twin = np.random.default_rng(7)
+        select(twin, PrivacyAccountant())
+        assert gen.bit_generator.state == twin.bit_generator.state
 
 
 class TestManualEdaIntegerRounds:

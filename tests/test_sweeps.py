@@ -34,6 +34,7 @@ from repro.evaluation.sweeps import (
     select_batched,
 )
 from repro.privacy.exponential import ExponentialMechanism
+from repro.privacy.hierarchical import HierarchicalHistogram
 from repro.privacy.histograms import GeometricHistogram, LaplaceHistogram
 from repro.privacy.rng import gumbel_rows, spawn
 from repro.privacy.topk import OneShotTopK
@@ -153,31 +154,68 @@ class TestSelectBatch:
             m.select_batch(np.zeros(6))  # n_draws required for 1-D
 
 
+def _geometric_rows(block, eps, gen):
+    """Per-row reference: ``c + geometric - geometric``, clamped at 0."""
+    p = 1.0 - np.exp(-eps)
+    rows = []
+    for c in block:
+        pos = gen.geometric(p, size=c.size)
+        neg = gen.geometric(p, size=c.size)
+        rows.append(np.maximum(c + pos - neg, 0))
+    return np.array(rows, dtype=np.float64).reshape(block.shape)
+
+
+def _laplace_rows(block, eps, gen):
+    """Per-row reference: ``c + Laplace(0, 1/eps)``, clamped at 0."""
+    rows = [
+        np.maximum(c + gen.laplace(0.0, 1.0 / eps, size=c.size), 0.0)
+        for c in block
+    ]
+    return np.array(rows, dtype=np.float64).reshape(block.shape)
+
+
+#: Ragged multi-row blocks: rows and widths both vary.
+BLOCK_SHAPES = [(1, 5), (4, 3), (2, 9), (3, 1), (5, 4)]
+
+
 class TestBatchedReleases:
     @pytest.mark.parametrize(
-        "mech", [GeometricHistogram(0.4), LaplaceHistogram(0.4)]
+        "mech,reference",
+        [
+            (GeometricHistogram(0.4), _geometric_rows),
+            (LaplaceHistogram(0.4), _laplace_rows),
+        ],
+        ids=["geometric", "laplace"],
     )
-    def test_release_rows_stream_identical_to_loop(self, mech):
-        counts = np.random.default_rng(0).integers(0, 60, (6, 9))
-        g1, g2 = np.random.default_rng(1), np.random.default_rng(1)
-        batch = mech.release_rows(counts, g1)
-        loop = np.stack([mech.release(row, g2) for row in counts])
-        assert np.array_equal(batch, loop)
-
-    @pytest.mark.parametrize(
-        "mech", [GeometricHistogram(0.4), LaplaceHistogram(0.4)]
-    )
-    def test_release_blocks_stream_identical_to_rows(self, mech):
+    def test_release_blocks_match_per_row_reference(self, mech, reference):
         rng = np.random.default_rng(2)
-        blocks = [rng.integers(0, 60, (4, 3 + i)) for i in range(5)]
+        blocks = [rng.integers(0, 6, shape) for shape in BLOCK_SHAPES]
         g1, g2 = np.random.default_rng(3), np.random.default_rng(3)
         batch = mech.release_blocks(blocks, g1)
-        loop = [mech.release_rows(b, g2) for b in blocks]
-        assert all(np.array_equal(a, b) for a, b in zip(batch, loop))
+        expected = [reference(b, mech.epsilon, g2) for b in blocks]
+        assert all(np.array_equal(a, b) for a, b in zip(batch, expected))
+        # Small counts at eps=0.4: the clamp must actually have fired.
+        assert any((a == 0).any() for a in batch)
+        assert g1.bit_generator.state == g2.bit_generator.state
 
-    def test_release_rows_rejects_vectors(self):
-        with pytest.raises(ValueError):
-            GeometricHistogram(0.5).release_rows(np.zeros(4))
+    def test_hierarchical_release_blocks_match_per_row_release(self):
+        mech = HierarchicalHistogram(0.4, branching=3)
+        rng = np.random.default_rng(2)
+        blocks = [rng.integers(0, 60, shape) for shape in BLOCK_SHAPES]
+        g1, g2 = np.random.default_rng(3), np.random.default_rng(3)
+        batch = mech.release_blocks(blocks, g1)
+        expected = [np.stack([mech.release(r, g2) for r in b]) for b in blocks]
+        assert all(np.array_equal(a, b) for a, b in zip(batch, expected))
+        assert g1.bit_generator.state == g2.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "mech",
+        [GeometricHistogram(0.5), LaplaceHistogram(0.5), HierarchicalHistogram(0.5)],
+        ids=["geometric", "laplace", "hierarchical"],
+    )
+    def test_release_blocks_rejects_vectors(self, mech):
+        with pytest.raises(ValueError, match=r"\(R, m\) matrix"):
+            mech.release_blocks([np.zeros((2, 4)), np.zeros(4)])
 
 
 class TestFusedCountsBuild:

@@ -11,10 +11,15 @@ Covers the contracts ISSUE 4 pins down:
   clustering and explanation to one ledger, reuse released fits for free,
   and round-trip mid-pipeline ledger snapshots;
 * ``run_pipeline_batched`` amortises one fit across a seed sweep,
-  byte-identical per seed to the serial explain path.
+  byte-identical per seed to the serial explain path;
+* the session flows (fit-then-reuse, cluster-then-pipeline, explain,
+  explain_multi, ad-hoc histograms) are pinned by SHA-256 over their fitted
+  centers, released histograms and ledger ``(units, composition)`` rows.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -403,3 +408,76 @@ class TestSessionPipeline:
         with pytest.raises(BudgetError):
             s.run_pipeline(ClusteringSpec("dp-kmeans", 3, 1.0))
         assert s.spent == 0.0
+
+
+# --------------------------------------------------------------------------- #
+# golden digests of the session flows
+# --------------------------------------------------------------------------- #
+
+
+def _session_flow(flow: str) -> list:
+    """Run one session flow; return its fits, releases and result flags."""
+    data = diabetes_like(n_rows=600, n_groups=3, seed=5)
+    s = PrivateAnalysisSession(data, total_epsilon=10.0, seed=0)
+    parts: list = []
+    if flow == "run_pipeline-fit-then-reuse":
+        spec = ClusteringSpec("dp-kmeans", 3, 1.0)
+        for _ in range(2):
+            result = s.run_pipeline(spec)
+            parts += [str(result.refit), result.clustering.centers]
+            parts += list(_explanation_parts(result.explanation))
+    elif flow == "cluster-then-run_pipeline":
+        parts.append(s.cluster_dp_kmeans(3, epsilon=1.0).centers)
+        result = s.run_pipeline(ClusteringSpec("dp-kmeans", 3, 1.0))
+        parts += [str(result.refit), result.clustering.centers]
+        parts += list(_explanation_parts(result.explanation))
+    elif flow == "explain-and-explain_multi":
+        parts.append(s.cluster_dp_kmodes(3, epsilon=0.5).modes)
+        parts += list(_explanation_parts(s.explain()))
+        parts += list(_explanation_parts(s.explain_multi(ell=2)))
+    elif flow == "release_histogram":
+        parts += [
+            s.release_histogram("age", epsilon=0.5),
+            s.release_histogram("lab_proc", epsilon=0.25),
+        ]
+    else:
+        raise AssertionError(flow)
+    for charge in s.ledger_snapshot()["charges"]:
+        parts.append(f"{charge['units']}:{charge['composition']}")
+    return parts
+
+
+def _explanation_parts(expl):
+    for entry in expl.per_cluster:
+        for e in entry if isinstance(entry, tuple) else (entry,):
+            yield e.attribute.name
+            yield e.hist_cluster
+            yield e.hist_rest
+
+
+def session_digest(flow: str) -> str:
+    """SHA-256 over one session flow's fits, releases and ledger rows."""
+    h = hashlib.sha256()
+    for part in _session_flow(flow):
+        if isinstance(part, str):
+            h.update(part.encode() + b"\0")
+        else:
+            arr = np.ascontiguousarray(part, dtype=np.float64)
+            h.update(repr(arr.shape).encode())
+            h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+#: SHA-256 hex digest per session flow.
+SESSION_GOLDEN = {
+    'cluster-then-run_pipeline': '17668e2851797dcc96378d8867bfa3086d427a21a1661808c280935edff28008',
+    'explain-and-explain_multi': 'b30894ca11d62c674e063b6c0d13c98b3d0bdcf8e4c77e17dbdff355e2cf913f',
+    'release_histogram': '3dbb4e585f703e397facbca53ffebd6dabfdf24b18232d76a5f0e33c53a45f44',
+    'run_pipeline-fit-then-reuse': '875c0e0aa7b7cf44a93d6cf4b39faee7a60d0f2dda8f5802441c8b9c9551cd49',
+}
+
+
+@pytest.mark.parametrize("flow", sorted(SESSION_GOLDEN))
+def test_session_flows_are_pinned(flow):
+    """Session fits, releases and charges replay byte-identically."""
+    assert session_digest(flow) == SESSION_GOLDEN[flow]

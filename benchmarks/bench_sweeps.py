@@ -14,6 +14,11 @@ The two paths consume the same spawned child streams, so their results must
 be *exactly* equal (``exact_equal`` in the artifact); ``scripts/ci.sh``
 fails if the speedup regresses below 5x or the paths diverge.
 
+The timing is paired: each repeat runs the serial sweep and then the batched
+one, back to back, so both see the same host load.  ``speedup`` is the
+median of the per-repeat ratios; ``serial_s`` and ``batched_s`` are the
+medians of each side's times.
+
 Entry points:
 
 * ``pytest benchmarks/bench_sweeps.py`` — pytest-benchmark timings;
@@ -84,13 +89,10 @@ def test_sweep_batched(benchmark):
 # --------------------------------------------------------------------------- #
 
 
-def _median_time(fn, repeats: int) -> float:
-    times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times)
+def _timed(fn) -> float:
+    t0 = time.perf_counter()
+    fn()
+    return time.perf_counter() - t0
 
 
 def run_sweep_bench(
@@ -107,12 +109,15 @@ def run_sweep_bench(
     batched_results = _sweep_batched(counts, eps_grid, n_runs)
     exact_equal = serial_results == batched_results
 
-    serial_s = _median_time(
-        lambda: _sweep_serial(counts, eps_grid, n_runs), repeats
-    )
-    batched_s = _median_time(
-        lambda: _sweep_batched(counts, eps_grid, n_runs), repeats
-    )
+    pairs = [
+        (
+            _timed(lambda: _sweep_serial(counts, eps_grid, n_runs)),
+            _timed(lambda: _sweep_batched(counts, eps_grid, n_runs)),
+        )
+        for _ in range(repeats)
+    ]
+    serial_s = statistics.median(s for s, _ in pairs)
+    batched_s = statistics.median(b for _, b in pairs)
     return {
         "benchmark": "run_trials sweep (4 explainers)",
         "dataset": "diabetes_like",
@@ -123,7 +128,7 @@ def run_sweep_bench(
         "repeats": repeats,
         "serial_s": serial_s,
         "batched_s": batched_s,
-        "speedup": serial_s / batched_s,
+        "speedup": statistics.median(s / b for s, b in pairs),
         "exact_equal": exact_equal,
     }
 

@@ -52,7 +52,7 @@ from .privacy import (
     OneShotTopK,
     PrivacyAccountant,
 )
-from .pipeline import ClusteringSpec, PipelineResult, PrivatePipeline
+from .pipeline import ClusteringSpec, PipelineResult
 from .session import PrivateAnalysisSession
 from .synth import census_like, diabetes_like, stackoverflow_like
 
@@ -69,7 +69,6 @@ __all__ = [
     "PrivateAnalysisSession",
     "ClusteringSpec",
     "PipelineResult",
-    "PrivatePipeline",
     "GaussianMixture",
     "KMeans",
     "KModes",

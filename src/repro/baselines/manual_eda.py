@@ -99,18 +99,19 @@ class ManualEDASession:
                 ),
             ])
 
-        order = gen.permutation(len(names))[:n_probed]
+        probed = [names[int(idx)] for idx in gen.permutation(len(names))[:n_probed]]
+        # One noise call for the whole session: each round's full-data row,
+        # then its cluster rows, in probe order (the per-row release order).
+        blocks = []
+        for a in probed:
+            blocks += [counts.full(a)[None], counts.by_cluster(a)]
+        noisy = mech.release_blocks(blocks, gen)
 
-        best_attr = [names[int(order[0])]] * n_clusters
+        best_attr = [probed[0]] * n_clusters
         best_score = np.full(n_clusters, -np.inf)
-        for idx in order:
-            a = names[int(idx)]
-            noisy_full = mech.release(counts.full(a), gen)
-            noisy_clusters = np.stack(
-                [mech.release(counts.cluster(a, c), gen) for c in range(n_clusters)]
-            )
+        for r, a in enumerate(probed):
             # Judge all clusters at once from the round's noisy releases.
-            scores = tvd_rows(noisy_full, noisy_clusters)
+            scores = tvd_rows(noisy[2 * r][0], noisy[2 * r + 1])
             improved = scores > best_score
             best_score = np.where(improved, scores, best_score)
             for c in np.flatnonzero(improved):

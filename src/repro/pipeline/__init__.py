@@ -1,34 +1,31 @@
 """End-to-end private pipeline: DP clustering + DP explanation, one ledger.
 
 The paper's evaluation clusters with DP-k-means (eps = 1) *before*
-explaining; this package turns that two-stage workflow into a
-budget-audited object, :class:`PrivatePipeline`, which
-:class:`~repro.session.PrivateAnalysisSession` builds on.  The
-:class:`ClusteringSpec` release identity is shared more widely: the batched
-sweep layer (:func:`~repro.evaluation.sweeps.run_pipeline_batched`) and the
-explanation service's ``/v1/pipeline`` route call :meth:`ClusteringSpec.fit`
-directly.
+explaining.  :class:`ClusteringSpec` names one such DP fit precisely enough
+to charge it to the explanation's ledger and to recognise a repeat as the
+same release.  Three front ends run the two stages under one ledger:
+:meth:`~repro.session.PrivateAnalysisSession.run_pipeline` (single analyst,
+fit-or-reuse within the session),
+:func:`~repro.evaluation.sweeps.run_pipeline_batched` (fit once, explain a
+seed sweep) and the explanation service's ``/v1/pipeline`` route.
 
 Quickstart::
 
-    from repro import diabetes_like
-    from repro.pipeline import ClusteringSpec, PrivatePipeline
-    from repro.privacy.budget import PrivacyAccountant
+    from repro import PrivateAnalysisSession, diabetes_like
+    from repro.pipeline import ClusteringSpec
 
     data = diabetes_like(n_rows=20_000)
-    pipe = PrivatePipeline(data, PrivacyAccountant(limit=2.0), rng=0)
+    session = PrivateAnalysisSession(data, total_epsilon=2.0, seed=0)
     spec = ClusteringSpec("dp-kmeans", n_clusters=5, epsilon=1.0)
-    result = pipe.run(spec)                  # charges 1.0 + 0.3
-    again = pipe.run(spec)                   # reuses the fit: charges 0.3
+    result = session.run_pipeline(spec)      # charges 1.0 + 0.3
+    again = session.run_pipeline(spec)       # reuses the fit: charges 0.3
     assert not again.refit
 """
 
-from .pipeline import PipelineResult, PrivatePipeline
-from .spec import PIPELINE_METHODS, ClusteringSpec
+from .spec import PIPELINE_METHODS, ClusteringSpec, PipelineResult
 
 __all__ = [
     "PipelineResult",
-    "PrivatePipeline",
     "PIPELINE_METHODS",
     "ClusteringSpec",
 ]

@@ -15,6 +15,9 @@ noise draw replay byte-identically.  Two fits of one spec over
 fingerprint-equal datasets therefore release the *same* noisy centers/modes,
 which is what makes ``(Dataset.fingerprint(), method, params, seed)`` a
 sound cache key for fitted clusterings.
+
+:class:`PipelineResult` records one end-to-end run of a spec: the fitted
+clustering, its DPClustX explanation, and what each stage charged.
 """
 
 from __future__ import annotations
@@ -23,8 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..clustering.base import ClusteringFunction
 from ..clustering.dp_kmeans import DPKMeans
 from ..clustering.dp_kmodes import DPKModes
+from ..core.hbe import GlobalExplanation
 from ..dataset.table import Dataset
 from ..privacy.budget import PrivacyAccountant, check_epsilon
 
@@ -163,3 +168,19 @@ class ClusteringSpec:
             if key in kwargs:
                 kwargs[key] = int(kwargs[key])
         return cls(**kwargs).validated()
+
+
+@dataclass(frozen=True)
+class PipelineResult:
+    """One pipeline run: the clustering, the explanation, and what it cost."""
+
+    clustering: ClusteringFunction
+    explanation: GlobalExplanation
+    clustering_epsilon: float  # charged for the fit; 0.0 on fitted reuse
+    explanation_epsilon: float
+    refit: bool  # False when the fitted clustering was reused
+
+    @property
+    def epsilon_total(self) -> float:
+        """What this run actually charged (sequential composition)."""
+        return self.clustering_epsilon + self.explanation_epsilon

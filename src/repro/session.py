@@ -7,6 +7,10 @@ packages that workflow: it owns a capped
 :class:`~repro.privacy.budget.PrivacyAccountant`, threads it through every
 operation, and refuses operations that would exceed the cap — turning
 Theorem 5.3's arithmetic into an enforced runtime contract.
+
+:meth:`PrivateAnalysisSession.run_pipeline` is the single-analyst front end
+of the paper's end-to-end setting (DP clustering, then DPClustX, under one
+ledger); :mod:`repro.pipeline` lists the other two.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from .core.hbe import GlobalExplanation
 from .core.multi import MultiDPClustX, MultiGlobalExplanation
 from .core.quality.scores import Weights
 from .dataset.table import Dataset
-from .pipeline import ClusteringSpec, PipelineResult, PrivatePipeline
+from .pipeline import ClusteringSpec, PipelineResult
 from .privacy.budget import BudgetError, ExplanationBudget, PrivacyAccountant
 from .privacy.rng import ensure_rng
 
@@ -51,15 +55,14 @@ class PrivateAnalysisSession:
     _rng: np.random.Generator = field(init=False)
     _clustering: ClusteringFunction | None = field(init=False, default=None)
     _counts: ClusteredCounts | None = field(init=False, default=None)
+    # Every DP clustering this session released, by its spec's cache key.
+    _fitted: "dict[tuple, tuple[ClusteringFunction, ClusteredCounts]]" = field(
+        init=False, default_factory=dict
+    )
 
     def __post_init__(self) -> None:
         self._accountant = PrivacyAccountant(limit=self.total_epsilon)
         self._rng = ensure_rng(self.seed)
-        # The fit-or-reuse implementation behind cluster_dp_kmeans /
-        # cluster_dp_kmodes / run_pipeline.  The service's /v1/pipeline
-        # route and sweeps.run_pipeline_batched call ClusteringSpec.fit
-        # directly instead.
-        self._pipeline = PrivatePipeline(self.dataset, self._accountant)
 
     # -- budget introspection ------------------------------------------- #
 
@@ -105,33 +108,17 @@ class PrivateAnalysisSession:
         self, n_clusters: int, epsilon: float, n_iterations: int = 5
     ) -> ClusteringFunction:
         """Privately cluster with DP-k-means [64], charging ``epsilon``."""
-        return self._cluster(
-            ClusteringSpec("dp-kmeans", n_clusters, epsilon, n_iterations)
-        )
+        spec = ClusteringSpec("dp-kmeans", n_clusters, epsilon, n_iterations)
+        self._clustering, self._counts, _ = self._fit(spec, fresh=True)
+        return self._clustering
 
     def cluster_dp_kmodes(
         self, n_clusters: int, epsilon: float, n_iterations: int = 5
     ) -> ClusteringFunction:
         """Privately cluster with DP-k-modes [53], charging ``epsilon``."""
-        return self._cluster(
-            ClusteringSpec("dp-kmodes", n_clusters, epsilon, n_iterations)
-        )
-
-    def _cluster(self, spec: ClusteringSpec) -> ClusteringFunction:
-        """Fit a DP clustering spec via the shared pipeline.
-
-        Draws from the session's own stream and always fits *fresh*
-        (charging ``spec.epsilon`` each call): an explicit
-        ``cluster_dp_kmeans`` call is a request for a new release — e.g.
-        to escape a bad noisy initialisation — never for a cached one.
-        :meth:`run_pipeline` is the reuse-friendly entry point.
-        """
-        clustering, counts, _ = self._pipeline.fit(
-            spec, rng=self._rng, force_refit=True
-        )
-        self._clustering = clustering
-        self._counts = counts
-        return clustering
+        spec = ClusteringSpec("dp-kmodes", n_clusters, epsilon, n_iterations)
+        self._clustering, self._counts, _ = self._fit(spec, fresh=True)
+        return self._clustering
 
     def run_pipeline(
         self,
@@ -142,21 +129,34 @@ class PrivateAnalysisSession:
     ) -> PipelineResult:
         """The paper's end-to-end setting in one call: fit + explain.
 
-        Clusters per ``spec`` (reusing the session's previous fit of the
-        same spec for free), adopts the clustering as the session
-        clustering, and runs DPClustX against it — all charges landing in
-        the one session ledger.  Returns the
-        :class:`~repro.pipeline.pipeline.PipelineResult` recording both
-        stages' spend.
+        Clusters per ``spec`` (reusing the session's previous release of the
+        same spec for free), runs DPClustX against it — all charges landing
+        in the one session ledger — and, once the explanation is released,
+        adopts the clustering as the session clustering.  ``n_candidates``
+        is checked before the fit, so a bad explanation parameter costs
+        nothing.
         """
-        result = self._pipeline.run(
-            spec, budget, n_candidates, weights, rng=self._rng
+        width = self.dataset.schema.width
+        if not 1 <= n_candidates <= width:
+            raise ValueError(
+                f"n_candidates must be in [1, |A|] = [1, {width}], "
+                f"got {n_candidates}"
+            )
+        budget = budget or ExplanationBudget()
+        clustering, counts, refit = self._fit(spec, fresh=False)
+        explanation = self._explain(
+            DPClustX(n_candidates, weights or Weights(), budget),
+            clustering,
+            counts,
         )
-        # Adopt the (memoised, zero-charge) fit as the session clustering.
-        clustering, counts, _ = self._pipeline.fit(spec, rng=self._rng)
-        self._clustering = clustering
-        self._counts = counts
-        return result
+        self._clustering, self._counts = clustering, counts
+        return PipelineResult(
+            clustering=clustering,
+            explanation=explanation,
+            clustering_epsilon=spec.epsilon if refit else 0.0,
+            explanation_epsilon=budget.total,
+            refit=refit,
+        )
 
     def use_clustering(self, clustering: ClusteringFunction) -> None:
         """Adopt an externally-supplied clustering function.
@@ -166,7 +166,8 @@ class PrivateAnalysisSession:
         charge, if any, is the caller's responsibility (Definition 3.1's
         black-box setting).
         """
-        self._set_clustering(clustering)
+        self._clustering = clustering
+        self._counts = ClusteredCounts(self.dataset, clustering)
 
     # -- explanation ------------------------------------------------------ #
 
@@ -178,16 +179,10 @@ class PrivateAnalysisSession:
     ) -> GlobalExplanation:
         """Run DPClustX (Algorithm 2) against the session clustering."""
         clustering, counts = self._require_clustering()
-        budget = budget or ExplanationBudget()
-        self._require(budget.total)
-        explainer = DPClustX(n_candidates, weights or Weights(), budget)
-        return explainer.explain(
-            self.dataset,
-            clustering,
-            self._rng,
-            accountant=self._accountant,
-            counts=counts,
+        explainer = DPClustX(
+            n_candidates, weights or Weights(), budget or ExplanationBudget()
         )
+        return self._explain(explainer, clustering, counts)
 
     def explain_multi(
         self,
@@ -198,9 +193,58 @@ class PrivateAnalysisSession:
     ) -> MultiGlobalExplanation:
         """Run the Appendix-B extension (ell explanations per cluster)."""
         clustering, counts = self._require_clustering()
-        budget = budget or ExplanationBudget()
-        self._require(budget.total)
-        explainer = MultiDPClustX(ell, n_candidates, weights or Weights(), budget)
+        explainer = MultiDPClustX(
+            ell, n_candidates, weights or Weights(), budget or ExplanationBudget()
+        )
+        return self._explain(explainer, clustering, counts)
+
+    def release_histogram(self, attribute: str, epsilon: float) -> np.ndarray:
+        """Release one ad-hoc noisy histogram (manual EDA step).
+
+        An unknown ``attribute`` raises ``SchemaError`` before any charge:
+        the check reads only the public schema.
+        """
+        from .privacy.histograms import GeometricHistogram
+
+        self.dataset.schema.attribute(attribute)
+        self._require(epsilon, f"histogram {attribute!r}")
+        mech = GeometricHistogram(epsilon)
+        self._accountant.spend(epsilon, f"ad-hoc histogram: {attribute}")
+        return mech.release_column(self.dataset, attribute, self._rng)
+
+    # -- internals --------------------------------------------------------
+
+    def _fit(
+        self, spec: ClusteringSpec, fresh: bool
+    ) -> "tuple[ClusteringFunction, ClusteredCounts, bool]":
+        """Fit ``spec`` from the session stream, or reuse its release.
+
+        Returns ``(clustering, counts, refit)``.  Without ``fresh``, a spec
+        this session already released is reused at zero charge
+        (post-processing is free) and ``refit`` is False.  ``fresh=True``
+        buys a new release, charged again, so an explicit
+        ``cluster_dp_kmeans`` call can escape a bad noisy initialisation;
+        it replaces the memo entry that later reuses read.  A fit is
+        admitted against the remaining budget before touching data, and
+        the fitters charge each iteration before drawing its noise.
+        """
+        spec = spec.validated()
+        key = spec.cache_key(self.dataset.fingerprint())
+        if not fresh and key in self._fitted:
+            return (*self._fitted[key], False)
+        self._require(spec.epsilon, f"clustering {spec.slug()!r}")
+        clustering = spec.fit(self.dataset, rng=self._rng, accountant=self._accountant)
+        self._fitted[key] = (clustering, ClusteredCounts(self.dataset, clustering))
+        return (*self._fitted[key], True)
+
+    def _explain(
+        self,
+        explainer: "DPClustX | MultiDPClustX",
+        clustering: ClusteringFunction,
+        counts: ClusteredCounts,
+    ):
+        """Admit ``explainer``'s budget, then explain from the session stream."""
+        self._require(explainer.budget.total, "explanation")
         return explainer.explain(
             self.dataset,
             clustering,
@@ -209,29 +253,14 @@ class PrivateAnalysisSession:
             counts=counts,
         )
 
-    def release_histogram(self, attribute: str, epsilon: float) -> np.ndarray:
-        """Release one ad-hoc noisy histogram (manual EDA step)."""
-        from .privacy.histograms import GeometricHistogram
-
-        self._require(epsilon)
-        mech = GeometricHistogram(epsilon)
-        self._accountant.spend(epsilon, f"ad-hoc histogram: {attribute}")
-        return mech.release_column(self.dataset, attribute, self._rng)
-
-    # -- internals --------------------------------------------------------
-
-    def _require(self, epsilon: float) -> None:
+    def _require(self, epsilon: float, what: str) -> None:
         # The accountant's own exact O(1) admission check, as a query: no
         # second tolerance window stacked on top of the ledger's arithmetic.
         if not self._accountant.can_spend(epsilon):
             raise BudgetError(
-                f"operation needs eps={epsilon:.4g} but only "
+                f"{what} needs eps={epsilon:.4g} but only "
                 f"{self.remaining:.4g} of {self.total_epsilon:.4g} remains"
             )
-
-    def _set_clustering(self, clustering: ClusteringFunction) -> None:
-        self._clustering = clustering
-        self._counts = ClusteredCounts(self.dataset, clustering)
 
     def _require_clustering(self) -> tuple[ClusteringFunction, ClusteredCounts]:
         if self._clustering is None or self._counts is None:

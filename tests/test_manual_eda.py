@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.baselines import manual_eda
 from repro.baselines.manual_eda import ManualEDASession
+from repro.core.engine.kernels import tvd_rows
 from repro.privacy.budget import PrivacyAccountant
+from repro.privacy.hierarchical import HierarchicalHistogram
+from repro.privacy.histograms import GeometricHistogram, LaplaceHistogram
 
 
 class TestBudgetModel:
@@ -100,3 +104,55 @@ class TestSelection:
         assert s.select_combination(counts, rng=7) == s.select_combination(
             counts, rng=7
         )
+
+
+class TestReleases:
+    """The session's batched release equals releasing row by row."""
+
+    @pytest.mark.parametrize(
+        "mechanism",
+        [
+            GeometricHistogram(1.0),
+            LaplaceHistogram(1.0),
+            HierarchicalHistogram(1.0),
+        ],
+        ids=["geometric", "laplace", "hierarchical"],
+    )
+    def test_noisy_releases_match_a_per_row_reference(
+        self, diabetes_counts, monkeypatch, mechanism
+    ):
+        seen = []
+
+        def recording_tvd_rows(noisy_full, noisy_clusters):
+            seen.append((noisy_full.copy(), noisy_clusters.copy()))
+            return tvd_rows(noisy_full, noisy_clusters)
+
+        monkeypatch.setattr(manual_eda, "tvd_rows", recording_tvd_rows)
+        s = ManualEDASession(
+            epsilon=0.2, eps_probe=0.02, histogram_mechanism=mechanism
+        )
+        s.select_combination(diabetes_counts, rng=3)
+
+        # Reference: the probe order, then one release call per row.
+        names = diabetes_counts.names
+        mech = mechanism.with_epsilon(s.eps_probe)
+        gen = np.random.default_rng(3)
+        order = gen.permutation(len(names))[: min(s.n_rounds, len(names))]
+        expected = []
+        for idx in order:
+            a = names[int(idx)]
+            full = mech.release(diabetes_counts.full(a), gen)
+            clusters = np.stack(
+                [
+                    mech.release(diabetes_counts.cluster(a, c), gen)
+                    for c in range(diabetes_counts.n_clusters)
+                ]
+            )
+            expected.append((full, clusters))
+
+        assert len(seen) == len(expected) == s.n_rounds
+        for (got_full, got_clusters), (want_full, want_clusters) in zip(
+            seen, expected
+        ):
+            assert np.array_equal(got_full, want_full)
+            assert np.array_equal(got_clusters, want_clusters)

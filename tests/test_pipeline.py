@@ -7,9 +7,10 @@ Covers the contracts ISSUE 4 pins down:
   and an unchanged ledger;
 * spec-seeded fits are byte-reproducible — the soundness of the
   ``(fingerprint, method, params, seed)`` fitted-clustering cache key;
-* ``PrivatePipeline`` / ``PrivateAnalysisSession.run_pipeline`` charge
-  clustering and explanation to one ledger, reuse released fits for free,
-  and round-trip mid-pipeline ledger snapshots;
+* ``PrivateAnalysisSession.run_pipeline`` charges clustering and
+  explanation to one ledger, reuses released fits for free, checks its
+  explanation parameters before paying for a fit, and round-trips
+  mid-pipeline ledger snapshots;
 * ``run_pipeline_batched`` amortises one fit across a seed sweep,
   byte-identical per seed to the serial explain path;
 * the session flows (fit-then-reuse, cluster-then-pipeline, explain,
@@ -27,7 +28,7 @@ import pytest
 import repro.clustering.dp_kmeans as dp_kmeans_module
 import repro.clustering.dp_kmodes as dp_kmodes_module
 
-from repro import ClusteringSpec, DPClustX, PrivateAnalysisSession, PrivatePipeline
+from repro import ClusteringSpec, DPClustX, PrivateAnalysisSession
 from repro.core.counts import ClusteredCounts
 from repro.evaluation.sweeps import run_pipeline_batched
 from repro.obs.metrics import MetricsRegistry, snapshot_series
@@ -197,50 +198,6 @@ class TestChargeBeforeRelease:
         assert np.array_equal(free.centers, metered.centers)
 
 
-class TestPrivatePipeline:
-    def test_fit_charges_once_and_reuses_for_free(self, data):
-        accountant = PrivacyAccountant(limit=5.0)
-        pipe = PrivatePipeline(data, accountant, rng=0)
-        spec = ClusteringSpec("dp-kmeans", 3, 1.0)
-        _, _, refit = pipe.fit(spec)
-        assert refit and accountant.total() == pytest.approx(1.0)
-        _, _, refit = pipe.fit(spec)
-        assert not refit and accountant.total() == pytest.approx(1.0)
-
-    def test_run_charges_both_stages_to_one_ledger(self, data):
-        accountant = PrivacyAccountant(limit=5.0)
-        pipe = PrivatePipeline(data, accountant, rng=0)
-        result = pipe.run(ClusteringSpec("dp-kmeans", 3, 1.0))
-        assert result.refit
-        assert result.epsilon_total == pytest.approx(1.3)
-        assert accountant.total() == pytest.approx(1.3)
-        labels = [c.label for c in accountant]
-        assert any("dp-kmeans" in label for label in labels)
-        assert any("histograms" in label for label in labels)
-
-    def test_repeat_run_charges_only_the_explanation(self, data):
-        accountant = PrivacyAccountant(limit=5.0)
-        pipe = PrivatePipeline(data, accountant, rng=0)
-        spec = ClusteringSpec("dp-kmodes", 3, 0.5)
-        pipe.run(spec)
-        again = pipe.run(spec)
-        assert not again.refit
-        assert again.clustering_epsilon == 0.0
-        assert accountant.total() == pytest.approx(0.5 + 0.3 + 0.3)
-
-    def test_over_budget_fit_refused_before_touching_data(self, data):
-        pipe = PrivatePipeline(data, PrivacyAccountant(limit=0.5), rng=0)
-        with pytest.raises(BudgetError, match="clustering"):
-            pipe.fit(ClusteringSpec("dp-kmeans", 3, 1.0))
-        assert pipe.accountant.total() == 0.0
-
-    def test_over_budget_explanation_refused_after_fit(self, data):
-        pipe = PrivatePipeline(data, PrivacyAccountant(limit=1.1), rng=0)
-        with pytest.raises(BudgetError, match="explanation"):
-            pipe.run(ClusteringSpec("dp-kmeans", 3, 1.0))
-        assert pipe.accountant.total() == pytest.approx(1.0)  # the fit stands
-
-
 class TestFittedClusteringCache:
     """The service's fitted-clustering cache: the one LRU, labelled ``fitted``."""
 
@@ -357,6 +314,7 @@ class TestSessionPipeline:
         s = PrivateAnalysisSession(data, total_epsilon=2.0, seed=0)
         result = s.run_pipeline(ClusteringSpec("dp-kmeans", 3, 1.0))
         assert result.refit
+        assert result.epsilon_total == pytest.approx(1.3)
         assert s.spent == pytest.approx(1.3)
         assert "dp-kmeans" in s.ledger() and "histograms" in s.ledger()
 
@@ -367,6 +325,26 @@ class TestSessionPipeline:
         again = s.run_pipeline(spec)
         assert not again.refit
         assert s.spent == pytest.approx(1.6)
+
+    def test_repeat_run_charges_only_the_explanation(self, data):
+        s = PrivateAnalysisSession(data, total_epsilon=2.0, seed=0)
+        spec = ClusteringSpec("dp-kmodes", 3, 0.5)
+        first = s.run_pipeline(spec)
+        again = s.run_pipeline(spec)
+        assert not again.refit
+        assert again.clustering_epsilon == 0.0
+        assert again.clustering is first.clustering
+        assert s.spent == pytest.approx(0.5 + 0.3 + 0.3)
+
+    def test_cluster_then_pipeline_reuses_the_fit_for_free(self, data):
+        """An explicit fit is a release the pipeline can reuse: the same
+        spec afterwards charges only its explanation."""
+        s = PrivateAnalysisSession(data, total_epsilon=2.0, seed=0)
+        clustering = s.cluster_dp_kmeans(3, epsilon=1.0)
+        result = s.run_pipeline(ClusteringSpec("dp-kmeans", 3, 1.0))
+        assert not result.refit
+        assert result.clustering is clustering
+        assert s.spent == pytest.approx(1.3)
 
     def test_cluster_dp_kmeans_still_charges_through_the_pipeline(self, data):
         s = PrivateAnalysisSession(data, total_epsilon=2.0, seed=0)
@@ -405,9 +383,29 @@ class TestSessionPipeline:
 
     def test_pipeline_overspend_refused_before_touching_data(self, data):
         s = PrivateAnalysisSession(data, total_epsilon=0.5, seed=0)
-        with pytest.raises(BudgetError):
+        with pytest.raises(BudgetError, match="clustering"):
             s.run_pipeline(ClusteringSpec("dp-kmeans", 3, 1.0))
         assert s.spent == 0.0
+
+    def test_over_budget_explanation_refused_after_fit(self, data):
+        """The fit was released, so it stays charged; the session adopts a
+        clustering only once its explanation is released."""
+        s = PrivateAnalysisSession(data, total_epsilon=1.1, seed=0)
+        with pytest.raises(BudgetError, match="explanation"):
+            s.run_pipeline(ClusteringSpec("dp-kmeans", 3, 1.0))
+        assert s.spent == pytest.approx(1.0)  # the fit stands
+        with pytest.raises(RuntimeError, match="no clustering"):
+            s.explain()
+
+    def test_bad_n_candidates_refused_before_the_fit(self, data):
+        s = PrivateAnalysisSession(data, total_epsilon=2.0, seed=0)
+        spec = ClusteringSpec("dp-kmeans", 3, 1.0)
+        for bad in (0, data.schema.width + 1, 100):
+            with pytest.raises(ValueError, match="n_candidates"):
+                s.run_pipeline(spec, n_candidates=bad)
+        assert s.spent == 0.0
+        assert s.ledger_snapshot()["charges"] == []
+        assert s.run_pipeline(spec).refit  # nothing was fitted or memoised
 
 
 # --------------------------------------------------------------------------- #

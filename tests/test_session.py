@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.clustering import KMeans
+from repro.dataset import SchemaError
 from repro.privacy.budget import BudgetError, ExplanationBudget
 from repro.session import PrivateAnalysisSession
 from repro.synth import diabetes_like
@@ -70,6 +71,13 @@ class TestLedgerPersistence:
         resumed.restore_ledger(s.ledger_snapshot())
         with pytest.raises(BudgetError):
             resumed.release_histogram("lab_proc", epsilon=0.2)
+
+    def test_unknown_attribute_costs_nothing(self, data):
+        s = PrivateAnalysisSession(data, total_epsilon=1.0, seed=0)
+        with pytest.raises(SchemaError, match="no_such_attr"):
+            s.release_histogram("no_such_attr", epsilon=0.5)
+        assert s.spent == 0.0
+        assert s.ledger_snapshot()["charges"] == []
 
     def test_restore_replays_against_the_session_cap(self, data):
         big = PrivateAnalysisSession(data, total_epsilon=10.0, seed=0)

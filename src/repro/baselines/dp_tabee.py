@@ -13,6 +13,7 @@ flat across the whole swept epsilon range, Figure 5).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -22,11 +23,10 @@ from ..core.dpclustx import release_cluster_histograms
 from ..core.hbe import AttributeCombination, GlobalExplanation
 from ..core.engine import scoring_engine
 from ..core.quality.scores import SENSITIVE_SCORE_SENSITIVITY, Weights
-from ..core.select_candidates import stage1_mechanism
+from ..core.select_candidates import draw_candidate_sets, pick_combinations
 from ..dataset.table import Dataset
 from ..evaluation.quality import QualityEvaluator
 from ..privacy.budget import ExplanationBudget, PrivacyAccountant
-from ..privacy.exponential import ExponentialMechanism
 from ..privacy.histograms import GeometricHistogram, HistogramMechanism
 from ..privacy.rng import ensure_rng
 
@@ -42,6 +42,52 @@ class DPTabEE:
         default_factory=lambda: GeometricHistogram(1.0)
     )
 
+    def select_combinations(
+        self,
+        counts: CountsProvider,
+        gens: "Sequence[np.random.Generator]",
+        accountant: PrivacyAccountant | None = None,
+        names: tuple[str, ...] | None = None,
+        scorer: "Callable[[tuple[tuple[str, ...], ...]], np.ndarray] | None" = None,
+    ) -> "list[AttributeCombination]":
+        """Noisy Stage-1 + noisy Stage-2 over the sensitive quality functions,
+        once per generator in ``gens``.
+
+        ``scorer`` maps one generator's candidate sets to the flat sensitive
+        Quality of every combination (``itertools.product`` order).  The
+        default scores each set with a fresh scalar
+        :meth:`~repro.evaluation.quality.QualityEvaluator.all_scores`, so
+        entry ``r`` equals ``select_combination(counts, gens[r], ...)``; the
+        sweep layer passes its memoised Quality tensors instead.
+        """
+        names = names if names is not None else counts.names
+        gamma = self.weights.gamma()
+        # Stage-1: one-shot top-k on the sensitive single-cluster score,
+        # evaluated for every (cluster, attribute) pair in one engine call.
+        matrix = scoring_engine(counts).sensitive_score_matrix(
+            gamma[0], gamma[1], names
+        )
+        per_run_sets = draw_candidate_sets(
+            matrix, names, self.budget.eps_cand_set, self.n_candidates, gens,
+            accountant, "dp-tabee stage1", SENSITIVE_SCORE_SENSITIVITY,
+        )
+        # Stage-2: EM on the sensitive Quality of each combination.
+        flats = [
+            scorer(sets) if scorer is not None
+            else QualityEvaluator(counts, self.weights, 0).all_scores(sets)[1]
+            for sets in per_run_sets
+        ]
+        picks = pick_combinations(
+            per_run_sets,
+            flats,
+            self.budget.eps_top_comb,
+            gens,
+            accountant,
+            "dp-tabee stage2",
+            SENSITIVE_SCORE_SENSITIVITY,
+        )
+        return [AttributeCombination(pick) for pick in picks]
+
     def select_combination(
         self,
         counts: CountsProvider,
@@ -50,39 +96,10 @@ class DPTabEE:
         names: tuple[str, ...] | None = None,
     ) -> AttributeCombination:
         """Noisy Stage-1 + noisy Stage-2 over the sensitive quality functions."""
-        gen = ensure_rng(rng)
-        names = names if names is not None else counts.names
-        gamma = self.weights.gamma()
-        n_clusters = counts.n_clusters
-
-        # Stage-1: one-shot top-k on the sensitive single-cluster score,
-        # evaluated for every (cluster, attribute) pair in one engine call.
-        topk = stage1_mechanism(
-            self.budget.eps_cand_set,
-            n_clusters,
-            self.n_candidates,
-            SENSITIVE_SCORE_SENSITIVITY,
+        (combination,) = self.select_combinations(
+            counts, [ensure_rng(rng)], accountant, names
         )
-        score_matrix = scoring_engine(counts).sensitive_score_matrix(
-            gamma[0], gamma[1], names
-        )
-        if accountant is not None:
-            accountant.spend(self.budget.eps_cand_set, "dp-tabee stage1")
-        sets: list[tuple[str, ...]] = []
-        for c in range(n_clusters):
-            idx = topk.select(score_matrix[c], gen)
-            sets.append(tuple(names[i] for i in idx))
-
-        # Stage-2: EM on the sensitive Quality of each combination.
-        evaluator = QualityEvaluator(counts, self.weights, 0)
-        combos, scores = evaluator.all_scores(sets)
-        em = ExponentialMechanism(
-            self.budget.eps_top_comb, SENSITIVE_SCORE_SENSITIVITY
-        )
-        if accountant is not None:
-            accountant.spend(self.budget.eps_top_comb, "dp-tabee stage2")
-        chosen = combos[em.select_index(scores, gen)]
-        return AttributeCombination(tuple(chosen))
+        return combination
 
     def explain(
         self,

@@ -21,7 +21,6 @@ from ..clustering.base import ClusteringFunction
 from ..dataset.schema import Attribute
 from ..dataset.table import Dataset
 from ..privacy.budget import ExplanationBudget, PrivacyAccountant
-from ..privacy.exponential import ExponentialMechanism
 from ..privacy.histograms import GeometricHistogram, HistogramMechanism
 from ..privacy.rng import ensure_rng
 from .counts import ClusteredCounts, CountsProvider
@@ -29,9 +28,13 @@ from .engine import scoring_engine
 from .hbe import AttributeCombination, GlobalExplanation, SingleClusterExplanation
 from .quality.diversity import pair_diversity_low_sens
 from .quality.interestingness import interestingness_low_sens
-from .quality.scores import SCORE_SENSITIVITY, Weights
+from .quality.scores import Weights
 from .quality.sufficiency import sufficiency_low_sens
-from .select_candidates import CandidateSelection, select_candidates
+from .select_candidates import (
+    CandidateSelection,
+    draw_candidate_sets,
+    pick_combinations,
+)
 
 _MAX_COMBINATIONS = 50_000_000
 """Guard against enumerating more global candidates than memory allows."""
@@ -209,6 +212,40 @@ class DPClustX:
     # attribute selection (Stages 1-2)
     # ------------------------------------------------------------------ #
 
+    def select_combinations(
+        self,
+        counts: CountsProvider,
+        gens: "Sequence[np.random.Generator]",
+        accountant: PrivacyAccountant | None = None,
+        names: tuple[str, ...] | None = None,
+    ) -> "list[SelectionResult]":
+        """Run Lines 1-6 of Algorithm 2 once per generator in ``gens``.
+
+        The true score matrix is computed once; the per-generator work is
+        the noise rows of the two shared selection stages, each charged
+        before its draws.  Entry ``r`` equals
+        ``select_combination(counts, gens[r], ...)``.
+        """
+        names = names if names is not None else counts.names
+        gamma = self.weights.gamma()  # Line 1
+        matrix = scoring_engine(counts).score_matrix(gamma[0], gamma[1], names)
+        per_run_sets = draw_candidate_sets(  # Line 3 (Algorithm 1)
+            matrix, names, self.budget.eps_cand_set, self.n_candidates, gens,
+            accountant,
+        )
+        # Lines 5-6: EM over the candidate combinations with GlScore.
+        tensors = [
+            combination_score_tensor(counts, sets, self.weights).reshape(-1)
+            for sets in per_run_sets
+        ]
+        picks = pick_combinations(
+            per_run_sets, tensors, self.budget.eps_top_comb, gens, accountant
+        )
+        return [
+            SelectionResult(AttributeCombination(pick), CandidateSelection(sets))
+            for pick, sets in zip(picks, per_run_sets)
+        ]
+
     def select_combination(
         self,
         counts: CountsProvider,
@@ -217,34 +254,10 @@ class DPClustX:
         names: tuple[str, ...] | None = None,
     ) -> SelectionResult:
         """Run Lines 1-6 of Algorithm 2: pick the attribute combination."""
-        gen = ensure_rng(rng)
-        gamma = self.weights.gamma()  # Line 1
-        candidates = select_candidates(  # Line 3
-            counts,
-            gamma,
-            self.budget.eps_cand_set,
-            self.n_candidates,
-            gen,
-            accountant,
-            names=names,
+        (selection,) = self.select_combinations(
+            counts, [ensure_rng(rng)], accountant, names
         )
-        # Lines 5-6: EM over the candidate combinations with GlScore.
-        tensor = combination_score_tensor(
-            counts, candidates.candidate_sets, self.weights
-        )
-        em = ExponentialMechanism(self.budget.eps_top_comb, SCORE_SENSITIVITY)
-        if accountant is not None:
-            accountant.spend(
-                self.budget.eps_top_comb, "stage2: combination (exponential mech.)"
-            )
-        flat_index = em.select_index(tensor.reshape(-1), gen)
-        picks = np.unravel_index(flat_index, tensor.shape)
-        combination = AttributeCombination(
-            tuple(
-                candidates.candidate_sets[c][int(j)] for c, j in enumerate(picks)
-            )
-        )
-        return SelectionResult(combination, candidates)
+        return selection
 
     # ------------------------------------------------------------------ #
     # full pipeline (Algorithm 2)

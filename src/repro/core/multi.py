@@ -25,7 +25,6 @@ import numpy as np
 from ..clustering.base import ClusteringFunction
 from ..dataset.table import Dataset
 from ..privacy.budget import ExplanationBudget, PrivacyAccountant
-from ..privacy.exponential import ExponentialMechanism
 from ..privacy.histograms import GeometricHistogram, HistogramMechanism
 from ..privacy.rng import ensure_rng
 from .counts import ClusteredCounts, CountsProvider
@@ -34,9 +33,9 @@ from .dpclustx import release_cluster_histograms
 from .hbe import MultiAttributeCombination, MultiGlobalExplanation
 from .quality.diversity import pair_diversity_low_sens
 from .quality.interestingness import interestingness_low_sens
-from .quality.scores import SCORE_SENSITIVITY, Weights
+from .quality.scores import Weights
 from .quality.sufficiency import sufficiency_low_sens
-from .select_candidates import select_candidates
+from .select_candidates import pick_combinations, select_candidates
 
 _MAX_COMBINATIONS = 2_000_000
 
@@ -125,15 +124,15 @@ class MultiDPClustX:
         tensor = scoring_engine(counts).multi_combination_score_tensor(
             per_cluster_sets, self.weights
         )
-        em = ExponentialMechanism(self.budget.eps_top_comb, SCORE_SENSITIVITY)
-        if accountant is not None:
-            accountant.spend(self.budget.eps_top_comb, "stage2: multi combination")
-        flat_index = em.select_index(tensor.reshape(-1), gen)
-        picks = np.unravel_index(flat_index, tensor.shape)
-        chosen = MultiAttributeCombination(
-            tuple(per_cluster_sets[c][int(s)] for c, s in enumerate(picks))
+        (chosen,) = pick_combinations(
+            [per_cluster_sets],
+            [tensor.reshape(-1)],
+            self.budget.eps_top_comb,
+            [gen],
+            accountant,
+            "stage2: multi combination",
         )
-        return chosen
+        return MultiAttributeCombination(chosen)
 
     def explain(
         self,

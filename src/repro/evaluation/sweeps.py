@@ -8,11 +8,16 @@ each explainer one seed at a time, re-ranking, re-assembling score tensors
 and re-evaluating the sensitive Quality per seed.
 
 Both Stage-1 (One-shot Top-k) and Stage-2 (exponential mechanism) perturb
-*true* scores that are identical across seeds, so the whole repeat dimension
-factors out: the true score matrices/tensors are computed once per counts
-provider (memoised :class:`~repro.core.engine.engine.ScoringEngine`), the
-noise becomes per-seed Gumbel rows (``select_batch`` /
-``select_indices``), and selection is a row-wise argsort/argmax.
+*true* scores, so the repeat dimension factors out: the explainers'
+``select_combinations`` run Algorithm 2's two shared selection stages
+(:mod:`repro.core.select_candidates`) over every seed's generator at once.
+The Stage-1 score matrix is computed once per call, the noise becomes
+per-seed Gumbel rows (``select_batch`` / ``select_indices``), and selection
+is a row-wise argsort/argmax.  Each seed's Stage-2 tensor is assembled from
+the memoised :class:`~repro.core.engine.engine.ScoringEngine`'s per-cluster
+vectors; :class:`SweepContext` keeps only what repeats across a sweep's
+seeds and epsilon points (the sensitive-Quality tensors, per-combination
+Quality and the TabEE selections).
 
 **Exactness contract.**  ``numpy.random.Generator`` fills arrays from the
 bit stream value-by-value, so the batched draws consume each spawned child
@@ -42,18 +47,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..core.counts import ClusteredCounts, CountsProvider
-from ..core.dpclustx import _MAX_COMBINATIONS, DPClustX
-from ..core.engine import scoring_engine
+from ..core.dpclustx import DPClustX
 from ..core.hbe import AttributeCombination
-from ..core.quality.scores import (
-    SCORE_SENSITIVITY,
-    SENSITIVE_SCORE_SENSITIVITY,
-    Weights,
-)
-from ..core.select_candidates import stage1_mechanism
-from ..privacy.exponential import ExponentialMechanism
+from ..core.quality.scores import Weights
 from ..privacy.rng import ensure_rng, spawn
-from ..privacy.topk import OneShotTopK
 from .mae import mae
 from .quality import QualityEvaluator
 from .runner import Selector, TrialResult
@@ -73,7 +70,7 @@ class SweepContext:
     """Shared memoisation for one counts provider across a sweep.
 
     Caches, keyed by the (hashable) :class:`Weights`: one
-    :class:`QualityEvaluator` per weight setting, flattened ``GlScore`` /
+    :class:`QualityEvaluator` per weight setting, flattened
     sensitive-Quality tensors per candidate-set tuple, per-combination
     Quality values, and the deterministic TabEE selections.  Everything in
     here is a pure function of the true counts, so reuse across seeds and
@@ -83,7 +80,6 @@ class SweepContext:
     def __init__(self, counts: CountsProvider):
         self.counts = counts
         self._evaluators: dict[Weights, QualityEvaluator] = {}
-        self._glscore: dict[tuple, np.ndarray] = {}
         self._quality_flat: dict[tuple, np.ndarray] = {}
         self._quality: dict[tuple, float] = {}
         self._tabee: dict[tuple, AttributeCombination] = {}
@@ -94,23 +90,6 @@ class SweepContext:
             ev = QualityEvaluator(self.counts, weights, 0)
             self._evaluators[weights] = ev
         return ev
-
-    def glscore_flat(
-        self, weights: Weights, candidate_sets: tuple[tuple[str, ...], ...]
-    ) -> np.ndarray:
-        """Flattened Stage-2 ``GlScore`` tensor, memoised per candidate sets."""
-        key = (weights, candidate_sets)
-        cached = self._glscore.get(key)
-        if cached is None:
-            cached = (
-                scoring_engine(self.counts)
-                .combination_score_tensor(
-                    candidate_sets, weights, max_combinations=_MAX_COMBINATIONS
-                )
-                .reshape(-1)
-            )
-            self._glscore[key] = cached
-        return cached
 
     def quality_flat(
         self, weights: Weights, candidate_sets: tuple[tuple[str, ...], ...]
@@ -149,102 +128,6 @@ class SweepContext:
 # --------------------------------------------------------------------------- #
 # batched per-explainer selection
 # --------------------------------------------------------------------------- #
-
-
-def _stage1_sets(
-    score_matrix: np.ndarray,
-    names: tuple[str, ...],
-    mechanism: OneShotTopK,
-    children: Sequence[np.random.Generator],
-) -> list[tuple[tuple[str, ...], ...]]:
-    """One-shot Top-k candidate sets for every seed, batched per cluster.
-
-    Cluster-major draw order: for each cluster, one ``select_batch`` call
-    perturbs the shared true-score row with one Gumbel row per child.  Each
-    child's own stream still sees its draws in cluster order — exactly the
-    serial per-seed loop's consumption.
-    """
-    n_clusters = score_matrix.shape[0]
-    n_runs = len(children)
-    picks = np.empty((n_runs, n_clusters, mechanism.k), dtype=np.intp)
-    for c in range(n_clusters):
-        picks[:, c, :] = mechanism.select_batch(
-            score_matrix[c], n_runs, rng=children
-        )
-    gathered = np.asarray(names, dtype=object)[picks].tolist()
-    return [tuple(tuple(row) for row in run) for run in gathered]
-
-
-def _stage2_combinations(
-    per_run_sets: "list[tuple[tuple[str, ...], ...]]",
-    flats: "list[np.ndarray]",
-    em: ExponentialMechanism,
-    children: Sequence[np.random.Generator],
-) -> list[AttributeCombination]:
-    """Row-wise EM over each seed's flattened Stage-2 score tensor."""
-    idx = em.select_indices(np.stack(flats), rng=children)
-    combos = []
-    for r, sets in enumerate(per_run_sets):
-        shape = tuple(len(s) for s in sets)
-        picks = np.unravel_index(int(idx[r]), shape)
-        combos.append(
-            AttributeCombination(
-                tuple(sets[c][int(j)] for c, j in enumerate(picks))
-            )
-        )
-    return combos
-
-
-def _select_dpclustx(
-    explainer: DPClustX,
-    counts: CountsProvider,
-    children: Sequence[np.random.Generator],
-    ctx: SweepContext,
-) -> list[AttributeCombination]:
-    """All seeds of ``DPClustX.select_combination``, batched (Algorithm 2)."""
-    names = tuple(counts.names)
-    n_clusters = counts.n_clusters
-    k = explainer.n_candidates
-    if k < 1 or k > len(names):
-        raise ValueError(f"k must be in [1, |A|] = [1, {len(names)}], got {k}")
-    gamma = explainer.weights.gamma()
-    mech = stage1_mechanism(explainer.budget.eps_cand_set, n_clusters, k)
-    matrix = scoring_engine(counts).score_matrix(gamma[0], gamma[1], names)
-    per_run_sets = _stage1_sets(matrix, names, mech, children)
-    flats = [
-        ctx.glscore_flat(explainer.weights, sets) for sets in per_run_sets
-    ]
-    em = ExponentialMechanism(explainer.budget.eps_top_comb, SCORE_SENSITIVITY)
-    return _stage2_combinations(per_run_sets, flats, em, children)
-
-
-def _select_dptabee(
-    explainer,
-    counts: CountsProvider,
-    children: Sequence[np.random.Generator],
-    ctx: SweepContext,
-) -> list[AttributeCombination]:
-    """All seeds of ``DPTabEE.select_combination``, batched."""
-    names = tuple(counts.names)
-    n_clusters = counts.n_clusters
-    gamma = explainer.weights.gamma()
-    mech = stage1_mechanism(
-        explainer.budget.eps_cand_set,
-        n_clusters,
-        explainer.n_candidates,
-        SENSITIVE_SCORE_SENSITIVITY,
-    )
-    matrix = scoring_engine(counts).sensitive_score_matrix(
-        gamma[0], gamma[1], names
-    )
-    per_run_sets = _stage1_sets(matrix, names, mech, children)
-    flats = [
-        ctx.quality_flat(explainer.weights, sets) for sets in per_run_sets
-    ]
-    em = ExponentialMechanism(
-        explainer.budget.eps_top_comb, SENSITIVE_SCORE_SENSITIVITY
-    )
-    return _stage2_combinations(per_run_sets, flats, em, children)
 
 
 def _select_dpnaive(
@@ -298,9 +181,15 @@ def select_batched(
         return []
     explainer = getattr(selector, "explainer", selector)
     if type(explainer) is DPClustX:
-        return _select_dpclustx(explainer, counts, children, ctx)
+        return [
+            s.combination for s in explainer.select_combinations(counts, children)
+        ]
     if type(explainer) is DPTabEE:
-        return _select_dptabee(explainer, counts, children, ctx)
+        return explainer.select_combinations(
+            counts,
+            children,
+            scorer=lambda sets: ctx.quality_flat(explainer.weights, sets),
+        )
     if type(explainer) is DPNaive:
         return _select_dpnaive(explainer, counts, children)
     if type(explainer) is TabEE:
@@ -318,15 +207,15 @@ def explain_batched(
     explainer: DPClustX,
     counts: CountsProvider,
     rngs: Sequence["np.random.Generator | int | None"],
-    context: SweepContext | None = None,
     metrics=None,
 ):
     """All seeds of ``DPClustX.explain``, batched — one scoring pass.
 
     The reusable batch entry point behind the explanation service's request
     coalescing: Stage-1/2 selection for every seed runs through
-    :func:`select_batched` (the true-score tensors are computed once and the
-    per-seed work collapses to Gumbel rows + argmax), then each seed's
+    :meth:`~repro.core.dpclustx.DPClustX.select_combinations` (the score
+    matrix is computed once and the per-seed work collapses to Gumbel rows
+    + argmax), then each seed's
     generator — having consumed exactly the selection draws of the serial
     path — continues into :meth:`~repro.core.dpclustx.DPClustX.release_histograms`.
     Entry ``r`` is therefore byte-identical to
@@ -342,7 +231,6 @@ def explain_batched(
     histogram releases.  Timing wraps the calls; it never touches the rng
     streams, so instrumented output stays byte-identical.
     """
-    ctx = context if context is not None else SweepContext(counts)
     children = [ensure_rng(r) for r in rngs]
     spans = None
     if metrics is not None:
@@ -350,13 +238,13 @@ def explain_batched(
 
         spans = span_histogram(metrics)
     t0 = time.perf_counter()
-    combos = select_batched(explainer, counts, children, ctx)
+    selections = explainer.select_combinations(counts, children)
     if spans is not None:
         spans.observe(time.perf_counter() - t0, ("engine-score",))
     t0 = time.perf_counter()
     released = [
-        explainer.release_histograms(counts, combo, child)
-        for combo, child in zip(combos, children)
+        explainer.release_histograms(counts, selection.combination, child)
+        for selection, child in zip(selections, children)
     ]
     if spans is not None:
         spans.observe(time.perf_counter() - t0, ("mechanism-release",))
@@ -374,7 +262,6 @@ class PipelineSweep:
 
     clustering: object
     counts: "ClusteredCounts"
-    context: SweepContext
     explanations: list
 
 
@@ -408,7 +295,6 @@ def run_pipeline_batched(
     explainer = explainer or DPClustX()
     clustering = spec.fit(dataset, accountant=accountant)
     counts = ClusteredCounts(dataset, clustering)
-    ctx = SweepContext(counts)
     tokens: "list[int]" = []
     if accountant is not None:
         budget = explainer.budget
@@ -422,14 +308,14 @@ def run_pipeline_batched(
             for tag in tags
         ])
     try:
-        explanations = explain_batched(explainer, counts, seeds, context=ctx)
+        explanations = explain_batched(explainer, counts, seeds)
     except Exception:
         # An engine failure rolls back this call's own reservations
         # (nothing was released); the already-released fit stays charged.
         for token in tokens:
             accountant.refund(token)
         raise
-    return PipelineSweep(clustering, counts, ctx, explanations)
+    return PipelineSweep(clustering, counts, explanations)
 
 
 # --------------------------------------------------------------------------- #

@@ -74,35 +74,46 @@ class HierarchicalHistogram(HistogramMechanism):
         rng: np.random.Generator | int | None = None,
     ) -> "list[np.ndarray]":
         """Release every row of each ``(R_i, m_i)`` block as its own tree,
-        one consistent noisy histogram over ``m_i`` bins per row."""
+        one consistent noisy histogram over ``m_i`` bins per row.
+
+        A block is one Laplace draw over its rows' concatenated levels
+        (leaves first, root last), row by row: the order of releasing the
+        rows one at a time.  Level sums and both inference passes run on
+        the leading row axis.
+        """
         mats = as_blocks(blocks, np.float64)
         gen = ensure_rng(rng)
-        out = [np.empty(m.shape) for m in mats]
-        for m, noisy_block in zip(mats, out):
-            n_bins = m.shape[1]
+        out = []
+        for m in mats:
+            n_rows, n_bins = m.shape
             leaves, height = _tree_shape(n_bins, self.branching)
+            padded = np.zeros((n_rows, leaves))
+            padded[:, :n_bins] = m
+            # levels[0] = leaves ... levels[-1] = root; true interval sums.
+            levels = [padded]
+            while levels[-1].shape[1] > 1:
+                levels.append(self._child_sums(levels[-1]))
             mech = LaplaceMechanism(self.epsilon / height, 1.0)
-            for r, counts in enumerate(m):
-                padded = np.zeros(leaves)
-                padded[:n_bins] = counts
-                # levels[0] = leaves ... levels[-1] = root; true interval sums.
-                levels = [padded]
-                while levels[-1].shape[0] > 1:
-                    levels.append(
-                        levels[-1].reshape(-1, self.branching).sum(axis=1)
-                    )
-                noisy = [np.asarray(mech.randomise(lv, gen)) for lv in levels]
-                hbar = self._downward_pass(self._upward_pass(noisy))
-                noisy_block[r] = hbar[0][:n_bins]
+            noisy = mech.randomise(np.concatenate(levels, axis=1), gen)
+            bounds = np.cumsum([lv.shape[1] for lv in levels])[:-1]
+            hbar = self._downward_pass(
+                self._upward_pass(np.split(noisy, bounds, axis=1))
+            )
+            released = hbar[0][:, :n_bins]
             if self.clamp_negative:
-                np.maximum(noisy_block, 0.0, out=noisy_block)
+                np.maximum(released, 0.0, out=released)
+            out.append(released)
         return out
+
+    def _child_sums(self, level: np.ndarray) -> np.ndarray:
+        """Sum each run of ``branching`` siblings along the last axis."""
+        return level.reshape(level.shape[:-1] + (-1, self.branching)).sum(axis=-1)
 
     def _upward_pass(self, noisy: list[np.ndarray]) -> list[np.ndarray]:
         b = float(self.branching)
         z: list[np.ndarray] = [noisy[0].copy()]
         for l in range(1, len(noisy)):  # height l+1 in Hay et al.'s indexing
-            child_sums = z[l - 1].reshape(-1, self.branching).sum(axis=1)
+            child_sums = self._child_sums(z[l - 1])
             bl = b ** (l + 1)
             bl1 = b**l
             alpha = (bl - bl1) / (bl - 1.0)
@@ -116,9 +127,9 @@ class HierarchicalHistogram(HistogramMechanism):
         hbar[-1] = z[-1].copy()
         for l in range(len(z) - 2, -1, -1):
             parents = hbar[l + 1]
-            child_z = z[l].reshape(-1, self.branching)
-            correction = (parents - child_z.sum(axis=1)) / b
-            hbar[l] = (child_z + correction[:, None]).reshape(-1)
+            child_z = z[l].reshape(z[l].shape[:-1] + (-1, self.branching))
+            correction = (parents - child_z.sum(axis=-1)) / b
+            hbar[l] = (child_z + correction[..., None]).reshape(z[l].shape)
         return hbar
 
     def range_query(

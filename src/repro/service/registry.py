@@ -6,9 +6,8 @@ metered per dataset.  :class:`ServiceRegistry` owns:
 
 * the registered datasets — each a :class:`~repro.dataset.table.Dataset` plus
   a fixed clustering, materialised once into
-  :class:`~repro.core.counts.ClusteredCounts` with a shared
-  :class:`~repro.evaluation.sweeps.SweepContext` so every request against the
-  dataset reuses the memoised true-score tensors;
+  :class:`~repro.core.counts.ClusteredCounts`, whose memoised scoring engine
+  every request against the dataset reuses;
 * the tenants — each a :class:`Tenant` holding one capped, thread-safe
   :class:`~repro.privacy.budget.PrivacyAccountant` per dataset id.
 
@@ -39,7 +38,6 @@ from urllib.parse import quote, unquote
 from ..clustering.base import ClusteringFunction
 from ..core.counts import ClusteredCounts
 from ..dataset.table import Dataset
-from ..evaluation.sweeps import SweepContext
 from ..obs.metrics import MetricsRegistry
 from ..privacy.budget import (
     BudgetError,
@@ -120,7 +118,7 @@ class DatasetEntry:
     ``clustering=None`` registers a **labels-free** dataset: the raw data
     is admitted (it can be clustered server-side through ``/v1/pipeline``)
     but plain ``/v1/explain`` requests are refused until a clustering
-    exists — ``counts``/``signature``/``context`` stay ``None``.
+    exists — ``counts`` and ``signature`` stay ``None``.
 
     ``base_id`` names the ledger this entry's charges land in.  It defaults
     to the entry's own id; *derived* entries — fitted server-side from a
@@ -147,7 +145,6 @@ class DatasetEntry:
         if clustering is None:
             self.counts = None
             self.signature = None
-            self.context = None
         else:
             self.counts = (
                 clustering
@@ -155,7 +152,6 @@ class DatasetEntry:
                 else ClusteredCounts(dataset, clustering, n_clusters)
             )
             self.signature = self.counts.signature()
-            self.context = SweepContext(self.counts)
         self.fingerprint = dataset.fingerprint()
 
     @classmethod
@@ -187,7 +183,6 @@ class DatasetEntry:
         entry.clustering_spec = None
         entry.counts = counts
         entry.signature = signature
-        entry.context = SweepContext(counts) if counts is not None else None
         entry.fingerprint = dataset.fingerprint()
         return entry
 

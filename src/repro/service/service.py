@@ -24,9 +24,8 @@ requests from many tenants over registered datasets.  A request's lifecycle:
    ledgers persist crash-safely before the response is released.
 5. **Engine** — all funded seeds run through
    :func:`~repro.evaluation.sweeps.explain_batched`: one batched scoring
-   pass over the dataset's shared
-   :class:`~repro.evaluation.sweeps.SweepContext`, then per-seed histogram
-   releases whose bytes equal the serial ``DPClustX.explain`` path.
+   pass over the dataset's counts, then per-seed histogram releases whose
+   bytes equal the serial ``DPClustX.explain`` path.
 6. **Response** — payloads are cached and every waiting future resolves
    with an envelope recording how it was served (``miss`` — the payer,
    ``coalesced`` — a free rider in the same batch, or ``hit``).
@@ -200,8 +199,8 @@ class ExplainRequest:
     def engine_key(self) -> tuple:
         """The coalescing key: everything but the seed stream and tenant.
 
-        Requests sharing this key share their true-score tensors, so one
-        batched scoring pass serves all of them regardless of seed.
+        Requests sharing this key share their true Stage-1 score matrix,
+        so one batched scoring pass serves all of them regardless of seed.
         """
         return (
             self.dataset,
@@ -346,6 +345,18 @@ class PipelineRequest:
             raise ServiceError(400, "invalid-request", str(exc)) from None
         self.explain_request().validated()
         return self
+
+
+def _check_width(request: "ExplainRequest | PipelineRequest", entry) -> None:
+    """400 when ``n_candidates`` exceeds the dataset's attribute count."""
+    width = entry.dataset.schema.width
+    if request.n_candidates > width:
+        raise ServiceError(
+            400,
+            "invalid-request",
+            f"n_candidates={request.n_candidates} exceeds the "
+            f"{width} attributes of {request.dataset!r}",
+        )
 
 
 def _request_class(envelope: dict) -> str:
@@ -615,15 +626,7 @@ class ExplanationService:
                     f"dataset {request.dataset!r} is registered without a "
                     "clustering; fit one server-side via /v1/pipeline",
                 )
-            width = entry.dataset.schema.width
-            if request.n_candidates > width:
-                raise ServiceError(
-                    400,
-                    "invalid-request",
-                    f"n_candidates={request.n_candidates} exceeds the "
-                    f"{width} attributes of "
-                    f"{request.dataset!r}",
-                )
+            _check_width(request, entry)
         except ServiceError as exc:
             self._events.inc(1, ("errors",))
             pending.resolve(self._error_envelope(exc))
@@ -686,14 +689,7 @@ class ExplanationService:
             request.validated()
             base = self.registry.dataset(request.dataset)
             self.registry.tenant(request.tenant, self.auto_tenant_budget)
-            width = base.dataset.schema.width
-            if request.n_candidates > width:
-                raise ServiceError(
-                    400,
-                    "invalid-request",
-                    f"n_candidates={request.n_candidates} exceeds the "
-                    f"{width} attributes of {request.dataset!r}",
-                )
+            _check_width(request, base)
         except ServiceError as exc:
             self._events.inc(1, ("errors",))
             return attach_trace(self._error_envelope(exc), request.trace_id)
@@ -996,7 +992,6 @@ class ExplanationService:
                 explainer,
                 entry.counts,
                 seeds,
-                context=entry.context,
                 metrics=self.metrics,
             )
         except Exception:

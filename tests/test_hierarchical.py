@@ -138,3 +138,53 @@ class TestInsideDPClustX:
         expl = explainer.explain(dataset, clustering, rng=0, accountant=acc)
         assert expl.n_clusters == clustering.n_clusters
         assert acc.total() == pytest.approx(explainer.budget.total)
+
+
+def _per_level_reference(mech, counts, gen):
+    """One row released level by level, one Laplace call per level."""
+    from repro.privacy.mechanisms import LaplaceMechanism
+
+    leaves, height = _tree_shape(len(counts), mech.branching)
+    padded = np.zeros(leaves)
+    padded[: len(counts)] = counts
+    levels = [padded]
+    while levels[-1].shape[0] > 1:
+        levels.append(levels[-1].reshape(-1, mech.branching).sum(axis=1))
+    noise = LaplaceMechanism(mech.epsilon / height, 1.0)
+    noisy = [np.asarray(noise.randomise(level, gen)) for level in levels]
+    hbar = mech._downward_pass(mech._upward_pass(noisy))
+    released = hbar[0][: len(counts)]
+    return np.maximum(released, 0.0) if mech.clamp_negative else released
+
+
+class TestBlockRelease:
+    """A multi-row block is one draw, equal to releasing its rows in turn."""
+
+    @staticmethod
+    def _blocks():
+        rng = np.random.default_rng(5)
+        return [
+            rng.integers(0, 40, size=(3, 7)),
+            rng.integers(0, 40, size=(1, 1)),
+            rng.integers(0, 40, size=(4, 9)),
+            rng.integers(0, 40, size=(2, 5)),
+        ]
+
+    @pytest.mark.parametrize("branching", [2, 3])
+    @pytest.mark.parametrize("clamp", [True, False])
+    def test_one_call_equals_rows_one_at_a_time(self, branching, clamp):
+        mech = HierarchicalHistogram(0.7, branching=branching, clamp_negative=clamp)
+        blocks = self._blocks()
+        batched = mech.release_blocks(blocks, np.random.default_rng(9))
+
+        gen = np.random.default_rng(9)
+        per_row = [np.stack([mech.release(row, gen) for row in b]) for b in blocks]
+        gen = np.random.default_rng(9)
+        per_level = [
+            np.stack([_per_level_reference(mech, row, gen) for row in b])
+            for b in blocks
+        ]
+        assert [b.shape for b in batched] == [b.shape for b in blocks]
+        for got, rows, levels in zip(batched, per_row, per_level):
+            assert np.array_equal(got, rows)
+            assert np.array_equal(got, levels)

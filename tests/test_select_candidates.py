@@ -19,12 +19,6 @@ class TestStructure:
             for a in s:
                 assert a in counts.names
 
-    def test_noisy_scores_released_alongside(self, counts):
-        sel = select_candidates(counts, (0.5, 0.5), 1.0, 2, rng=0)
-        for scores in sel.noisy_scores:
-            assert len(scores) == 2
-            assert scores[0] >= scores[1]  # descending noisy order
-
     def test_restricted_attribute_pool(self, counts):
         pool = ("size", "flag")
         sel = select_candidates(counts, (0.5, 0.5), 1.0, 1, rng=0, names=pool)

@@ -1356,3 +1356,44 @@ class TestLatencyStats:
         # p50 sits near 1ms (within one growth factor) and p99 near 100ms.
         assert 0.0005 < summary["p50_s"] < 0.002
         assert 0.05 < summary["p99_s"] < 0.2
+
+
+class TestPerReleaseState:
+    """Released misses leave no state behind outside the cache and ledger."""
+
+    def test_misses_hold_no_core_or_evaluation_memory(self):
+        import gc
+        import tracemalloc
+
+        dataset = diabetes_like(n_rows=2_000, n_groups=5)
+        service = make_service(
+            dataset, KMeans(5).fit(dataset, rng=0), auto_tenant_budget=1e3
+        )
+        filters = [
+            tracemalloc.Filter(True, pattern)
+            for pattern in ("*/repro/core/*", "*/repro/evaluation/*")
+        ]
+
+        def live_bytes() -> int:
+            """Live bytes allocated by a line of ``repro.core`` or
+            ``repro.evaluation`` (the innermost frame, so numpy's own
+            buffer caches do not count)."""
+            gc.collect()
+            snapshot = tracemalloc.take_snapshot().filter_traces(filters)
+            return sum(stat.size for stat in snapshot.statistics("filename"))
+
+        def serve(seeds) -> None:
+            for seed in seeds:
+                out = service.explain(tenant="a", dataset="diabetes", seed=seed)
+                assert out["meta"]["cache"] == "miss"
+
+        tracemalloc.start()
+        try:
+            serve(range(20))  # warm-up: the engine's per-dataset memos
+            before = live_bytes()
+            serve(range(20, 220))
+            growth = live_bytes() - before
+        finally:
+            tracemalloc.stop()
+            service.stop()
+        assert growth < 16 * 1024, f"{growth} B retained over 200 misses"

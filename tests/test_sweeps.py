@@ -378,17 +378,6 @@ class TestExplainBatched:
                 assert np.array_equal(e_got.hist_cluster, e_serial.hist_cluster)
                 assert np.array_equal(e_got.hist_rest, e_serial.hist_rest)
 
-    def test_shared_context_changes_nothing(self, diabetes_counts):
-        from repro.core.dpclustx import DPClustX
-
-        explainer = DPClustX(n_candidates=2)
-        ctx = SweepContext(diabetes_counts)
-        with_ctx = explain_batched(explainer, diabetes_counts, [3], context=ctx)
-        without = explain_batched(explainer, diabetes_counts, [3])
-        assert tuple(with_ctx[0].combination) == tuple(without[0].combination)
-        for a, b in zip(with_ctx[0], without[0]):
-            assert np.array_equal(a.hist_cluster, b.hist_cluster)
-
     def test_release_histograms_charges_accountant(self, diabetes_counts):
         from repro.core.dpclustx import DPClustX
         from repro.core.hbe import AttributeCombination

@@ -78,7 +78,7 @@ def table_rows(workload: str, pairs: "list[tuple[dict | None, dict | None]]",
     rows = []
     for name, better in metrics:
         both = [
-            (b["metrics"][name], c["metrics"][name])
+            (b["metrics"][name]["value"], c["metrics"][name]["value"])
             for b, c in done
             if name in b.get("metrics", {}) and name in c.get("metrics", {})
         ]

@@ -215,9 +215,8 @@ def explain_batched(
     coalescing: Stage-1/2 selection for every seed runs through
     :meth:`~repro.core.dpclustx.DPClustX.select_combinations` (the score
     matrix is computed once and the per-seed work collapses to Gumbel rows
-    + argmax), then each seed's
-    generator — having consumed exactly the selection draws of the serial
-    path — continues into :meth:`~repro.core.dpclustx.DPClustX.release_histograms`.
+    + argmax), then each seed's generator — having consumed exactly the
+    selection draws of the serial path — continues into :meth:`~repro.core.dpclustx.DPClustX.release_histograms`.
     Entry ``r`` is therefore byte-identical to
     ``explainer.explain(dataset, clustering, rng=rngs[r], counts=counts)``.
 

@@ -1049,6 +1049,19 @@ class TestPipelineRoute:
         assert envelope["status"] == "error" and envelope["code"] == 400
         assert service.registry.tenant("t").accountant("raw").total() == 0.0
 
+    def test_too_many_candidates_400_before_any_charge(self, dataset):
+        service = self.make_labels_free(dataset)
+        service.create_tenant("t", 5.0)
+        envelope = service.pipeline(
+            PipelineRequest(tenant="t", dataset="raw", n_candidates=99)
+        )
+        assert envelope["code"] == 400
+        assert envelope["error"]["message"] == (
+            f"n_candidates=99 exceeds the {dataset.schema.width} attributes "
+            "of 'raw'"
+        )
+        assert service.registry.tenant("t").accountant("raw").total() == 0.0
+
     def test_response_matches_the_serial_pipeline(self, dataset):
         """Served release == spec-seeded fit + serial DPClustX explain."""
         service = self.make_labels_free(dataset)

@@ -5,11 +5,12 @@ Usage::
 
     python3 scripts/ab.py BASE_DIR CHANGE_DIR --workload W --pairs N --seconds S
 
-Each pair runs ``perfbench/run.py --workload W --trace 0`` once in each
-checkout, one after the other; the side that goes first alternates from one
-pair to the next, so drift in host speed falls on both sides alike.  Only
+Each pair runs ``perfbench/run.py --workload W --seed 1 --trace 0`` once in
+each checkout, one after the other; the side that goes first alternates
+from one pair to the next, so drift in host speed falls on both sides alike.  Only
 the last line of each run's standard output, the result object, is read.
-``--workload`` may be given more than once.
+``--workload`` may be given more than once; ``--seconds`` defaults to the
+``run_seconds`` of CHANGE_DIR's ``BENCHMARK.json``.
 
 For each end-to-end metric listed in CHANGE_DIR's ``BENCHMARK.json`` it
 prints one markdown table row: both sides' medians with their interquartile
@@ -29,12 +30,12 @@ import subprocess
 import sys
 
 
-def run_once(checkout: str, workload: str, seed: int, seconds: float) -> "dict | None":
+def run_once(checkout: str, workload: str, seconds: float) -> "dict | None":
     """One benchmark run in ``checkout``; its result object, or None."""
     proc = subprocess.run(
         [
             sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+            "--seed", "1", "--seconds", str(seconds), "--trace", "0",
         ],
         cwd=checkout,
         capture_output=True,
@@ -47,11 +48,9 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> "dict |
         return None
 
 
-def end_to_end_metrics(checkout: str) -> "list[tuple[str, str]]":
-    """``(name, better)`` for each end-to-end metric of the benchmark."""
+def benchmark_spec(checkout: str) -> dict:
     with open(os.path.join(checkout, "BENCHMARK.json")) as fh:
-        spec = json.load(fh)
-    return [(m["name"], m["better"]) for m in spec["end_to_end"]]
+        return json.load(fh)
 
 
 def quartiles(values: "list[float]") -> "tuple[float, float, float]":
@@ -103,13 +102,14 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument("change_dir")
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=12.0)
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seconds", type=float)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
 
-    metrics = end_to_end_metrics(args.change_dir)
+    spec = benchmark_spec(args.change_dir)
+    metrics = [(m["name"], m["better"]) for m in spec["end_to_end"]]
+    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
     print("| workload | metric | pairs | base median (IQR) | change median (IQR) "
           "| ratio | change wins | failed base/change |")
     print("|---|---|---|---|---|---|---|---|")
@@ -120,7 +120,7 @@ def main(argv: "list[str] | None" = None) -> int:
             dirs = (args.base_dir, args.change_dir)
             pair: "list[dict | None]" = [None, None]
             for side in ((0, 1) if i % 2 == 0 else (1, 0)):
-                pair[side] = run_once(dirs[side], workload, args.seed, args.seconds)
+                pair[side] = run_once(dirs[side], workload, seconds)
             for side, result in zip(("base", "change"), pair):
                 if result is None:
                     problems.append(f"{workload} pair {i}: {side} printed no result")

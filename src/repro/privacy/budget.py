@@ -289,7 +289,13 @@ class PrivacyAccountant:
         ]
         if not charges:
             return []
-        what = f"{len(charges)} charges from {charges[0].label!r}"
+        # One item refuses with the same text as spend / parallel would.
+        first = charges[0]
+        kind = "parallel charge" if first.composition == "parallel-group" else "charge"
+        what = (
+            f"{kind} {first.label!r}" if len(charges) == 1
+            else f"{len(charges)} charges from {first.label!r}"
+        )
         tokens: "list[int]" = []
         try:
             with self._group():

@@ -56,6 +56,25 @@ class TestAccountant:
         with pytest.raises(BudgetError, match="exceed"):
             acc.spend(1e-9, "one more nano-eps")
 
+    @pytest.mark.parametrize(
+        "charge, item",
+        [
+            (lambda acc: acc.spend(0.1, "x"), (0.1, "x")),
+            (lambda acc: acc.parallel([0.1, 0.05], "x"), ([0.1, 0.05], "x")),
+        ],
+    )
+    def test_one_item_spend_many_refuses_like_its_single_charge(
+        self, charge, item
+    ):
+        messages = []
+        for call in (charge, lambda acc: acc.spend_many([item])):
+            with pytest.raises(BudgetError) as refused:
+                call(PrivacyAccountant(limit=0.01))
+            messages.append(str(refused.value))
+        assert messages[0] == messages[1]
+        with pytest.raises(BudgetError, match="^2 charges from 'x' of 0.2 "):
+            PrivacyAccountant(limit=0.01).spend_many([(0.1, "x"), (0.1, "y")])
+
     def test_remaining_without_limit(self):
         assert PrivacyAccountant().remaining() == float("inf")
 

@@ -23,10 +23,15 @@ from repro.baselines.dp_tabee import DPTabEE
 from repro.baselines.manual_eda import ManualEDASession
 from repro.core.counts import ClusteredCounts
 from repro.core.dpclustx import DPClustX
+from repro.core.engine import scoring_engine
 from repro.core.hbe import AttributeCombination
 from repro.core.multi import MultiDPClustX
 from repro.core.pairs import ProductCounts, explain_with_pairs
-from repro.core.select_candidates import select_candidates
+from repro.core.quality.scores import (
+    SCORE_SENSITIVITY,
+    SENSITIVE_SCORE_SENSITIVITY,
+)
+from repro.core.select_candidates import draw_candidate_sets, select_candidates
 from repro.privacy.budget import BudgetError, PrivacyAccountant, quantize_epsilon
 from repro.privacy.queries import QueryEngine
 
@@ -45,6 +50,33 @@ def assert_refusal_is_free(acc, gen, call):
     assert gen.bit_generator.state == state_before
     assert acc.total() == 0.0
     assert acc.charges() == ()
+
+
+def assert_stage2_refusal_is_free(counts, explainer, select, sensitive=False):
+    """A ledger with room for Stage 1 only: Stage 2 is refused with Stage 1's
+    charge alone on the ledger, and the generator stopped exactly where the
+    Stage-1 draws alone leave it, so no Stage-2 noise was drawn."""
+    budget = explainer.budget
+    acc = PrivacyAccountant(limit=budget.eps_cand_set)
+    gen = np.random.default_rng(7)
+    with pytest.raises(BudgetError, match="^charge '.*stage2"):
+        select(gen, acc)
+    assert acc.total_units() == quantize_epsilon(budget.eps_cand_set)
+    assert len(acc.charges()) == 1
+    gamma = explainer.weights.gamma()
+    engine = scoring_engine(counts)
+    if sensitive:
+        matrix = engine.sensitive_score_matrix(gamma[0], gamma[1], counts.names)
+        sensitivity = SENSITIVE_SCORE_SENSITIVITY
+    else:
+        matrix = engine.score_matrix(gamma[0], gamma[1], counts.names)
+        sensitivity = SCORE_SENSITIVITY
+    twin = np.random.default_rng(7)
+    draw_candidate_sets(
+        matrix, counts.names, budget.eps_cand_set, explainer.n_candidates,
+        [twin], score_sensitivity=sensitivity,
+    )
+    assert gen.bit_generator.state == twin.bit_generator.state
 
 
 class TestRefusalDrawsNoNoise:
@@ -71,12 +103,26 @@ class TestRefusalDrawsNoNoise:
         # Enough budget for Stage 1, none for Stage 2: the EM draw must not
         # happen, and the refund contract is per-call so Stage 1's charge
         # legitimately stands (its noise WAS released).
-        budget_total = MultiDPClustX(ell=2).budget
-        acc = PrivacyAccountant(limit=budget_total.eps_cand_set)
-        gen = np.random.default_rng(7)
-        with pytest.raises(BudgetError):
-            MultiDPClustX(ell=2).select_combination(counts, gen, acc)
-        assert acc.total() == pytest.approx(budget_total.eps_cand_set)
+        explainer = MultiDPClustX(ell=2)
+        assert_stage2_refusal_is_free(
+            counts, explainer,
+            lambda g, a: explainer.select_combination(counts, g, a),
+        )
+
+    def test_dpclustx_stage2(self, counts):
+        explainer = DPClustX()
+        assert_stage2_refusal_is_free(
+            counts, explainer,
+            lambda g, a: explainer.select_combination(counts, g, a),
+        )
+
+    def test_dp_tabee_stage2(self, counts):
+        explainer = DPTabEE()
+        assert_stage2_refusal_is_free(
+            counts, explainer,
+            lambda g, a: explainer.select_combination(counts, g, a),
+            sensitive=True,
+        )
 
     def test_dp_naive_release_noisy_counts(self, counts):
         acc = PrivacyAccountant(limit=0.01)

@@ -14,9 +14,11 @@ the last line of each run's standard output, the result object, is read.
 
 For each end-to-end metric listed in CHANGE_DIR's ``BENCHMARK.json`` it
 prints one markdown table row: both sides' medians with their interquartile
-ranges, the ratio of the medians (change / base), the pairs in which the
-change was strictly better, and the failed operations summed over each
-side's runs.  Runs that print no result, or report ``correct: false``, are
+ranges, the ratio of the medians (change / base) with a bootstrap 95%
+interval, the pairs in which the change was strictly better, and the
+failed operations summed over each side's runs.  The interval resamples
+whole pairs, so it keeps the pairing, from a fixed seed, so a table
+reprints the same from the same runs.  Runs that print no result, or report ``correct: false``, are
 listed after the table.  The script only reports: it has no pass/fail gate.
 """
 
@@ -25,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import statistics
 import subprocess
 import sys
@@ -61,6 +64,27 @@ def quartiles(values: "list[float]") -> "tuple[float, float, float]":
     return q1, q2, q3
 
 
+#: Resamples behind each ratio interval, and the seed they are drawn from.
+BOOTSTRAP_DRAWS = 2000
+BOOTSTRAP_SEED = 0
+
+
+def ratio_interval(both: "list[tuple[float, float]]") -> "tuple[float, float]":
+    """Bootstrap 95% interval of median(change) / median(base) over pairs."""
+    draw = random.Random(BOOTSTRAP_SEED).choices
+    ratios = []
+    for _ in range(BOOTSTRAP_DRAWS):
+        sample = draw(both, k=len(both))
+        base_med = statistics.median(b for b, _ in sample)
+        if base_med:
+            ratios.append(statistics.median(c for _, c in sample) / base_med)
+    if not ratios:
+        return float("nan"), float("nan")
+    ratios.sort()
+    return (ratios[int(0.025 * (len(ratios) - 1))],
+            ratios[int(0.975 * (len(ratios) - 1))])
+
+
 def summary(values: "list[float]") -> str:
     q1, med, q3 = quartiles(values)
     return f"{med:.4g} ({q1:.4g}–{q3:.4g})"
@@ -88,10 +112,11 @@ def table_rows(workload: str, pairs: "list[tuple[dict | None, dict | None]]",
         wins = sum((c < b) if better == "lower" else (c > b) for b, c in both)
         base_med = statistics.median(base)
         ratio = statistics.median(change) / base_med if base_med else float("nan")
+        low, high = ratio_interval(both)
         rows.append(
             f"| {workload} | {name} | {len(both)} | {summary(base)} | "
-            f"{summary(change)} | {ratio:.3f} | {wins}/{len(both)} | "
-            f"{failed[0]}/{failed[1]} |"
+            f"{summary(change)} | {ratio:.3f} | {low:.3f}–{high:.3f} | "
+            f"{wins}/{len(both)} | {failed[0]}/{failed[1]} |"
         )
     return rows
 
@@ -111,8 +136,8 @@ def main(argv: "list[str] | None" = None) -> int:
     metrics = [(m["name"], m["better"]) for m in spec["end_to_end"]]
     seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
     print("| workload | metric | pairs | base median (IQR) | change median (IQR) "
-          "| ratio | change wins | failed base/change |")
-    print("|---|---|---|---|---|---|---|---|")
+          "| ratio | ratio 95% CI | change wins | failed base/change |")
+    print("|---|---|---|---|---|---|---|---|---|")
     problems = []
     for workload in args.workload:
         pairs = []

@@ -263,7 +263,7 @@ def build_callgraph(modules: "list[Module]") -> CallGraph:
         table: dict[str, str] = {}
         mod_table: dict[str, str] = {}
         pkg_dir = os.path.dirname(module.path).replace("\\", "/")
-        for node in ast.walk(module.tree):
+        for node in module.index.imports:
             if isinstance(node, ast.ImportFrom):
                 for alias in node.names:
                     if alias.name == "*":
@@ -282,7 +282,7 @@ def build_callgraph(modules: "list[Module]") -> CallGraph:
                         dotted = f"{node.module}.{alias.name}"
                         if graph.modules_by_dotted.get(dotted):
                             mod_table[alias.asname or alias.name] = dotted
-            elif isinstance(node, ast.Import):
+            else:
                 for alias in node.names:
                     if alias.asname is not None:
                         mod_table[alias.asname] = alias.name

@@ -63,12 +63,22 @@ def changed_python_files(base_ref: str, cwd: str = ".") -> "set[str] | None":
 def _module_dependencies(modules, graph) -> "dict[str, set[str]]":
     """caller module path -> callee/imported module paths."""
     deps: "dict[str, set[str]]" = {}
-    for info in graph.functions.values():
-        mod = info.module
-        for node in ast.walk(info.node):
-            if not isinstance(node, ast.Call):
-                continue
-            callee = graph.resolve(node, mod, info.class_name)
+    for mod in modules:
+        index = mod.index
+        # A def's own calls resolve in its class; every other call (module
+        # and class-body code, lambda bodies) resolves outside any class.
+        sites = [
+            (node, class_name)
+            for func, class_name in index.functions
+            for node in index.own[func]
+            if node.__class__ is ast.Call
+        ]
+        owned = {id(node) for node, _ in sites}
+        sites += [
+            (node, None) for node in index.of(ast.Call) if id(node) not in owned
+        ]
+        for node, class_name in sites:
+            callee = graph.resolve(node, mod, class_name)
             if callee is not None and callee.module.path != mod.path:
                 deps.setdefault(mod.path, set()).add(callee.module.path)
     # Import edges catch dependencies the call resolver is conservative

@@ -35,6 +35,7 @@ from __future__ import annotations
 import ast
 import re
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from ..loader import Module
@@ -200,9 +201,17 @@ def _record_store(facts: _ClassFacts, method: str, target: ast.AST,
 
 def _scan_exprs(module: Module, facts: _ClassFacts, method: str,
                 node: ast.AST, locks: "frozenset[str]") -> None:
-    for n in ast.walk(node):
-        if isinstance(n, (ast.Lambda, ast.FunctionDef, ast.AsyncFunctionDef)):
+    # Breadth first like ``ast.walk``, with the locks held per node: a
+    # lambda body runs later, on whichever thread calls it, so none of the
+    # locks held where the lambda is built guard it.
+    todo = deque([(node, locks)])
+    while todo:
+        n, locks = todo.popleft()
+        if isinstance(n, ast.Lambda):
+            todo.append((n.args, locks))
+            todo.append((n.body, frozenset()))
             continue
+        todo.extend((child, locks) for child in ast.iter_child_nodes(n))
         if isinstance(n, ast.Call):
             func = n.func
             # self.method(...) call sites feed helper verification.

@@ -88,9 +88,8 @@ def load_taint_config(modules: "list[Module]") -> TaintConfig:
         recv_re = re.compile(r"dataset|counts|stack|table", re.IGNORECASE)
 
     for module in modules:
-        for node in ast.walk(module.tree):
-            if not (isinstance(node, ast.Call)
-                    and isinstance(node.func, (ast.Name, ast.Attribute))):
+        for node in module.index.of(ast.Call):
+            if not isinstance(node.func, (ast.Name, ast.Attribute)):
                 continue
             fname = node.func.id if isinstance(node.func, ast.Name) \
                 else node.func.attr
@@ -202,7 +201,7 @@ class ChargeBeforeReleaseRule(_FlowRule):
     def check(self, module: Module, ctx: LintContext) -> "list[Finding]":
         findings: list[Finding] = []
         for info, hit in self._hits_for(module, ctx):
-            if not references_accountant(info.node):
+            if not references_accountant(info.module.index.own[info.node]):
                 continue
             first = hit.taint.trace[0].note
             where = f" (via {first[len('call: '):]} draws first)" \

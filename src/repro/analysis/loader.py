@@ -7,6 +7,11 @@ comment stream via ``tokenize``.  Only a file whose text contains
 ``repro-lint`` is tokenized: every marker carries that literal, so a file
 without it (most of a tree) holds no suppression and skips the tokenizer.
 
+Each file is parsed once and its tree walked once, into a
+:class:`ModuleIndex` (nodes by type, every def with its class, each def's
+own nodes, the import alias table).  Rules and the other whole-tree
+passes read the index; none of them walks ``module.tree`` again.
+
 Suppression grammar
 -------------------
 
@@ -39,6 +44,7 @@ import os
 import re
 import tokenize
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from .model import Finding, SEVERITY_ERROR
@@ -68,12 +74,107 @@ class Suppression:
 
 
 @dataclass
+class ModuleIndex:
+    """One walk of a module's tree, read by every whole-tree pass.
+
+    ``load_module`` builds it once per file, so the rules, the call graph,
+    the taint-config scan and ``--diff`` never walk a tree again.
+    """
+
+    #: node type -> every node of that type, in ``ast.walk`` order.
+    nodes: "dict[type, list[ast.AST]]"
+    #: every def with its enclosing class name (None outside a class), in
+    #: source pre-order; a def nested in a method keeps the method's class.
+    functions: "list[tuple[ast.FunctionDef | ast.AsyncFunctionDef, str | None]]"
+    #: def -> its own nodes: the def and everything under it except lambda
+    #: and nested-def bodies (what ``rules._walk_no_lambda(def)`` yields).
+    own: "dict[ast.AST, list[ast.AST]]"
+    #: ``Import``/``ImportFrom`` statements, in ``ast.walk`` order.
+    imports: "list[ast.Import | ast.ImportFrom]"
+    #: local name -> dotted target of the import that binds it
+    #: (``npr`` -> ``numpy.random``, ``now`` -> ``time.time``); a relative
+    #: import's target keeps its leading dots.  The last binding in walk
+    #: order wins.
+    aliases: "dict[str, str]"
+
+    def of(self, kind: type) -> "list[ast.AST]":
+        """Every node of exactly type ``kind``."""
+        return self.nodes.get(kind, [])
+
+
+_DEF_TYPES = (ast.FunctionDef, ast.AsyncFunctionDef)
+_IMPORT_TYPES = (ast.Import, ast.ImportFrom)
+
+
+def index_tree(tree: ast.AST) -> ModuleIndex:
+    """Walk ``tree`` once, breadth first like ``ast.walk``, into its index."""
+    nodes: "dict[type, list[ast.AST]]" = {}
+    own: "dict[ast.AST, list[ast.AST]]" = {}
+    functions: list = []
+    imports: list = []
+    # (node, enclosing class name, own-node list of the enclosing def)
+    todo = deque([(tree, None, None)])
+    popleft, push = todo.popleft, todo.append
+    while todo:
+        node, cls, owner = popleft()
+        kind = node.__class__
+        group = nodes.get(kind)
+        if group is None:
+            group = nodes[kind] = []
+        group.append(node)
+        if kind in _DEF_TYPES:
+            owner = own[node] = [node]
+            functions.append((node, cls))
+        elif kind is ast.Lambda:
+            owner = None
+        else:
+            if owner is not None:
+                owner.append(node)
+            if kind is ast.ClassDef:
+                cls = node.name
+            elif kind in _IMPORT_TYPES:
+                imports.append(node)
+        for name in node._fields:
+            value = getattr(node, name, None)
+            if isinstance(value, list):
+                for item in value:
+                    if isinstance(item, ast.AST):
+                        push((item, cls, owner))
+            elif isinstance(value, ast.AST):
+                push((value, cls, owner))
+    # Defs never share a line, so source order is the pre-order.
+    functions.sort(key=lambda fc: (fc[0].lineno, fc[0].col_offset))
+    return ModuleIndex(nodes, functions, own, imports, _import_aliases(imports))
+
+
+def _import_aliases(imports: "list[ast.Import | ast.ImportFrom]") -> "dict[str, str]":
+    aliases: "dict[str, str]" = {}
+    for stmt in imports:
+        if isinstance(stmt, ast.Import):
+            for alias in stmt.names:
+                if alias.asname is not None:
+                    aliases[alias.asname] = alias.name
+                else:
+                    # `import a.b.c` binds `a`; usage spells a.b.c.fn.
+                    head = alias.name.split(".")[0]
+                    aliases[head] = head
+            continue
+        base = "." * stmt.level + (stmt.module or "")
+        sep = "." if stmt.module else ""
+        for alias in stmt.names:
+            if alias.name != "*":
+                aliases[alias.asname or alias.name] = f"{base}{sep}{alias.name}"
+    return aliases
+
+
+@dataclass
 class Module:
     """One parsed source file plus its comment-derived suppression table."""
 
     path: str
     source: str
     tree: ast.AST
+    index: ModuleIndex
     suppressions: tuple[Suppression, ...] = ()
     bad_suppressions: tuple[Finding, ...] = ()
     _lines: "list[str] | None" = field(default=None, repr=False)
@@ -194,7 +295,7 @@ def load_module(path: str) -> "tuple[Module | None, Finding | None]":
             severity=SEVERITY_ERROR,
         )
     sups, bad = parse_suppressions(path, source)
-    return Module(path=path, source=source, tree=tree,
+    return Module(path=path, source=source, tree=tree, index=index_tree(tree),
                   suppressions=sups, bad_suppressions=bad), None
 
 

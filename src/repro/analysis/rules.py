@@ -30,6 +30,10 @@ The interprocedural rules (``charge-before-release``, taint, lockset and
 checks both halves as one catalogue.  Heuristics are scoped to keep the signal clean (see each
 rule's docstring); intentional exceptions carry
 ``# repro-lint: disable=<rule> — <reason>``.
+
+Rules read the module's :class:`~repro.analysis.loader.ModuleIndex`,
+built by the one walk of each tree in ``load_module``; none walks
+``module.tree`` again.
 """
 
 from __future__ import annotations
@@ -115,24 +119,30 @@ def _walk_no_lambda(node: ast.AST):
 
 
 def _calls_in_order(node: ast.AST) -> "list[ast.Call]":
-    calls = [n for n in _walk_no_lambda(node) if isinstance(n, ast.Call)]
+    if isinstance(node, ast.Lambda):
+        return []  # its body runs later, not where it is built
+    return _sorted_calls(_walk_no_lambda(node))
+
+
+def _sorted_calls(nodes) -> "list[ast.Call]":
+    calls = [n for n in nodes if n.__class__ is ast.Call]
     calls.sort(key=lambda c: (c.lineno, c.col_offset))
     return calls
 
 
-def _iter_functions(module: Module):
-    """Yield ``(func_node, class_name)`` for every def, including methods."""
-    def scope(node: ast.AST, class_name: "str | None"):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield child, class_name
-                yield from scope(child, class_name)
-            elif isinstance(child, ast.ClassDef):
-                yield from scope(child, child.name)
-            else:
-                yield from scope(child, class_name)
+def _qualname(func: ast.AST, class_name: "str | None") -> str:
+    return f"{class_name + '.' if class_name else ''}{func.name}"
 
-    yield from scope(module.tree, None)
+
+def _dotted(chain: "list[str]", aliases: "dict[str, str]") -> "list[str]":
+    """A name chain spelled out through the module's import aliases.
+
+    ``["npr", "rand"]`` under ``import numpy.random as npr`` ->
+    ``["numpy", "random", "rand"]``; an unbound head stays as written.
+    """
+    if not chain or chain[0] not in aliases:
+        return chain
+    return aliases[chain[0]].split(".") + chain[1:]
 
 
 def _norm_path(path: str) -> str:
@@ -205,10 +215,11 @@ def is_draw_call(call: ast.Call) -> bool:
     return False
 
 
-def references_accountant(node: ast.AST) -> bool:
-    """Whether a function is responsible for accounting: it names an
-    accountant (parameter, local, ``self._accountant``, ``accountant=``)."""
-    for n in _walk_no_lambda(node):
+def references_accountant(nodes) -> bool:
+    """Whether a function is responsible for accounting: among its own
+    ``nodes`` it names an accountant (parameter, local,
+    ``self._accountant``, ``accountant=``)."""
+    for n in nodes:
         if isinstance(n, ast.Name) and n.id == "accountant":
             return True
         if isinstance(n, ast.Attribute) and n.attr in (
@@ -285,8 +296,9 @@ class FloatEpsilonArithmeticRule(Rule):
         if _norm_path(module.path).endswith("privacy/budget.py"):
             return []
         findings: list[Finding] = []
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Name) and "TOLERANCE" in node.id:
+        index = module.index
+        for node in index.of(ast.Name):
+            if "TOLERANCE" in node.id:
                 findings.append(
                     self.finding(
                         module, node,
@@ -294,43 +306,43 @@ class FloatEpsilonArithmeticRule(Rule):
                         "— the ledger's integer grid has no tolerance window",
                     )
                 )
-            elif isinstance(node, ast.Compare):
-                if not any(
-                    isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE))
-                    for op in node.ops
-                ):
-                    continue
-                operands = [node.left, *node.comparators]
-                if not any(_mentions_eps(o) for o in operands):
-                    continue
-                if any(_is_zero_literal(o) for o in operands):
-                    continue  # sign check against literal zero: exact
-                if _routes_through_units(node):
-                    continue
-                findings.append(
-                    self.finding(
-                        module, node,
-                        "float ordering comparison on an epsilon value — "
-                        "compare quantize_epsilon() integer units instead",
-                    )
-                )
-            elif isinstance(node, ast.BinOp) and isinstance(
-                node.op, (ast.FloorDiv, ast.Mod)
+        for node in index.of(ast.Compare):
+            if not any(
+                isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE))
+                for op in node.ops
             ):
-                if not _mentions_eps(node):
-                    continue
-                if _routes_through_units(node):
-                    continue
-                op = "floor-division" if isinstance(node.op, ast.FloorDiv) \
-                    else "modulo"
-                findings.append(
-                    self.finding(
-                        module, node,
-                        f"float {op} on an epsilon value mis-counts on "
-                        "binary floats (0.3 // 0.1 == 2.0) — divide "
-                        "quantize_epsilon() integer units instead",
-                    )
+                continue
+            operands = [node.left, *node.comparators]
+            if not any(_mentions_eps(o) for o in operands):
+                continue
+            if any(_is_zero_literal(o) for o in operands):
+                continue  # sign check against literal zero: exact
+            if _routes_through_units(node):
+                continue
+            findings.append(
+                self.finding(
+                    module, node,
+                    "float ordering comparison on an epsilon value — "
+                    "compare quantize_epsilon() integer units instead",
                 )
+            )
+        for node in index.of(ast.BinOp):
+            if not isinstance(node.op, (ast.FloorDiv, ast.Mod)):
+                continue
+            if not _mentions_eps(node):
+                continue
+            if _routes_through_units(node):
+                continue
+            op = "floor-division" if isinstance(node.op, ast.FloorDiv) \
+                else "modulo"
+            findings.append(
+                self.finding(
+                    module, node,
+                    f"float {op} on an epsilon value mis-counts on "
+                    "binary floats (0.3 // 0.1 == 2.0) — divide "
+                    "quantize_epsilon() integer units instead",
+                )
+            )
         return findings
 
 
@@ -348,6 +360,12 @@ _STDLIB_RANDOM_FNS = {
     "randbytes", "randint", "random", "randrange", "sample", "seed",
     "shuffle", "triangular", "uniform", "vonmisesvariate", "weibullvariate",
 }
+
+
+_ARGLESS_RNG = (
+    "argless default_rng() seeds from OS entropy — releases stop being "
+    "byte-reproducible; pass an explicit seed or Generator"
+)
 
 
 class GlobalRngRule(Rule):
@@ -368,35 +386,16 @@ class GlobalRngRule(Rule):
     )
 
     def check(self, module: Module, ctx: LintContext) -> "list[Finding]":
-        np_aliases = {"numpy"}
-        random_aliases = set()
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name == "numpy":
-                        np_aliases.add(alias.asname or "numpy")
-                    elif alias.name == "random":
-                        random_aliases.add(alias.asname or "random")
+        aliases = module.index.aliases
         findings: list[Finding] = []
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in module.index.of(ast.Call):
             chain = _attr_chain(node.func)
-            if (
-                len(chain) == 3
-                and chain[0] in np_aliases
-                and chain[1] == "random"
-            ):
-                method = chain[2]
-                if method == "default_rng" and not (node.args or node.keywords):
-                    findings.append(
-                        self.finding(
-                            module, node,
-                            "argless default_rng() seeds from OS entropy — "
-                            "releases stop being byte-reproducible; pass an "
-                            "explicit seed or Generator",
-                        )
-                    )
+            name = _dotted(chain, aliases)
+            argless = not (node.args or node.keywords)
+            if len(name) == 3 and name[:2] == ["numpy", "random"]:
+                method = name[2]
+                if method == "default_rng" and argless:
+                    findings.append(self.finding(module, node, _ARGLESS_RNG))
                 elif method in _NP_MODULE_RNG:
                     findings.append(
                         self.finding(
@@ -407,14 +406,17 @@ class GlobalRngRule(Rule):
                         )
                     )
             elif (
-                len(chain) == 2
-                and chain[0] in random_aliases
-                and chain[1] in _STDLIB_RANDOM_FNS
+                # `random` is a common variable name: only an import of
+                # the stdlib module makes it one.
+                name[:1] == ["random"]
+                and len(name) == 2
+                and chain[0] in aliases
+                and name[1] in _STDLIB_RANDOM_FNS
             ):
                 findings.append(
                     self.finding(
                         module, node,
-                        f"random.{chain[1]} uses the process-global RNG — "
+                        f"random.{name[1]} uses the process-global RNG — "
                         "draw from an explicit numpy.random.Generator "
                         "instead",
                     )
@@ -422,16 +424,9 @@ class GlobalRngRule(Rule):
             elif (
                 isinstance(node.func, ast.Name)
                 and node.func.id == "default_rng"
-                and not (node.args or node.keywords)
+                and argless
             ):
-                findings.append(
-                    self.finding(
-                        module, node,
-                        "argless default_rng() seeds from OS entropy — "
-                        "releases stop being byte-reproducible; pass an "
-                        "explicit seed or Generator",
-                    )
-                )
+                findings.append(self.finding(module, node, _ARGLESS_RNG))
         return findings
 
 
@@ -464,11 +459,11 @@ class TraceKeyHygieneRule(Rule):
 
     def check(self, module: Module, ctx: LintContext) -> "list[Finding]":
         findings: list[Finding] = []
-        for func, class_name in _iter_functions(module):
+        for func, class_name in module.index.functions:
             if not _KEY_FUNC_RE.search(func.name):
                 continue
-            qual = f"{class_name + '.' if class_name else ''}{func.name}"
-            for node in _walk_no_lambda(func):
+            qual = _qualname(func, class_name)
+            for node in module.index.own[func]:
                 hit = None
                 if isinstance(node, ast.Name) and node.id in _OBS_FIELDS:
                     hit = node.id
@@ -512,24 +507,10 @@ class MonotonicDeadlinesRule(Rule):
     )
 
     def check(self, module: Module, ctx: LintContext) -> "list[Finding]":
-        imported_bare_time = any(
-            isinstance(node, ast.ImportFrom)
-            and node.module == "time"
-            and any(a.name == "time" and a.asname is None for a in node.names)
-            for a_node in [module.tree]
-            for node in ast.walk(a_node)
-        )
         findings: list[Finding] = []
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in module.index.of(ast.Call):
             chain = _attr_chain(node.func)
-            is_time_time = chain == ["time", "time"] or (
-                imported_bare_time
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "time"
-            )
-            if is_time_time:
+            if _dotted(chain, module.index.aliases) == ["time", "time"]:
                 findings.append(
                     self.finding(
                         module, node,
@@ -586,12 +567,13 @@ class FsyncInHookRule(Rule):
         # Only a module naming a commit scope can open one: skip the walk
         # for draws inside scopes everywhere else.
         scoped = any(name in module.source for name in COMMIT_SCOPE_FUNCS)
-        for func, class_name in _iter_functions(module):
-            qual = f"{class_name + '.' if class_name else ''}{func.name}"
+        for func, class_name in module.index.functions:
+            own = module.index.own[func]
+            qual = _qualname(func, class_name)
             if scoped:
-                findings.extend(self._draws_in_open_scope(module, func, qual))
+                findings.extend(self._draws_in_open_scope(module, own, qual))
             charged_line: "int | None" = None
-            for call in _calls_in_order(func):
+            for call in _sorted_calls(own):
                 if is_charge_call(call):
                     charged_line = charged_line or call.lineno
                     continue
@@ -610,10 +592,10 @@ class FsyncInHookRule(Rule):
                     )
         return findings
 
-    def _draws_in_open_scope(self, module, func, qual) -> "list[Finding]":
+    def _draws_in_open_scope(self, module, own, qual) -> "list[Finding]":
         findings: list[Finding] = []
         seen: "set[int]" = set()  # a draw inside nested scopes reports once
-        for node in _walk_no_lambda(func):
+        for node in own:
             if not isinstance(node, (ast.With, ast.AsyncWith)) or not any(
                 self._is_commit_scope(item.context_expr) for item in node.items
             ):
@@ -684,19 +666,23 @@ class CachedEnvelopeMutationRule(Rule):
 
     def check(self, module: Module, ctx: LintContext) -> "list[Finding]":
         findings: list[Finding] = []
-        for func, class_name in _iter_functions(module):
-            qual = f"{class_name + '.' if class_name else ''}{func.name}"
+        for func, class_name in module.index.functions:
+            own = module.index.own[func]
+            # Every finding needs a cache .get among the def's own calls.
+            if not any(
+                n.__class__ is ast.Call and self._is_cache_get(n) for n in own
+            ):
+                continue
+            qual = _qualname(func, class_name)
             tracked: set[str] = set()
-            for stmt in self._linear_statements(func):
+            for stmt in self._linear_statements(func, own):
                 self._scan_statement(module, stmt, tracked, qual, findings)
         return findings
 
-    def _linear_statements(self, func):
+    @staticmethod
+    def _linear_statements(func, own):
         """Every statement in the function, in source order."""
-        stmts = []
-        for node in _walk_no_lambda(func):
-            if isinstance(node, ast.stmt) and node is not func:
-                stmts.append(node)
+        stmts = [n for n in own if isinstance(n, ast.stmt) and n is not func]
         stmts.sort(key=lambda s: (s.lineno, s.col_offset))
         return stmts
 

@@ -69,6 +69,7 @@ FIRE_CASES = [
     ("taint_recursive_params_bad.py", "taint-unsanitized-release", 2),
     ("taint_cross_module_bad", "taint-unsanitized-release", 1),
     ("lockset_unguarded_access_bad.py", "lockset-unguarded-access", 1),
+    ("lockset_lambda_bad.py", "lockset-unguarded-access", 1),
     ("lockset_order_cycle_bad.py", "lockset-order-cycle", 2),
 ]
 
@@ -77,6 +78,7 @@ NO_FIRE_CASES = [
     "taint_error_envelope_ok.py",
     "taint_code_matrix_ok.py",
     "lockset_unguarded_access_ok.py",
+    "lockset_lambda_ok.py",
     "lockset_order_cycle_ok.py",
 ]
 
@@ -140,6 +142,16 @@ class TestFlowFixtures:
         (f,) = result.findings
         assert "_inflight" in f.message and "self._lock" in f.message
         assert f.trace and "guarded-by inferred" in f.trace[0].note
+
+    def test_lambda_built_under_the_lock_runs_unguarded(self):
+        """A lambda's body runs after the ``with`` has exited, on whichever
+        thread calls it: its pop is a write with no lock held."""
+        path = fixture("lockset_lambda_bad.py")
+        (f,) = flow_lint([path]).findings
+        assert "Pool._items" in f.message and "evict_later" in f.message
+        with open(path) as fh:
+            pop_line = next(i for i, line in enumerate(fh, 1) if "lambda:" in line)
+        assert f.line == pop_line
 
 
 # --------------------------------------------------------------------------- #

@@ -56,8 +56,12 @@ FIRE_CASES = [
     ("pr4_charge_after_release.py", "charge-before-release", 2),
     ("no_float_epsilon_arithmetic_bad.py", "no-float-epsilon-arithmetic", 3),
     ("no_global_rng_bad.py", "no-global-rng", 3),
+    ("no_global_rng_from_numpy_bad.py", "no-global-rng", 1),
+    ("no_global_rng_numpy_random_alias_bad.py", "no-global-rng", 1),
     ("trace_key_hygiene_bad.py", "trace-key-hygiene", 2),
     ("monotonic_deadlines_bad.py", "monotonic-deadlines", 2),
+    ("monotonic_deadlines_time_alias_bad.py", "monotonic-deadlines", 1),
+    ("monotonic_deadlines_from_time_alias_bad.py", "monotonic-deadlines", 1),
     ("locked_ledger_mutation_bad.py", "locked-ledger-mutation", 2),
     ("fsync_in_hook_bad.py", "fsync-in-hook", 1),
     ("fsync_in_hook_open_scope_bad.py", "fsync-in-hook", 1),

@@ -15,9 +15,11 @@ they stay fixed across neighboring datasets as Definition 3.1 requires.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.counts import ClusteredCounts
@@ -302,22 +304,38 @@ def test_low_sens_interestingness_preserves_tvd_ranking(rows, c):
 # --------------------------------------------------------------------------- #
 
 
+# The ledger sums each charge's nano-eps grid units exactly, so its total
+# is the sum of the quantized charges, within half a grid unit per charge of
+# the real sum.  A plain relative float comparison fails on small epsilons,
+# e.g. 0.00011271067788749214 is charged as 112711 units.
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(1e-4, 2.0), min_size=1, max_size=8))
+@example([0.00011271067788749214])
 def test_accountant_sequential_is_sum(epsilons):
-    from repro.privacy.budget import PrivacyAccountant
+    from repro.privacy.budget import GRID, PrivacyAccountant, quantize_epsilon
 
     acc = PrivacyAccountant()
     for i, e in enumerate(epsilons):
         acc.spend(e, f"q{i}")
-    assert acc.total() == pytest.approx(sum(epsilons))
+    units = sum(quantize_epsilon(e) for e in epsilons)
+    assert acc.total_units() == units
+    assert acc.total() == units / GRID
+    assert abs(Fraction(units, GRID) - sum(map(Fraction, epsilons))) <= Fraction(
+        len(epsilons), 2 * GRID
+    )
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(1e-4, 2.0), min_size=1, max_size=8))
+@example([0.00011271067788749214])
 def test_accountant_parallel_is_max(epsilons):
-    from repro.privacy.budget import PrivacyAccountant
+    from repro.privacy.budget import GRID, PrivacyAccountant, quantize_epsilon
 
     acc = PrivacyAccountant()
     acc.parallel(list(epsilons), "partitioned")
-    assert acc.total() == pytest.approx(max(epsilons))
+    units = max(quantize_epsilon(e) for e in epsilons)
+    assert acc.total_units() == units
+    assert acc.total() == units / GRID
+    assert abs(Fraction(units, GRID) - Fraction(max(epsilons))) <= Fraction(
+        1, 2 * GRID
+    )

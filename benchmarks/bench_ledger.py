@@ -12,14 +12,16 @@ Replays heavy charge traffic against two accounting designs:
   charge.
 
 The artifact records admission throughput with a 100k-charge ledger
-already on the books, persistence bytes-per-request at small vs large
-ledger sizes, and journal fsyncs per request for one coalesced batch of 16
-funded misses through :class:`~repro.service.ExplanationService` (group
-commit: one fsync per touched tenant journal), read from the service's own
+already on the books, the median refund of a just-minted charge (the
+service's failed-batch rollback) on 1k- and 100k-charge ledgers,
+persistence bytes-per-request at small vs large ledger sizes, and
+journal fsyncs per request for one coalesced batch of 16 funded misses
+through :class:`~repro.service.ExplanationService` (group commit: one
+fsync per touched tenant journal), read from the service's own
 ``journal-fsync`` span count — for one tenant, and for 16 zipf-skewed
 tenants.  ``scripts/ci.sh`` fails if the admission speedup at 100k charges
-regresses below 10x, journal records stop being O(1), or the single-tenant
-batch pays more than one fsync per 16 requests.
+regresses below 10x, refunds or journal records stop being O(1), or the
+single-tenant batch pays more than one fsync per 16 requests.
 
 Entry points:
 
@@ -99,6 +101,19 @@ def _admission_rps_exact(ledger_size: int, charges: int) -> float:
     for _ in range(charges):
         acc.spend(CHARGE_EPS, LABEL)
     return charges / (time.perf_counter() - t0)
+
+
+def _refund_us(ledger_size: int, refunds: int) -> float:
+    """Median microseconds to refund a charge minted on top of a ledger
+    already holding ``ledger_size`` charges — a failed batch's rollback."""
+    acc = _preloaded_exact(ledger_size, headroom=1)
+    samples = []
+    for _ in range(refunds):
+        token = acc.spend(CHARGE_EPS, LABEL)
+        t0 = time.perf_counter()
+        acc.refund(token)
+        samples.append(time.perf_counter() - t0)
+    return float(np.median(samples)) * 1e6
 
 
 def _snapshot_bytes(ledger_size: int) -> int:
@@ -200,9 +215,12 @@ def run_ledger_bench(
     exact_charges: int = 50_000,
     small_ledger: int = 1_000,
     journal_records: int = 512,
+    refunds: int = 2_000,
 ) -> dict:
     seed_rps = _admission_rps_seed(ledger_size, seed_charges)
     exact_rps = _admission_rps_exact(ledger_size, exact_charges)
+    refund_small = _refund_us(small_ledger, refunds)
+    refund_large = _refund_us(ledger_size, refunds)
 
     seed_bytes_small = _snapshot_bytes(small_ledger)
     seed_bytes_large = _snapshot_bytes(ledger_size)
@@ -220,6 +238,9 @@ def run_ledger_bench(
         "seed_admission_rps": seed_rps,
         "exact_admission_rps": exact_rps,
         "admission_speedup": exact_rps / seed_rps,
+        "refund_us_small": refund_small,
+        "refund_us_large": refund_large,
+        "refund_growth": refund_large / refund_small,
         "seed_bytes_per_request_small": seed_bytes_small,
         "seed_bytes_per_request_large": seed_bytes_large,
         "seed_bytes_growth": seed_bytes_large / seed_bytes_small,

@@ -55,11 +55,12 @@
 #    also asserts payload byte-identity.
 # 9. Ledger bench (bench_ledger.py) measures budget-ledger charge admission
 #    at a 100k-charge ledger (exact O(1) integer accounting vs the seed's
-#    O(n) float re-sum), persistence bytes-per-request (append-only
-#    journal vs full snapshot rewrite) and journal fsyncs per request for
-#    one 16-miss service batch (group commit: gated at <= 1/16 for one
-#    tenant; the 16-tenant zipf figure is recorded, not gated) and writes
-#    BENCH_ledger.json.
+#    O(n) float re-sum), the refund of a just-minted charge on 1k- vs
+#    100k-charge ledgers (gated at <= 4x growth), persistence
+#    bytes-per-request (append-only journal vs full snapshot rewrite) and
+#    journal fsyncs per request for one 16-miss service batch (group
+#    commit: gated at <= 1/16 for one tenant; the 16-tenant zipf figure is
+#    recorded, not gated) and writes BENCH_ledger.json.
 #
 # All artifacts live at the repo root — the perf-trajectory record across PRs.
 set -euo pipefail
@@ -317,6 +318,13 @@ print(f"ledger admission speedup at {result['ledger_size']:,} charges: "
       f"{result['seed_bytes_per_request_large']:,} B/request")
 assert speedup >= 10.0, (
     f"admission speedup at 100k charges regressed below 10x: {speedup:.1f}x"
+)
+print(f"refund of a just-minted charge: {result['refund_us_small']:.2f} us "
+      f"at 1k charges, {result['refund_us_large']:.2f} us at 100k "
+      f"(growth {result['refund_growth']:.2f}x)")
+assert result["refund_growth"] <= 4.0, (
+    "refund must not grow with ledger size, grew "
+    f"{result['refund_growth']:.2f}x from 1k to 100k charges"
 )
 assert result["journal_bytes_growth"] <= 1.5, (
     "journal bytes/request must be O(1) in ledger size, grew "

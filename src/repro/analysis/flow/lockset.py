@@ -20,8 +20,8 @@ Condition, ...).  For each such class:
   ``lockset-order-cycle`` finding at each acquisition site on the cycle:
   two threads taking the locks in opposite orders deadlock.
 * **declared ledger guards** — in ``*Accountant`` classes the ledger state
-  (``_charges``, ``_tokens``, ``_spent_units``, ``_next_token``,
-  ``_limit*``, ``_observer``) is guarded by declaration rather than by
+  (``_charges``, ``_spent_units``, ``_next_token``, ``_limit*``,
+  ``_observer``) is guarded by declaration rather than by
   inference: every write to it with no lock held, outside ``__init__`` and
   outside a verified helper, is a ``locked-ledger-mutation`` finding (the
   atomic check-and-charge contract).
@@ -50,7 +50,7 @@ _LOCK_NAME_RE = re.compile(r"lock|_cv$|condition", re.IGNORECASE)
 
 #: Accountant ledger attributes, guarded by declaration.
 _LEDGER_ATTR_RE = re.compile(
-    r"^_(charges|tokens|spent_units|next_token|limit|limit_units|observer)$"
+    r"^_(charges|spent_units|next_token|limit|limit_units|observer)$"
 )
 
 #: Container methods that mutate their receiver.

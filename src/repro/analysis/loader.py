@@ -81,13 +81,15 @@ class ModuleIndex:
     the taint-config scan and ``--diff`` never walk a tree again.
     """
 
-    #: node type -> every node of that type, in ``ast.walk`` order.
+    #: node type -> every node of that type, in ``ast.walk`` order;
+    #: expression contexts and operators are left out.
     nodes: "dict[type, list[ast.AST]]"
     #: every def with its enclosing class name (None outside a class), in
     #: source pre-order; a def nested in a method keeps the method's class.
     functions: "list[tuple[ast.FunctionDef | ast.AsyncFunctionDef, str | None]]"
     #: def -> its own nodes: the def and everything under it except lambda
-    #: and nested-def bodies (what ``rules._walk_no_lambda(def)`` yields).
+    #: and nested-def bodies (what ``rules._walk_no_lambda(def)`` yields,
+    #: less expression contexts and operators).
     own: "dict[ast.AST, list[ast.AST]]"
     #: ``Import``/``ImportFrom`` statements, in ``ast.walk`` order.
     imports: "list[ast.Import | ast.ImportFrom]"
@@ -104,6 +106,13 @@ class ModuleIndex:
 
 _DEF_TYPES = (ast.FunctionDef, ast.AsyncFunctionDef)
 _IMPORT_TYPES = (ast.Import, ast.ImportFrom)
+#: Expression contexts and operators: leaf singletons that rules only test
+#: as ``node.ctx`` / ``node.op`` attributes, so the index never holds them.
+_UNINDEXED = frozenset(
+    kind
+    for base in (ast.expr_context, ast.operator, ast.unaryop, ast.cmpop, ast.boolop)
+    for kind in base.__subclasses__()
+)
 
 
 def index_tree(tree: ast.AST) -> ModuleIndex:
@@ -138,9 +147,9 @@ def index_tree(tree: ast.AST) -> ModuleIndex:
             value = getattr(node, name, None)
             if isinstance(value, list):
                 for item in value:
-                    if isinstance(item, ast.AST):
+                    if isinstance(item, ast.AST) and item.__class__ not in _UNINDEXED:
                         push((item, cls, owner))
-            elif isinstance(value, ast.AST):
+            elif isinstance(value, ast.AST) and value.__class__ not in _UNINDEXED:
                 push((value, cls, owner))
     # Defs never share a line, so source order is the pre-order.
     functions.sort(key=lambda fc: (fc[0].lineno, fc[0].col_offset))

@@ -40,11 +40,11 @@ The accountant is thread-safe: the cap check and the charge append happen
 atomically under an internal lock, so concurrent callers (the explanation
 service's worker pool) can never jointly overspend a limit.  The
 :meth:`PrivacyAccountant.snapshot` / :meth:`PrivacyAccountant.restore` pair
-round-trips the ledger through plain JSON-able dicts; snapshots written by
-the pre-quantization format (float epsilons only) load via quantization.
-An optional mutation observer (:meth:`PrivacyAccountant.set_observer`) is
-invoked under the lock for every charge/refund — the hook the service
-layer's append-only ledger journal hangs off.
+round-trips the ledger through plain JSON-able dicts in one format: every
+charge row carries its exact ``units`` and its refund ``token``.  An
+optional mutation observer (:meth:`PrivacyAccountant.set_observer`) is
+invoked under the lock for every charge/refund, *before* the ledger changes
+— the hook the service layer's append-only ledger journal hangs off.
 :meth:`PrivacyAccountant.spend_many` admits a multi-charge release
 all-or-nothing, with one admission check and (through the observer's
 commit group) one fsync for all its records.
@@ -101,27 +101,19 @@ def epsilon_from_units(units: int) -> float:
     return units / GRID
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Charge:
     """One recorded privacy expenditure.
 
     ``epsilon`` is the caller's float, kept verbatim for audit display;
     ``units`` is its exact grid quantization and the value the accountant
-    actually sums.  ``units=0`` (the default) derives units from
-    ``epsilon`` — the back-compat path for charges rebuilt from
-    pre-quantization snapshots.
+    actually sums.
     """
 
     label: str
     epsilon: float
-    composition: str = "sequential"  # "sequential" | "parallel-group"
-    units: int = 0
-
-    def __post_init__(self) -> None:
-        if self.units <= 0:
-            object.__setattr__(
-                self, "units", quantize_epsilon(self.epsilon, name="charge")
-            )
+    composition: str  # "sequential" | "parallel-group"
+    units: int
 
 
 @dataclass(frozen=True)
@@ -155,23 +147,22 @@ class PrivacyAccountant:
 
     def __init__(self, limit: float | None = None):
         self._lock = threading.RLock()
-        self._charges: list[Charge] = []
-        # Per-charge refund tokens, aligned index-for-index with _charges.
-        # Tokens are unique over the accountant's lifetime, so a refund can
-        # only ever remove the exact charge its reservation created — two
-        # charges with identical labels (same dataset+seed, different
-        # epsilon configs) are still distinguishable.  snapshot()/restore()
-        # preserve tokens, so a charge's identity survives persistence (the
-        # journal layer keys replay on it).
-        self._tokens: list[int] = []
+        # token -> charge.  Tokens are unique over the accountant's
+        # lifetime and only grow, so insertion order is token order, and a
+        # refund can only ever remove the exact charge its reservation
+        # created — two charges with identical labels (same dataset+seed,
+        # different epsilon configs) are still distinguishable.
+        # snapshot()/restore() preserve tokens, so a charge's identity
+        # survives persistence (the journal layer keys replay on it).
+        self._charges: dict[int, Charge] = {}
         self._next_token = 0
         self._spent_units = 0
-        self._limit: float | None = None
-        self._limit_units: int | None = None
+        self._limit = None if limit is None else float(limit)
+        self._limit_units = (
+            None if limit is None else quantize_epsilon(self._limit, name="limit")
+        )
         self._observer: "Callable[[dict], None] | None" = None
         self._group: "Callable[[], AbstractContextManager]" = nullcontext
-        if limit is not None:
-            self._set_limit(limit)
 
     def __repr__(self) -> str:
         return (
@@ -179,25 +170,9 @@ class PrivacyAccountant:
             f"charges={len(self._charges)}, spent_units={self._spent_units})"
         )
 
-    # -- limit ------------------------------------------------------------ #
-
-    def _set_limit(self, limit: float | None) -> None:
-        if limit is None:
-            self._limit = None
-            self._limit_units = None
-        else:
-            value = float(limit)
-            self._limit = value
-            self._limit_units = quantize_epsilon(value, name="limit")
-
     @property
     def limit(self) -> float | None:
         return self._limit
-
-    @limit.setter
-    def limit(self, value: float | None) -> None:
-        with self._lock:
-            self._set_limit(value)
 
     # -- observer --------------------------------------------------------- #
 
@@ -215,6 +190,11 @@ class PrivacyAccountant:
         the journal layer strips these before persisting.  :meth:`restore`
         does *not* emit events; callers that restore a wired accountant
         must resync their sink out-of-band.
+
+        Record, then apply: the hook runs *before* the ledger changes, and
+        the change is applied only once it returns.  A hook that raises
+        leaves the ledger as it was (a failed charge still retires its
+        token), so memory never holds a mutation its record lacks.
 
         The service layer's journal writes its record inside this hook.
         Every charge is durable before the first draw against it: a lone
@@ -306,7 +286,7 @@ class PrivacyAccountant:
         except BaseException:
             with self._lock:
                 for token in reversed(tokens):
-                    self._remove_at(self._tokens.index(token))
+                    self._remove(token)
             raise
         return tokens
 
@@ -352,39 +332,32 @@ class PrivacyAccountant:
             )
 
     def _append(self, charge: Charge) -> int:
-        """Append a charge and mint its token.  Caller holds the lock.
+        """Record, then apply, a charge; returns its token.  Caller holds
+        the lock.
 
-        If the observer (the durability hook) fails, the in-memory charge
-        is rolled back before the error propagates: a charge that could
-        not be journaled must not stand in memory either, or memory and
-        disk diverge and the epsilon is burned with no token to refund it
-        by.  Nothing was released (the caller's ``spend`` raises before
-        any mechanism runs), so the rollback is privacy-safe; the token is
-        retired either way, never re-minted.
+        The token is retired before the observer (the durability hook)
+        runs, so a charge whose record fails is never re-minted; the
+        charge itself enters the ledger only once its record is written.
+        Nothing was released (the caller's ``spend`` raises before any
+        mechanism runs), so a failed record leaves nothing to undo.
         """
         token = self._next_token
         self._next_token += 1
-        self._charges.append(charge)
-        self._tokens.append(token)
-        self._spent_units += charge.units
-        try:
-            self._notify(
-                {
-                    "op": "charge",
-                    "token": token,
-                    "label": charge.label,
-                    "epsilon": charge.epsilon,
-                    "units": charge.units,
-                    "composition": charge.composition,
-                    "spent_units": self._spent_units,
-                    "limit_units": self._limit_units,
-                }
-            )
-        except BaseException:
-            self._charges.pop()
-            self._tokens.pop()
-            self._spent_units -= charge.units
-            raise
+        spent_units = self._spent_units + charge.units
+        self._notify(
+            {
+                "op": "charge",
+                "token": token,
+                "label": charge.label,
+                "epsilon": charge.epsilon,
+                "units": charge.units,
+                "composition": charge.composition,
+                "spent_units": spent_units,
+                "limit_units": self._limit_units,
+            }
+        )
+        self._charges[token] = charge
+        self._spent_units = spent_units
         return token
 
     # -- introspection ---------------------------------------------------- #
@@ -437,7 +410,7 @@ class PrivacyAccountant:
 
     def charges(self) -> tuple[Charge, ...]:
         with self._lock:
-            return tuple(self._charges)
+            return tuple(self._charges.values())
 
     def __iter__(self) -> Iterator[Charge]:
         return iter(self.charges())
@@ -446,7 +419,7 @@ class PrivacyAccountant:
         """Human-readable ledger dump (total and rows from one locked read)."""
         with self._lock:
             total = epsilon_from_units(self._spent_units)
-            charges = tuple(self._charges)
+            charges = tuple(self._charges.values())
         lines = [f"privacy ledger (total eps = {total:.6g})"]
         for c in charges:
             lines.append(f"  {c.label:<40s} eps={c.epsilon:<10.6g} [{c.composition}]")
@@ -466,51 +439,41 @@ class PrivacyAccountant:
         call this after a release has been observed.
         """
         with self._lock:
-            try:
-                i = self._tokens.index(token)
-            except ValueError:
-                raise BudgetError(f"no charge with token {token!r} to refund") from None
-            self._remove_at(i)
+            if token not in self._charges:
+                raise BudgetError(f"no charge with token {token!r} to refund")
+            self._remove(token)
 
-    def _remove_at(self, i: int) -> None:
-        """Drop charge row ``i`` and its token.  Caller holds the lock.
+    def _remove(self, token: int) -> None:
+        """Record, then apply, the refund of charge ``token``.  Caller
+        holds the lock.
 
-        Mirror of :meth:`_append`'s rollback: if the refund record cannot
-        be journaled, the charge is reinstated and the error propagates —
-        the ledger keeps the spend (overcounting: safe in the privacy
-        direction) rather than letting memory and disk diverge.
+        If the refund record cannot be written, the charge stays and the
+        error propagates — the ledger keeps the spend (overcounting: safe
+        in the privacy direction) rather than letting memory and disk
+        diverge.
         """
-        charge = self._charges[i]
-        token = self._tokens[i]
-        del self._charges[i]
-        del self._tokens[i]
-        self._spent_units -= charge.units
-        try:
-            self._notify(
-                {
-                    "op": "refund",
-                    "token": token,
-                    "units": charge.units,
-                    "spent_units": self._spent_units,
-                    "limit_units": self._limit_units,
-                }
-            )
-        except BaseException:
-            self._charges.insert(i, charge)
-            self._tokens.insert(i, token)
-            self._spent_units += charge.units
-            raise
+        units = self._charges[token].units
+        spent_units = self._spent_units - units
+        self._notify(
+            {
+                "op": "refund",
+                "token": token,
+                "units": units,
+                "spent_units": spent_units,
+                "limit_units": self._limit_units,
+            }
+        )
+        self._charges.pop(token)
+        self._spent_units = spent_units
 
     # -- persistence ----------------------------------------------------- #
 
     def snapshot(self) -> dict:
-        """A JSON-able copy of the ledger (limit + ordered charges).
+        """A JSON-able copy of the ledger (limit + charges in token order).
 
         Each charge carries its exact ``units`` and its refund ``token``
         (plus ``next_token``), so a restore reconstructs charge identity —
-        the property the service journal's replay keys on.  Pre-PR-5
-        readers ignore the extra fields; pre-PR-5 *snapshots* (float
-        epsilons only) load back via quantization.
+        the property the service journal's replay keys on.
         """
         with self._lock:
             return {
@@ -524,88 +487,61 @@ class PrivacyAccountant:
                         "units": c.units,
                         "token": t,
                     }
-                    for c, t in zip(self._charges, self._tokens)
+                    for t, c in self._charges.items()
                 ],
             }
 
     def restore(self, state: Mapping) -> None:
         """Replace the ledger with a :meth:`snapshot` (crash-recovery path).
 
-        The restored charges are replayed against the *snapshot's* limit, so
-        a ledger that was legal when persisted reloads verbatim; a tampered
-        snapshot whose charges exceed its own limit raises
-        :class:`BudgetError` and leaves the accountant unchanged.  The
-        replay is exact integer arithmetic: charges carry their ``units``
-        when present (format 2) and are quantized from their float epsilon
-        otherwise (pre-PR-5 snapshots), and the overspend check has no
-        tolerance window.
-
-        Charge tokens are preserved when the snapshot carries them (so
-        persisted charge identity survives a restart); a token-less legacy
-        snapshot mints fresh tokens, invalidating any token from before the
-        restore.
+        The restored charges are replayed against *this accountant's* cap;
+        the snapshot's ``limit`` is not read, so restoring can never widen
+        a cap.  A snapshot whose charges exceed the cap, or with a row that
+        lacks its ``units`` or ``token``, raises :class:`BudgetError` and
+        leaves the accountant unchanged.  The replay is exact integer
+        arithmetic with no tolerance window.  Charge tokens are preserved,
+        so persisted charge identity survives a restart.
         """
-        limit = state.get("limit")
-        limit_units = (
-            None if limit is None else quantize_epsilon(float(limit), name="limit")
-        )
-        charges: list[Charge] = []
-        tokens: list[int] = []
+        rows: "dict[int, Charge]" = {}
         spent_units = 0
         for entry in state.get("charges", ()):
-            eps = check_epsilon(entry["epsilon"], name="restored charge")
-            raw_units = entry.get("units")
-            units = (
-                int(raw_units)
-                if raw_units is not None
-                else quantize_epsilon(eps, name="restored charge")
-            )
-            if units <= 0:
+            units, token = entry.get("units"), entry.get("token")
+            if units is None or token is None:
                 raise BudgetError(
-                    f"restored charge has non-positive units {raw_units!r}"
+                    f"restored charge {entry.get('label')!r} lacks its "
+                    "units or token"
                 )
-            c = Charge(
+            units, token = int(units), int(token)
+            if units <= 0:
+                raise BudgetError(f"restored charge has non-positive units {units}")
+            if token in rows:
+                raise BudgetError(f"restored charges repeat token {token}")
+            rows[token] = Charge(
                 str(entry["label"]),
-                eps,
+                check_epsilon(entry["epsilon"], name="restored charge"),
                 str(entry.get("composition", "sequential")),
                 units,
             )
             spent_units += units
-            if limit_units is not None and spent_units > limit_units:
-                raise BudgetError(
-                    f"snapshot is overspent: {epsilon_from_units(spent_units)} "
-                    f"exceeds its limit {limit}"
-                )
-            charges.append(c)
-            token = entry.get("token")
-            tokens.append(int(token) if token is not None else -1)
-        have_tokens = all(t >= 0 for t in tokens) and len(set(tokens)) == len(tokens)
+        if self._limit_units is not None and spent_units > self._limit_units:
+            raise BudgetError(
+                f"snapshot is overspent: {epsilon_from_units(spent_units)} "
+                f"exceeds the limit {self._limit}"
+            )
         with self._lock:
-            self._set_limit(limit)
-            self._charges[:] = charges
-            if have_tokens:
-                self._tokens = tokens
-                floor = max(tokens) + 1 if tokens else 0
-                self._next_token = max(
-                    self._next_token, floor, int(state.get("next_token", 0))
-                )
-            else:
-                # Legacy snapshot: restored charges get fresh tokens; any
-                # token minted before the restore refers to a charge that
-                # no longer exists.  The fresh mint starts at or above the
-                # snapshot's own next_token so it can never re-issue a
-                # token that a journal record already names — a collision
-                # would make the journal's idempotent replay silently drop
-                # the newer charge (a privacy-budget undercount).
-                base = max(self._next_token, int(state.get("next_token", 0)))
-                self._tokens = [base + i for i in range(len(charges))]
-                self._next_token = base + len(charges)
+            self._charges = dict(sorted(rows.items()))
+            self._next_token = max(
+                self._next_token,
+                max(rows, default=-1) + 1,
+                int(state.get("next_token", 0)),
+            )
             self._spent_units = spent_units
 
     @classmethod
     def from_snapshot(cls, state: Mapping) -> "PrivacyAccountant":
-        """Rebuild an accountant from a :meth:`snapshot` dict."""
-        acc = cls()
+        """Rebuild an accountant from a :meth:`snapshot` dict, capped at the
+        snapshot's own ``limit``."""
+        acc = cls(state.get("limit"))
         acc.restore(state)
         return acc
 

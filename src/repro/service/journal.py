@@ -6,10 +6,10 @@ ledger.  :class:`TenantLedgerStore` replaces that with write-ahead-log
 persistence:
 
 * **snapshot** (``<tenant>.json``) — the compacted base state, in the same
-  shape as :meth:`~repro.service.registry.Tenant.snapshot` (and readable as
-  one: PR 3/4-era snapshots load unchanged, their float epsilons quantized
-  onto the accounting grid by
-  :meth:`~repro.privacy.budget.PrivacyAccountant.restore`);
+  shape as :meth:`~repro.service.registry.Tenant.snapshot` plus
+  ``"format": 2`` and the ``journal_seq`` fence; every charge row carries
+  its ``units`` and ``token``.  A snapshot of any other format (the older
+  float-only files carry none) refuses to load;
 * **journal** (``<tenant>.journal``) — an append-only JSONL tail of every
   charge/refund since the snapshot, one O(1)-byte record per mutation;
   a record outside a :func:`commit_scope` is fsync'd on its own, records
@@ -26,9 +26,10 @@ persistence:
 
 Durability ordering — *every charge is durable before the first draw*.
 The store's :meth:`record` runs inside the accountant's mutation hook
-(under the ledger lock) and writes its line before the charging call
-returns.  Outside a commit scope it also fsyncs there, so the charge is on
-disk before ``spend()`` returns.  Inside a :func:`commit_scope` (the
+(under the ledger lock, before the accountant applies the charge) and
+writes its line before the charging call returns.  Outside a commit
+scope it also fsyncs there, so the charge is on disk before ``spend()``
+returns.  Inside a :func:`commit_scope` (the
 service funds a whole batch in one) the fsync is deferred to scope exit:
 one ``os.fsync`` per touched tenant journal, taken under the store lock and
 never under an accountant lock, and the caller draws no noise until the
@@ -255,9 +256,10 @@ class TenantLedgerStore:
 
         Read this *before* capturing the tenant snapshot you pass to
         :meth:`compact`: any record committed by then has seq <= this
-        value, and — because the accountant mutates before it notifies,
-        both under its ledger lock — its effect is necessarily visible to
-        a snapshot taken afterwards.
+        value, and — because the accountant writes the record and then
+        applies the mutation within one hold of its ledger lock, which a
+        snapshot must also take — its effect is necessarily visible to a
+        snapshot taken afterwards.
         """
         with self._lock:
             return self._seq
@@ -325,22 +327,19 @@ class TenantLedgerStore:
             ) from None
         if not isinstance(state, dict):
             raise LedgerStoreError(f"snapshot {self.snapshot_path!r} is not an object")
+        if state.get("format") != 2:
+            raise LedgerStoreError(
+                f"snapshot {self.snapshot_path!r} has format "
+                f"{state.get('format')!r}, not 2"
+            )
         ledgers = state.setdefault("ledgers", {})
-        # (dataset, token) -> charge entry, insertion-ordered per dataset.
+        # (dataset, token) -> charge entry.
         by_token: "dict[str, dict[int, dict]]" = {}
-        tokenless: "dict[str, list[dict]]" = {}
         next_tokens: "dict[str, int]" = {}
         for dataset_id, ledger in ledgers.items():
-            per = {}
-            loose = []
-            for entry in ledger.get("charges", ()):
-                token = entry.get("token")
-                if token is None:
-                    loose.append(entry)  # pre-PR-5 snapshot rows
-                else:
-                    per[int(token)] = entry
-            by_token[dataset_id] = per
-            tokenless[dataset_id] = loose
+            by_token[dataset_id] = {
+                int(entry["token"]): entry for entry in ledger.get("charges", ())
+            }
             next_tokens[dataset_id] = int(ledger.get("next_token", 0))
 
         with self._lock:
@@ -357,7 +356,6 @@ class TenantLedgerStore:
             max_seq = max(max_seq, seq)
             dataset_id = str(rec["dataset"])
             per = by_token.setdefault(dataset_id, {})
-            tokenless.setdefault(dataset_id, [])
             token = int(rec["token"])
             op = rec.get("op")
             if op == "charge":
@@ -384,13 +382,10 @@ class TenantLedgerStore:
 
         limit = state.get("budget_limit")
         for dataset_id, per in by_token.items():
-            charges = tokenless.get(dataset_id, []) + [
-                per[t] for t in sorted(per)
-            ]
             ledgers[dataset_id] = {
                 "limit": limit,
                 "next_token": next_tokens.get(dataset_id, 0),
-                "charges": charges,
+                "charges": [per[t] for t in sorted(per)],
             }
         with self._lock:
             self._seq = max(self._seq, max_seq, int(state.get("journal_seq", 0)))

@@ -22,9 +22,9 @@ touched tenant journal once before the batch draws any noise;
 :meth:`ServiceRegistry.persist_tenant` is the periodic checkpoint that
 folds a grown journal back into the snapshot.
 Both files reload on construction — a restarted service refuses requests a
-crashed one could no longer afford — and PR 3/4-era snapshot-only
-directories load unchanged (float charges quantized onto the exact
-accounting grid, journal created on first write).
+crashed one could no longer afford.  A snapshot in any format but the
+current one (charge rows with ``units`` and ``token``) refuses to load as
+``corrupt-ledger`` and is left as it was.
 """
 
 from __future__ import annotations
@@ -298,11 +298,12 @@ class Tenant:
     def restore(self, state: dict) -> None:
         """Replace the ledgers with a :meth:`snapshot` (reload path).
 
-        Every ledger is replayed against the *tenant's own*
-        ``budget_limit`` — the snapshot's top-level ``budget_limit`` and
-        any per-dataset ``limit`` fields are ignored, so restoring a
-        snapshot can never widen an *existing* tenant's cap (the same
-        defense as ``PrivateAnalysisSession.restore_ledger``).  A snapshot
+        Every ledger is replayed into an accountant capped at the
+        *tenant's own* ``budget_limit`` — the snapshot's top-level
+        ``budget_limit`` and any per-dataset ``limit`` fields are never
+        read, so restoring a snapshot can never widen an *existing*
+        tenant's cap (the same defense as
+        ``PrivateAnalysisSession.restore_ledger``).  A snapshot
         whose charges exceed this tenant's cap raises
         :class:`~repro.privacy.budget.BudgetError` and leaves the tenant
         unchanged.  ``self.budget_limit`` is never modified here.
@@ -313,12 +314,10 @@ class Tenant:
         the ledger directory is the system of record for caps across
         restarts and must live on trusted storage (see ``_load_ledgers``).
         """
-        limit = self.budget_limit
         accountants = {}
         for dataset_id, ledger in state.get("ledgers", {}).items():
-            replayed = dict(ledger)
-            replayed["limit"] = limit
-            accountants[str(dataset_id)] = PrivacyAccountant.from_snapshot(replayed)
+            acc = accountants[str(dataset_id)] = PrivacyAccountant(self.budget_limit)
+            acc.restore(ledger)
         with self._lock:
             self._accountants = accountants
             for dataset_id, acc in accountants.items():
@@ -594,10 +593,10 @@ class ServiceRegistry:
         """Reload every persisted tenant ledger (service restart path).
 
         Crash recovery is snapshot + journal-tail replay via
-        :meth:`TenantLedgerStore.open`; a PR 3/4-era directory (snapshot
-        only, float charges, no journal) loads the same way, with the float
-        epsilons quantized onto the accounting grid.  The tenant's cap is
-        taken from the snapshot's top-level ``budget_limit`` — after a
+        :meth:`TenantLedgerStore.open`; a snapshot in an older format
+        (float charges without units or tokens, no ``format`` field)
+        refuses as ``corrupt-ledger`` and is not rewritten.  The tenant's
+        cap is taken from the snapshot's top-level ``budget_limit`` — after a
         restart the ledger directory is the only record of what each
         tenant was provisioned with, so it is trusted by construction.
         Anyone who can edit these files can rewrite caps and charges
@@ -625,9 +624,10 @@ class ServiceRegistry:
                     str(state["tenant"]), float(state["budget_limit"])
                 )
                 tenant.restore(state)
-            except (OSError, ValueError, KeyError, BudgetError) as exc:
+            except (OSError, ValueError, KeyError, TypeError, BudgetError) as exc:
                 # LedgerStoreError is a ValueError: corrupt snapshots and
-                # corrupt journal interiors both land here.
+                # corrupt journal interiors both land here, as do fields of
+                # the wrong type (a null token).
                 raise ServiceError(
                     500,
                     "corrupt-ledger",

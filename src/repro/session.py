@@ -98,9 +98,7 @@ class PrivateAnalysisSession:
         (not the snapshot's recorded limit), so a snapshot from a
         bigger-budget session cannot smuggle in an overspent ledger.
         """
-        restored = dict(state)
-        restored["limit"] = self.total_epsilon
-        self._accountant.restore(restored)
+        self._accountant.restore(state)
 
     # -- clustering ------------------------------------------------------ #
 

@@ -180,12 +180,24 @@ class TestTokenRefund:
     def test_tokens_from_before_a_restore_are_invalid(self):
         acc = PrivacyAccountant(limit=1.0)
         stale = acc.spend(0.2, "old")
+        # Restore keeps tokens: the snapshot must not name the stale one.
         acc.restore({"limit": 1.0, "charges": [
-            {"label": "new", "epsilon": 0.2, "composition": "sequential"}
+            {"label": "new", "epsilon": 0.2, "composition": "sequential",
+             "units": 200_000_000, "token": stale + 1}
         ]})
         with pytest.raises(BudgetError, match="refund"):
             acc.refund(stale)
         assert acc.total() == pytest.approx(0.2)
+
+    def test_refunding_a_middle_token_keeps_token_order(self):
+        acc = PrivacyAccountant()
+        tokens = [acc.spend(0.1, f"c{i}") for i in range(4)]
+        acc.refund(tokens[1])
+        assert [c.label for c in acc.charges()] == ["c0", "c2", "c3"]
+        rows = acc.snapshot()["charges"]
+        assert [r["token"] for r in rows] == [tokens[0], tokens[2], tokens[3]]
+        assert [r["label"] for r in rows] == ["c0", "c2", "c3"]
+        assert acc.spend(0.1, "c4") == tokens[3] + 1
 
 
 class TestSnapshotRestore:
@@ -211,7 +223,8 @@ class TestSnapshotRestore:
         acc = PrivacyAccountant(limit=1.0)
         acc.spend(0.9, "old")
         acc.restore({"limit": 1.0, "charges": [
-            {"label": "new", "epsilon": 0.2, "composition": "sequential"}
+            {"label": "new", "epsilon": 0.2, "composition": "sequential",
+             "units": 200_000_000, "token": 0}
         ]})
         assert acc.total() == pytest.approx(0.2)
         assert [c.label for c in acc] == ["new"]
@@ -220,9 +233,18 @@ class TestSnapshotRestore:
         with pytest.raises(BudgetError, match="overspent"):
             PrivacyAccountant.from_snapshot(
                 {"limit": 0.1, "charges": [
-                    {"label": "x", "epsilon": 0.5, "composition": "sequential"}
+                    {"label": "x", "epsilon": 0.5, "composition": "sequential",
+                     "units": 500_000_000, "token": 0}
                 ]}
             )
+
+    def test_repeated_token_rejected(self):
+        row = {"label": "x", "epsilon": 0.1, "composition": "sequential",
+               "units": 100_000_000, "token": 3}
+        acc = PrivacyAccountant()
+        with pytest.raises(BudgetError, match="repeat token"):
+            acc.restore({"limit": None, "charges": [row, dict(row)]})
+        assert acc.charges() == ()
 
     def test_restored_ledger_keeps_enforcing_the_cap(self):
         acc = PrivacyAccountant(limit=0.5)

@@ -160,32 +160,42 @@ class TestReconstructionSafety:
                     "epsilon": epsilon_from_units(u),
                     "composition": "sequential",
                     "units": u,
+                    "token": i,
                 }
-                for u in charges
+                for i, u in enumerate(charges)
             ],
         }
         with pytest.raises(BudgetError, match="overspent"):
             PrivacyAccountant.from_snapshot(state)
 
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(unit_counts, min_size=1, max_size=20))
-    def test_legacy_float_snapshot_loads_via_quantization(self, charges):
-        """PR 3/4-era snapshots carry only float epsilons (no units, no
-        tokens): they load by quantization and are exactly as spent as the
-        grid says the floats are."""
-        state = {
-            "limit": None,
-            "charges": [
-                {
-                    "label": "legacy",
-                    "epsilon": epsilon_from_units(u),
-                    "composition": "sequential",
-                }
-                for u in charges
-            ],
-        }
-        restored = PrivacyAccountant.from_snapshot(state)
-        assert restored.total_units() == sum(charges)
+    @given(
+        charges=st.lists(unit_counts, min_size=1, max_size=20),
+        field=st.sampled_from(["units", "token"]),
+        data=st.data(),
+    )
+    def test_row_without_units_or_token_refuses(self, charges, field, data):
+        """Every snapshot row carries ``units`` and ``token``: a row missing
+        either (the old float-only shape) refuses, and the ledger it
+        was meant to replace stays exactly as it was."""
+        acc = PrivacyAccountant()
+        acc.spend(0.25, "kept")
+        before = (acc.charges(), acc.total_units(), acc.snapshot()["next_token"])
+        rows = [
+            {
+                "label": "c",
+                "epsilon": epsilon_from_units(u),
+                "composition": "sequential",
+                "units": u,
+                "token": 10 + i,
+            }
+            for i, u in enumerate(charges)
+        ]
+        del rows[data.draw(st.integers(0, len(rows) - 1))][field]
+        with pytest.raises(BudgetError, match="units or token"):
+            acc.restore({"limit": None, "next_token": 99, "charges": rows})
+        after = (acc.charges(), acc.total_units(), acc.snapshot()["next_token"])
+        assert after == before
 
 
 class TestRefundExactness:

@@ -160,11 +160,9 @@ class TestFlowFixtures:
 
 _REFUND_LOCKED = """\
         with self._lock:
-            try:
-                i = self._tokens.index(token)
-            except ValueError:
-                raise BudgetError(f"no charge with token {token!r} to refund") from None
-            self._remove_at(i)
+            if token not in self._charges:
+                raise BudgetError(f"no charge with token {token!r} to refund")
+            self._remove(token)
 """
 
 
@@ -188,9 +186,9 @@ class TestLedgerGuard:
         mutated.parent.mkdir()
         mutated.write_text(source.replace(_REFUND_LOCKED, unlocked))
         fired = self._ledger_findings(mutated)
-        # _remove_at loses its verified caller-holds-lock status, so its
+        # _remove loses its verified caller-holds-lock status, so its
         # ledger writes are reported.
-        assert fired and all("_remove_at" in f.message for f in fired)
+        assert fired and all("_remove" in f.message for f in fired)
 
     def test_lockless_accountant_is_still_checked(self, tmp_path):
         f = tmp_path / "mod.py"

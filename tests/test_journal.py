@@ -6,7 +6,7 @@ or once per touched journal by a commit scope, so every charge is durable
 before the first draw; crash replay = snapshot + journal tail, replay is
 idempotent (a record already folded into a snapshot re-applies as a no-op),
 compaction folds the tail back periodically, and older snapshot-only
-directories migrate in place.
+directories refuse to load.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from repro.service.journal import (
     TenantLedgerStore,
     commit_scope,
 )
-from repro.service.registry import ServiceRegistry, Tenant
+from repro.service.registry import ServiceError, ServiceRegistry, Tenant
 
 
 def make_tenant(tmp_path, tenant_id="t", cap=10.0, compact_every=1000):
@@ -508,72 +508,13 @@ class TestCompaction:
         )
 
 
-class TestTokenIdentityAcrossRestarts:
-    def test_legacy_restore_never_reissues_a_journaled_token(self, tmp_path):
-        """Crash-only restarts over a legacy-rooted ledger: run 1 journals
-        charges and a refund of an *earlier* token; run 2's restore goes
-        through the token-less legacy branch and must mint its fresh
-        tokens above everything the journal has ever named, or run 3's
-        idempotent replay silently drops run 2's charge (an undercount)."""
-        legacy = {
-            "tenant": "t",
-            "budget_limit": 10.0,
-            "ledgers": {
-                "d": {
-                    "limit": 10.0,
-                    "charges": [
-                        {"label": "old0", "epsilon": 0.1,
-                         "composition": "sequential"},
-                        {"label": "old1", "epsilon": 0.2,
-                         "composition": "sequential"},
-                    ],
-                }
-            },
-        }
-        (tmp_path / "t.json").write_text(json.dumps(legacy))
-
-        # Run 1: journals tokens 2, 3; refunds token 2 (the *earlier* one).
-        store1, state1 = TenantLedgerStore.open(str(tmp_path / "t"))
-        run1 = Tenant("t", 10.0)
-        run1.restore(state1)
-        run1.attach_store(store1)
-        acc1 = run1.accountant("d")
-        early = acc1.spend(0.3, "run1-a")
-        acc1.spend(0.4, "run1-b")
-        acc1.refund(early)
-        store1.close()
-
-        # Run 2 (crash restart, no compaction): restore is the legacy
-        # branch (mixed token-less rows); its next charge must not reuse
-        # the still-live journaled token of "run1-b".
-        store2, state2 = TenantLedgerStore.open(str(tmp_path / "t"))
-        run2 = Tenant("t", 10.0)
-        run2.restore(state2)
-        run2.attach_store(store2)
-        acc2 = run2.accountant("d")
-        in_memory_before = acc2.total_units()
-        acc2.spend(0.5, "run2-new")
-        expected_units = in_memory_before + 500_000_000
-        assert acc2.total_units() == expected_units
-        store2.close()
-
-        # Run 3: the replayed ledger must equal run 2's in-memory ledger —
-        # every spent epsilon accounted, nothing dropped.
-        run3 = reload_state(tmp_path)
-        acc3 = run3.accountant("d")
-        assert acc3.total_units() == expected_units
-        assert sorted(c.label for c in acc3) == sorted(
-            c.label for c in acc2
-        )
-
-
 class TestObserverFailureAtomicity:
     def test_failed_journal_write_rolls_back_the_charge(self, tmp_path):
         """A charge that cannot be made durable must not stand in memory:
         spend() raises, the ledger is unchanged, and the room is re-usable
         once the disk recovers."""
         acc = PrivacyAccountant(limit=1.0)
-        acc.spend(0.4, "kept")
+        kept = acc.spend(0.4, "kept")
         boom = {"on": True}
 
         def flaky_observer(event):
@@ -586,8 +527,11 @@ class TestObserverFailureAtomicity:
         assert acc.total_units() == 400_000_000
         assert [c.label for c in acc] == ["kept"]
         boom["on"] = False
-        acc.spend(0.5, "durable now")  # the room was really rolled back
+        # The room was really rolled back; the failed charge's token stays
+        # retired, so the next charge gets the one after it.
+        assert acc.spend(0.5, "durable now") == kept + 2
         assert acc.total_units() == 900_000_000
+        assert [r["token"] for r in acc.snapshot()["charges"]] == [kept, kept + 2]
 
     def test_failed_refund_record_keeps_the_charge(self):
         """The mirror direction: a refund whose record cannot be written is
@@ -605,12 +549,53 @@ class TestObserverFailureAtomicity:
         acc.refund(token)  # recovers once the sink does
         assert acc.total_units() == 0
 
+    def test_failed_middle_refund_keeps_token_order(self):
+        acc = PrivacyAccountant(limit=1.0)
+        first = acc.spend(0.1, "first")
+        middle = acc.spend(0.4, "middle")
+        last = acc.spend(0.1, "last")
+        acc.set_observer(lambda e: (_ for _ in ()).throw(OSError("disk full")))
+        with pytest.raises(OSError):
+            acc.refund(middle)
+        assert [c.label for c in acc.charges()] == ["first", "middle", "last"]
+        acc.set_observer(None)
+        acc.refund(middle)
+        assert [c.label for c in acc.charges()] == ["first", "last"]
+        assert [r["token"] for r in acc.snapshot()["charges"]] == [first, last]
 
-class TestMigrationFromSnapshotOnly:
-    def test_pr3_era_float_snapshot_loads_via_quantization(self, tmp_path):
-        """A PR 3/4 ledger dir: one JSON snapshot, float epsilons, no units,
-        no tokens, no journal.  It must load, quantized, and keep enforcing
-        its cap exactly."""
+
+class TestOlderFormatsRefuse:
+    """One persisted format: every snapshot carries ``"format": 2`` and every
+    charge row its ``units`` and ``token``.  Anything else refuses to load
+    as 500 ``corrupt-ledger``, and the files stay byte-for-byte as found."""
+
+    def _refuses_untouched(self, tmp_path):
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(ServiceError) as exc:
+            ServiceRegistry(ledger_dir=tmp_path)
+        assert (exc.value.code, exc.value.reason) == (500, "corrupt-ledger")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def _current_dir(self, tmp_path, drop, null=False):
+        """A directory the current code wrote, with field ``drop`` removed
+        from one snapshot row (or set to null)."""
+        registry = ServiceRegistry(ledger_dir=tmp_path)
+        tenant = registry.create_tenant("old", 1.0)
+        tenant.accountant("d").spend(0.1, "a")
+        tenant.accountant("d").spend(0.2, "b")
+        registry.persist_tenant(tenant, force=True)
+        path = tmp_path / "old.json"
+        state = json.loads(path.read_text())
+        row = state["ledgers"]["d"]["charges"][1]
+        if null:
+            row[drop] = None
+        else:
+            del row[drop]
+        path.write_text(json.dumps(state))
+
+    def test_float_only_dir_refuses_and_stays_unchanged(self, tmp_path):
+        """An old ledger dir: one JSON snapshot, no format, float epsilons,
+        no units, no tokens, no journal."""
         legacy = {
             "tenant": "old",
             "budget_limit": 0.5,
@@ -627,38 +612,33 @@ class TestMigrationFromSnapshotOnly:
             },
         }
         (tmp_path / "old.json").write_text(json.dumps(legacy))
-        registry = ServiceRegistry(ledger_dir=tmp_path)
-        acc = registry.tenant("old").accountant("d")
-        assert acc.total_units() == 300_000_000
-        assert [c.composition for c in acc] == ["sequential", "parallel-group"]
-        with pytest.raises(BudgetError):
-            acc.spend(0.3, "over")  # 0.3 + 0.3 > 0.5, exactly
-        acc.spend(0.2, "fills")  # lands exactly on the cap
-        assert acc.balance().remaining_units == 0
-        # The new charge went to a journal the legacy dir never had.
-        assert (tmp_path / "old.journal").exists()
-        reloaded = ServiceRegistry(ledger_dir=tmp_path)
-        assert reloaded.tenant("old").accountant("d").total_units() == (
-            500_000_000
-        )
+        self._refuses_untouched(tmp_path)
+        assert not (tmp_path / "old.journal").exists()
 
-    def test_legacy_overspent_beyond_grid_refuses(self, tmp_path):
-        legacy = {
-            "tenant": "old",
-            "budget_limit": 0.2,
-            "ledgers": {
-                "d": {
-                    "limit": 0.2,
-                    "charges": [
-                        {"label": "a", "epsilon": 0.3,
-                         "composition": "sequential"}
-                    ],
-                }
-            },
-        }
-        (tmp_path / "old.json").write_text(json.dumps(legacy))
-        with pytest.raises(Exception, match="corrupt-ledger|overspent"):
-            ServiceRegistry(ledger_dir=tmp_path)
+    def test_row_without_token_refuses(self, tmp_path):
+        self._current_dir(tmp_path, "token")
+        self._refuses_untouched(tmp_path)
+
+    def test_row_without_units_refuses(self, tmp_path):
+        self._current_dir(tmp_path, "units")
+        self._refuses_untouched(tmp_path)
+
+    def test_null_token_refuses(self, tmp_path):
+        self._current_dir(tmp_path, "token", null=True)
+        self._refuses_untouched(tmp_path)
+
+    def test_current_dir_reloads_identically(self, tmp_path):
+        registry = ServiceRegistry(ledger_dir=tmp_path)
+        tenant = registry.create_tenant("t", 1.0)
+        acc = tenant.accountant("d")
+        first = acc.spend(0.1, "a")
+        acc.parallel([0.2, 0.3], "b")
+        acc.refund(first)
+        registry.persist_tenant(tenant, force=True)
+        acc.spend(0.25, "c")  # stays in the journal tail
+        want = acc.snapshot()
+        got = ServiceRegistry(ledger_dir=tmp_path).tenant("t").accountant("d")
+        assert got.snapshot() == want
 
 
 class TestRestoreRebase:
@@ -676,7 +656,8 @@ class TestRestoreRebase:
                         "limit": 1.0,
                         "charges": [
                             {"label": "new world", "epsilon": 0.2,
-                             "composition": "sequential"}
+                             "composition": "sequential",
+                             "units": 200_000_000, "token": 0}
                         ],
                     }
                 },

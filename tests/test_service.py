@@ -785,7 +785,8 @@ class TestPersistence:
                             "limit": 1.0,
                             "charges": [
                                 {"label": "x", "epsilon": 0.5,
-                                 "composition": "sequential"}
+                                 "composition": "sequential",
+                                 "units": 500_000_000, "token": 0}
                             ],
                         }
                     },
@@ -804,7 +805,8 @@ class TestPersistence:
                         "limit": 100.0,
                         "charges": [
                             {"label": "x", "epsilon": 0.4,
-                             "composition": "sequential"}
+                             "composition": "sequential",
+                             "units": 400_000_000, "token": 0}
                         ],
                     }
                 },
@@ -828,7 +830,8 @@ class TestPersistence:
                         "limit": 100.0,  # tampered/stale
                         "charges": [
                             {"label": "x", "epsilon": 0.4,
-                             "composition": "sequential"}
+                             "composition": "sequential",
+                             "units": 400_000_000, "token": 0}
                         ],
                     }
                 },

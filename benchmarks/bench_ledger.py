@@ -14,14 +14,18 @@ Replays heavy charge traffic against two accounting designs:
 The artifact records admission throughput with a 100k-charge ledger
 already on the books, the median refund of a just-minted charge (the
 service's failed-batch rollback) on 1k- and 100k-charge ledgers,
-persistence bytes-per-request at small vs large ledger sizes, and
-journal fsyncs per request for one coalesced batch of 16 funded misses
-through :class:`~repro.service.ExplanationService` (group commit: one
-fsync per touched tenant journal), read from the service's own
-``journal-fsync`` span count — for one tenant, and for 16 zipf-skewed
-tenants.  ``scripts/ci.sh`` fails if the admission speedup at 100k charges
-regresses below 10x, refunds or journal records stop being O(1), or the
-single-tenant batch pays more than one fsync per 16 requests.
+persistence bytes-per-request at small vs large ledger sizes, the bytes
+the whole process writes per funded service miss on tenant ledgers
+preloaded with 1k and 100k charges (``wchar`` from ``/proc/self/io``, so
+any snapshot rewrite counts, not just the journal record), and journal
+fsyncs per request for one coalesced batch of 16 funded misses through
+:class:`~repro.service.ExplanationService` (group commit: one fsync per
+touched tenant journal), read from the service's own ``journal-fsync``
+span count — for one tenant, and for 16 zipf-skewed tenants.
+``scripts/ci.sh`` fails if the admission speedup at 100k charges
+regresses below 10x, refunds, journal records or persisted bytes per
+charge stop being O(1), or the single-tenant batch pays more than one
+fsync per 16 requests.
 
 Entry points:
 
@@ -56,6 +60,11 @@ LABEL = (
 CHARGE_EPS = 0.3
 #: Funded misses in the group-commit batch (``fsyncs_per_request``).
 BATCH_REQUESTS = 16
+#: Funded misses per persisted-bytes measurement.  A design that rewrites
+#: the snapshot every N records shows its amortised cost once the misses
+#: span N; 256 spans the 256-record snapshot compaction the service ran
+#: before the journal became the only persisted history.
+PERSIST_MISSES = 256
 
 
 class _SeedAccountant:
@@ -148,9 +157,7 @@ def _journal_bytes_per_record(ledger_size: int, records: int) -> float:
         base = os.path.join(tmp, "bench")
         acc = PrivacyAccountant(limit=CHARGE_EPS * (ledger_size + records))
         store = TenantLedgerStore.create(
-            base,
-            {"tenant": "bench", "budget_limit": acc.limit, "ledgers": {}},
-            compact_every=10**9,
+            base, {"tenant": "bench", "budget_limit": acc.limit, "ledgers": {}}
         )
         # Fast-forward the identity counters to "deep ledger" territory.
         store._seq = ledger_size
@@ -171,6 +178,25 @@ def _fsync_spans(service: ExplanationService) -> int:
     return cell["count"] if cell else 0
 
 
+def _bench_service(ledger_dir: str) -> ExplanationService:
+    """A persisting service with the small diabetes table registered."""
+    dataset = diabetes_like(n_rows=1_500, n_groups=3, seed=7)
+    clustering = KMeans(3).fit(dataset, rng=0)
+    service = ExplanationService(ledger_dir=ledger_dir)
+    service.register_dataset("diabetes", dataset, clustering)
+    return service
+
+
+def _serve_misses(service: ExplanationService, requests) -> None:
+    """Serve ``requests`` (unique seeds) as one batch of funded misses."""
+    futures = [service.submit(request) for request in requests]
+    if service.process_pending() != 1:
+        raise RuntimeError("the misses did not coalesce into one batch")
+    served = [f.result(timeout=60)["meta"]["cache"] for f in futures]
+    if served != ["miss"] * len(futures):
+        raise RuntimeError(f"expected {len(futures)} funded misses: {served}")
+
+
 def _fsyncs_per_request(
     n_tenants: int, requests: int = BATCH_REQUESTS, skew: float = 1.1
 ) -> float:
@@ -181,32 +207,64 @@ def _fsyncs_per_request(
     ``n_tenants == 1``).  The count is the service's own ``journal-fsync``
     span count, which observes each actual fsync once.
     """
-    dataset = diabetes_like(n_rows=1_500, n_groups=3, seed=7)
-    clustering = KMeans(3).fit(dataset, rng=0)
     weights = np.arange(1, n_tenants + 1, dtype=np.float64) ** -skew
     picks = np.random.default_rng(0).choice(
         n_tenants, size=requests, p=weights / weights.sum()
     )
     with tempfile.TemporaryDirectory() as tmp:
-        service = ExplanationService(ledger_dir=tmp)
-        service.register_dataset("diabetes", dataset, clustering)
+        service = _bench_service(tmp)
         for t in range(n_tenants):
             service.create_tenant(f"t{t}", 1e6)
         before = _fsync_spans(service)
-        futures = [
-            service.submit(
+        _serve_misses(
+            service,
+            [
                 ExplainRequest(tenant=f"t{t}", dataset="diabetes", seed=i)
-            )
-            for i, t in enumerate(picks)
-        ]
-        if service.process_pending() != 1:
-            raise RuntimeError("the misses did not coalesce into one batch")
-        served = [f.result(timeout=60)["meta"]["cache"] for f in futures]
-        if served != ["miss"] * requests:
-            raise RuntimeError(f"expected {requests} funded misses: {served}")
+                for i, t in enumerate(picks)
+            ],
+        )
         fsyncs = _fsync_spans(service) - before
         service.stop()
     return fsyncs / requests
+
+
+def _wchar() -> int:
+    """Bytes this process has handed to write() so far (Linux only)."""
+    with open("/proc/self/io") as fh:
+        for line in fh:
+            if line.startswith("wchar:"):
+                return int(line.split()[1])
+    raise RuntimeError("/proc/self/io has no wchar line")
+
+
+def _persisted_bytes_per_charge(ledger_size: int) -> float:
+    """Bytes the process writes per funded miss on a preloaded ledger.
+
+    The tenant's ledger first takes ``ledger_size`` charges (journaled in
+    one commit), then ``PERSIST_MISSES`` unique-seed requests are served
+    as funded misses.  The figure is the process's ``wchar`` delta over
+    the misses divided by their count: the journal records plus every
+    snapshot byte the service writes while serving them.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        service = _bench_service(tmp)
+        tenant = service.create_tenant(
+            "bench", CHARGE_EPS * (ledger_size + PERSIST_MISSES)
+        )
+        tenant.accountant("diabetes").spend_many(
+            [(CHARGE_EPS, LABEL)] * ledger_size
+        )
+        before = _wchar()
+        _serve_misses(
+            service,
+            [
+                ExplainRequest(tenant="bench", dataset="diabetes", seed=seed)
+                for seed in range(PERSIST_MISSES)
+            ],
+        )
+        written = _wchar() - before
+        service.stop()
+    return written / PERSIST_MISSES
 
 
 def run_ledger_bench(
@@ -228,6 +286,8 @@ def run_ledger_bench(
     journal_large = _journal_bytes_per_record(ledger_size, journal_records)
     fsyncs_single = _fsyncs_per_request(n_tenants=1)
     fsyncs_zipf = _fsyncs_per_request(n_tenants=16)
+    persisted_small = _persisted_bytes_per_charge(small_ledger)
+    persisted_large = _persisted_bytes_per_charge(ledger_size)
 
     return {
         "benchmark": (
@@ -248,6 +308,10 @@ def run_ledger_bench(
         "journal_bytes_per_request_large": journal_large,
         "journal_bytes_growth": journal_large / journal_small,
         "persistence_bytes_ratio_at_large": seed_bytes_large / journal_large,
+        "persist_misses": PERSIST_MISSES,
+        "persisted_bytes_per_charge_small": persisted_small,
+        "persisted_bytes_per_charge_large": persisted_large,
+        "persisted_bytes_growth": persisted_large / persisted_small,
         "batch_requests": BATCH_REQUESTS,
         "fsyncs_per_request": fsyncs_single,
         "fsyncs_per_request_zipf16": fsyncs_zipf,

@@ -341,7 +341,6 @@ class ShardedService:
         ledger_dir: "str | None" = None,
         auto_tenant_budget: "float | None" = None,
         cache_entries: int = 256,
-        compact_every: int = 256,
         service_threads: int = 2,
         socket_dir: "str | None" = None,
         metrics: "MetricsRegistry | None" = None,
@@ -354,7 +353,6 @@ class ShardedService:
             ledger_dir=ledger_dir,
             auto_tenant_budget=auto_tenant_budget,
             cache_entries=cache_entries,
-            compact_every=compact_every,
             service_threads=service_threads,
             socket_dir=socket_dir,
             metrics=self.metrics,
@@ -380,7 +378,7 @@ class ShardedService:
         return self
 
     def stop(self) -> None:
-        """Stop front end, then workers (each takes a final checkpoint)."""
+        """Stop front end, then workers (each drains its queue)."""
         if self._loop_thread is not None:
             try:
                 self._run(self.frontend.close())

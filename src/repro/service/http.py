@@ -247,8 +247,7 @@ def serve_forever(
         print("\nshutting down")
     finally:
         # Order matters: stop() first drains the queue — every accepted
-        # request resolves and its charge takes the final journal
-        # checkpoint — *while* handler threads can still write their
+        # request resolves — *while* handler threads can still write their
         # responses out.  Only then does the server stop accepting and
         # release the socket; closing the server first would race handler
         # threads against a service whose workers are already gone.

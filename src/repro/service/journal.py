@@ -3,26 +3,29 @@
 Before PR 5 the service re-serialized the *entire* tenant snapshot after
 every successful request — O(n) bytes of I/O per charge over a long-lived
 ledger.  :class:`TenantLedgerStore` replaces that with write-ahead-log
-persistence:
+persistence, and the journal is the ledger's history:
 
-* **snapshot** (``<tenant>.json``) — the compacted base state, in the same
-  shape as :meth:`~repro.service.registry.Tenant.snapshot` plus
-  ``"format": 2`` and the ``journal_seq`` fence; every charge row carries
-  its ``units`` and ``token``.  A snapshot of any other format (the older
-  float-only files carry none) refuses to load;
-* **journal** (``<tenant>.journal``) — an append-only JSONL tail of every
-  charge/refund since the snapshot, one O(1)-byte record per mutation;
-  a record outside a :func:`commit_scope` is fsync'd on its own, records
-  inside one share a single fsync per tenant journal at scope exit;
-* **crash replay** = snapshot + tail.  Replay is *idempotent*: charge
-  records key on the accountant's persistent ``(dataset, token)`` charge
-  identity, so a record that was already folded into the snapshot (crash
-  between the compaction's snapshot write and its journal rewrite) applies
-  as a no-op, and a refund of an already-folded removal skips cleanly.
-* **compaction** — when the tail reaches ``compact_every`` records, the
-  registry's next persistence checkpoint folds it back into the snapshot
-  and rewrites the journal, keeping any record appended concurrently with
-  the snapshot capture (idempotence makes the overlap safe).
+* **snapshot** (``<tenant>.json``) — the base state, in the same shape as
+  :meth:`~repro.service.registry.Tenant.snapshot` plus ``"format": 2``
+  and the ``journal_seq`` fence; every charge row carries its ``units``
+  and ``token``.  It is written at only two points, both through
+  :meth:`TenantLedgerStore.rebase`: tenant creation and a runtime
+  :meth:`~repro.service.registry.Tenant.restore`.  A snapshot of any other
+  format (the older float-only files carry none) refuses to load;
+* **journal** (``<tenant>.journal``) — an append-only JSONL record of
+  every charge/refund since the snapshot, one O(1)-byte record per
+  mutation; a record outside a :func:`commit_scope` is fsync'd on its
+  own, records inside one share a single fsync per tenant journal at
+  scope exit.  Nothing folds it back: a snapshot would hold every charge
+  too, so rewriting one bounds neither replay time nor disk;
+* **crash replay** = snapshot + the journal records above its fence.  A
+  record with ``seq <= journal_seq`` predates the snapshot (a crash
+  between a rebase's snapshot write and its journal rewrite leaves the
+  old ledger's records behind) and is skipped.  Above the fence replay
+  stays *idempotent*: charge records key on the accountant's persistent
+  ``(dataset, token)`` charge identity, so a charge already in the
+  snapshot applies as a no-op and a refund of an absent charge skips
+  cleanly (directories written by older compacting builds can hold both).
 
 Durability ordering — *every charge is durable before the first draw*.
 The store's :meth:`record` runs inside the accountant's mutation hook
@@ -123,18 +126,14 @@ class TenantLedgerStore:
     SNAPSHOT_SUFFIX = ".json"
     JOURNAL_SUFFIX = ".journal"
 
-    def __init__(self, base_path: str, *, compact_every: int = 256,
-                 metrics=None):
-        if compact_every < 1:
-            raise ValueError("compact_every must be >= 1")
+    def __init__(self, base_path: str, *, metrics=None):
         self.base_path = os.fspath(base_path)
         self.snapshot_path = self.base_path + self.SNAPSHOT_SUFFIX
         self.journal_path = self.base_path + self.JOURNAL_SUFFIX
-        self.compact_every = compact_every
         self._lock = threading.Lock()
         self._fh = None  # append handle, opened lazily
         self._seq = 0
-        self._tail_records = 0  # journal records since the last compaction
+        self._tail_records = 0  # journal records since the snapshot
         self._unsynced = 0  # records written but not yet fsync'd
         if metrics is not None:
             self._spans = span_histogram(metrics)
@@ -142,38 +141,33 @@ class TenantLedgerStore:
                 "repro_journal_records_total",
                 "Charge/refund records appended to tenant journals.",
             )
-            self._m_compactions = metrics.counter(
-                "repro_journal_compactions_total",
-                "Journal-tail folds into the base snapshot.",
-            )
         else:
-            self._spans = self._m_records = self._m_compactions = None
+            self._spans = self._m_records = None
 
     # -- lifecycle -------------------------------------------------------- #
 
     @classmethod
-    def create(cls, base_path: str, state: dict, *, compact_every: int = 256,
-               metrics=None):
+    def create(cls, base_path: str, state: dict, *, metrics=None):
         """Initialise the store for a brand-new tenant.
 
         Writes the initial snapshot (the tenant's existence and cap must be
         durable before any charge references them) and an empty journal.
         """
-        store = cls(base_path, compact_every=compact_every, metrics=metrics)
-        store.compact(state)
+        store = cls(base_path, metrics=metrics)
+        store.rebase(state)
         return store
 
     @classmethod
-    def open(cls, base_path: str, *, compact_every: int = 256, metrics=None):
+    def open(cls, base_path: str, *, metrics=None):
         """Open an existing store; returns ``(store, replayed_state)``.
 
         ``replayed_state`` is the crash-recovered tenant state — snapshot
-        plus journal tail — in :meth:`Tenant.snapshot` shape, ready for
-        :meth:`Tenant.restore`.  Raises :class:`LedgerStoreError` (or
-        ``OSError``/``KeyError`` on unreadable files) when the persisted
-        state is corrupt.
+        plus the journal records above its fence — in
+        :meth:`Tenant.snapshot` shape, ready for :meth:`Tenant.restore`.
+        Raises :class:`LedgerStoreError` (or ``OSError``/``KeyError`` on
+        unreadable files) when the persisted state is corrupt.
         """
-        store = cls(base_path, compact_every=compact_every, metrics=metrics)
+        store = cls(base_path, metrics=metrics)
         state = store._replay()
         return store, state
 
@@ -193,10 +187,10 @@ class TenantLedgerStore:
 
         ``event`` is a :meth:`PrivacyAccountant.set_observer` event dict;
         the record adds the dataset id (one tenant journal covers all of
-        the tenant's per-dataset ledgers) and a monotonic ``seq`` for
-        ordering diagnostics.  Outside a :func:`commit_scope` the record is
-        fsync'd before this returns; inside one the fsync is deferred to
-        the scope's exit.
+        the tenant's per-dataset ledgers) and a monotonic ``seq``, which
+        replay compares with the snapshot's ``journal_seq`` fence.  Outside
+        a :func:`commit_scope` the record is fsync'd before this returns;
+        inside one the fsync is deferred to the scope's exit.
         """
         stores = getattr(_scope, "stores", None)
         t0 = time.perf_counter()
@@ -226,7 +220,7 @@ class TenantLedgerStore:
         """Commit: one fsync covering every record written since the last.
 
         A no-op when nothing is pending — another thread's fsync or a
-        compaction rewrite already made those records durable.
+        rebase's rewrite already made those records durable.
         """
         t0 = time.perf_counter()
         with self._lock:
@@ -244,60 +238,30 @@ class TenantLedgerStore:
 
     @property
     def tail_records(self) -> int:
-        """Journal records since the last compaction (the trigger metric)."""
+        """Journal records since the snapshot (creation or restore)."""
         with self._lock:
             return self._tail_records
 
-    def should_compact(self) -> bool:
-        return self.tail_records >= self.compact_every
+    # -- rebase ----------------------------------------------------------- #
 
-    def current_seq(self) -> int:
-        """The seq of the newest committed record (the compaction fence).
+    def rebase(self, state: dict) -> None:
+        """Make ``state`` the new base: write its snapshot, empty the journal.
 
-        Read this *before* capturing the tenant snapshot you pass to
-        :meth:`compact`: any record committed by then has seq <= this
-        value, and — because the accountant writes the record and then
-        applies the mutation within one hold of its ledger lock, which a
-        snapshot must also take — its effect is necessarily visible to a
-        snapshot taken afterwards.
+        Called with no concurrent chargers (tenant creation, runtime
+        restore).  The snapshot's ``journal_seq`` fence is the newest seq,
+        so a crash between the snapshot replace and the journal rewrite
+        leaves records that replay skips as already covered.
         """
         with self._lock:
-            return self._seq
-
-    # -- compaction ------------------------------------------------------- #
-
-    def compact(self, state: dict, covered_seq: int | None = None) -> None:
-        """Fold the journal tail into a fresh snapshot of ``state``.
-
-        ``covered_seq`` is the :meth:`current_seq` fence the caller read
-        *before* capturing ``state``: every record with seq <= the fence is
-        provably covered by the snapshot and is dropped from the journal;
-        records that raced in during/after the capture may or may not be
-        covered, so they are **kept**, and idempotent replay makes the
-        possible overlap harmless.  ``covered_seq=None`` (tenant creation,
-        post-restore rebase — no concurrent chargers by contract) folds
-        everything.  A crash between the snapshot replace and the journal
-        rewrite leaves snapshot + full old tail: replaying already-folded
-        records is a no-op by the same idempotence.
-        """
-        body = {
-            k: v for k, v in state.items() if k not in ("format", "journal_seq")
-        }
-        with self._lock:
-            fence = self._seq if covered_seq is None else int(covered_seq)
             _fsync_write(
                 self.snapshot_path,
                 json.dumps(
-                    {"format": 2, "journal_seq": fence, **body},
+                    {"format": 2, "journal_seq": self._seq, **state},
                     separators=(",", ":"),
                 )
                 + "\n",
             )
-            tail, _ = self._read_journal_locked()
-            tail = [rec for rec in tail if int(rec.get("seq", 0)) > fence]
-            self._rewrite_journal_locked(tail)
-        if self._m_compactions is not None:
-            self._m_compactions.inc()
+            self._rewrite_journal_locked([])
 
     def _rewrite_journal_locked(self, records: "list[dict]") -> None:
         """Atomically replace the journal contents.  Caller holds the lock."""
@@ -316,7 +280,7 @@ class TenantLedgerStore:
     # -- replay ----------------------------------------------------------- #
 
     def _replay(self) -> dict:
-        """Rebuild tenant state: snapshot + idempotent journal tail replay."""
+        """Rebuild tenant state: snapshot + journal records above its fence."""
         try:
             with open(self.snapshot_path) as fh:
                 state = json.load(fh)
@@ -349,18 +313,22 @@ class TenantLedgerStore:
                 # never committed.  Drop it from disk *now*, before any new
                 # append would land after the half-line and corrupt the file.
                 self._rewrite_journal_locked(tail)
-            self._tail_records = len(tail)
-        max_seq = 0
+        fence = int(state.get("journal_seq", 0))
+        max_seq = fence
+        replayed = 0
         for rec in tail:
-            seq = int(rec.get("seq", 0))
+            seq = int(rec["seq"])
+            if seq <= fence:
+                continue  # covered by the snapshot (crash mid-rebase)
+            replayed += 1
             max_seq = max(max_seq, seq)
             dataset_id = str(rec["dataset"])
             per = by_token.setdefault(dataset_id, {})
             token = int(rec["token"])
             op = rec.get("op")
             if op == "charge":
-                # Idempotent: a record already folded into the snapshot
-                # (crash mid-compaction) re-applies as a no-op.
+                # Idempotent: a charge already in the snapshot re-applies
+                # as a no-op.
                 if token not in per:
                     per[token] = {
                         "label": str(rec["label"]),
@@ -370,7 +338,7 @@ class TenantLedgerStore:
                         "token": token,
                     }
             elif op == "refund":
-                # Idempotent: refunds of an already-folded removal skip.
+                # Idempotent: a refund of an absent charge skips.
                 per.pop(token, None)
             else:
                 raise LedgerStoreError(
@@ -388,7 +356,8 @@ class TenantLedgerStore:
                 "charges": [per[t] for t in sorted(per)],
             }
         with self._lock:
-            self._seq = max(self._seq, max_seq, int(state.get("journal_seq", 0)))
+            self._seq = max(self._seq, max_seq)
+            self._tail_records = replayed
         state.pop("format", None)
         state.pop("journal_seq", None)
         return state

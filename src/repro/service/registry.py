@@ -18,9 +18,10 @@ one O(1) journal record, written from the accountant's mutation hook
 *before* the charging call returns, and every charge is fsync'd before the
 first draw against it: a lone charge fsyncs its own record, a service
 batch funds all its releases inside one commit scope that fsyncs each
-touched tenant journal once before the batch draws any noise;
-:meth:`ServiceRegistry.persist_tenant` is the periodic checkpoint that
-folds a grown journal back into the snapshot.
+touched tenant journal once before the batch draws any noise.  The
+journal is the ledger's history: the snapshot is written only when a
+tenant is created and when :meth:`Tenant.restore` replaces its ledgers at
+runtime.
 Both files reload on construction — a restarted service refuses requests a
 crashed one could no longer afford.  A snapshot in any format but the
 current one (charge rows with ``units`` and ``token``) refuses to load as
@@ -324,10 +325,10 @@ class Tenant:
                 self._wire_locked(dataset_id, acc)
             store = self._store
         if store is not None:
-            # The journal tail describes the *replaced* ledgers; rebase the
-            # store on the restored state (restore is an admin/reload step,
-            # not concurrent with charging, so everything folds).
-            store.compact(self.snapshot())
+            # The journal describes the *replaced* ledgers; rebase the store
+            # on the restored state (restore is an admin/reload step, not
+            # concurrent with charging).
+            store.rebase(self.snapshot())
 
     def describe(self) -> dict:
         with self._lock:
@@ -349,10 +350,8 @@ class Tenant:
 class ServiceRegistry:
     """Datasets + tenants + ledger persistence for one service instance.
 
-    ``compact_every`` bounds the per-tenant journal: once a journal holds
-    that many records, the next :meth:`persist_tenant` checkpoint folds it
-    back into the snapshot.  Between checkpoints persistence is O(1) bytes
-    per charge (one journal record), not O(ledger).
+    Persistence is O(1) bytes per charge (one journal record), not
+    O(ledger), for the life of the ledger.
 
     ``tenant_filter`` scopes this registry to a *partition* of the tenants
     sharing ``ledger_dir``: reload skips tenants the predicate rejects, so
@@ -366,7 +365,6 @@ class ServiceRegistry:
         self,
         ledger_dir: "str | os.PathLike | None" = None,
         *,
-        compact_every: int = 256,
         tenant_filter: "Callable[[str], bool] | None" = None,
         metrics: "MetricsRegistry | None" = None,
     ):
@@ -374,7 +372,6 @@ class ServiceRegistry:
         self._datasets: dict[str, DatasetEntry] = {}
         self._tenants: dict[str, Tenant] = {}
         self._stores: dict[str, TenantLedgerStore] = {}
-        self.compact_every = compact_every
         self.tenant_filter = tenant_filter
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._budget_metrics = _BudgetMetrics(self.metrics)
@@ -527,7 +524,6 @@ class ServiceRegistry:
         store = TenantLedgerStore.create(
             self._ledger_base(tenant.tenant_id),
             tenant.snapshot(),
-            compact_every=self.compact_every,
             metrics=self.metrics,
         )
         self._stores[tenant.tenant_id] = store
@@ -547,41 +543,9 @@ class ServiceRegistry:
         # ``.journal`` (tail) to this base.
         return os.path.join(self.ledger_dir, quote(tenant_id, safe=""))
 
-    def persist_tenant(self, tenant: Tenant, *, force: bool = False) -> None:
-        """Compaction checkpoint for one tenant (no-op without a dir).
-
-        Durability itself no longer lives here: every charge/refund is one
-        O(1) journal record, fsync'd by the accountant call that made it or
-        by the commit scope it was made in, before any draw.  This method
-        folds the journal back into the snapshot once it has grown past
-        ``compact_every`` records (or
-        always, with ``force=True``) — the crash-safe temp-file +
-        ``os.replace`` snapshot write, amortised over many requests
-        instead of paid on every one.
-        """
-        if self.ledger_dir is None:
-            return
-        with self._lock:
-            store = self._stores.get(tenant.tenant_id)
-        if store is None:
-            # A tenant constructed outside create_tenant()/tenant() (tests,
-            # embedders) gets its store on first persistence.
-            with self._lock:
-                self._provision_store_locked(tenant)
-            return
-        if force or store.should_compact():
-            # Fence *before* the snapshot capture: every record committed
-            # by now is provably covered by the snapshot; later racers stay
-            # in the journal and replay idempotently.
-            fence = store.current_seq()
-            store.compact(tenant.snapshot(), covered_seq=fence)
-
-    def persist_all(self) -> None:
-        for tenant in self.tenants():
-            self.persist_tenant(tenant, force=True)
-
     def journal_tails(self) -> "dict[str, int]":
-        """Per-tenant journal tail lengths — the deep-health cheap read."""
+        """Per-tenant journal records since each snapshot (creation or
+        restore) — the deep-health cheap read."""
         with self._lock:
             stores = dict(self._stores)
         return {
@@ -592,7 +556,7 @@ class ServiceRegistry:
     def _load_ledgers(self) -> None:
         """Reload every persisted tenant ledger (service restart path).
 
-        Crash recovery is snapshot + journal-tail replay via
+        Crash recovery is snapshot + journal replay via
         :meth:`TenantLedgerStore.open`; a snapshot in an older format
         (float charges without units or tokens, no ``format`` field)
         refuses as ``corrupt-ledger`` and is not rewritten.  The tenant's
@@ -617,9 +581,7 @@ class ServiceRegistry:
             path = os.path.join(self.ledger_dir, name)
             base = path[: -len(TenantLedgerStore.SNAPSHOT_SUFFIX)]
             try:
-                store, state = TenantLedgerStore.open(
-                    base, compact_every=self.compact_every, metrics=self.metrics
-                )
+                store, state = TenantLedgerStore.open(base, metrics=self.metrics)
                 tenant = Tenant(
                     str(state["tenant"]), float(state["budget_limit"])
                 )

@@ -69,6 +69,51 @@ def _with_trace_id(request, trace_id: str):
     return clone
 
 
+#: JSON field coercions shared by the request parsers, in the order they
+#: apply (the first failing field names the 400).  ``tenant``, ``dataset``,
+#: ``explainer`` and ``method`` stay as sent; ``validated()`` checks them.
+_JSON_COERCIONS = (
+    ("weights", lambda ws: tuple(float(w) for w in ws)),
+    ("eps_cand_set", float),
+    ("eps_top_comb", float),
+    ("eps_hist", float),
+    ("clustering_epsilon", float),
+    ("n_candidates", int),
+    ("seed", int),
+    ("n_clusters", int),
+    ("n_iterations", int),
+    ("clustering_seed", int),
+    ("trace_id", str),
+)
+
+
+def _request_from_json(cls, body: Mapping):
+    """Build a ``cls`` request from a decoded JSON object (400 on bad input).
+
+    Refuses a non-object body, unknown fields and a missing ``tenant`` or
+    ``dataset``, then coerces the numeric fields and ``trace_id`` that
+    ``cls`` declares.
+    """
+    if not isinstance(body, Mapping):
+        raise ServiceError(400, "invalid-request", "body must be a JSON object")
+    unknown = set(body) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise ServiceError(
+            400, "invalid-request", f"unknown fields: {sorted(unknown)}"
+        )
+    for key in ("tenant", "dataset"):
+        if key not in body:
+            raise ServiceError(400, "invalid-request", f"{key!r} is required")
+    kwargs = dict(body)
+    try:
+        for key, coerce in _JSON_COERCIONS:
+            if key in kwargs:
+                kwargs[key] = coerce(kwargs[key])
+    except (TypeError, ValueError) as exc:
+        raise ServiceError(400, "invalid-request", str(exc)) from None
+    return cls(**kwargs)
+
+
 @dataclass(frozen=True)
 class ExplainRequest:
     """One tenant's explanation request over a registered dataset.
@@ -106,32 +151,7 @@ class ExplainRequest:
     @classmethod
     def from_json(cls, body: Mapping) -> "ExplainRequest":
         """Build a request from a decoded JSON object (HTTP front end)."""
-        if not isinstance(body, Mapping):
-            raise ServiceError(400, "invalid-request", "body must be a JSON object")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(body) - known
-        if unknown:
-            raise ServiceError(
-                400, "invalid-request", f"unknown fields: {sorted(unknown)}"
-            )
-        kwargs = dict(body)
-        try:
-            for key in ("tenant", "dataset"):
-                if key not in kwargs:
-                    raise ServiceError(400, "invalid-request", f"{key!r} is required")
-            if "weights" in kwargs:
-                kwargs["weights"] = tuple(float(w) for w in kwargs["weights"])
-            for key in ("eps_cand_set", "eps_top_comb", "eps_hist"):
-                if key in kwargs:
-                    kwargs[key] = float(kwargs[key])
-            for key in ("n_candidates", "seed"):
-                if key in kwargs:
-                    kwargs[key] = int(kwargs[key])
-            if "trace_id" in kwargs:
-                kwargs["trace_id"] = str(kwargs["trace_id"])
-        except (TypeError, ValueError) as exc:
-            raise ServiceError(400, "invalid-request", str(exc)) from None
-        return cls(**kwargs)
+        return _request_from_json(cls, body)
 
     def with_trace(self, trace_id: str) -> "ExplainRequest":
         """A copy carrying ``trace_id`` (same release identity)."""
@@ -270,43 +290,7 @@ class PipelineRequest:
     @classmethod
     def from_json(cls, body: Mapping) -> "PipelineRequest":
         """Build a request from a decoded JSON object (HTTP front end)."""
-        if not isinstance(body, Mapping):
-            raise ServiceError(400, "invalid-request", "body must be a JSON object")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(body) - known
-        if unknown:
-            raise ServiceError(
-                400, "invalid-request", f"unknown fields: {sorted(unknown)}"
-            )
-        kwargs = dict(body)
-        try:
-            for key in ("tenant", "dataset"):
-                if key not in kwargs:
-                    raise ServiceError(400, "invalid-request", f"{key!r} is required")
-            if "weights" in kwargs:
-                kwargs["weights"] = tuple(float(w) for w in kwargs["weights"])
-            for key in (
-                "eps_cand_set",
-                "eps_top_comb",
-                "eps_hist",
-                "clustering_epsilon",
-            ):
-                if key in kwargs:
-                    kwargs[key] = float(kwargs[key])
-            for key in (
-                "n_candidates",
-                "seed",
-                "n_clusters",
-                "n_iterations",
-                "clustering_seed",
-            ):
-                if key in kwargs:
-                    kwargs[key] = int(kwargs[key])
-            if "trace_id" in kwargs:
-                kwargs["trace_id"] = str(kwargs["trace_id"])
-        except (TypeError, ValueError) as exc:
-            raise ServiceError(400, "invalid-request", str(exc)) from None
-        return cls(**kwargs)
+        return _request_from_json(cls, body)
 
     def with_trace(self, trace_id: str) -> "PipelineRequest":
         """A copy carrying ``trace_id`` (same release identity)."""
@@ -596,9 +580,7 @@ class ExplanationService:
         return entry
 
     def create_tenant(self, tenant_id: str, budget_limit: float) -> Tenant:
-        tenant = self.registry.create_tenant(tenant_id, budget_limit)
-        self.registry.persist_tenant(tenant)
-        return tenant
+        return self.registry.create_tenant(tenant_id, budget_limit)
 
     # -- request entry points ------------------------------------------- #
 
@@ -823,7 +805,6 @@ class ExplanationService:
                 )
             except Exception:
                 accountant.refund(token)
-                self.registry.persist_tenant(tenant)
                 raise
             if not self.registry.add_entry_if_current(entry, base):
                 # The base was re-registered while we fitted: this fit ran
@@ -831,7 +812,6 @@ class ExplanationService:
                 # the reservation rolls back and the caller retries
                 # against the new registration.
                 accountant.refund(token)
-                self.registry.persist_tenant(tenant)
                 raise ServiceError(
                     409,
                     "dataset-replaced",
@@ -839,7 +819,6 @@ class ExplanationService:
                     "the clustering fit; retry",
                 )
             self.fitted.put(key, entry)
-            self.registry.persist_tenant(tenant)
             self._events.inc(1, ("clustering_fits",))
             return entry, "miss", spec.epsilon
 
@@ -892,9 +871,6 @@ class ExplanationService:
         self._workers = []
         self._queue.release_all()
         self.process_pending()
-        # Shutdown checkpoint: fold every tenant's journal tail back into
-        # its snapshot so a clean restart replays nothing.
-        self.registry.persist_all()
 
     def __enter__(self) -> "ExplanationService":
         return self
@@ -999,7 +975,7 @@ class ExplanationService:
             raise  # _execute_batch resolves the futures with a 500
 
         self._events.inc(len(funded), ("releases",))
-        for (key, group, payer, tenant, _), explanation in zip(
+        for (key, group, payer, _, _), explanation in zip(
             funded, explanations
         ):
             payload = explanation_payload(payer.request, entry, explanation)
@@ -1007,7 +983,6 @@ class ExplanationService:
                 canonical_json(payload), payer.request.epsilon_total
             )
             self.cache.put(key, cache_entry)
-            self.registry.persist_tenant(tenant)
             for p in group:
                 if p.future.done():
                     continue  # refused while seeking a payer
@@ -1032,7 +1007,6 @@ class ExplanationService:
         """Roll back a failed batch's reservations; nothing was released."""
         for _key, _group, _payer, tenant, charge_token in funded:
             tenant.accountant(entry.base_id).refund(charge_token)
-            self.registry.persist_tenant(tenant)
 
     def _resolve_hits(self, group: "list[_Pending]", cached: CacheEntry) -> None:
         for p in group:

@@ -34,7 +34,7 @@ worker answers each request from a future callback as it resolves).  Ops:
 ``health``         the worker's ``health(deep=...)`` body + worker identity
 ``ledger``         one tenant's ledger description
 ``ping``           liveness + identity probe
-``shutdown``       graceful stop: final journal checkpoint, then exit
+``shutdown``       graceful stop: drain the queue, then exit
 =================  =========================================================
 
 Request tracing rides the same frames: an ``explain`` request body may
@@ -90,7 +90,6 @@ class WorkerConfig:
     n_shards: int
     socket_path: str
     ledger_dir: "str | None" = None
-    compact_every: int = 256
     cache_entries: int = 256
     auto_tenant_budget: "float | None" = None
     service_threads: int = 2
@@ -177,7 +176,6 @@ class ShardWorker:
         self.config = config
         registry = ServiceRegistry(
             ledger_dir=config.ledger_dir,
-            compact_every=config.compact_every,
             tenant_filter=lambda t: shard_of(t, config.n_shards) == config.index,
         )
         self.service = ExplanationService(
@@ -221,9 +219,7 @@ class ShardWorker:
                 self._conn_threads.append(t)
         finally:
             listener.close()
-            # Final checkpoint *before* exit: stop() drains the queue so
-            # every accepted future resolves, then folds each journal tail
-            # into its snapshot — a clean shutdown replays nothing.
+            # Drain *before* exit: stop() resolves every accepted future.
             self.service.stop()
             try:
                 os.unlink(self.config.socket_path)

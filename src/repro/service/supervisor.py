@@ -94,7 +94,6 @@ class ShardSupervisor:
         ledger_dir: "str | None" = None,
         auto_tenant_budget: "float | None" = None,
         cache_entries: int = 256,
-        compact_every: int = 256,
         service_threads: int = 2,
         socket_dir: "str | None" = None,
         ready_timeout_s: float = 60.0,
@@ -107,7 +106,6 @@ class ShardSupervisor:
         self.ledger_dir = ledger_dir
         self.auto_tenant_budget = auto_tenant_budget
         self.cache_entries = cache_entries
-        self.compact_every = compact_every
         self.service_threads = service_threads
         self.ready_timeout_s = ready_timeout_s
         self.respawn = respawn
@@ -153,7 +151,6 @@ class ShardSupervisor:
             n_shards=self.n_workers,
             socket_path=self.socket_path(index),
             ledger_dir=self.ledger_dir,
-            compact_every=self.compact_every,
             cache_entries=self.cache_entries,
             auto_tenant_budget=self.auto_tenant_budget,
             service_threads=self.service_threads,
@@ -414,7 +411,7 @@ class ShardSupervisor:
         """Graceful stop: shutdown frames, join, then release shared state.
 
         The shutdown frame makes each worker run ``service.stop()`` — the
-        final journal checkpoint — before its process exits; segments are
+        final queue drain — before its process exits; segments are
         unlinked only after every worker is gone, so no attach can race the
         unlink.
         """

@@ -3,10 +3,11 @@
 The contract under test: persistence is **one O(1) record per
 charge/refund** (no full-snapshot rewrite per request), fsync'd on its own
 or once per touched journal by a commit scope, so every charge is durable
-before the first draw; crash replay = snapshot + journal tail, replay is
-idempotent (a record already folded into a snapshot re-applies as a no-op),
-compaction folds the tail back periodically, and older snapshot-only
-directories refuse to load.
+before the first draw; crash replay = snapshot + the journal records above
+its ``journal_seq`` fence, replay above the fence is idempotent (a charge
+already in the snapshot re-applies as a no-op), the snapshot is rewritten
+only by a rebase (tenant creation, runtime restore), and older
+snapshot-only directories refuse to load.
 """
 
 from __future__ import annotations
@@ -33,12 +34,10 @@ from repro.service.journal import (
 from repro.service.registry import ServiceError, ServiceRegistry, Tenant
 
 
-def make_tenant(tmp_path, tenant_id="t", cap=10.0, compact_every=1000):
+def make_tenant(tmp_path, tenant_id="t", cap=10.0):
     """A journal-backed tenant plus its store, as the registry wires them."""
     store = TenantLedgerStore.create(
-        str(tmp_path / tenant_id),
-        Tenant(tenant_id, cap).snapshot(),
-        compact_every=compact_every,
+        str(tmp_path / tenant_id), Tenant(tenant_id, cap).snapshot()
     )
     tenant = Tenant(tenant_id, cap)
     tenant.attach_store(store)
@@ -301,44 +300,6 @@ class TestGroupCrashReplay:
                 assert replayed == [f"g{k}" for k in range(len(replayed))]
                 assert acc.total_units() <= round(caps[t] * 1e9)
 
-    def test_compaction_racing_an_open_group_keeps_later_records(
-        self, tmp_path, monkeypatch
-    ):
-        """A ``persist_tenant`` checkpoint lands while a group is open and a
-        group charge races in after the snapshot capture: every record with
-        seq > fence stays in the journal, and replay sees the whole group."""
-        registry = ServiceRegistry(ledger_dir=tmp_path, compact_every=1)
-        tenant = registry.create_tenant("t", 10.0)
-        acc = tenant.accountant("d")
-        store = registry._stores["t"]
-        capture = tenant.snapshot
-        fence_seen = []
-
-        def racing_snapshot():
-            fence_seen.append(store.current_seq())
-            state = capture()
-            acc.spend(0.2, "raced")  # after the capture, before the rewrite
-            return state
-
-        with commit_scope():
-            acc.spend(0.1, "g0")
-            acc.spend(0.1, "g1")
-            monkeypatch.setattr(tenant, "snapshot", racing_snapshot)
-            registry.persist_tenant(tenant)
-            monkeypatch.undo()
-        # The scope's exit found its records already durable (snapshot and
-        # rewritten journal are both fsync'd) and had nothing left to sync.
-        (fence,) = fence_seen
-        seqs = [
-            json.loads(ln)["seq"]
-            for ln in journal_lines(tmp_path / "t.journal")
-        ]
-        assert seqs == [fence + 1]  # "raced"; g0/g1 are in the snapshot
-        acc.spend(0.3, "after")
-        reloaded = ServiceRegistry(ledger_dir=tmp_path)
-        labels = [c.label for c in reloaded.tenant("t").accountant("d")]
-        assert labels == ["g0", "g1", "raced", "after"]
-
 
 class TestSpendMany:
     def test_records_share_one_fsync(self, tmp_path, monkeypatch):
@@ -429,14 +390,17 @@ class TestSpendMany:
 
 
 class TestCompaction:
+    """Snapshot rewrites: the two rebase points, and the crash between a
+    rebase's snapshot write and its journal rewrite."""
+
     def test_indented_snapshot_still_replays(self, tmp_path):
-        """Snapshots written before compaction switched to compact
-        separators were indented; they must replay to the same ledger."""
+        """Snapshots used to be written indented; they must replay to the
+        same ledger as the compact one-line form."""
         tenant, store = make_tenant(tmp_path)
         acc = tenant.accountant("d")
         for i in range(3):
             acc.spend(0.1, f"c{i}")
-        store.compact(tenant.snapshot(), covered_seq=store.current_seq())
+        store.rebase(tenant.snapshot())
         acc.spend(0.2, "tail")
         path = tmp_path / "t.json"
         compact_text = path.read_text()
@@ -445,33 +409,20 @@ class TestCompaction:
         path.write_text(json.dumps(json.loads(compact_text), indent=2) + "\n")
         assert reload_state(tmp_path).accountant("d").snapshot() == compact
 
-    def test_compaction_folds_tail_into_snapshot(self, tmp_path):
-        tenant, store = make_tenant(tmp_path)
-        acc = tenant.accountant("d")
-        for i in range(7):
-            acc.spend(0.1, f"c{i}")
-        fence = store.current_seq()
-        store.compact(tenant.snapshot(), covered_seq=fence)
-        assert (tmp_path / "t.journal").read_text() == ""
-        state = json.loads((tmp_path / "t.json").read_text())
-        assert len(state["ledgers"]["d"]["charges"]) == 7
-        assert reload_state(tmp_path).accountant("d").total_units() == (
-            7 * 100_000_000
-        )
-
     def test_crash_between_snapshot_and_journal_rewrite_is_idempotent(
         self, tmp_path
     ):
-        """The mid-compaction crash: the new snapshot already contains the
-        tail, but the old journal survives.  Replaying the stale tail over
-        the fresh snapshot must not double-count a single charge."""
+        """The mid-rebase crash: the new snapshot already contains the
+        journal's records, but the old journal survives.  Replaying the
+        stale journal over the fresh snapshot must not double-count a
+        single charge."""
         tenant, store = make_tenant(tmp_path)
         acc = tenant.accountant("d")
         acc.spend(0.3, "a")
         token = acc.spend(0.1, "b")
         acc.refund(token)
         stale_journal = (tmp_path / "t.journal").read_bytes()
-        store.compact(tenant.snapshot(), covered_seq=store.current_seq())
+        store.rebase(tenant.snapshot())
         # Simulated crash: the journal rewrite never happened.
         (tmp_path / "t.journal").write_bytes(stale_journal)
         reloaded = reload_state(tmp_path)
@@ -479,33 +430,15 @@ class TestCompaction:
         assert [c.label for c in reloaded.accountant("d")] == ["a"]
 
     def test_refund_after_compaction_finds_the_folded_charge(self, tmp_path):
+        """A refund journaled after a rebase removes a charge that now
+        lives only in the snapshot."""
         tenant, store = make_tenant(tmp_path)
         acc = tenant.accountant("d")
         token = acc.spend(0.4, "folded")
-        store.compact(tenant.snapshot(), covered_seq=store.current_seq())
+        store.rebase(tenant.snapshot())
         acc.refund(token)  # the refund record lands in a fresh journal
         reloaded = reload_state(tmp_path)
         assert reloaded.accountant("d").total_units() == 0
-
-    def test_registry_checkpoint_compacts_only_past_threshold(
-        self, tmp_path
-    ):
-        registry = ServiceRegistry(ledger_dir=tmp_path, compact_every=5)
-        tenant = registry.create_tenant("t", 10.0)
-        acc = tenant.accountant("d")
-        for i in range(3):
-            acc.spend(0.1, f"c{i}")
-            registry.persist_tenant(tenant)
-        assert len((tmp_path / "t.journal").read_text().splitlines()) == 3
-        for i in range(3, 6):
-            acc.spend(0.1, f"c{i}")
-            registry.persist_tenant(tenant)
-        # The checkpoint after the 5th record folded the tail.
-        assert len((tmp_path / "t.journal").read_text().splitlines()) < 5
-        reloaded = ServiceRegistry(ledger_dir=tmp_path)
-        assert reloaded.tenant("t").accountant("d").total_units() == (
-            6 * 100_000_000
-        )
 
 
 class TestObserverFailureAtomicity:
@@ -583,7 +516,7 @@ class TestOlderFormatsRefuse:
         tenant = registry.create_tenant("old", 1.0)
         tenant.accountant("d").spend(0.1, "a")
         tenant.accountant("d").spend(0.2, "b")
-        registry.persist_tenant(tenant, force=True)
+        tenant.restore(tenant.snapshot())  # rebase: the rows move to the snapshot
         path = tmp_path / "old.json"
         state = json.loads(path.read_text())
         row = state["ledgers"]["d"]["charges"][1]
@@ -592,6 +525,21 @@ class TestOlderFormatsRefuse:
         else:
             del row[drop]
         path.write_text(json.dumps(state))
+
+    def _journal_dir(self, tmp_path, drop, null=False):
+        """A directory the current code wrote, with field ``drop`` removed
+        from one journal record (or set to null)."""
+        registry = ServiceRegistry(ledger_dir=tmp_path)
+        tenant = registry.create_tenant("old", 1.0)
+        tenant.accountant("d").spend(0.1, "a")
+        tenant.accountant("d").spend(0.2, "b")
+        path = tmp_path / "old.journal"
+        records = [json.loads(ln) for ln in path.read_text().splitlines()]
+        if null:
+            records[1][drop] = None
+        else:
+            del records[1][drop]
+        path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
 
     def test_float_only_dir_refuses_and_stays_unchanged(self, tmp_path):
         """An old ledger dir: one JSON snapshot, no format, float epsilons,
@@ -627,6 +575,75 @@ class TestOlderFormatsRefuse:
         self._current_dir(tmp_path, "token", null=True)
         self._refuses_untouched(tmp_path)
 
+    def test_journal_record_without_units_refuses(self, tmp_path):
+        self._journal_dir(tmp_path, "units")
+        self._refuses_untouched(tmp_path)
+
+    def test_journal_record_without_token_refuses(self, tmp_path):
+        self._journal_dir(tmp_path, "token")
+        self._refuses_untouched(tmp_path)
+
+    def test_journal_record_null_token_refuses(self, tmp_path):
+        self._journal_dir(tmp_path, "token", null=True)
+        self._refuses_untouched(tmp_path)
+
+    def test_compacted_dir_with_tail_reloads_identically(self, tmp_path):
+        """A directory in the shape a compacting writer left: snapshot rows
+        behind a ``journal_seq`` fence, the pre-fence records a crash kept
+        in the journal, a post-fence record the snapshot already holds, and
+        two new ones."""
+
+        def row(label, units, token, composition="sequential"):
+            return {"label": label, "epsilon": units / 1e9,
+                    "composition": composition, "units": units,
+                    "token": token}
+
+        def rec(seq, op, token, *charge):
+            out = {"seq": seq, "dataset": "d", "op": op, "token": token}
+            if charge:
+                label, units = charge
+                out.update(label=label, epsilon=units / 1e9, units=units,
+                           composition="sequential")
+            return out
+
+        snapshot = {
+            "format": 2,
+            "journal_seq": 4,
+            "tenant": "t",
+            "budget_limit": 1.0,
+            "ledgers": {"d": {"limit": 1.0, "next_token": 4, "charges": [
+                row("a", 100_000_000, 0),
+                row("c", 300_000_000, 2, "parallel-group"),
+                row("raced", 50_000_000, 3),
+            ]}},
+        }
+        journal = [
+            rec(1, "charge", 0, "a", 100_000_000),
+            rec(2, "charge", 1, "b", 200_000_000),
+            rec(3, "refund", 1),
+            rec(4, "charge", 2, "c", 300_000_000),
+            rec(5, "charge", 3, "raced", 50_000_000),  # in the snapshot too
+            rec(6, "charge", 4, "e", 150_000_000),
+            rec(7, "refund", 0),
+        ]
+        (tmp_path / "t.json").write_text(json.dumps(snapshot))
+        (tmp_path / "t.journal").write_text(
+            "".join(json.dumps(r) + "\n" for r in journal)
+        )
+        acc = ServiceRegistry(ledger_dir=tmp_path).tenant("t").accountant("d")
+        got = acc.snapshot()
+        assert [(r["label"], r["units"], r["token"]) for r in got["charges"]] == [
+            ("c", 300_000_000, 2),
+            ("raced", 50_000_000, 3),
+            ("e", 150_000_000, 4),
+        ]
+        assert got["next_token"] == 5
+        assert acc.total_units() == 500_000_000
+        # New records continue the seq past every record on disk.
+        acc.spend(0.1, "next")
+        last = journal_lines(tmp_path / "t.journal")[-1]
+        assert json.loads(last)["seq"] == 8
+
     def test_current_dir_reloads_identically(self, tmp_path):
         registry = ServiceRegistry(ledger_dir=tmp_path)
         tenant = registry.create_tenant("t", 1.0)
@@ -634,8 +651,9 @@ class TestOlderFormatsRefuse:
         first = acc.spend(0.1, "a")
         acc.parallel([0.2, 0.3], "b")
         acc.refund(first)
-        registry.persist_tenant(tenant, force=True)
-        acc.spend(0.25, "c")  # stays in the journal tail
+        tenant.restore(tenant.snapshot())  # rebase: the rows move to the snapshot
+        acc = tenant.accountant("d")
+        acc.spend(0.25, "c")  # stays in the journal
         want = acc.snapshot()
         got = ServiceRegistry(ledger_dir=tmp_path).tenant("t").accountant("d")
         assert got.snapshot() == want
@@ -671,3 +689,37 @@ class TestRestoreRebase:
         # And the restored accountants are re-wired: new charges journal.
         tenant.accountant("d").spend(0.1, "after restore")
         assert len((tmp_path / "t.journal").read_text().splitlines()) == 1
+
+    def test_crash_mid_restore_keeps_the_restored_ledger(self, tmp_path):
+        """A crash after restore's snapshot write but before its journal
+        rewrite leaves the *old* ledger's records on disk.  They sit at or
+        below the new snapshot's fence, so replay must skip them: applying
+        the old refund would drop the restored charge that reuses its
+        token, and the reloaded ledger would undercount."""
+        tenant, store = make_tenant(tmp_path, cap=10.0)
+        acc = tenant.accountant("d")
+        acc.refund(acc.spend(0.5, "old world"))
+        stale_journal = (tmp_path / "t.journal").read_bytes()
+        tenant.restore(
+            {
+                "budget_limit": 10.0,
+                "ledgers": {
+                    "d": {
+                        "limit": 10.0,
+                        "charges": [
+                            {"label": "kept", "epsilon": 0.5,
+                             "composition": "sequential",
+                             "units": 500_000_000, "token": 0},
+                            {"label": "restored", "epsilon": 3.5,
+                             "composition": "sequential",
+                             "units": 3_500_000_000, "token": 1},
+                        ],
+                    }
+                },
+            }
+        )
+        # Simulated crash: the journal rewrite never happened.
+        (tmp_path / "t.journal").write_bytes(stale_journal)
+        reloaded = reload_state(tmp_path).accountant("d")
+        assert reloaded.total_units() == 4_000_000_000
+        assert [c.label for c in reloaded] == ["kept", "restored"]

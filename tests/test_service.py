@@ -745,7 +745,6 @@ class TestPersistence:
         service.create_tenant("team a", 1.0)
         service.create_tenant("team_a", 1.0)
         ServiceClient(service, "team a", "diabetes").explain(seed=0)
-        service.registry.persist_all()
         assert len(list(tmp_path.glob("*.json"))) == 2
 
         reloaded = make_service(dataset, clustering, ledger_dir=tmp_path)
@@ -753,6 +752,28 @@ class TestPersistence:
         untouched = reloaded.registry.tenant("team_a").accountant("diabetes")
         assert spent.total() == pytest.approx(EPS_TOTAL)
         assert untouched.total() == 0.0
+
+    def test_misses_and_stop_never_rewrite_the_snapshot(
+        self, dataset, clustering, tmp_path
+    ):
+        """The snapshot is written once, at creation: funded misses and a
+        clean stop() only append journal records, and a restart reloads
+        the exact units from the journal."""
+        service = make_service(dataset, clustering, ledger_dir=tmp_path)
+        service.create_tenant("alice", 5.0)
+        created = (tmp_path / "alice.json").read_bytes()
+        client = ServiceClient(service, "alice", "diabetes")
+        for seed in range(5):
+            assert client.explain(seed=seed)["meta"]["cache"] == "miss"
+        service.stop()
+        assert (tmp_path / "alice.json").read_bytes() == created
+        assert len((tmp_path / "alice.journal").read_text().splitlines()) == 5
+        live = service.registry.tenant("alice").accountant("diabetes")
+        reloaded = ServiceRegistry(ledger_dir=tmp_path).tenant("alice")
+        assert reloaded.accountant("diabetes").total_units() == (
+            live.total_units()
+        )
+        assert live.total_units() == 5 * 300_000_000
 
     def test_orphaned_tmp_files_ignored_on_reload(
         self, dataset, clustering, tmp_path

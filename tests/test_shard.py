@@ -135,7 +135,6 @@ class TestRegistryPartition:
         full = ServiceRegistry(ledger_dir=tmp_path)
         full.create_tenant("alice", 2.0)
         full.create_tenant("bob", 2.0)
-        full.persist_all()
         # alice -> shard 1, bob -> shard 0 (pinned above)
         shard0 = ServiceRegistry(
             ledger_dir=tmp_path, tenant_filter=lambda t: shard_of(t, 2) == 0

@@ -24,7 +24,6 @@ from .metrics import (
     histogram_quantile,
     merge,
     merge_snapshots,
-    obs_enabled_default,
     snapshot_series,
     snapshot_value,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "merge",
     "merge_snapshots",
     "new_trace_id",
-    "obs_enabled_default",
     "prometheus_text",
     "record_span",
     "snapshot_series",

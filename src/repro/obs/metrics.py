@@ -26,16 +26,14 @@ Snapshots are plain JSON-able dicts, small enough to ride in one
 length-prefixed frame (:mod:`repro.service.transport`), and merge with
 :func:`merge` / :func:`merge_snapshots`.
 
-Setting ``REPRO_OBS=0`` in the environment disables every registry
-constructed without an explicit ``enabled`` flag: ``inc``/``set``/
-``observe`` become early-return no-ops (the switch the benchmark's
-instrumentation-overhead and DP byte-identity comparisons flip).
+``MetricsRegistry(enabled=False)`` makes ``inc``/``set``/``observe``
+early-return no-ops (the switch the benchmark's instrumentation-overhead
+and DP byte-identity comparisons flip).
 """
 
 from __future__ import annotations
 
 import math
-import os
 import re
 import threading
 
@@ -55,11 +53,6 @@ _NAME_RE = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*\Z")
 _LABEL_RE = re.compile(r"[a-zA-Z_][a-zA-Z0-9_]*\Z")
 
 SNAPSHOT_FORMAT = 1
-
-
-def obs_enabled_default() -> bool:
-    """The process-wide default enable switch (``REPRO_OBS=0`` disables)."""
-    return os.environ.get("REPRO_OBS", "1") != "0"
 
 
 # --------------------------------------------------------------------------- #
@@ -270,14 +263,14 @@ class Histogram(_Metric):
 class MetricsRegistry:
     """One component's metric families, with a mergeable snapshot view.
 
-    ``enabled=None`` takes the process default (``REPRO_OBS`` env switch);
-    a disabled registry still *defines* families (so instrumented code
-    never branches) but every write is an early-return no-op.
+    A disabled registry (``enabled=False``) still *defines* families (so
+    instrumented code never branches) but every write is an early-return
+    no-op.
     """
 
-    def __init__(self, n_shards: int = 8, enabled: "bool | None" = None):
+    def __init__(self, n_shards: int = 8, enabled: bool = True):
         self.n_shards = max(1, int(n_shards))
-        self.enabled = obs_enabled_default() if enabled is None else bool(enabled)
+        self.enabled = bool(enabled)
         self._metrics: "dict[str, _Metric]" = {}
         self._meta_lock = threading.Lock()
         self._local = threading.local()

@@ -45,6 +45,17 @@ handler thread (and its fit-stripe lock) or attempt a huge center
 allocation.  Both caps sit far above the paper's scales (|C| <= 8, T = 5)."""
 
 
+def _epsilon_text(epsilon: float) -> str:
+    """``epsilon`` as text that names it exactly.
+
+    The short ``'g'`` form (``1``, ``0.5``) wherever it reads back as the
+    same float, else ``repr``: ``'g'`` keeps 6 significant digits, so
+    ``1.0000001`` would otherwise share ``1``'s text.
+    """
+    short = format(epsilon, "g")
+    return short if float(short) == epsilon else repr(float(epsilon))
+
+
 @dataclass(frozen=True)
 class ClusteringSpec:
     """One DP clustering run: method, parameters, and seed stream.
@@ -128,10 +139,11 @@ class ClusteringSpec:
         )
 
     def slug(self) -> str:
-        """A compact, deterministic textual id (derived dataset names)."""
+        """A compact textual id naming exactly this spec (derived dataset
+        names): two specs share a slug only if they are equal."""
         return (
             f"{self.method}/k{self.n_clusters}"
-            f"/eps{format(self.epsilon, 'g')}"
+            f"/eps{_epsilon_text(self.epsilon)}"
             f"/T{self.n_iterations}/s{self.seed}"
         )
 
@@ -139,7 +151,7 @@ class ClusteringSpec:
         """The ledger line for the fit: the full release identity."""
         return (
             f"pipeline: {self.method} dataset={dataset_id} "
-            f"k={self.n_clusters} eps={format(self.epsilon, 'g')} "
+            f"k={self.n_clusters} eps={_epsilon_text(self.epsilon)} "
             f"T={self.n_iterations} seed={self.seed}"
         )
 

@@ -19,12 +19,9 @@ Two consequences the service tests pin down:
   keys, and :meth:`invalidate_fingerprint` additionally evicts the orphaned
   entries when a dataset id is re-registered.
 
-The same class holds the service's DP-fitted clusterings (``label=
-"fitted"``), keyed by ``ClusteringSpec.cache_key(fingerprint)`` =
-``(fingerprint, method, n_clusters, epsilon, n_iterations, seed)``.  A fit
-is a released object too, and ``ClusteringSpec.fit`` is byte-reproducible
-given the spec seed, so an eviction can at worst re-charge for the
-identical release: an overcount, never a leak.
+Server-side DP-fitted clusterings are not held here: the registry's
+derived entries are their one store
+(:class:`~repro.service.registry.ServiceRegistry`).
 """
 
 from __future__ import annotations
@@ -37,6 +34,11 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 CacheKey = tuple
+
+#: ``repro_cache_events_total`` label tuples, built once for the hit path.
+_HIT = ("explanation", "hit")
+_MISS = ("explanation", "miss")
+_EVICTION = ("explanation", "eviction")
 
 
 def canonical_json(payload: dict) -> str:
@@ -75,35 +77,19 @@ class CacheEntry:
 
 
 class ExplanationCache:
-    """Thread-safe LRU cache of released objects keyed by fingerprint first.
+    """Thread-safe LRU cache of released explanations keyed by fingerprint first.
 
     ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`) adds
     hit/miss/eviction counters to ``repro_cache_events_total`` labelled
-    ``cache=label``; the local integer counters behind :meth:`stats` are
-    kept regardless — they are the exact counts the service tests and
-    ``/v1/stats`` always had.
-
-    ``on_evict(key, entry)``, when given, fires for entries pushed out by
-    **LRU pressure** (not for explicit ``remove``/``invalidate``/``clear``,
-    whose callers already know what they dropped).  The service uses it to
-    drop a fitted clustering's derived registry entry alongside, so the
-    registry never becomes an unbounded shadow store of fits the cache
-    already let go.  Callbacks run outside the cache lock.
+    ``cache="explanation"``; the local integer counters behind
+    :meth:`stats` are kept regardless — they are the exact counts the
+    service tests and ``/v1/stats`` always had.
     """
 
-    def __init__(
-        self,
-        max_entries: int = 256,
-        *,
-        on_evict=None,
-        metrics=None,
-        label: str = "explanation",
-    ):
+    def __init__(self, max_entries: int = 256, *, metrics=None):
         if max_entries < 1:
             raise ValueError("cache needs room for at least one entry")
         self._max = int(max_entries)
-        self._on_evict = on_evict
-        self._label = label
         self._lock = threading.Lock()
         self._entries: "OrderedDict[CacheKey, object]" = OrderedDict()
         self._hits = 0
@@ -127,45 +113,33 @@ class ExplanationCache:
                 self._entries.move_to_end(key)
                 self._hits += 1
         if self._events is not None:
-            self._events.inc(1, (self._label, "miss" if entry is None else "hit"))
+            self._events.inc(1, _MISS if entry is None else _HIT)
         return entry
 
     def put(self, key: CacheKey, entry) -> None:
-        evicted: "list[tuple[CacheKey, object]]" = []
+        evicted = 0
         with self._lock:
             self._entries[key] = entry
             self._entries.move_to_end(key)
             while len(self._entries) > self._max:
-                evicted.append(self._entries.popitem(last=False))
-            self._evictions += len(evicted)
-        if evicted:
-            if self._events is not None:
-                self._events.inc(len(evicted), (self._label, "eviction"))
-            if self._on_evict is not None:
-                for k, e in evicted:
-                    self._on_evict(k, e)
-
-    def remove(self, key: CacheKey) -> bool:
-        """Drop one entry by key (no ``on_evict``); True if it existed."""
-        with self._lock:
-            return self._entries.pop(key, None) is not None
+                self._entries.popitem(last=False)
+                evicted += 1
+            self._evictions += evicted
+        if evicted and self._events is not None:
+            self._events.inc(evicted, _EVICTION)
 
     def invalidate_fingerprint(self, fingerprint: str) -> int:
         """Evict every entry whose dataset fingerprint matches; return count.
 
         Keys lead with the dataset fingerprint, so a re-registered (rebinned
-        or re-clustered) dataset id can drop its orphaned releases and fits
-        even though the new keys would never collide with them.
+        or re-clustered) dataset id can drop its orphaned releases even
+        though the new keys would never collide with them.
         """
         with self._lock:
             stale = [k for k in self._entries if k and k[0] == fingerprint]
             for k in stale:
                 del self._entries[k]
             return len(stale)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
 
     def __len__(self) -> int:
         with self._lock:

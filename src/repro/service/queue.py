@@ -133,7 +133,6 @@ def run_worker(
     queue: RequestQueue,
     execute: Callable[[Sequence[object]], None],
     stop: threading.Event,
-    poll_s: float = 0.05,
 ) -> None:
     """Worker-thread loop: take coalesced batches until stopped/closed.
 
@@ -143,7 +142,7 @@ def run_worker(
     """
     while not stop.is_set():
         try:
-            batch = queue.take_batch(timeout=poll_s)
+            batch = queue.take_batch(timeout=0.05)
         except QueueClosed:
             return
         if batch:

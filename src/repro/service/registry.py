@@ -33,6 +33,7 @@ from __future__ import annotations
 import os
 import threading
 
+from collections import OrderedDict
 from typing import Callable
 from urllib.parse import quote, unquote
 
@@ -359,6 +360,14 @@ class ServiceRegistry:
     therefore owns — the routing layer never sends a tenant's requests to
     two workers) only its own tenants' ledger files.  No cross-process
     locking is needed because ownership is exclusive by partition.
+
+    Derived entries (pipeline fits) are the service's only store of
+    server-side fits.  At most ``derived_limit`` of them stay registered:
+    admitting one more drops the least recently used, and a
+    :meth:`derived` hit counts as a use.
+    :class:`~repro.service.service.ExplanationService` sets the limit to
+    its ``fitted_entries``.  A dropped fit costs at worst a byte-identical
+    re-fit that re-charges: an overcount, never a leak.
     """
 
     def __init__(
@@ -369,7 +378,10 @@ class ServiceRegistry:
         metrics: "MetricsRegistry | None" = None,
     ):
         self._lock = threading.Lock()
-        self._datasets: dict[str, DatasetEntry] = {}
+        # Insertion order, with each derived entry moved to the end when it
+        # is used: the first derived entry is the least recently used.
+        self._datasets: "OrderedDict[str, DatasetEntry]" = OrderedDict()
+        self.derived_limit = 64
         self._tenants: dict[str, Tenant] = {}
         self._stores: dict[str, TenantLedgerStore] = {}
         self.tenant_filter = tenant_filter
@@ -401,23 +413,24 @@ class ServiceRegistry:
         if not dataset_id:
             raise ValueError("dataset id must be non-empty")
         entry = DatasetEntry(dataset_id, dataset, clustering, n_clusters)
-        with self._lock:
-            self._datasets[dataset_id] = entry
+        self.add_entry(entry)
         return entry
 
-    def add_entry(self, entry: DatasetEntry) -> DatasetEntry:
+    def add_entry(self, entry: DatasetEntry) -> "DatasetEntry | None":
         """Register (or replace) a pre-built entry under its own id.
 
-        The shard-worker registration path: the entry was assembled from a
-        shared-memory registration frame (:func:`repro.service.shard.entry_from_frame`)
-        rather than from a raw dataset, so ``register_dataset``'s
-        counts-building constructor does not apply.
+        Returns the entry it replaced, or ``None``, read in the same locked
+        step as the replacement.  Besides :meth:`register_dataset`, the
+        shard-worker path calls this with an entry assembled from a
+        shared-memory registration frame
+        (:func:`repro.service.shard.entry_from_frame`).
         """
         if not entry.dataset_id:
             raise ValueError("dataset id must be non-empty")
         with self._lock:
+            old = self._datasets.get(entry.dataset_id)
             self._datasets[entry.dataset_id] = entry
-        return entry
+        return old
 
     def add_entry_if_current(
         self, entry: DatasetEntry, base: DatasetEntry
@@ -430,6 +443,8 @@ class ServiceRegistry:
         base object is still current (one atomic check-and-insert under the
         registry lock, the same lock ``register_dataset`` mutates under)
         ensures a stale fit can never be registered over a replaced base.
+        Admitting past ``derived_limit`` drops the least recently used
+        derived entries.
         """
         if not entry.dataset_id:
             raise ValueError("dataset id must be non-empty")
@@ -437,19 +452,28 @@ class ServiceRegistry:
             if self._datasets.get(base.dataset_id) is not base:
                 return False
             self._datasets[entry.dataset_id] = entry
+            self._datasets.move_to_end(entry.dataset_id)
+            derived = [k for k, e in self._datasets.items() if e.is_derived]
+            for k in derived[: max(0, len(derived) - self.derived_limit)]:
+                del self._datasets[k]
             return True
 
-    def remove_entry(self, entry: DatasetEntry) -> bool:
-        """Remove ``entry`` iff it is still the registered object for its id.
+    def derived(self, dataset_id: str, base: DatasetEntry) -> "DatasetEntry | None":
+        """The entry fitted as ``dataset_id`` over ``base``'s data, or None.
 
-        Identity-guarded so evicting a stale object can never drop a newer
-        registration that reused the same id.
+        A hit needs the same dataset fingerprint and ``base_id`` as
+        ``base``, and marks the entry most recently used.
         """
         with self._lock:
-            if self._datasets.get(entry.dataset_id) is entry:
-                del self._datasets[entry.dataset_id]
-                return True
-            return False
+            entry = self._datasets.get(dataset_id)
+            if (
+                entry is None
+                or entry.fingerprint != base.fingerprint
+                or entry.base_id != base.base_id
+            ):
+                return None
+            self._datasets.move_to_end(dataset_id)
+            return entry
 
     def drop_derived(self, base_id: str) -> "list[DatasetEntry]":
         """Remove every derived entry fitted from ``base_id``; return them.
@@ -542,6 +566,17 @@ class ServiceRegistry:
         # privacy spend.  The store appends ``.json`` (snapshot) and
         # ``.journal`` (tail) to this base.
         return os.path.join(self.ledger_dir, quote(tenant_id, safe=""))
+
+    def close(self) -> None:
+        """Close every tenant journal's append handle.
+
+        Each store reopens its journal on the next record, so a service
+        that is stopped and started again still journals every charge.
+        """
+        with self._lock:
+            stores = list(self._stores.values())
+        for store in stores:
+            store.close()
 
     def journal_tails(self) -> "dict[str, int]":
         """Per-tenant journal records since each snapshot (creation or

@@ -464,9 +464,9 @@ class ExplanationService:
     cache_entries:
         LRU capacity of the explanation cache.
     fitted_entries:
-        LRU capacity of the server-side fitted-clustering cache; evicted
-        fits also drop their derived registry entries, bounding total
-        memory (a later identical request re-fits byte-identically and
+        How many server-side fitted clusterings (the registry's derived
+        entries) stay registered; past it the least recently used is
+        dropped (a later identical request re-fits byte-identically and
         legitimately re-charges — overcounting, never leaking).
     auto_tenant_budget:
         When set, unknown tenants are auto-provisioned with this per-dataset
@@ -499,19 +499,15 @@ class ExplanationService:
                 ledger_dir=ledger_dir, metrics=self.metrics
             )
         self.cache = ExplanationCache(cache_entries, metrics=self.metrics)
-        # Server-side fitted clusterings (the /v1/pipeline route), keyed by
-        # (fingerprint, method, params, seed).  LRU evictions also drop the
-        # fit's derived registry entry (on_evict), so the registry stays
-        # bounded by this cache's capacity.  Fills are single-flight per
-        # key via striped locks: concurrent identical pipeline requests
-        # charge one clustering fit, not N, while fits of *different* keys
-        # (almost always on different stripes) proceed in parallel.
-        self.fitted = ExplanationCache(
-            fitted_entries,
-            on_evict=self._on_fitted_evicted,
-            metrics=self.metrics,
-            label="fitted",
-        )
+        # Server-side fitted clusterings (the /v1/pipeline route) live only
+        # in the registry, as derived entries named ``base::spec-slug``.
+        # Fits are single-flight per derived id via striped locks:
+        # concurrent identical pipeline requests charge one clustering fit,
+        # not N, while fits of *different* specs (almost always on
+        # different stripes) proceed in parallel.
+        if fitted_entries < 1:
+            raise ValueError("fitted_entries must be >= 1")
+        self.registry.derived_limit = fitted_entries
         self._fit_stripes = [threading.Lock() for _ in range(16)]
         # Lifecycle events, and enqueue→resolve latency by serving class on
         # the default geometry (100µs up, factor √2, 44 buckets: past every
@@ -548,35 +544,35 @@ class ExplanationService:
 
         ``clustering=None`` registers the dataset labels-free: explainable
         only through ``/v1/pipeline``, which fits a DP clustering
-        server-side under the tenant's ledger.
+        server-side under the tenant's ledger.  See :meth:`register_entry`
+        for what a replacement evicts.
+        """
+        return self.register_entry(
+            DatasetEntry(dataset_id, dataset, clustering, n_clusters)
+        )
+
+    def register_entry(self, entry: DatasetEntry) -> DatasetEntry:
+        """Register/replace ``entry`` under its id and evict what it orphans.
 
         The release identity is the (fingerprint, signature) pair, so a
         replacement that keeps the data but changes the clustering (same
         fingerprint, new signature) also orphans every old cache entry —
         evict on any change of the pair, not just the fingerprint, or dead
         entries would squat in LRU slots crowding out live releases.  The
-        same replacement also evicts the id's server-side fitted
-        clusterings and their derived registry entries: they reference the
-        replaced dataset object and must not keep serving it (a later
-        re-fit of the same spec is byte-identical, so at worst the re-fit
-        re-charges for the same release — overcounting, never leaking).
+        same replacement also drops the id's server-side fitted clusterings
+        (its derived registry entries): they reference the replaced dataset
+        object and must not keep serving it (a later re-fit of the same
+        spec is byte-identical, so at worst the re-fit re-charges for the
+        same release — overcounting, never leaking).
         """
-        try:
-            old = self.registry.dataset(dataset_id)
-        except ServiceError:
-            old = None
-        entry = self.registry.register_dataset(
-            dataset_id, dataset, clustering, n_clusters
-        )
+        old = self.registry.add_entry(entry)
         if old is not None and (old.fingerprint, old.signature) != (
             entry.fingerprint,
             entry.signature,
         ):
             self.cache.invalidate_fingerprint(old.fingerprint)
-            self.fitted.invalidate_fingerprint(old.fingerprint)
-            for stale in self.registry.drop_derived(dataset_id):
+            for stale in self.registry.drop_derived(entry.dataset_id):
                 self.cache.invalidate_fingerprint(stale.fingerprint)
-                self.fitted.invalidate_fingerprint(stale.fingerprint)
         return entry
 
     def create_tenant(self, tenant_id: str, budget_limit: float) -> Tenant:
@@ -646,9 +642,9 @@ class ExplanationService:
         """Serve one end-to-end pipeline request: fit-or-cache, then explain.
 
         Lifecycle: admission (both halves validated before any budget
-        moves) → fitted-clustering cache probe keyed by
-        ``(fingerprint, method, params, seed)`` — a hit reuses the released
-        fit at **zero** clustering charge (post-processing is free) — →
+        moves) → derived-entry probe for ``base::spec-slug`` over the same
+        base data — a hit reuses the released fit at **zero** clustering
+        charge (post-processing is free) — →
         on a miss, the clustering epsilon is reserved atomically on the
         tenant's *base-dataset* ledger before the fit draws any noise
         (over-budget → structured 429, fit failure → token refund), the
@@ -723,37 +719,19 @@ class ExplanationService:
             )
         return envelope
 
-    def _on_fitted_evicted(self, key: tuple, entry: DatasetEntry) -> None:
-        """LRU pressure dropped a fit: drop its derived registry entry too.
-
-        Identity-guarded (:meth:`ServiceRegistry.remove_entry`), so a newer
-        registration reusing the derived id is never collateral damage.
-        Without this, the registry would be an unbounded shadow store of
-        every fit the cache already let go.
-        """
-        self.registry.remove_entry(entry)
-
-    def _fit_stripe(self, key: tuple) -> threading.Lock:
-        return self._fit_stripes[hash(key) % len(self._fit_stripes)]
-
-    def _still_registered(self, entry: DatasetEntry) -> bool:
-        try:
-            return self.registry.dataset(entry.dataset_id) is entry
-        except ServiceError:
-            return False
-
     def _fitted_entry(
         self, base: DatasetEntry, spec: ClusteringSpec, tenant_id: str
     ) -> "tuple[DatasetEntry, str, float]":
-        """Fit-or-cache the requested DP clustering under the tenant ledger.
+        """Fit-or-reuse the requested DP clustering under the tenant ledger.
 
-        Returns ``(derived entry, "hit"|"miss", charged epsilon)``.  Fills
-        are single-flight per cache key (striped locks), so concurrent
-        pipeline requests naming the same ``(fingerprint, method, params,
-        seed)`` release fit and charge exactly once while unrelated fits
-        proceed in parallel.  On a genuine miss, the clustering epsilon is
-        reserved (atomic check-and-charge, may raise
-        :class:`~repro.privacy.budget.BudgetError`) *before* the fit
+        Returns ``(derived entry, "hit"|"miss", charged epsilon)``.  The
+        registry's derived entry ``base::spec-slug`` is the one record of
+        the fit, and the slug names the spec exactly.  Fits are
+        single-flight per derived id (striped locks), so concurrent
+        pipeline requests naming the same release fit and charge exactly
+        once while unrelated fits proceed in parallel.  On a genuine miss,
+        the clustering epsilon is reserved (atomic check-and-charge, may
+        raise :class:`~repro.privacy.budget.BudgetError`) *before* the fit
         touches data, and refunded by token if the fit itself fails — so
         an over-budget or crashed fit provably draws no noise that the
         ledger doesn't cover.  A base re-registered *mid-fit* is detected
@@ -761,36 +739,17 @@ class ExplanationService:
         the never-exposed fit is discarded, its reservation refunded, and
         the caller told to retry against the new registration.
         """
-        key = spec.cache_key(base.fingerprint)
-        cached = self.fitted.get(key)
-        if cached is not None and self._still_registered(cached):
+        derived_id = f"{base.dataset_id}::{spec.slug()}"
+        entry = self.registry.derived(derived_id, base)
+        if entry is not None:
             self._events.inc(1, ("clustering_cache_hits",))
-            return cached, "hit", 0.0
-        with self._fit_stripe(key):
-            cached = self.fitted.get(key)
-            if cached is not None:
-                if self._still_registered(cached):
-                    self._events.inc(1, ("clustering_cache_hits",))
-                    return cached, "hit", 0.0
-                # Its registry entry was dropped (base replaced mid-put):
-                # the cached fit is stale bookkeeping — evict and refit.
-                self.fitted.remove(key)
-            derived_id = f"{base.dataset_id}::{spec.slug()}"
-            # A derived entry still registered over the same base data
-            # (e.g. after a cache clear) is the same release — re-adopt it
-            # rather than re-charging.
-            try:
-                existing = self.registry.dataset(derived_id)
-            except ServiceError:
-                existing = None
-            if (
-                existing is not None
-                and existing.fingerprint == base.fingerprint
-                and existing.base_id == base.base_id
-            ):
-                self.fitted.put(key, existing)
+            return entry, "hit", 0.0
+        stripes = self._fit_stripes
+        with stripes[hash(derived_id) % len(stripes)]:
+            entry = self.registry.derived(derived_id, base)
+            if entry is not None:
                 self._events.inc(1, ("clustering_cache_hits",))
-                return existing, "hit", 0.0
+                return entry, "hit", 0.0
             tenant = self.registry.tenant(tenant_id, self.auto_tenant_budget)
             accountant = tenant.accountant(base.base_id)
             token = accountant.spend(spec.epsilon, spec.label(base.dataset_id))
@@ -818,7 +777,6 @@ class ExplanationService:
                     f"dataset {base.dataset_id!r} was re-registered during "
                     "the clustering fit; retry",
                 )
-            self.fitted.put(key, entry)
             self._events.inc(1, ("clustering_fits",))
             return entry, "miss", spec.epsilon
 
@@ -863,7 +821,8 @@ class ExplanationService:
         A worker that does not join in time is abandoned with its engine
         key still held; the final drain takes held keys too, so every
         accepted future resolves.  At worst that computes one release a
-        second time, byte-identically: an overcount, never a leak.
+        second time, byte-identically: an overcount, never a leak.  The
+        tenant journals are closed last; they reopen on the next charge.
         """
         self._stop.set()
         for t in self._workers:
@@ -871,6 +830,7 @@ class ExplanationService:
         self._workers = []
         self._queue.release_all()
         self.process_pending()
+        self.registry.close()
 
     def __enter__(self) -> "ExplanationService":
         return self
@@ -1136,6 +1096,7 @@ class ExplanationService:
 
     def describe(self) -> dict:
         """Stats + cache + registered datasets/tenants (the /v1/stats body)."""
+        datasets = self.registry.datasets()
         return {
             "stats": {
                 **dict.fromkeys(SERVICE_EVENTS, 0),
@@ -1143,8 +1104,11 @@ class ExplanationService:
             },
             "latency": latency_summary(self._latency),
             "cache": self.cache.stats(),
-            "fitted_clusterings": self.fitted.stats(),
-            "datasets": [e.describe() for e in self.registry.datasets()],
+            "fitted_clusterings": {
+                "entries": sum(e.is_derived for e in datasets),
+                "max_entries": self.registry.derived_limit,
+            },
+            "datasets": [e.describe() for e in datasets],
             "tenants": [t.describe() for t in self.registry.tenants()],
             "workers": len(self._workers),
             "queued": len(self._queue),

@@ -344,22 +344,11 @@ class ShardWorker:
     def _handle_register(self, frame: dict) -> None:
         """Attach and register a shared dataset (idempotent on respawn replay).
 
-        Mirrors :meth:`ExplanationService.register_dataset` eviction: when a
-        replacement changes the (fingerprint, signature) release identity,
-        the old version's cached releases are orphaned and dropped.
+        Registration goes through :meth:`ExplanationService.register_entry`,
+        so a replacement that changes the (fingerprint, signature) release
+        identity evicts the old version's cached releases, as in-process.
         """
-        entry = entry_from_frame(frame)
-        registry = self.service.registry
-        try:
-            old = registry.dataset(entry.dataset_id)
-        except ServiceError:
-            old = None
-        registry.add_entry(entry)
-        if old is not None and (old.fingerprint, old.signature) != (
-            entry.fingerprint,
-            entry.signature,
-        ):
-            self.service.cache.invalidate_fingerprint(old.fingerprint)
+        self.service.register_entry(entry_from_frame(frame))
 
 
 def _error_envelope(exc: ServiceError) -> dict:
@@ -370,15 +359,14 @@ def _error_envelope(exc: ServiceError) -> dict:
     }
 
 
-def worker_restarting_envelope(index: int, message: str | None = None) -> dict:
+def worker_restarting_envelope(index: int) -> dict:
     """The structured 503 for requests caught by a worker crash/restart."""
     return {
         "status": "error",
         "code": 503,
         "error": {
             "reason": "worker-restarting",
-            "message": message
-            or (
+            "message": (
                 f"shard worker {index} is restarting; the request was not "
                 "served (its charge, if any, is journal-durable) — retry"
             ),

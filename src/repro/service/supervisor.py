@@ -43,6 +43,10 @@ from .shard import WorkerConfig, registration_frame, worker_main
 from .transport import FrameError, FrameSocket
 
 
+#: How long a spawned worker has to bind its socket and answer a ping.
+_READY_TIMEOUT_S = 60.0
+
+
 class SupervisorError(RuntimeError):
     """Deployment-level failure: spawn, readiness, or control-channel loss."""
 
@@ -60,7 +64,7 @@ class _Control:
         self.lock = threading.Lock()
         self._next_id = 0
 
-    def request(self, frame: dict, *, op_timeout: float | None = None) -> dict:
+    def request(self, frame: dict) -> dict:
         with self.lock:
             self._next_id += 1
             rid = self._next_id
@@ -96,8 +100,6 @@ class ShardSupervisor:
         cache_entries: int = 256,
         service_threads: int = 2,
         socket_dir: "str | None" = None,
-        ready_timeout_s: float = 60.0,
-        respawn: bool = True,
         metrics: "MetricsRegistry | None" = None,
     ):
         if n_workers < 1:
@@ -107,8 +109,7 @@ class ShardSupervisor:
         self.auto_tenant_budget = auto_tenant_budget
         self.cache_entries = cache_entries
         self.service_threads = service_threads
-        self.ready_timeout_s = ready_timeout_s
-        self.respawn = respawn
+        self.respawn = True  # cleared, a dead worker stays down
         self._ctx = multiprocessing.get_context("spawn")
         if socket_dir is None:
             self._socket_dir = tempfile.mkdtemp(prefix="repro-shards-")
@@ -159,7 +160,7 @@ class ShardSupervisor:
     def start(self) -> "ShardSupervisor":
         for i in range(self.n_workers):
             self._spawn(i)
-        deadline = time.monotonic() + self.ready_timeout_s
+        deadline = time.monotonic() + _READY_TIMEOUT_S
         for i in range(self.n_workers):
             self._controls[i] = self._connect_control(i, deadline)
         self._monitor = threading.Thread(
@@ -387,7 +388,7 @@ class ShardSupervisor:
             return
         try:
             self._spawn(index)
-            deadline = time.monotonic() + self.ready_timeout_s
+            deadline = time.monotonic() + _READY_TIMEOUT_S
             self._controls[index] = self._connect_control(index, deadline)
             self._replay_registrations(index)
         except (SupervisorError, ServiceError, FrameError, OSError):

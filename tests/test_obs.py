@@ -244,7 +244,10 @@ class TestServiceObservability:
         service = ExplanationService(auto_tenant_budget=1.0)
         try:
             assert service.cache.stats()["hit_ratio"] is None
-            assert service.fitted.stats()["hit_ratio"] is None
+            assert service.describe()["fitted_clusterings"] == {
+                "entries": 0,
+                "max_entries": 64,
+            }
             assert service.describe()["latency"] == {}
         finally:
             service.stop()

@@ -77,6 +77,23 @@ class TestClusteringSpec:
         with pytest.raises(ValueError):
             ClusteringSpec.from_json({"method": "dp-kmeans", "evil": 1})
 
+    @pytest.mark.parametrize(
+        "epsilon, text",
+        [(1.0, "1"), (0.5, "0.5"), (1e-07, "1e-07"), (1.0000001, "1.0000001")],
+    )
+    def test_slug_and_label_name_epsilon_exactly(self, epsilon, text):
+        """The short 'g' text wherever it reads back as the same float (so
+        the ids in use stay as they were), else repr."""
+        spec = ClusteringSpec("dp-kmeans", 3, epsilon)
+        assert spec.slug() == f"dp-kmeans/k3/eps{text}/T5/s0"
+        assert f" eps={text} " in spec.label("raw")
+        assert float(text) == epsilon
+
+    def test_slug_is_injective_over_nearby_epsilons(self):
+        near = [1.0, 1.0000001, 1.00000001, 1.0 + 2**-52, 0.1, 0.1 + 2**-56]
+        slugs = {ClusteringSpec("dp-kmeans", 3, eps).slug() for eps in near}
+        assert len(slugs) == len(near)
+
     def test_cache_key_leads_with_fingerprint(self, data):
         key = ClusteringSpec("dp-kmeans", 3).cache_key(data.fingerprint())
         assert key[0] == data.fingerprint()
@@ -223,10 +240,11 @@ class TestPrivatePipeline:
 
 
 class TestFittedClusteringCache:
-    """The service's fitted-clustering cache: the one LRU, labelled ``fitted``."""
+    """The one LRU class, now the explanation cache alone: server-side fits
+    are the registry's derived entries (tests/test_service.py)."""
 
     def test_lru_and_fingerprint_invalidation(self):
-        cache = ExplanationCache(max_entries=2, label="fitted")
+        cache = ExplanationCache(max_entries=2)
         cache.put(("fp1", "dp-kmeans", 3), "a")
         cache.put(("fp2", "dp-kmeans", 3), "b")
         assert cache.get(("fp1", "dp-kmeans", 3)) == "a"
@@ -236,7 +254,7 @@ class TestFittedClusteringCache:
         assert len(cache) == 0
 
     def test_stats(self):
-        cache = ExplanationCache(label="fitted")
+        cache = ExplanationCache()
         cache.get(("x",))
         cache.put(("x",), 1)
         cache.get(("x",))
@@ -244,30 +262,19 @@ class TestFittedClusteringCache:
         assert stats["hits"] == 1 and stats["misses"] == 1
         assert stats["hit_ratio"] == pytest.approx(0.5)
 
-    def test_on_evict_fires_for_lru_pressure_only(self):
-        evicted = []
-        cache = ExplanationCache(
-            max_entries=1, on_evict=lambda k, e: evicted.append((k, e)), label="fitted"
-        )
-        cache.put(("a",), 1)
-        cache.put(("b",), 2)  # LRU-evicts ("a",)
-        assert evicted == [(("a",), 1)]
-        assert cache.remove(("b",)) is True  # explicit: no callback
-        assert cache.remove(("b",)) is False
-        assert evicted == [(("a",), 1)]
-
-    def test_events_are_labelled_fitted(self):
+    def test_events_are_labelled_explanation(self):
+        """perfbench's ``service.cache.hit_ratio`` reads these labels."""
         metrics = MetricsRegistry()
-        cache = ExplanationCache(max_entries=1, metrics=metrics, label="fitted")
+        cache = ExplanationCache(max_entries=1, metrics=metrics)
         cache.get(("a",))
         cache.put(("a",), 1)
         cache.get(("a",))
         cache.put(("b",), 2)
         series = snapshot_series(metrics.snapshot(), "repro_cache_events_total")
         assert series == {
-            ("fitted", "hit"): 1,
-            ("fitted", "miss"): 1,
-            ("fitted", "eviction"): 1,
+            ("explanation", "hit"): 1,
+            ("explanation", "miss"): 1,
+            ("explanation", "eviction"): 1,
         }
 
 

@@ -11,9 +11,11 @@ Covers the four contracts the ISSUE pins down:
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import threading
+import warnings
 import urllib.error
 import urllib.request
 
@@ -49,6 +51,11 @@ def dataset():
 @pytest.fixture(scope="module")
 def clustering(dataset):
     return KMeans(3).fit(dataset, rng=0)
+
+
+def fitted_count(service: ExplanationService) -> int:
+    """How many server-side fits (derived entries) the registry holds."""
+    return sum(e.is_derived for e in service.registry.datasets())
 
 
 def make_service(dataset, clustering, **kwargs) -> ExplanationService:
@@ -697,6 +704,34 @@ class TestPersistence:
         refusal = ServiceClient(reloaded, "alice", "diabetes").explain(seed=1)
         assert refusal["status"] == "refused" and refusal["code"] == 429
 
+    def test_stop_closes_the_journals(self, dataset, clustering, tmp_path):
+        service = make_service(dataset, clustering, ledger_dir=tmp_path)
+        service.create_tenant("alice", 1.0)
+        ServiceClient(service, "alice", "diabetes").explain(seed=0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            service.stop()
+            del service
+            gc.collect()
+        assert [w for w in caught if w.category is ResourceWarning] == []
+
+    def test_restarted_service_still_journals(
+        self, dataset, clustering, tmp_path
+    ):
+        service = make_service(dataset, clustering, ledger_dir=tmp_path)
+        service.create_tenant("alice", 1.0)
+        client = ServiceClient(service, "alice", "diabetes")
+        client.explain(seed=0)
+        service.stop()
+        service.start(workers=1)
+        try:
+            client.explain(seed=1)
+        finally:
+            service.stop()
+        reloaded = make_service(dataset, clustering, ledger_dir=tmp_path)
+        accountant = reloaded.registry.tenant("alice").accountant("diabetes")
+        assert accountant.total() == pytest.approx(2 * EPS_TOTAL)
+
     def test_requests_append_o1_journal_records_not_snapshot_rewrites(
         self, dataset, clustering, tmp_path
     ):
@@ -1062,7 +1097,7 @@ class TestPipelineRoute:
         assert envelope["error"]["stage"] == "clustering"
         assert envelope["error"]["requested_epsilon"] == 1.0
         assert service.registry.tenant("poor").accountant("raw").total() == 0.0
-        assert len(service.fitted) == 0  # nothing was fitted
+        assert fitted_count(service) == 0  # nothing was fitted
 
     def test_bad_clustering_params_400_before_any_charge(self, dataset):
         service = self.make_labels_free(dataset)
@@ -1115,14 +1150,14 @@ class TestPipelineRoute:
         request = PipelineRequest(tenant="t", dataset="raw", n_clusters=3)
         first = service.pipeline(request)
         derived_id = first["pipeline"]["fitted_dataset"]
-        assert len(service.fitted) == 1 and len(service.cache) == 1
+        assert fitted_count(service) == 1 and len(service.cache) == 1
         assert service.registry.dataset(derived_id) is not None
 
         labels = clustering.assign(dataset)
         service.register_dataset(
             "raw", dataset, labels, n_clusters=clustering.n_clusters
         )
-        assert len(service.fitted) == 0
+        assert fitted_count(service) == 0
         assert len(service.cache) == 0
         with pytest.raises(ServiceError):
             service.registry.dataset(derived_id)  # derived entry dropped
@@ -1136,7 +1171,7 @@ class TestPipelineRoute:
         service.create_tenant("t", 5.0)
         service.pipeline(PipelineRequest(tenant="t", dataset="raw", n_clusters=3))
         service.register_dataset("raw", dataset)  # same data, still labels-free
-        assert len(service.fitted) == 1
+        assert fitted_count(service) == 1
         assert len(service.cache) == 1
 
     def test_lru_evicted_fit_drops_its_derived_registry_entry(self, dataset):
@@ -1152,10 +1187,83 @@ class TestPipelineRoute:
                 tenant="t", dataset="raw", n_clusters=3, clustering_seed=1
             )
         )
-        assert len(service.fitted) == 1  # capacity bound held
+        assert fitted_count(service) == 1  # capacity bound held
         with pytest.raises(ServiceError):
             service.registry.dataset(first["pipeline"]["fitted_dataset"])
         assert service.registry.dataset(second["pipeline"]["fitted_dataset"])
+
+    def test_a_hit_refreshes_the_fits_recency(self, dataset):
+        """The bound drops the least recently *used* fit, not the oldest."""
+        service = ExplanationService(fitted_entries=2, auto_tenant_budget=100.0)
+        service.register_dataset("raw", dataset)
+
+        def fit(clustering_seed: int) -> dict:
+            return service.pipeline(
+                PipelineRequest(
+                    tenant="t", dataset="raw", n_clusters=3,
+                    clustering_seed=clustering_seed,
+                )
+            )["pipeline"]
+
+        first, second = fit(0), fit(1)
+        assert fit(0)["clustering_cache"] == "hit"  # first is now the newest
+        fit(2)
+        assert fitted_count(service) == 2
+        assert service.registry.dataset(first["fitted_dataset"])
+        with pytest.raises(ServiceError):
+            service.registry.dataset(second["fitted_dataset"])
+        assert service.describe()["fitted_clusterings"] == {
+            "entries": 2,
+            "max_entries": 2,
+        }
+
+    def test_nearby_clustering_epsilons_are_distinct_fits(self, dataset):
+        """An epsilon that 6 significant digits cannot tell from 1.0 is a
+        different release: it is fitted and charged, not served as 1.0's."""
+        service = self.make_labels_free(dataset)
+        service.create_tenant("t", 10.0)
+        first = service.pipeline(
+            PipelineRequest(
+                tenant="t", dataset="raw", n_clusters=3, clustering_epsilon=1.0
+            )
+        )
+        second = service.pipeline(
+            PipelineRequest(
+                tenant="t", dataset="raw", n_clusters=3,
+                clustering_epsilon=1.0000001,
+            )
+        )
+        assert first["pipeline"]["fitted_dataset"] == (
+            "raw::dp-kmeans/k3/eps1/T5/s0"
+        )
+        assert second["pipeline"]["fitted_dataset"] == (
+            "raw::dp-kmeans/k3/eps1.0000001/T5/s0"
+        )
+        assert second["pipeline"]["clustering_cache"] == "miss"
+        assert second["pipeline"]["charged_clustering_epsilon"] == 1.0000001
+        accountant = service.registry.tenant("t").accountant("raw")
+        fits = [c.epsilon for c in accountant if c.label.startswith("pipeline:")]
+        assert fits == [1.0, 1.0000001]
+
+    def test_base_replaced_mid_fit_is_409_and_refunded(
+        self, dataset, monkeypatch
+    ):
+        service = self.make_labels_free(dataset)
+        service.create_tenant("t", 5.0)
+        fit = ClusteringSpec.fit
+
+        def fit_while_replacing(spec, data, *args, **kwargs):
+            service.register_dataset("raw", dataset)  # a new base object
+            return fit(spec, data, *args, **kwargs)
+
+        monkeypatch.setattr(ClusteringSpec, "fit", fit_while_replacing)
+        envelope = service.pipeline(
+            PipelineRequest(tenant="t", dataset="raw", n_clusters=3)
+        )
+        assert envelope["code"] == 409
+        assert envelope["error"]["reason"] == "dataset-replaced"
+        assert service.registry.tenant("t").accountant("raw").total() == 0.0
+        assert fitted_count(service) == 0
 
     def test_registry_identity_guards(self, dataset, clustering):
         from repro.service import DatasetEntry
@@ -1168,10 +1276,6 @@ class TestPipelineRoute:
         registry.register_dataset("d", dataset, clustering)
         entry2 = DatasetEntry("d::y", dataset, clustering, base_id="d")
         assert not registry.add_entry_if_current(entry2, base)
-        # ...and remove_entry only removes the exact registered object.
-        other = DatasetEntry("d::x", dataset, clustering, base_id="d")
-        assert not registry.remove_entry(other)
-        assert registry.remove_entry(entry)
 
     def test_concurrent_pipeline_requests_cannot_overspend(self, dataset):
         """ISSUE satellite: the 12-thread no-overspend proof, pipeline

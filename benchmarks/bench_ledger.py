@@ -17,8 +17,10 @@ service's failed-batch rollback) on 1k- and 100k-charge ledgers,
 persistence bytes-per-request at small vs large ledger sizes, the bytes
 the whole process writes per funded service miss on tenant ledgers
 preloaded with 1k and 100k charges (``wchar`` from ``/proc/self/io``, so
-any snapshot rewrite counts, not just the journal record), and journal
-fsyncs per request for one coalesced batch of 16 funded misses through
+any snapshot rewrite counts, not just the journal record), the
+best-of-3 seconds a fresh registry takes to reload each of those two
+journal-only directories (reported, not gated), and journal fsyncs per
+request for one coalesced batch of 16 funded misses through
 :class:`~repro.service.ExplanationService` (group commit: one fsync per
 touched tenant journal), read from the service's own ``journal-fsync``
 span count — for one tenant, and for 16 zipf-skewed tenants.
@@ -48,7 +50,7 @@ from repro import KMeans, diabetes_like
 from repro.obs.metrics import snapshot_series
 from repro.obs.tracing import SPAN_HISTOGRAM
 from repro.privacy.budget import PrivacyAccountant
-from repro.service import ExplainRequest, ExplanationService
+from repro.service import ExplainRequest, ExplanationService, ServiceRegistry
 from repro.service.journal import TenantLedgerStore
 
 #: A realistic service ledger line (see ExplanationService._charge_label).
@@ -156,14 +158,13 @@ def _journal_bytes_per_record(ledger_size: int, records: int) -> float:
     with tempfile.TemporaryDirectory() as tmp:
         base = os.path.join(tmp, "bench")
         acc = PrivacyAccountant(limit=CHARGE_EPS * (ledger_size + records))
-        store = TenantLedgerStore.create(
-            base, {"tenant": "bench", "budget_limit": acc.limit, "ledgers": {}}
-        )
+        store = TenantLedgerStore(base)
+        store.rebase({"tenant": "bench", "budget_limit": acc.limit, "ledgers": {}})
         # Fast-forward the identity counters to "deep ledger" territory.
         store._seq = ledger_size
         for _ in range(ledger_size):
             acc._next_token += 1
-        acc.set_observer(lambda event: store.record("diabetes", event))
+        acc.set_observer(lambda event: store.record("diabetes", event["record"]))
         for _ in range(records):
             acc.spend(CHARGE_EPS, LABEL)
         size = os.path.getsize(base + ".journal")
@@ -237,14 +238,27 @@ def _wchar() -> int:
     raise RuntimeError("/proc/self/io has no wchar line")
 
 
-def _persisted_bytes_per_charge(ledger_size: int) -> float:
-    """Bytes the process writes per funded miss on a preloaded ledger.
+def _reload_s(ledger_dir: str, runs: int = 3) -> float:
+    """Best-of-``runs`` seconds for a fresh registry to reload a directory."""
+    best = float("inf")
+    for _ in range(runs):
+        t0 = time.perf_counter()
+        registry = ServiceRegistry(ledger_dir=ledger_dir)
+        best = min(best, time.perf_counter() - t0)
+        registry.close()
+    return best
+
+
+def _persisted_ledger(ledger_size: int) -> "tuple[float, float]":
+    """Bytes the process writes per funded miss on a preloaded ledger, and
+    the seconds a restart takes to reload that ledger.
 
     The tenant's ledger first takes ``ledger_size`` charges (journaled in
     one commit), then ``PERSIST_MISSES`` unique-seed requests are served
-    as funded misses.  The figure is the process's ``wchar`` delta over
-    the misses divided by their count: the journal records plus every
-    snapshot byte the service writes while serving them.
+    as funded misses.  The bytes figure is the process's ``wchar`` delta
+    over the misses divided by their count: the journal records plus every
+    snapshot byte the service writes while serving them.  The reload
+    figure is :func:`_reload_s` of the journal-only directory this leaves.
     """
     with tempfile.TemporaryDirectory() as tmp:
         service = _bench_service(tmp)
@@ -264,7 +278,8 @@ def _persisted_bytes_per_charge(ledger_size: int) -> float:
         )
         written = _wchar() - before
         service.stop()
-    return written / PERSIST_MISSES
+        reload_s = _reload_s(tmp)
+    return written / PERSIST_MISSES, reload_s
 
 
 def run_ledger_bench(
@@ -286,8 +301,8 @@ def run_ledger_bench(
     journal_large = _journal_bytes_per_record(ledger_size, journal_records)
     fsyncs_single = _fsyncs_per_request(n_tenants=1)
     fsyncs_zipf = _fsyncs_per_request(n_tenants=16)
-    persisted_small = _persisted_bytes_per_charge(small_ledger)
-    persisted_large = _persisted_bytes_per_charge(ledger_size)
+    persisted_small, reload_small = _persisted_ledger(small_ledger)
+    persisted_large, reload_large = _persisted_ledger(ledger_size)
 
     return {
         "benchmark": (
@@ -312,6 +327,8 @@ def run_ledger_bench(
         "persisted_bytes_per_charge_small": persisted_small,
         "persisted_bytes_per_charge_large": persisted_large,
         "persisted_bytes_growth": persisted_large / persisted_small,
+        "reload_s_small": reload_small,
+        "reload_s_large": reload_large,
         "batch_requests": BATCH_REQUESTS,
         "fsyncs_per_request": fsyncs_single,
         "fsyncs_per_request_zipf16": fsyncs_zipf,

@@ -29,7 +29,9 @@ class ExplanationFormatError(ValueError):
     """Raised when a payload does not parse as a serialized explanation."""
 
 
-def _single_to_dict(e: SingleClusterExplanation) -> dict[str, Any]:
+def single_to_dict(e: SingleClusterExplanation) -> dict[str, Any]:
+    """One cluster's explanation as a JSON-able dict (also the service's
+    response rows)."""
     return {
         "cluster": e.cluster,
         "attribute": e.attribute.name,
@@ -69,7 +71,7 @@ def explanation_to_dict(explanation: GlobalExplanation) -> dict[str, Any]:
         "format_version": FORMAT_VERSION,
         "kind": "global",
         "combination": list(explanation.combination.attributes),
-        "per_cluster": [_single_to_dict(e) for e in explanation.per_cluster],
+        "per_cluster": [single_to_dict(e) for e in explanation.per_cluster],
         "metadata": _jsonable_metadata(explanation.metadata),
     }
 
@@ -99,7 +101,7 @@ def multi_explanation_to_dict(explanation: MultiGlobalExplanation) -> dict[str, 
         "kind": "multi",
         "combination": [list(s) for s in explanation.combination.attribute_sets],
         "per_cluster": [
-            [_single_to_dict(e) for e in cluster_expls]
+            [single_to_dict(e) for e in cluster_expls]
             for cluster_expls in explanation.per_cluster
         ],
         "metadata": _jsonable_metadata(explanation.metadata),

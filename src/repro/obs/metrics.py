@@ -1,4 +1,4 @@
-"""Low-overhead metrics registry: sharded counters, geometric histograms.
+"""Low-overhead metrics registry: counters, gauges, geometric histograms.
 
 One :class:`MetricsRegistry` per process-level component (an in-process
 :class:`~repro.service.service.ExplanationService`, a shard worker, the
@@ -12,13 +12,9 @@ async front end).  Three metric kinds:
 * :class:`Histogram` — geometric buckets, merged by **vector-adding**
   buckets/counts/sums.
 
-Counters and histograms use the per-thread sharded-lock trick first
-proven in the service's own stats counters: each thread is pinned round-robin to one of
-``n_shards`` independently-locked shards, so the worker pool, HTTP handler
-threads and shard connection threads never contend on one hot lock — the
-merge cost moves to :meth:`MetricsRegistry.snapshot`, which only scrapes
-pay.  Histogram *sums* are integers in :data:`SUM_SCALE` nano-units, so
-merging snapshots is exact integer arithmetic and therefore **associative**
+Each family keeps one series dict under one lock.  Histogram *sums* are
+integers in :data:`SUM_SCALE` nano-units, so merging snapshots is exact
+integer arithmetic and therefore **associative**
 (``merge(a, merge(b, c)) == merge(merge(a, b), c)``) — the property that
 lets the supervisor/front end fold N worker snapshots in any grouping.
 
@@ -141,32 +137,23 @@ class Counter(_Metric):
 
     def __init__(self, registry, name, help_text, labels):
         super().__init__(registry, name, help_text, labels)
-        self._shards = tuple(
-            ({}, threading.Lock()) for _ in range(registry.n_shards)
-        )
+        self._lock = threading.Lock()
+        self._series: "dict[tuple, int]" = {}
 
     def inc(self, by: int = 1, labels: tuple = ()) -> None:
         if not self.registry.enabled:
             return
         self._check(labels)
-        series, lock = self._shards[self.registry._slot()]
-        with lock:
-            series[labels] = series.get(labels, 0) + by
+        with self._lock:
+            self._series[labels] = self._series.get(labels, 0) + by
 
     def value(self, labels: tuple = ()) -> int:
-        total = 0
-        for series, lock in self._shards:
-            with lock:
-                total += series.get(labels, 0)
-        return total
+        with self._lock:
+            return self._series.get(labels, 0)
 
     def series(self) -> "dict[tuple, int]":
-        merged: "dict[tuple, int]" = {}
-        for series, lock in self._shards:
-            with lock:
-                for key, v in series.items():
-                    merged[key] = merged.get(key, 0) + v
-        return merged
+        with self._lock:
+            return dict(self._series)
 
 
 class Gauge(_Metric):
@@ -213,40 +200,30 @@ class Histogram(_Metric):
         self.base = float(base)
         self.growth = float(growth)
         self.n_buckets = int(n_buckets)
-        self._shards = tuple(
-            ({}, threading.Lock()) for _ in range(registry.n_shards)
-        )
+        self._lock = threading.Lock()
+        self._series: "dict[tuple, list]" = {}
 
     def observe(self, value: float, labels: tuple = ()) -> None:
         if not self.registry.enabled:
             return
         self._check(labels)
         b = bucket_index(value, self.base, self.growth, self.n_buckets)
-        series, lock = self._shards[self.registry._slot()]
-        with lock:
-            cell = series.get(labels)
+        with self._lock:
+            cell = self._series.get(labels)
             if cell is None:
                 cell = [[0] * self.n_buckets, 0, 0]
-                series[labels] = cell
+                self._series[labels] = cell
             cell[0][b] += 1
             cell[1] += 1
             cell[2] += int(value * SUM_SCALE)
 
     def series(self) -> "dict[tuple, list]":
-        """Merged ``{labels: [buckets, count, sum_scaled]}`` across shards."""
-        merged: "dict[tuple, list]" = {}
-        for series, lock in self._shards:
-            with lock:
-                for key, (buckets, count, total) in series.items():
-                    cell = merged.get(key)
-                    if cell is None:
-                        merged[key] = [list(buckets), count, total]
-                    else:
-                        for i, c in enumerate(buckets):
-                            cell[0][i] += c
-                        cell[1] += count
-                        cell[2] += total
-        return merged
+        """A copy of ``{labels: [buckets, count, sum_scaled]}``."""
+        with self._lock:
+            return {
+                key: [list(buckets), count, total]
+                for key, (buckets, count, total) in self._series.items()
+            }
 
     def quantile(self, q: float, labels: tuple = ()) -> "float | None":
         cell = self.series().get(labels)
@@ -268,25 +245,10 @@ class MetricsRegistry:
     no-op.
     """
 
-    def __init__(self, n_shards: int = 8, enabled: bool = True):
-        self.n_shards = max(1, int(n_shards))
+    def __init__(self, enabled: bool = True):
         self.enabled = bool(enabled)
         self._metrics: "dict[str, _Metric]" = {}
         self._meta_lock = threading.Lock()
-        self._local = threading.local()
-        self._next_slot = 0
-
-    def _slot(self) -> int:
-        """This thread's shard index (round-robin pinned at first touch)."""
-        slot = getattr(self._local, "slot", None)
-        if slot is None:
-            # Round-robin spreads threads evenly regardless of thread-id
-            # alignment (ids are pointers — `id % n` piles onto shard 0).
-            with self._meta_lock:
-                slot = self._next_slot % self.n_shards
-                self._next_slot += 1
-            self._local.slot = slot
-        return slot
 
     def _family(self, cls, name, help_text, labels, **kwargs) -> _Metric:
         labels = tuple(labels)

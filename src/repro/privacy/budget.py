@@ -38,16 +38,19 @@ accountant, and all cap checks are integer compare-and-add:
 
 The accountant is thread-safe: the cap check and the charge append happen
 atomically under an internal lock, so concurrent callers (the explanation
-service's worker pool) can never jointly overspend a limit.  The
-:meth:`PrivacyAccountant.snapshot` / :meth:`PrivacyAccountant.restore` pair
-round-trips the ledger through plain JSON-able dicts in one format: every
-charge row carries its exact ``units`` and its refund ``token``.  An
-optional mutation observer (:meth:`PrivacyAccountant.set_observer`) is
-invoked under the lock for every charge/refund, *before* the ledger changes
-— the hook the service layer's append-only ledger journal hangs off.
-:meth:`PrivacyAccountant.spend_many` admits a multi-charge release
-all-or-nothing, with one admission check and (through the observer's
-commit group) one fsync for all its records.
+service's worker pool) can never jointly overspend a limit.  Every charge,
+whatever its composition, is admitted by :meth:`PrivacyAccountant.spend_many`:
+:meth:`~PrivacyAccountant.spend` and :meth:`~PrivacyAccountant.parallel` are
+its one-item calls.  It admits a release all-or-nothing, with one admission
+check and (through the observer's commit group) one fsync for all its
+records.
+
+This module owns the persisted charge format.  A charge is written as a
+snapshot row (:meth:`PrivacyAccountant.snapshot`) or as a journal record
+(the ``record`` of an observer event, see
+:meth:`PrivacyAccountant.set_observer`), and :func:`parse_charge` is the one
+reader of both.  :meth:`PrivacyAccountant.restore` rebuilds a ledger from a
+snapshot plus the journal records written after it, in one pass.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ import threading
 from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 #: Nano-epsilon grid: integer accounting units per 1.0 of epsilon.
 GRID = 10**9
@@ -114,6 +117,38 @@ class Charge:
     epsilon: float
     composition: str  # "sequential" | "parallel-group"
     units: int
+
+
+def parse_charge(row: Mapping) -> "tuple[int, Charge]":
+    """Read one persisted charge: a snapshot row or a journal charge record.
+
+    Both carry ``label``, ``epsilon``, ``composition``, ``units`` and
+    ``token``; other keys (a record's ``seq``, ``dataset`` and ``op``) are
+    not read.  Returns ``(token, charge)``.  Raises :class:`BudgetError` on
+    a row that lacks its units or token, or has non-positive units or an
+    invalid epsilon.
+    """
+    units, token = row.get("units"), row.get("token")
+    if units is None or token is None:
+        raise BudgetError(
+            f"restored charge {row.get('label')!r} lacks its units or token"
+        )
+    units = int(units)
+    if units <= 0:
+        raise BudgetError(f"restored charge has non-positive units {units}")
+    return int(token), Charge(
+        str(row["label"]),
+        check_epsilon(row["epsilon"], name="restored charge"),
+        str(row.get("composition", "sequential")),
+        units,
+    )
+
+
+def _record_token(record: Mapping) -> int:
+    token = record.get("token")
+    if token is None:
+        raise BudgetError(f"journal record {record.get('op')!r} lacks its token")
+    return int(token)
 
 
 @dataclass(frozen=True)
@@ -182,14 +217,14 @@ class PrivacyAccountant:
         group: "Callable[[], AbstractContextManager] | None" = None,
     ) -> None:
         """Install a mutation hook, called *under the ledger lock* with one
-        event dict per charge (``{"op": "charge", "token", "label",
-        "epsilon", "units", "composition"}``) or refund (``{"op": "refund",
-        "token", "units"}``).  Both events also carry the post-mutation
-        position (``"spent_units"``, ``"limit_units"``) so telemetry sinks
-        can publish budget-remaining gauges without a second lock round —
-        the journal layer strips these before persisting.  :meth:`restore`
-        does *not* emit events; callers that restore a wired accountant
-        must resync their sink out-of-band.
+        event dict per charge or refund: ``{"record", "spent_units",
+        "limit_units"}``.  ``record`` is what a journal persists and
+        :meth:`restore` reads back: ``{"op": "charge", "token", "label",
+        "epsilon", "units", "composition"}`` or ``{"op": "refund", "token",
+        "units"}``.  The post-mutation position beside it lets telemetry
+        sinks publish budget-remaining gauges without a second lock round.
+        :meth:`restore` does *not* emit events; callers that restore a
+        wired accountant must resync their sink out-of-band.
 
         Record, then apply: the hook runs *before* the ledger changes, and
         the change is applied only once it returns.  A hook that raises
@@ -197,19 +232,26 @@ class PrivacyAccountant:
         token), so memory never holds a mutation its record lacks.
 
         The service layer's journal writes its record inside this hook.
-        Every charge is durable before the first draw against it: a lone
-        :meth:`spend` fsyncs its record before returning, and ``group`` —
-        a context-manager factory, the journal's commit scope — lets
-        :meth:`spend_many` (and a service batch) defer the fsync to the
-        group's exit, one per journal, taken outside the ledger lock.
+        Every charge is durable before the first draw against it: every
+        :meth:`spend_many` (so every :meth:`spend`) runs in ``group`` — a
+        context-manager factory, the journal's commit scope — whose exit
+        fsyncs once per journal, outside the ledger lock, before the call
+        returns; inside an enclosing scope (a service batch) the fsync
+        waits for that scope's exit.
         """
         with self._lock:
             self._observer = observer
             self._group = nullcontext if group is None else group
 
-    def _notify(self, event: dict) -> None:
+    def _notify(self, record: dict, spent_units: int) -> None:
         if self._observer is not None:
-            self._observer(event)
+            self._observer(
+                {
+                    "record": record,
+                    "spent_units": spent_units,
+                    "limit_units": self._limit_units,
+                }
+            )
 
     # -- charging --------------------------------------------------------- #
 
@@ -223,12 +265,9 @@ class PrivacyAccountant:
 
         Returns an opaque token identifying *this* charge, accepted by
         :meth:`refund` — the only safe way to roll back a reservation when
-        other charges may share its label.
+        other charges may share its label.  A one-item :meth:`spend_many`.
         """
-        charge = self._sequential(epsilon, label)
-        with self._lock:
-            self._admit(charge.units, f"charge {label!r}")
-            return self._append(charge)
+        return self.spend_many([(epsilon, label)])[0]
 
     def parallel(self, epsilons: list[float], label: str) -> int:
         """Record charges against *disjoint* partitions; only max(eps) counts.
@@ -238,12 +277,10 @@ class PrivacyAccountant:
         ``max_i eps_i``-DP.  Callers are responsible for the disjointness
         claim (e.g. per-cluster histograms in Algorithm 2, Line 16).
 
-        Returns a refund token, as :meth:`spend` does.
+        Returns a refund token, as :meth:`spend` does.  A one-item
+        :meth:`spend_many`.
         """
-        charge = self._parallel(epsilons, label)
-        with self._lock:
-            self._admit(charge.units, f"parallel charge {label!r}")
-            return self._append(charge)
+        return self.spend_many([(tuple(epsilons), label)])[0]
 
     def spend_many(
         self, items: "Sequence[tuple[float | Sequence[float], str]]"
@@ -269,18 +306,11 @@ class PrivacyAccountant:
         ]
         if not charges:
             return []
-        # One item refuses with the same text as spend / parallel would.
-        first = charges[0]
-        kind = "parallel charge" if first.composition == "parallel-group" else "charge"
-        what = (
-            f"{kind} {first.label!r}" if len(charges) == 1
-            else f"{len(charges)} charges from {first.label!r}"
-        )
         tokens: "list[int]" = []
         try:
             with self._group():
                 with self._lock:
-                    self._admit(sum(c.units for c in charges), what)
+                    self._admit(charges)
                     for charge in charges:
                         tokens.append(self._append(charge))
         except BaseException:
@@ -318,13 +348,22 @@ class PrivacyAccountant:
                 return True
             return self._spent_units + units <= self._limit_units
 
-    def _admit(self, units: int, what: str) -> None:
-        """Raise if ``units`` more would exceed the limit.  Caller holds the
+    def _admit(self, charges: "list[Charge]") -> None:
+        """Raise if ``charges`` would exceed the limit.  Caller holds the
         lock.  One integer compare — no ledger traversal, no tolerance."""
+        units = sum([c.units for c in charges])
         if (
             self._limit_units is not None
             and self._spent_units + units > self._limit_units
         ):
+            # One item (spend / parallel) refuses naming its own charge.
+            first = charges[0]
+            if len(charges) > 1:
+                what = f"{len(charges)} charges from {first.label!r}"
+            elif first.composition == "parallel-group":
+                what = f"parallel charge {first.label!r}"
+            else:
+                what = f"charge {first.label!r}"
             raise BudgetError(
                 f"{what} of {epsilon_from_units(units)} would exceed the "
                 f"budget limit {self._limit} "
@@ -352,9 +391,8 @@ class PrivacyAccountant:
                 "epsilon": charge.epsilon,
                 "units": charge.units,
                 "composition": charge.composition,
-                "spent_units": spent_units,
-                "limit_units": self._limit_units,
-            }
+            },
+            spent_units,
         )
         self._charges[token] = charge
         self._spent_units = spent_units
@@ -454,15 +492,7 @@ class PrivacyAccountant:
         """
         units = self._charges[token].units
         spent_units = self._spent_units - units
-        self._notify(
-            {
-                "op": "refund",
-                "token": token,
-                "units": units,
-                "spent_units": spent_units,
-                "limit_units": self._limit_units,
-            }
-        )
+        self._notify({"op": "refund", "token": token, "units": units}, spent_units)
         self._charges.pop(token)
         self._spent_units = spent_units
 
@@ -491,38 +521,44 @@ class PrivacyAccountant:
                 ],
             }
 
-    def restore(self, state: Mapping) -> None:
-        """Replace the ledger with a :meth:`snapshot` (crash-recovery path).
+    def restore(
+        self, state: Mapping, journal: "Iterable[Mapping]" = ()
+    ) -> None:
+        """Replace the ledger with a :meth:`snapshot` plus the ``journal``
+        records written after it (crash-recovery path), in one pass.
+
+        ``journal`` holds observer-event ``record`` dicts in write order.
+        Replay is idempotent: a charge record whose token the ledger
+        already holds is a no-op, and a refund of an absent token skips
+        (a directory a compacting writer left can hold both).  A record
+        with any other ``op`` refuses.
 
         The restored charges are replayed against *this accountant's* cap;
         the snapshot's ``limit`` is not read, so restoring can never widen
-        a cap.  A snapshot whose charges exceed the cap, or with a row that
-        lacks its ``units`` or ``token``, raises :class:`BudgetError` and
-        leaves the accountant unchanged.  The replay is exact integer
-        arithmetic with no tolerance window.  Charge tokens are preserved,
-        so persisted charge identity survives a restart.
+        a cap.  Charges that end over the cap, a row that lacks its
+        ``units`` or ``token``, or a record that lacks its ``token`` raise
+        :class:`BudgetError` and leave the accountant unchanged.  The replay
+        is exact integer arithmetic with no tolerance window.  Charge tokens
+        are preserved, so persisted charge identity survives a restart.
         """
         rows: "dict[int, Charge]" = {}
-        spent_units = 0
-        for entry in state.get("charges", ()):
-            units, token = entry.get("units"), entry.get("token")
-            if units is None or token is None:
-                raise BudgetError(
-                    f"restored charge {entry.get('label')!r} lacks its "
-                    "units or token"
-                )
-            units, token = int(units), int(token)
-            if units <= 0:
-                raise BudgetError(f"restored charge has non-positive units {units}")
+        for row in state.get("charges", ()):
+            token, charge = parse_charge(row)
             if token in rows:
                 raise BudgetError(f"restored charges repeat token {token}")
-            rows[token] = Charge(
-                str(entry["label"]),
-                check_epsilon(entry["epsilon"], name="restored charge"),
-                str(entry.get("composition", "sequential")),
-                units,
-            )
-            spent_units += units
+            rows[token] = charge
+        next_token = int(state.get("next_token", 0))
+        for record in journal:
+            op, token = record.get("op"), _record_token(record)
+            if op == "charge":
+                if token not in rows:
+                    rows[token] = parse_charge(record)[1]
+            elif op == "refund":
+                rows.pop(token, None)
+            else:
+                raise BudgetError(f"journal record has unknown op {op!r}")
+            next_token = max(next_token, token + 1)
+        spent_units = sum(c.units for c in rows.values())
         if self._limit_units is not None and spent_units > self._limit_units:
             raise BudgetError(
                 f"snapshot is overspent: {epsilon_from_units(spent_units)} "
@@ -531,9 +567,7 @@ class PrivacyAccountant:
         with self._lock:
             self._charges = dict(sorted(rows.items()))
             self._next_token = max(
-                self._next_token,
-                max(rows, default=-1) + 1,
-                int(state.get("next_token", 0)),
+                self._next_token, max(rows, default=-1) + 1, next_token
             )
             self._spent_units = spent_units
 

@@ -21,19 +21,21 @@ persistence, and the journal is the ledger's history:
 * **crash replay** = snapshot + the journal records above its fence.  A
   record with ``seq <= journal_seq`` predates the snapshot (a crash
   between a rebase's snapshot write and its journal rewrite leaves the
-  old ledger's records behind) and is skipped.  Above the fence replay
-  stays *idempotent*: charge records key on the accountant's persistent
-  ``(dataset, token)`` charge identity, so a charge already in the
-  snapshot applies as a no-op and a refund of an absent charge skips
-  cleanly (directories written by older compacting builds can hold both).
+  old ledger's records behind) and is skipped.  The store owns only this
+  file framing — the format check, the fence, torn-tail repair and the
+  ``seq``/``dataset`` routing — and hands each dataset's records on
+  unread.  The charge fields and the replay rules belong to
+  :meth:`PrivacyAccountant.restore
+  <repro.privacy.budget.PrivacyAccountant.restore>`.
 
 Durability ordering — *every charge is durable before the first draw*.
 The store's :meth:`record` runs inside the accountant's mutation hook
 (under the ledger lock, before the accountant applies the charge) and
 writes its line before the charging call returns.  Outside a commit
-scope it also fsyncs there, so the charge is on disk before ``spend()``
-returns.  Inside a :func:`commit_scope` (the
-service funds a whole batch in one) the fsync is deferred to scope exit:
+scope it also fsyncs there (a refund's record does).  Every charge runs
+inside a :func:`commit_scope`: its own, which commits before ``spend()``
+returns, or the one the service funds a whole batch in.  The fsync is
+deferred to scope exit:
 one ``os.fsync`` per touched tenant journal, taken under the store lock and
 never under an accountant lock, and the caller draws no noise until the
 scope has exited cleanly.  A scope whose commit fails raises, and its
@@ -147,29 +149,19 @@ class TenantLedgerStore:
     # -- lifecycle -------------------------------------------------------- #
 
     @classmethod
-    def create(cls, base_path: str, state: dict, *, metrics=None):
-        """Initialise the store for a brand-new tenant.
-
-        Writes the initial snapshot (the tenant's existence and cap must be
-        durable before any charge references them) and an empty journal.
-        """
-        store = cls(base_path, metrics=metrics)
-        store.rebase(state)
-        return store
-
-    @classmethod
     def open(cls, base_path: str, *, metrics=None):
-        """Open an existing store; returns ``(store, replayed_state)``.
+        """Open an existing store; returns ``(store, state, journal)``.
 
-        ``replayed_state`` is the crash-recovered tenant state — snapshot
-        plus the journal records above its fence — in
-        :meth:`Tenant.snapshot` shape, ready for :meth:`Tenant.restore`.
-        Raises :class:`LedgerStoreError` (or ``OSError``/``KeyError`` on
-        unreadable files) when the persisted state is corrupt.
+        ``state`` is the tenant snapshot in :meth:`Tenant.snapshot` shape
+        and ``journal`` maps each dataset id to its records above the
+        snapshot's fence, in write order — together the crash-recovered
+        tenant, ready for :meth:`Tenant.load`.  Raises
+        :class:`LedgerStoreError` (or ``OSError``/``KeyError`` on
+        unreadable files) when the file framing is corrupt.
         """
         store = cls(base_path, metrics=metrics)
-        state = store._replay()
-        return store, state
+        state, journal = store._replay()
+        return store, state, journal
 
     def close(self) -> None:
         with self._lock:
@@ -182,11 +174,12 @@ class TenantLedgerStore:
 
     # -- journaling ------------------------------------------------------- #
 
-    def record(self, dataset_id: str, event: dict) -> None:
+    def record(self, dataset_id: str, record: dict) -> None:
         """Append one charge/refund record — O(1) bytes, O(1) time.
 
-        ``event`` is a :meth:`PrivacyAccountant.set_observer` event dict;
-        the record adds the dataset id (one tenant journal covers all of
+        ``record`` is the ``record`` of a
+        :meth:`PrivacyAccountant.set_observer` event, written as given;
+        the line adds the dataset id (one tenant journal covers all of
         the tenant's per-dataset ledgers) and a monotonic ``seq``, which
         replay compares with the snapshot's ``journal_seq`` fence.  Outside
         a :func:`commit_scope` the record is fsync'd before this returns;
@@ -197,7 +190,7 @@ class TenantLedgerStore:
         with self._lock:
             self._seq += 1
             line = json.dumps(
-                {"seq": self._seq, "dataset": dataset_id, **event},
+                {"seq": self._seq, "dataset": dataset_id, **record},
                 separators=(",", ":"),
             )
             fh = self._open_journal()
@@ -279,8 +272,15 @@ class TenantLedgerStore:
 
     # -- replay ----------------------------------------------------------- #
 
-    def _replay(self) -> dict:
-        """Rebuild tenant state: snapshot + journal records above its fence."""
+    def _replay(self) -> "tuple[dict, dict[str, list[dict]]]":
+        """Read the snapshot and route the journal records above its fence.
+
+        Returns ``(state, journal)``: the snapshot without its framing keys,
+        and each dataset's records in write order.  The records' charge
+        fields are not read here: the accountant parses and applies them
+        (:meth:`PrivacyAccountant.restore
+        <repro.privacy.budget.PrivacyAccountant.restore>`).
+        """
         try:
             with open(self.snapshot_path) as fh:
                 state = json.load(fh)
@@ -291,21 +291,12 @@ class TenantLedgerStore:
             ) from None
         if not isinstance(state, dict):
             raise LedgerStoreError(f"snapshot {self.snapshot_path!r} is not an object")
-        if state.get("format") != 2:
+        fmt = state.pop("format", None)
+        if fmt != 2:
             raise LedgerStoreError(
-                f"snapshot {self.snapshot_path!r} has format "
-                f"{state.get('format')!r}, not 2"
+                f"snapshot {self.snapshot_path!r} has format {fmt!r}, not 2"
             )
-        ledgers = state.setdefault("ledgers", {})
-        # (dataset, token) -> charge entry.
-        by_token: "dict[str, dict[int, dict]]" = {}
-        next_tokens: "dict[str, int]" = {}
-        for dataset_id, ledger in ledgers.items():
-            by_token[dataset_id] = {
-                int(entry["token"]): entry for entry in ledger.get("charges", ())
-            }
-            next_tokens[dataset_id] = int(ledger.get("next_token", 0))
-
+        fence = int(state.pop("journal_seq", 0))
         with self._lock:
             tail, dirty = self._read_journal_locked()
             if dirty:
@@ -313,7 +304,7 @@ class TenantLedgerStore:
                 # never committed.  Drop it from disk *now*, before any new
                 # append would land after the half-line and corrupt the file.
                 self._rewrite_journal_locked(tail)
-        fence = int(state.get("journal_seq", 0))
+        journal: "dict[str, list[dict]]" = {}
         max_seq = fence
         replayed = 0
         for rec in tail:
@@ -322,45 +313,11 @@ class TenantLedgerStore:
                 continue  # covered by the snapshot (crash mid-rebase)
             replayed += 1
             max_seq = max(max_seq, seq)
-            dataset_id = str(rec["dataset"])
-            per = by_token.setdefault(dataset_id, {})
-            token = int(rec["token"])
-            op = rec.get("op")
-            if op == "charge":
-                # Idempotent: a charge already in the snapshot re-applies
-                # as a no-op.
-                if token not in per:
-                    per[token] = {
-                        "label": str(rec["label"]),
-                        "epsilon": float(rec["epsilon"]),
-                        "composition": str(rec.get("composition", "sequential")),
-                        "units": int(rec["units"]),
-                        "token": token,
-                    }
-            elif op == "refund":
-                # Idempotent: a refund of an absent charge skips.
-                per.pop(token, None)
-            else:
-                raise LedgerStoreError(
-                    f"journal {self.journal_path!r} has unknown op {op!r}"
-                )
-            next_tokens[dataset_id] = max(
-                next_tokens.get(dataset_id, 0), token + 1
-            )
-
-        limit = state.get("budget_limit")
-        for dataset_id, per in by_token.items():
-            ledgers[dataset_id] = {
-                "limit": limit,
-                "next_token": next_tokens.get(dataset_id, 0),
-                "charges": [per[t] for t in sorted(per)],
-            }
+            journal.setdefault(str(rec["dataset"]), []).append(rec)
         with self._lock:
             self._seq = max(self._seq, max_seq)
             self._tail_records = replayed
-        state.pop("format", None)
-        state.pop("journal_seq", None)
-        return state
+        return state, journal
 
     def _read_journal_locked(self) -> "tuple[list[dict], bool]":
         """Parse the journal, tolerating only a torn *final* line.

@@ -49,11 +49,21 @@ from ..privacy.budget import (
 )
 from .journal import TenantLedgerStore, commit_scope
 
-#: The accountant-event keys the journal persists.  Observer events also
-#: carry the post-mutation balance (``spent_units``/``limit_units``) for
-#: telemetry; stripping here keeps the journal format unchanged — replay
-#: rejects unknown *ops*, and older journals must stay byte-compatible.
-_JOURNAL_EVENT_KEYS = ("op", "token", "label", "epsilon", "units", "composition")
+#: Joins a derived entry's id: ``base::spec-slug``.  Registered ids may not
+#: contain it, so a server-side fit can never replace an entry an operator
+#: registered.
+DERIVED_SEPARATOR = "::"
+
+
+def check_dataset_id(dataset_id: str) -> None:
+    """Refuse an empty dataset id, or one holding :data:`DERIVED_SEPARATOR`."""
+    if not dataset_id:
+        raise ValueError("dataset id must be non-empty")
+    if DERIVED_SEPARATOR in dataset_id:
+        raise ValueError(
+            f"dataset id {dataset_id!r} contains {DERIVED_SEPARATOR!r}, "
+            "which names server-side fitted clusterings"
+        )
 
 
 class _BudgetMetrics:
@@ -89,16 +99,14 @@ class _BudgetMetrics:
 
     def __call__(self, tenant_id: str, dataset_id: str, event: dict) -> None:
         key = (tenant_id, dataset_id)
-        op = event.get("op")
+        op = event["record"]["op"]
         if op == "charge":
             self._charges.inc(1, key)
         elif op == "refund":
             self._refunds.inc(1, key)
-        spent_units = event.get("spent_units")
-        if spent_units is None:
-            return
+        spent_units = event["spent_units"]
         self._spent.set(epsilon_from_units(spent_units), key)
-        limit_units = event.get("limit_units")
+        limit_units = event["limit_units"]
         if limit_units is not None:
             self._remaining.set(
                 epsilon_from_units(limit_units - spent_units), key
@@ -216,75 +224,63 @@ class Tenant:
     ``budget_limit`` — the accountant's internal lock makes the cap check
     and the charge one atomic step, so concurrent service workers charging
     the same ledger can never jointly overspend it.
+
+    The journal store and the telemetry sink (``sink(tenant_id,
+    dataset_id, event)``) are fixed at construction and wired into every
+    ledger's mutation hook as the ledger is created.  The hook appends one
+    record to the tenant's journal *under the ledger lock*, then feeds the
+    sink — durability first, telemetry second — and the journal's commit
+    scope is the accountant's commit group: a lone ``spend()`` fsyncs its
+    record before returning, a scope (``spend_many``, a service batch)
+    fsyncs once at exit — before any noise is drawn either way.
     """
 
-    def __init__(self, tenant_id: str, budget_limit: float):
+    def __init__(
+        self,
+        tenant_id: str,
+        budget_limit: float,
+        *,
+        store: "TenantLedgerStore | None" = None,
+        sink: "Callable[[str, str, dict], None] | None" = None,
+    ):
         if not tenant_id:
             raise ValueError("tenant id must be non-empty")
         self.tenant_id = tenant_id
         self.budget_limit = check_epsilon(budget_limit, name="budget_limit")
         self._lock = threading.Lock()
         self._accountants: dict[str, PrivacyAccountant] = {}
-        self._store: "TenantLedgerStore | None" = None
-        self._metrics_sink: "Callable[[str, str, dict], None] | None" = None
+        self._store = store
+        self._sink = sink
 
-    def attach_store(self, store: "TenantLedgerStore | None") -> None:
-        """Wire every (current and future) ledger to the journal store.
-
-        Each accountant's mutation hook appends one record to the tenant's
-        journal *under the ledger lock*, and the journal's commit scope is
-        the accountant's commit group: a lone ``spend()`` fsyncs its record
-        before returning, a scope (``spend_many``, a service batch) fsyncs
-        once at exit — before any noise is drawn either way.
-        """
-        with self._lock:
-            self._store = store
-            for dataset_id, acc in self._accountants.items():
-                self._wire_locked(dataset_id, acc)
-
-    def attach_metrics(
-        self, sink: "Callable[[str, str, dict], None] | None"
-    ) -> None:
-        """Wire a telemetry sink (``sink(tenant_id, dataset_id, event)``)
-        into every (current and future) ledger's mutation hook, composed
-        *after* the journal append — durability first, telemetry second.
-        """
-        with self._lock:
-            self._metrics_sink = sink
-            for dataset_id, acc in self._accountants.items():
-                self._wire_locked(dataset_id, acc)
-
-    def _wire_locked(self, dataset_id: str, acc: PrivacyAccountant) -> None:
-        store = self._store
-        sink = self._metrics_sink
+    def _new_accountant(self, dataset_id: str) -> PrivacyAccountant:
+        """A ledger capped at ``budget_limit``, wired to the store and sink."""
+        acc = PrivacyAccountant(limit=self.budget_limit)
+        store, sink, tenant_id = self._store, self._sink, self.tenant_id
         if store is None and sink is None:
-            acc.set_observer(None)
-            return
-        tenant_id = self.tenant_id
+            return acc
 
-        def observer(event: dict, d: str = dataset_id) -> None:
+        def observer(event: dict) -> None:
             if store is not None:
                 # Journal first: a failed append must roll the charge back
                 # (the accountant's _append contract), untouched by metrics.
-                store.record(
-                    d, {k: event[k] for k in _JOURNAL_EVENT_KEYS if k in event}
-                )
+                store.record(dataset_id, event["record"])
             if sink is not None:
                 try:
-                    sink(tenant_id, d, event)
+                    sink(tenant_id, dataset_id, event)
                 except Exception:
                     pass  # telemetry must never undo a durable charge
 
         acc.set_observer(observer, commit_scope if store is not None else None)
+        return acc
 
     def accountant(self, dataset_id: str) -> PrivacyAccountant:
         """The (lazily created) ledger for one dataset id."""
         with self._lock:
             acc = self._accountants.get(dataset_id)
             if acc is None:
-                acc = PrivacyAccountant(limit=self.budget_limit)
-                self._wire_locked(dataset_id, acc)
-                self._accountants[dataset_id] = acc
+                acc = self._accountants[dataset_id] = self._new_accountant(
+                    dataset_id
+                )
             return acc
 
     def snapshot(self) -> dict:
@@ -297,16 +293,20 @@ class Tenant:
             "ledgers": ledgers,
         }
 
-    def restore(self, state: dict) -> None:
-        """Replace the ledgers with a :meth:`snapshot` (reload path).
+    def load(
+        self, state: dict, journal: "dict[str, list[dict]] | None" = None
+    ) -> None:
+        """Replace the ledgers with a :meth:`snapshot` plus ``journal``, each
+        dataset's journal records above the snapshot's fence (reload path).
 
+        Nothing is written: this is the state the store already holds.
         Every ledger is replayed into an accountant capped at the
         *tenant's own* ``budget_limit`` — the snapshot's top-level
         ``budget_limit`` and any per-dataset ``limit`` fields are never
-        read, so restoring a snapshot can never widen an *existing*
+        read, so loading a snapshot can never widen an *existing*
         tenant's cap (the same defense as
-        ``PrivateAnalysisSession.restore_ledger``).  A snapshot
-        whose charges exceed this tenant's cap raises
+        ``PrivateAnalysisSession.restore_ledger``).  A snapshot whose
+        charges exceed this tenant's cap raises
         :class:`~repro.privacy.budget.BudgetError` and leaves the tenant
         unchanged.  ``self.budget_limit`` is never modified here.
 
@@ -316,20 +316,25 @@ class Tenant:
         the ledger directory is the system of record for caps across
         restarts and must live on trusted storage (see ``_load_ledgers``).
         """
+        ledgers = state.get("ledgers", {})
+        journal = journal or {}
         accountants = {}
-        for dataset_id, ledger in state.get("ledgers", {}).items():
-            acc = accountants[str(dataset_id)] = PrivacyAccountant(self.budget_limit)
-            acc.restore(ledger)
+        for dataset_id in dict.fromkeys([*ledgers, *journal]):
+            acc = accountants[dataset_id] = self._new_accountant(dataset_id)
+            acc.restore(ledgers.get(dataset_id, {}), journal.get(dataset_id, ()))
         with self._lock:
             self._accountants = accountants
-            for dataset_id, acc in accountants.items():
-                self._wire_locked(dataset_id, acc)
-            store = self._store
-        if store is not None:
-            # The journal describes the *replaced* ledgers; rebase the store
-            # on the restored state (restore is an admin/reload step, not
-            # concurrent with charging).
-            store.rebase(self.snapshot())
+
+    def restore(self, state: dict) -> None:
+        """Replace the ledgers with a :meth:`snapshot` at runtime.
+
+        As :meth:`load`, and then the store (if any) is rebased on the
+        restored state: its journal described the *replaced* ledgers.
+        Restore is an admin step, not concurrent with charging.
+        """
+        self.load(state)
+        if self._store is not None:
+            self._store.rebase(self.snapshot())
 
     def describe(self) -> dict:
         with self._lock:
@@ -410,8 +415,7 @@ class ServiceRegistry:
         :class:`~repro.service.service.ExplanationService` additionally
         evicts them along with the id's derived fitted entries.
         """
-        if not dataset_id:
-            raise ValueError("dataset id must be non-empty")
+        check_dataset_id(dataset_id)
         entry = DatasetEntry(dataset_id, dataset, clustering, n_clusters)
         self.add_entry(entry)
         return entry
@@ -423,10 +427,11 @@ class ServiceRegistry:
         step as the replacement.  Besides :meth:`register_dataset`, the
         shard-worker path calls this with an entry assembled from a
         shared-memory registration frame
-        (:func:`repro.service.shard.entry_from_frame`).
+        (:func:`repro.service.shard.entry_from_frame`).  An id holding
+        :data:`DERIVED_SEPARATOR` is refused: only
+        :meth:`add_entry_if_current` admits those.
         """
-        if not entry.dataset_id:
-            raise ValueError("dataset id must be non-empty")
+        check_dataset_id(entry.dataset_id)
         with self._lock:
             old = self._datasets.get(entry.dataset_id)
             self._datasets[entry.dataset_id] = entry
@@ -512,11 +517,7 @@ class ServiceRegistry:
         with self._lock:
             if tenant_id in self._tenants:
                 raise ValueError(f"tenant {tenant_id!r} already exists")
-            tenant = Tenant(tenant_id, budget_limit)
-            tenant.attach_metrics(self._budget_metrics)
-            self._provision_store_locked(tenant)
-            self._tenants[tenant_id] = tenant
-            return tenant
+            return self._publish_locked(tenant_id, budget_limit)
 
     def tenant(
         self, tenant_id: str, auto_budget: float | None = None
@@ -529,29 +530,43 @@ class ServiceRegistry:
                     raise ServiceError(
                         404, "unknown-tenant", f"no tenant named {tenant_id!r}"
                     )
-                tenant = Tenant(tenant_id, auto_budget)
-                tenant.attach_metrics(self._budget_metrics)
-                self._provision_store_locked(tenant)
-                self._tenants[tenant_id] = tenant
+                tenant = self._publish_locked(tenant_id, auto_budget)
             return tenant
 
-    def _provision_store_locked(self, tenant: Tenant) -> None:
-        """Create and attach a brand-new tenant's journal store (if persisting).
+    def _publish_locked(
+        self,
+        tenant_id: str,
+        budget_limit: float,
+        store: "TenantLedgerStore | None" = None,
+        state: "dict | None" = None,
+        journal: "dict[str, list[dict]] | None" = None,
+    ) -> Tenant:
+        """Wire a tenant to its journal store and telemetry sink, then
+        publish it — the one step every tenant goes through.
 
-        The initial snapshot (tenant id + cap, empty ledgers) is written
-        and fsync'd here, so the tenant's existence and its cap are durable
-        before any charge can reference them; from then on every charge is
-        one O(1) journal record.
+        A reloaded tenant arrives with what :meth:`TenantLedgerStore.open`
+        returned, and its ledgers are loaded as found.  A new tenant
+        (``state is None``) gets a fresh store when persisting, and its
+        initial snapshot (tenant id + cap, empty ledgers) is written and
+        fsync'd before it is published, so the tenant's existence and its
+        cap are durable before any charge can reference them; from then on
+        every charge is one O(1) journal record.
         """
-        if self.ledger_dir is None:
-            return
-        store = TenantLedgerStore.create(
-            self._ledger_base(tenant.tenant_id),
-            tenant.snapshot(),
-            metrics=self.metrics,
+        if state is None and self.ledger_dir is not None:
+            store = TenantLedgerStore(
+                self._ledger_base(tenant_id), metrics=self.metrics
+            )
+        tenant = Tenant(
+            tenant_id, budget_limit, store=store, sink=self._budget_metrics
         )
-        self._stores[tenant.tenant_id] = store
-        tenant.attach_store(store)
+        if state is not None:
+            tenant.load(state, journal)
+        elif store is not None:
+            store.rebase(tenant.snapshot())
+        self._tenants[tenant_id] = tenant
+        if store is not None:
+            self._stores[tenant_id] = store
+        return tenant
 
     def tenants(self) -> tuple[Tenant, ...]:
         with self._lock:
@@ -602,7 +617,7 @@ class ServiceRegistry:
         alike; keep ``ledger_dir`` on storage with the same integrity
         protections as the service itself.  (What the loader *does* defend
         against: per-dataset ``limit`` fields disagreeing with the tenant
-        cap — :meth:`Tenant.restore` ignores them — charge replays
+        cap — :meth:`Tenant.load` ignores them — charge replays
         exceeding the declared cap, torn journal tails from a crash
         mid-append, and truly corrupt files, which refuse to load.)
         """
@@ -616,11 +631,17 @@ class ServiceRegistry:
             path = os.path.join(self.ledger_dir, name)
             base = path[: -len(TenantLedgerStore.SNAPSHOT_SUFFIX)]
             try:
-                store, state = TenantLedgerStore.open(base, metrics=self.metrics)
-                tenant = Tenant(
-                    str(state["tenant"]), float(state["budget_limit"])
+                store, state, journal = TenantLedgerStore.open(
+                    base, metrics=self.metrics
                 )
-                tenant.restore(state)
+                with self._lock:
+                    self._publish_locked(
+                        str(state["tenant"]),
+                        float(state["budget_limit"]),
+                        store,
+                        state,
+                        journal,
+                    )
             except (OSError, ValueError, KeyError, TypeError, BudgetError) as exc:
                 # LedgerStoreError is a ValueError: corrupt snapshots and
                 # corrupt journal interiors both land here, as do fields of
@@ -630,7 +651,3 @@ class ServiceRegistry:
                     "corrupt-ledger",
                     f"cannot reload tenant ledger {path!r}: {exc}",
                 ) from exc
-            tenant.attach_metrics(self._budget_metrics)
-            tenant.attach_store(store)
-            self._tenants[tenant.tenant_id] = tenant
-            self._stores[tenant.tenant_id] = store

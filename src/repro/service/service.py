@@ -43,6 +43,7 @@ from typing import Mapping, Sequence
 
 from ..core.dpclustx import DPClustX
 from ..core.hbe import GlobalExplanation
+from ..core.io import single_to_dict
 from ..core.quality.scores import Weights
 from ..evaluation.sweeps import explain_batched
 from ..obs.metrics import Histogram, MetricsRegistry, histogram_quantile
@@ -52,7 +53,13 @@ from ..privacy.budget import BudgetError, ExplanationBudget, PrivacyAccountant
 from .cache import CacheEntry, ExplanationCache, canonical_json
 from .journal import commit_scope
 from .queue import RequestQueue, run_worker
-from .registry import DatasetEntry, ServiceRegistry, ServiceError, Tenant
+from .registry import (
+    DERIVED_SEPARATOR,
+    DatasetEntry,
+    ServiceRegistry,
+    ServiceError,
+    Tenant,
+)
 
 _EXPLAINERS = ("DPClustX",)
 
@@ -436,16 +443,7 @@ def explanation_payload(
             "total": request.epsilon_total,
         },
         "combination": list(explanation.combination),
-        "clusters": [
-            {
-                "cluster": e.cluster,
-                "attribute": e.attribute.name,
-                "domain": list(e.attribute.domain),
-                "hist_cluster": [float(x) for x in e.hist_cluster],
-                "hist_rest": [float(x) for x in e.hist_rest],
-            }
-            for e in explanation
-        ],
+        "clusters": [single_to_dict(e) for e in explanation],
     }
 
 
@@ -739,7 +737,7 @@ class ExplanationService:
         the never-exposed fit is discarded, its reservation refunded, and
         the caller told to retry against the new registration.
         """
-        derived_id = f"{base.dataset_id}::{spec.slug()}"
+        derived_id = f"{base.dataset_id}{DERIVED_SEPARATOR}{spec.slug()}"
         entry = self.registry.derived(derived_id, base)
         if entry is not None:
             self._events.inc(1, ("clustering_cache_hits",))

@@ -38,7 +38,7 @@ from multiprocessing.connection import wait as sentinel_wait
 from ..core.counts import ClusteredCounts
 from ..core.engine.shm import share_stack
 from ..obs.metrics import MetricsRegistry
-from .registry import ServiceError
+from .registry import ServiceError, check_dataset_id
 from .shard import WorkerConfig, registration_frame, worker_main
 from .transport import FrameError, FrameSocket
 
@@ -228,8 +228,10 @@ class ShardSupervisor:
         Returns the registration frame (also the replay record).  The
         counts are built in the supervisor process — the only process that
         ever holds the rows — then only the packed stack tensors (schema ×
-        clusters, independent of row count) cross into shared memory.
+        clusters, independent of row count) cross into shared memory.  An
+        id the registry would refuse is refused before anything is shared.
         """
+        check_dataset_id(dataset_id)
         counts = (
             clustering
             if isinstance(clustering, ClusteredCounts)

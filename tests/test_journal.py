@@ -25,6 +25,7 @@ from helpers import CodeModuloClustering, make_dataset
 from repro.baselines.dp_naive import DPNaive
 from repro.core.counts import ClusteredCounts
 from repro.obs.metrics import snapshot_series
+from repro.privacy import budget
 from repro.privacy.budget import BudgetError, PrivacyAccountant
 from repro.service.journal import (
     LedgerStoreError,
@@ -36,19 +37,17 @@ from repro.service.registry import ServiceError, ServiceRegistry, Tenant
 
 def make_tenant(tmp_path, tenant_id="t", cap=10.0):
     """A journal-backed tenant plus its store, as the registry wires them."""
-    store = TenantLedgerStore.create(
-        str(tmp_path / tenant_id), Tenant(tenant_id, cap).snapshot()
-    )
-    tenant = Tenant(tenant_id, cap)
-    tenant.attach_store(store)
+    store = TenantLedgerStore(str(tmp_path / tenant_id))
+    tenant = Tenant(tenant_id, cap, store=store)
+    store.rebase(tenant.snapshot())
     return tenant, store
 
 
 def reload_state(tmp_path, tenant_id="t", cap=10.0):
     """Crash-recover the tenant from disk alone (snapshot + tail replay)."""
-    _, state = TenantLedgerStore.open(str(tmp_path / tenant_id))
+    _, state, journal = TenantLedgerStore.open(str(tmp_path / tenant_id))
     tenant = Tenant(str(state["tenant"]), float(state["budget_limit"]))
-    tenant.restore(state)
+    tenant.load(state, journal)
     return tenant
 
 
@@ -657,6 +656,49 @@ class TestOlderFormatsRefuse:
         want = acc.snapshot()
         got = ServiceRegistry(ledger_dir=tmp_path).tenant("t").accountant("d")
         assert got.snapshot() == want
+
+
+class TestOnePassReload:
+    def test_each_row_and_record_above_the_fence_is_parsed_once(
+        self, tmp_path, monkeypatch
+    ):
+        """Reload reads every snapshot row and every charge record above
+        the fence exactly once, through the accountant's one parser; the
+        records the fence covers are not read at all."""
+        registry = ServiceRegistry(ledger_dir=tmp_path)
+        tenant = registry.create_tenant("t", 10.0)
+        tenant.accountant("d").spend(0.1, "row a")
+        tenant.accountant("d").spend(0.2, "row b")
+        tenant.accountant("e").spend(0.3, "row c")
+        covered = (tmp_path / "t.journal").read_text()
+        tenant.restore(tenant.snapshot())  # rebase: the rows move to the snapshot
+        tenant.accountant("d").spend(0.4, "record d")
+        e = tenant.accountant("e")
+        e.refund(e.spend(0.5, "record e"))
+        # The shape a crash mid-rebase leaves: covered records kept below
+        # the fence, ahead of the records written since.
+        journal = tmp_path / "t.journal"
+        journal.write_text(covered + journal.read_text())
+        parsed = []
+        parse_charge = budget.parse_charge
+
+        def counting(row):
+            parsed.append((row["label"], "seq" in row))
+            return parse_charge(row)
+
+        monkeypatch.setattr(budget, "parse_charge", counting)
+        reloaded = ServiceRegistry(ledger_dir=tmp_path).tenant("t")
+        assert sorted(parsed) == [
+            ("record d", True),
+            ("record e", True),
+            ("row a", False),
+            ("row b", False),
+            ("row c", False),
+        ]
+        assert [c.label for c in reloaded.accountant("d")] == [
+            "row a", "row b", "record d",
+        ]
+        assert [c.label for c in reloaded.accountant("e")] == ["row c"]
 
 
 class TestRestoreRebase:

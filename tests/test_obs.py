@@ -71,7 +71,7 @@ class TestQuantiles:
     )
     @settings(max_examples=200, deadline=None)
     def test_quantile_monotone_in_q(self, values):
-        m = MetricsRegistry(n_shards=2)
+        m = MetricsRegistry()
         h = m.histogram("h_seconds", "h")
         for v in values:
             h.observe(v)
@@ -105,7 +105,7 @@ class TestQuantiles:
 
 
 def _random_registry(counter_incs, gauge_sets, hist_obs):
-    m = MetricsRegistry(n_shards=2)
+    m = MetricsRegistry()
     c = m.counter("events_total", "e", ("kind",))
     g = m.gauge("depth", "d", ("queue",))
     h = m.histogram("lat_seconds", "l", ("cls",))
@@ -163,7 +163,7 @@ class TestMergeAlgebra:
 
 class TestRegistry:
     def test_counter_sharded_across_threads(self):
-        m = MetricsRegistry(n_shards=4)
+        m = MetricsRegistry()
         c = m.counter("n_total", "n")
         threads = [
             threading.Thread(

@@ -1245,6 +1245,26 @@ class TestPipelineRoute:
         fits = [c.epsilon for c in accountant if c.label.startswith("pipeline:")]
         assert fits == [1.0, 1.0000001]
 
+    def test_registered_ids_may_not_name_a_fit(self, dataset, clustering):
+        """``::`` joins derived ids, so no registration may use it: a fit
+        can never replace a dataset an operator registered."""
+        service = self.make_labels_free(dataset)
+        service.create_tenant("t", 5.0)
+        derived_id = "raw::dp-kmeans/k3/eps1/T5/s0"
+        with pytest.raises(ValueError, match="::"):
+            service.register_dataset(derived_id, dataset, clustering)
+        with pytest.raises(ValueError, match="::"):
+            service.registry.register_dataset(derived_id, dataset)
+        envelope = service.pipeline(
+            PipelineRequest(
+                tenant="t", dataset="raw", n_clusters=3, clustering_epsilon=1.0
+            )
+        )
+        assert envelope["status"] == "ok"
+        assert envelope["pipeline"]["fitted_dataset"] == derived_id
+        assert envelope["pipeline"]["clustering_cache"] == "miss"
+        assert service.registry.dataset(derived_id).is_derived
+
     def test_base_replaced_mid_fit_is_409_and_refunded(
         self, dataset, monkeypatch
     ):
@@ -1461,7 +1481,7 @@ class TestLatencyStats:
         from repro.obs.metrics import MetricsRegistry
         from repro.service.service import latency_summary
 
-        registry = MetricsRegistry(n_shards=4)
+        registry = MetricsRegistry()
         events = registry.counter("repro_service_events_total", "", ("event",))
         latency = registry.histogram(
             "repro_request_duration_seconds", "", ("class",)

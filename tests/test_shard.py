@@ -146,6 +146,22 @@ class TestRegistryPartition:
         assert [t.tenant_id for t in shard1.tenants()] == ["alice"]
 
 
+    def test_supervisor_refuses_a_derived_id_before_sharing(
+        self, tmp_path, monkeypatch, dataset, clustering
+    ):
+        import repro.service.supervisor as supervisor_mod
+
+        def share_stack(stack):
+            raise AssertionError("a refused id must not share a stack")
+
+        monkeypatch.setattr(supervisor_mod, "share_stack", share_stack)
+        supervisor = supervisor_mod.ShardSupervisor(1, socket_dir=str(tmp_path))
+        try:
+            with pytest.raises(ValueError, match="::"):
+                supervisor.register_dataset("raw::fit", dataset, clustering)
+        finally:
+            supervisor.stop()
+
 # --------------------------------------------------------------------------- #
 # transport framing
 # --------------------------------------------------------------------------- #

@@ -178,8 +178,8 @@ GEN_DRAW_METHODS = {
 #: and GUI-ish ``x.select()`` are zero-arg, mechanism releases never are.
 MECH_DRAW_METHODS = {
     "randomise", "randomize", "sample_noise", "noisy_scores", "release",
-    "release_rows", "release_blocks", "release_column", "gumbel_rows",
-    "select", "select_index", "select_indices", "select_batch",
+    "release_rows", "release_runs", "release_blocks", "release_column",
+    "gumbel_rows", "select", "select_index", "select_indices", "select_batch",
 }
 _ARG_REQUIRED = {"release", "select"}
 

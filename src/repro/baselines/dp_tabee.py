@@ -115,13 +115,13 @@ class DPTabEE:
             counts = ClusteredCounts(dataset, clustering)
         combination = self.select_combination(counts, gen, accountant)
 
-        per_cluster = release_cluster_histograms(
+        (per_cluster,) = release_cluster_histograms(
             self.histogram_mechanism,
             self.budget.eps_hist,
             counts,
-            [(a,) for a in combination.attributes],
+            [[(a,) for a in combination.attributes]],
             dataset.schema.attribute,
-            gen,
+            [gen],
             accountant,
         )
         return GlobalExplanation(

@@ -114,65 +114,108 @@ def release_cluster_histograms(
     mechanism: HistogramMechanism,
     eps_hist: float,
     counts: CountsProvider,
-    attribute_sets: "Sequence[Sequence[str]]",
+    attribute_sets: "Sequence[Sequence[Sequence[str]]]",
     attribute: "Callable[[str], Attribute]",
-    rng: np.random.Generator | int | None = None,
+    gens: "Sequence[np.random.Generator]",
     accountant: PrivacyAccountant | None = None,
-) -> "tuple[tuple[SingleClusterExplanation, ...], ...]":
-    """Lines 8-19 of Algorithm 2: noisy histograms of the selected attributes.
+) -> "list[tuple[tuple[SingleClusterExplanation, ...], ...]]":
+    """Lines 8-19 of Algorithm 2 for every generator: the noisy histograms.
 
-    ``attribute_sets[c]`` names the ``ell`` attributes explaining cluster
-    ``c`` (``ell = 1`` outside Appendix B).  The full-data histograms of
-    the distinct attributes ``A'`` compose sequentially at
-    ``eps_hist / (2 |A'|)`` each (Lines 8-12).  A cluster's ``ell``
-    histograms compose sequentially at ``eps_hist / (2 ell)`` each, and the
-    disjoint clusters in parallel (Lines 14-16).  Out-of-cluster histograms
-    are post-processing (Line 17).  Both halves are charged in one
-    all-or-nothing ``spend_many`` before any noise is drawn, so a refusal
-    leaves the ledger and ``rng`` as they were.  Each half is then one
-    ``release_blocks`` call: the full-data histograms first, then the
-    cluster rows in cluster order.  ``attribute`` maps a name to the
+    ``attribute_sets[r][c]`` names the ``ell`` attributes explaining cluster
+    ``c`` in run ``r`` (``ell = 1`` outside Appendix B), released from
+    ``gens[r]``.  In a run, the full-data histograms of the distinct
+    attributes ``A'`` compose sequentially at ``eps_hist / (2 |A'|)`` each
+    (Lines 8-12), so that epsilon varies from run to run.  A cluster's
+    ``ell`` histograms compose sequentially at ``eps_hist / (2 ell)`` each,
+    and the disjoint clusters in parallel (Lines 14-16).  Out-of-cluster
+    histograms are post-processing (Line 17).  Both halves of every run are
+    charged in one all-or-nothing ``spend_many`` before any noise is drawn,
+    so a refusal leaves the ledger and every generator as they were.  Each
+    half is then one ``release_runs`` call, in which each generator draws
+    once: the full-data histograms first, then the cluster rows in cluster
+    order, as a serial run draws them.  ``attribute`` maps a name to the
     :class:`~repro.dataset.schema.Attribute` the explanation renders.
-    Returns one tuple of ``ell`` explanations per cluster.
+    Entry ``r`` holds one tuple of ``ell`` explanations per cluster.
     """
-    gen = ensure_rng(rng)
-    distinct = tuple(dict.fromkeys(a for attrs in attribute_sets for a in attrs))
-    ell = max(len(attrs) for attrs in attribute_sets)
-    eps_full = eps_hist / (2.0 * len(distinct))
-    eps_cluster = eps_hist / (2.0 * ell)
+    if len(gens) != len(attribute_sets):
+        raise ValueError(
+            f"{len(attribute_sets)} attribute sets need as many generators, "
+            f"got {len(gens)}"
+        )
+    if not gens:
+        return []
+    distinct = [
+        tuple(dict.fromkeys(a for attrs in sets for a in attrs))
+        for sets in attribute_sets
+    ]
+    ell = [max(len(attrs) for attrs in sets) for sets in attribute_sets]
+    eps_full = [eps_hist / (2.0 * len(names)) for names in distinct]
+    eps_cluster = [eps_hist / (2.0 * n) for n in ell]
     if accountant is not None:
         accountant.spend_many([
-            (eps_full * len(distinct), "histograms: full dataset"),
-            (
-                [eps_cluster * ell] * len(attribute_sets),
-                "histograms: clusters (parallel)",
-            ),
-        ])
-    full = mechanism.with_epsilon(eps_full).release_blocks(
-        [counts.full(a)[None] for a in distinct], gen
-    )
-    noisy_full = {a: h[0] for a, h in zip(distinct, full)}
-    rows = [
-        counts.cluster(a, c)[None]
-        for c, attrs in enumerate(attribute_sets)
-        for a in attrs
-    ]
-    noisy_rows = iter(mechanism.with_epsilon(eps_cluster).release_blocks(rows, gen))
-    per_cluster = []
-    for c, attrs in enumerate(attribute_sets):
-        explanations = []
-        for a in attrs:
-            (noisy_c,) = next(noisy_rows)
-            explanations.append(
-                SingleClusterExplanation(
-                    cluster=c,
-                    attribute=attribute(a),
-                    hist_rest=np.maximum(noisy_full[a] - noisy_c, 0.0),
-                    hist_cluster=noisy_c,
-                )
+            row
+            for names, sets, e_full, e_cluster, n in zip(
+                distinct, attribute_sets, eps_full, eps_cluster, ell
             )
-        per_cluster.append(tuple(explanations))
-    return tuple(per_cluster)
+            for row in (
+                (e_full * len(names), "histograms: full dataset"),
+                ([e_cluster * n] * len(sets), "histograms: clusters (parallel)"),
+            )
+        ])
+    # The true counts of every attribute the batch names, gathered once.
+    names = tuple(dict.fromkeys(a for run in distinct for a in run))
+    full = {a: counts.full(a)[None] for a in names}
+    by_cluster = {a: counts.by_cluster(a) for a in names}
+    noisy_full = mechanism.release_runs(
+        [[full[a] for a in run] for run in distinct], eps_full, gens
+    )
+    noisy_c = mechanism.release_runs(
+        [
+            [by_cluster[a][c : c + 1] for c, attrs in enumerate(sets) for a in attrs]
+            for sets in attribute_sets
+        ],
+        eps_cluster,
+        gens,
+    )
+    # Line 17 for every cluster row of every run at once: gather each row's
+    # noisy full-data histogram, subtract, clamp.
+    starts = []
+    widths = []
+    pos = 0
+    for run, sets in zip(distinct, attribute_sets):
+        start = {}
+        for a in run:
+            start[a] = pos
+            pos += full[a].size
+        for attrs in sets:
+            for a in attrs:
+                starts.append(start[a])
+                widths.append(full[a].size)
+    offsets = np.cumsum(widths) - widths
+    rest = noisy_full[
+        np.arange(noisy_c.size) + np.repeat(np.asarray(starts) - offsets, widths)
+    ]
+    rest -= noisy_c
+    np.maximum(rest, 0.0, out=rest)
+    per_run = []
+    rows = iter(zip(offsets.tolist(), widths))
+    for sets in attribute_sets:
+        per_cluster = []
+        for c, attrs in enumerate(sets):
+            explanations = []
+            for a in attrs:
+                lo, width = next(rows)
+                explanations.append(
+                    SingleClusterExplanation(
+                        cluster=c,
+                        attribute=attribute(a),
+                        hist_rest=rest[lo : lo + width],
+                        hist_cluster=noisy_c[lo : lo + width],
+                    )
+                )
+            per_cluster.append(tuple(explanations))
+        per_run.append(tuple(per_cluster))
+    return per_run
 
 
 @dataclass(frozen=True)
@@ -221,23 +264,28 @@ class DPClustX:
     ) -> "list[SelectionResult]":
         """Run Lines 1-6 of Algorithm 2 once per generator in ``gens``.
 
-        The true score matrix is computed once; the per-generator work is
+        The true score matrix is computed once, and the ``GlScore``
+        tensors of all runs in one engine call; the per-generator work is
         the noise rows of the two shared selection stages, each charged
         before its draws.  Entry ``r`` equals
         ``select_combination(counts, gens[r], ...)``.
         """
         names = names if names is not None else counts.names
         gamma = self.weights.gamma()  # Line 1
-        matrix = scoring_engine(counts).score_matrix(gamma[0], gamma[1], names)
+        engine = scoring_engine(counts)
+        matrix = engine.score_matrix(gamma[0], gamma[1], names)
         per_run_sets = draw_candidate_sets(  # Line 3 (Algorithm 1)
             matrix, names, self.budget.eps_cand_set, self.n_candidates, gens,
             accountant,
         )
-        # Lines 5-6: EM over the candidate combinations with GlScore.
-        tensors = [
-            combination_score_tensor(counts, sets, self.weights).reshape(-1)
-            for sets in per_run_sets
-        ]
+        # Lines 5-6: EM over the candidate combinations with GlScore, the
+        # tensors of every run from one broadcast.
+        columns = engine.columns(
+            [a for sets in per_run_sets for attrs in sets for a in attrs]
+        ).reshape(len(per_run_sets), counts.n_clusters, self.n_candidates)
+        tensors = engine.combination_score_tensor(
+            columns, self.weights, max_combinations=_MAX_COMBINATIONS
+        )
         picks = pick_combinations(
             per_run_sets, tensors, self.budget.eps_top_comb, gens, accountant
         )
@@ -287,30 +335,36 @@ class DPClustX:
     def release_histograms(
         self,
         counts: ClusteredCounts,
-        combination: AttributeCombination,
-        rng: np.random.Generator | int | None = None,
+        combination: "AttributeCombination | Sequence[AttributeCombination]",
+        rng: "np.random.Generator | int | None | Sequence[np.random.Generator]" = None,
         accountant: PrivacyAccountant | None = None,
         metadata: "dict[str, object] | None" = None,
-    ) -> GlobalExplanation:
+    ) -> "GlobalExplanation | list[GlobalExplanation]":
         """Lines 8-19 of Algorithm 2: release noisy histograms for a chosen
         combination and assemble the :class:`GlobalExplanation`.
 
         Split out of :meth:`explain` so batched front ends (the sweep
         layer's ``explain_batched``, the explanation service) can run
         Stage-1/2 selection for many seeds in one scoring pass and then
-        continue each seed's generator here — the stream consumption is
-        identical to the serial ``explain`` call.  The release and its
+        continue each seed's generator here.  Given a list of combinations
+        and a list of generators, one per combination, the histograms of
+        all of them are one :func:`release_cluster_histograms` pass and a
+        list of explanations comes back; entry ``r`` consumes ``rng[r]``
+        exactly as the one-combination call would.  The release and its
         ``eps_hist`` charge happen in :func:`release_cluster_histograms`;
         extra ``metadata`` entries (e.g. the candidate sets) are merged into
-        the output's provenance record.
+        every output's provenance record.
         """
-        per_cluster = release_cluster_histograms(
+        single = isinstance(combination, AttributeCombination)
+        combinations = [combination] if single else list(combination)
+        gens = [ensure_rng(g) for g in ([rng] if single else rng)]
+        per_run = release_cluster_histograms(
             self.histogram_mechanism,
             self.budget.eps_hist,
             counts,
-            [(a,) for a in combination.attributes],
+            [[(a,) for a in combo.attributes] for combo in combinations],
             counts.dataset.schema.attribute,
-            rng,
+            gens,
             accountant,
         )
         provenance: dict[str, object] = {
@@ -321,8 +375,12 @@ class DPClustX:
         }
         provenance.update(metadata or {})
         provenance["epsilon_total"] = self.budget.total
-        return GlobalExplanation(
-            per_cluster=tuple(e for (e,) in per_cluster),
-            combination=combination,
-            metadata=provenance,
-        )
+        released = [
+            GlobalExplanation(
+                per_cluster=tuple(e for (e,) in per_cluster),
+                combination=combo,
+                metadata=dict(provenance),
+            )
+            for combo, per_cluster in zip(combinations, per_run)
+        ]
+        return released[0] if single else released

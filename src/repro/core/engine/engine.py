@@ -194,7 +194,7 @@ class ScoringEngine:
 
     def combination_score_tensor(
         self,
-        candidate_sets: Sequence[Sequence[str]],
+        candidate_sets: "Sequence[Sequence[str]] | np.ndarray",
         weights,
         max_combinations: int | None = None,
     ) -> np.ndarray:
@@ -206,25 +206,43 @@ class ScoringEngine:
         ``C(|C|, 2)`` blocks — the same ``O(k^|C|)`` evaluation count as the
         paper's complexity analysis, with no per-(cluster, attribute) Python
         calls.
+
+        ``candidate_sets`` is one run's per-cluster candidate names, giving
+        the ``k_1 x ... x k_|C|`` tensor, or an ``(R, |C|, k)`` array of
+        stack column indices, giving the flattened ``(R, k^|C|)`` tensors
+        of ``R`` runs from one broadcast.  One run is the ``R = 1`` case of
+        the second form, and every element sums its terms in one order
+        (per-cluster terms by cluster, then the pairs in
+        ``itertools.combinations`` order), so the values do not depend on
+        ``R``.  Candidate sets of unequal sizes build each diversity block
+        on its own.
         """
         n_clusters = self.n_clusters
-        if len(candidate_sets) != n_clusters:
-            raise ValueError("need one candidate set per cluster")
-        shape = tuple(len(s) for s in candidate_sets)
+        if isinstance(candidate_sets, np.ndarray):
+            runs = candidate_sets
+            if runs.ndim != 3 or runs.shape[1] != n_clusters:
+                raise ValueError("need an (R, |C|, k) column-index array")
+            cols = [runs[:, c, :] for c in range(n_clusters)]
+        else:
+            if len(candidate_sets) != n_clusters:
+                raise ValueError("need one candidate set per cluster")
+            cols = [self.columns(s)[None] for s in candidate_sets]
+        shape = tuple(col.shape[1] for col in cols)
         total = math.prod(shape)
         if max_combinations is not None and total > max_combinations:
             raise ValueError(
                 f"{total} candidate combinations exceed the enumeration guard "
                 f"({max_combinations}); reduce k or |C|"
             )
-        cols = [self.columns(s) for s in candidate_sets]
-        tensor = np.zeros(shape, dtype=np.float64)
+        n_runs = cols[0].shape[0]
+        tensor = np.zeros((n_runs,) + shape, dtype=np.float64)
+        ones = [n_runs] + [1] * n_clusters  # axis 0 is the run
 
         # Additive per-cluster part: (lInt * Int_p + lSuf * Suf_p) / |C|.
         base = self._score(weights.lambda_int, weights.lambda_suf)
         for c in range(n_clusters):
-            shp = [1] * n_clusters
-            shp[c] = shape[c]
+            shp = ones.copy()
+            shp[c + 1] = shape[c]
             tensor += (base[c, cols[c]] / n_clusters).reshape(shp)
 
         # Pairwise diversity part: lDiv * d(c, c') / C(|C|, 2).
@@ -232,31 +250,35 @@ class ScoringEngine:
             scale = weights.lambda_div / math.comb(n_clusters, 2)
             uniform = len(set(shape)) == 1
             if uniform:
-                # One broadcast computes every (c, c') diversity block:
-                # D[c, j, c', j'] = d(D, f, c, c', sets[c][j], sets[c'][j']).
-                m = np.stack(cols)
+                # One broadcast computes every (c, c') diversity block of
+                # every run: D[r, c, j, c', j'] =
+                # d(D, f, c, c', sets[r][c][j], sets[r][c'][j']).
+                m = np.stack(cols, axis=1)
                 cidx = np.arange(n_clusters)
                 s = self._stack.sizes[m, cidx[:, None]]
-                w = np.minimum(s[:, :, None, None], s[None, None, :, :])
+                w = np.minimum(s[:, :, :, None, None], s[:, None, None, :, :])
                 tvd = self.pair_tvd_tensor()[
-                    m[:, :, None, None],
+                    m[:, :, :, None, None],
                     cidx[:, None, None, None],
                     cidx[None, None, :, None],
                 ]
-                eq = m[:, :, None, None] == m[None, None, :, :]
+                eq = m[:, :, :, None, None] == m[:, None, None, :, :]
                 blocks = scale * np.where(eq, w * tvd, w)
             for c, c2 in itertools.combinations(range(n_clusters), 2):
                 if uniform:
-                    block = blocks[c, :, c2, :]
-                else:
+                    block = blocks[:, c, :, c2, :]
+                else:  # names of unequal sizes: one run
                     block = scale * kernels.diversity_block(
-                        self._stack, c, c2, cols[c], cols[c2], self.pair_tvd(c, c2)
+                        self._stack, c, c2, cols[c][0], cols[c2][0],
+                        self.pair_tvd(c, c2),
                     )
-                shp = [1] * n_clusters
-                shp[c] = shape[c]
-                shp[c2] = shape[c2]
+                shp = ones.copy()
+                shp[c + 1] = shape[c]
+                shp[c2 + 1] = shape[c2]
                 tensor += block.reshape(shp)
-        return tensor
+        if isinstance(candidate_sets, np.ndarray):
+            return tensor.reshape(n_runs, total)
+        return tensor[0]
 
     # -- Appendix B: set-valued combinations ------------------------------- #
 

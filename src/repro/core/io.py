@@ -31,13 +31,13 @@ class ExplanationFormatError(ValueError):
 
 def single_to_dict(e: SingleClusterExplanation) -> dict[str, Any]:
     """One cluster's explanation as a JSON-able dict (also the service's
-    response rows)."""
+    response rows), keys in sorted order and histograms as float lists."""
     return {
-        "cluster": e.cluster,
         "attribute": e.attribute.name,
+        "cluster": e.cluster,
         "domain": list(e.attribute.domain),
-        "hist_rest": [float(x) for x in e.hist_rest],
-        "hist_cluster": [float(x) for x in e.hist_cluster],
+        "hist_cluster": e.hist_cluster.astype(np.float64, copy=False).tolist(),
+        "hist_rest": e.hist_rest.astype(np.float64, copy=False).tolist(),
     }
 
 

@@ -148,13 +148,13 @@ class MultiDPClustX:
             counts = ClusteredCounts(dataset, clustering)
         combination = self.select_combination(counts, gen, accountant)
 
-        per_cluster = release_cluster_histograms(
+        (per_cluster,) = release_cluster_histograms(
             self.histogram_mechanism,
             self.budget.eps_hist,
             counts,
-            combination.attribute_sets,
+            [combination.attribute_sets],
             dataset.schema.attribute,
-            gen,
+            [gen],
             accountant,
         )
         return MultiGlobalExplanation(

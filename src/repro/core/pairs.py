@@ -173,13 +173,13 @@ def explain_with_pairs(
 
     gen = ensure_rng(rng)
     combination = explainer.select_combination(counts, gen, accountant).combination
-    per_cluster = release_cluster_histograms(
+    (per_cluster,) = release_cluster_histograms(
         explainer.histogram_mechanism,
         explainer.budget.eps_hist,
         counts,
-        [(a,) for a in combination.attributes],
+        [[(a,) for a in combination.attributes]],
         counts.attribute,
-        gen,
+        [gen],
         accountant,
     )
     return GlobalExplanation(

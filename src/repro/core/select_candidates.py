@@ -115,7 +115,8 @@ def pick_combinations(
 
     ``options[r][c]`` lists cluster ``c``'s choices for generator ``r``
     (its candidate attributes, or Appendix B's attribute subsets), and
-    ``flat_scores[r]`` scores every combination of them, flattened in
+    ``flat_scores[r]`` (a row of one ``(R, n)`` array, or one of ``R``
+    equal-length vectors) scores every combination of them, flattened in
     ``itertools.product`` (C) order.  Each generator's ``eps_top_comb`` is
     charged as one ``spend_many`` row before the draw.  One
     ``select_indices`` call then draws row ``r`` from ``gens[r]``, and the
@@ -126,7 +127,7 @@ def pick_combinations(
         return []
     if accountant is not None:
         accountant.spend_many([(eps_top_comb, label)] * len(gens))
-    idx = em.select_indices(np.stack(flat_scores), rng=gens)
+    idx = em.select_indices(np.asarray(flat_scores), rng=gens)
     picked = []
     for r, sets in enumerate(options):
         picks = np.unravel_index(int(idx[r]), tuple(len(s) for s in sets))

@@ -13,11 +13,12 @@ Both Stage-1 (One-shot Top-k) and Stage-2 (exponential mechanism) perturb
 (:mod:`repro.core.select_candidates`) over every seed's generator at once.
 The Stage-1 score matrix is computed once per call, the noise becomes
 per-seed Gumbel rows (``select_batch`` / ``select_indices``), and selection
-is a row-wise argsort/argmax.  Each seed's Stage-2 tensor is assembled from
-the memoised :class:`~repro.core.engine.engine.ScoringEngine`'s per-cluster
-vectors; :class:`SweepContext` keeps only what repeats across a sweep's
-seeds and epsilon points (the sensitive-Quality tensors, per-combination
-Quality and the TabEE selections).
+is a row-wise argsort/argmax.  The Stage-2 tensors of all seeds are one
+broadcast over the per-cluster vectors of the memoised
+:class:`~repro.core.engine.engine.ScoringEngine`; :class:`SweepContext`
+keeps only what repeats across a sweep's seeds and epsilon points (the
+sensitive-Quality tensors, per-combination Quality and the TabEE
+selections).
 
 **Exactness contract.**  ``numpy.random.Generator`` fills arrays from the
 bit stream value-by-value, so the batched draws consume each spawned child
@@ -209,15 +210,17 @@ def explain_batched(
     rngs: Sequence["np.random.Generator | int | None"],
     metrics=None,
 ):
-    """All seeds of ``DPClustX.explain``, batched — one scoring pass.
+    """All seeds of ``DPClustX.explain``, batched — one pass per stage.
 
     The reusable batch entry point behind the explanation service's request
-    coalescing: Stage-1/2 selection for every seed runs through
-    :meth:`~repro.core.dpclustx.DPClustX.select_combinations` (the score
-    matrix is computed once and the per-seed work collapses to Gumbel rows
-    + argmax), then each seed's generator — having consumed exactly the
-    selection draws of the serial path — continues into :meth:`~repro.core.dpclustx.DPClustX.release_histograms`.
-    Entry ``r`` is therefore byte-identical to
+    coalescing.  :meth:`~repro.core.dpclustx.DPClustX.select_combinations`
+    runs Stage-1/2 selection for every seed: the score matrix is computed
+    once, the ``GlScore`` tensors of all seeds are one broadcast, and the
+    per-seed work collapses to Gumbel rows + argmax.  Then one
+    :meth:`~repro.core.dpclustx.DPClustX.release_histograms` call releases
+    every seed's histograms, each generator having consumed exactly the
+    selection draws of the serial path.  Entry ``r`` is therefore
+    byte-identical to
     ``explainer.explain(dataset, clustering, rng=rngs[r], counts=counts)``.
 
     Privacy accounting is deliberately *not* threaded through here: each
@@ -226,8 +229,8 @@ def explain_batched(
 
     ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`) records the
     two kernel phases into the span histogram — ``engine-score`` for the
-    batched selection pass, ``mechanism-release`` for the per-seed
-    histogram releases.  Timing wraps the calls; it never touches the rng
+    batched selection pass, ``mechanism-release`` for the batched
+    histogram release.  Timing wraps the calls; it never touches the rng
     streams, so instrumented output stays byte-identical.
     """
     children = [ensure_rng(r) for r in rngs]
@@ -241,10 +244,9 @@ def explain_batched(
     if spans is not None:
         spans.observe(time.perf_counter() - t0, ("engine-score",))
     t0 = time.perf_counter()
-    released = [
-        explainer.release_histograms(counts, selection.combination, child)
-        for selection, child in zip(selections, children)
-    ]
+    released = explainer.release_histograms(
+        counts, [s.combination for s in selections], children
+    )
     if spans is not None:
         spans.observe(time.perf_counter() - t0, ("mechanism-release",))
     return released

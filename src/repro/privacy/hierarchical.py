@@ -32,9 +32,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .histograms import HistogramMechanism, as_blocks
+from .histograms import HistogramMechanism, as_runs
 from .mechanisms import LaplaceMechanism
-from .rng import ensure_rng
 
 
 def _tree_shape(n_bins: int, branching: int) -> tuple[int, int]:
@@ -68,42 +67,49 @@ class HierarchicalHistogram(HistogramMechanism):
         if self.branching < 2:
             raise ValueError("branching factor must be >= 2")
 
-    def release_blocks(
+    def release_runs(
         self,
-        blocks: "Sequence[np.ndarray]",
-        rng: np.random.Generator | int | None = None,
-    ) -> "list[np.ndarray]":
-        """Release every row of each ``(R_i, m_i)`` block as its own tree,
-        one consistent noisy histogram over ``m_i`` bins per row.
+        runs: "Sequence[Sequence[np.ndarray]]",
+        epsilons: "Sequence[float]",
+        gens: "Sequence[np.random.Generator | int | None]",
+    ) -> np.ndarray:
+        """Release every row of each run's ``(R_i, m_i)`` blocks as its own
+        tree, one consistent noisy histogram over ``m_i`` bins per row.
 
-        A block is one Laplace draw over its rows' concatenated levels
-        (leaves first, root last), row by row: the order of releasing the
-        rows one at a time.  Level sums and both inference passes run on
-        the leading row axis.
+        Runs are released one after another.  A block is one Laplace draw
+        from its run's generator over its rows' concatenated levels (leaves
+        first, root last), row by row: the order of releasing the rows one
+        at a time.  Level sums and both inference passes run on the leading
+        row axis.
         """
-        mats = as_blocks(blocks, np.float64)
-        gen = ensure_rng(rng)
-        out = []
-        for m in mats:
-            n_rows, n_bins = m.shape
-            leaves, height = _tree_shape(n_bins, self.branching)
-            padded = np.zeros((n_rows, leaves))
-            padded[:, :n_bins] = m
-            # levels[0] = leaves ... levels[-1] = root; true interval sums.
-            levels = [padded]
-            while levels[-1].shape[1] > 1:
-                levels.append(self._child_sums(levels[-1]))
-            mech = LaplaceMechanism(self.epsilon / height, 1.0)
-            noisy = mech.randomise(np.concatenate(levels, axis=1), gen)
-            bounds = np.cumsum([lv.shape[1] for lv in levels])[:-1]
-            hbar = self._downward_pass(
-                self._upward_pass(np.split(noisy, bounds, axis=1))
-            )
-            released = hbar[0][:, :n_bins]
-            if self.clamp_negative:
-                np.maximum(released, 0.0, out=released)
-            out.append(released)
-        return out
+        runs, epsilons, gens = as_runs(runs, epsilons, gens, np.float64)
+        out = [np.empty(0)]
+        for mats, eps, gen in zip(runs, epsilons, gens):
+            for m in mats:
+                out.append(self._release_block(m, eps, gen).ravel())
+        return np.concatenate(out)
+
+    def _release_block(
+        self, m: np.ndarray, epsilon: float, gen: np.random.Generator
+    ) -> np.ndarray:
+        n_rows, n_bins = m.shape
+        leaves, height = _tree_shape(n_bins, self.branching)
+        padded = np.zeros((n_rows, leaves))
+        padded[:, :n_bins] = m
+        # levels[0] = leaves ... levels[-1] = root; true interval sums.
+        levels = [padded]
+        while levels[-1].shape[1] > 1:
+            levels.append(self._child_sums(levels[-1]))
+        mech = LaplaceMechanism(epsilon / height, 1.0)
+        noisy = mech.randomise(np.concatenate(levels, axis=1), gen)
+        bounds = np.cumsum([lv.shape[1] for lv in levels])[:-1]
+        hbar = self._downward_pass(
+            self._upward_pass(np.split(noisy, bounds, axis=1))
+        )
+        released = hbar[0][:, :n_bins]
+        if self.clamp_negative:
+            np.maximum(released, 0.0, out=released)
+        return released
 
     def _child_sums(self, level: np.ndarray) -> np.ndarray:
         """Sum each run of ``branching`` siblings along the last axis."""

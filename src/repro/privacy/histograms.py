@@ -11,11 +11,13 @@ use the Geometric mechanism as implemented by diffprivlib.  We provide:
 * both optionally clamp negatives to zero (post-processing, free).
 
 Every mechanism subclasses :class:`HistogramMechanism` and draws noise in
-one method, ``release_blocks(blocks, rng)``, which releases a sequence of
-``(R, m)`` count matrices row by row from one generator.  The base derives
-the rest from it: ``release(counts, rng)`` for one pre-computed count vector
-and ``release_column(dataset, attr, rng)`` matching the paper's
-``M_hist(pi_A(D), eps_hist)`` signature.
+one method, ``release_runs(runs, epsilons, gens)``.  Run ``r`` is a sequence
+of ``(R, m)`` count matrices released row by row from ``gens[r]`` at
+``epsilons[r]``, and the noisy rows of all runs come back end to end in one
+vector.  The base derives the rest from it: ``release_blocks(blocks, rng)``
+for one run at the mechanism's own epsilon, ``release(counts, rng)`` for one
+pre-computed count vector and ``release_column(dataset, attr, rng)``
+matching the paper's ``M_hist(pi_A(D), eps_hist)`` signature.
 """
 
 from __future__ import annotations
@@ -39,18 +41,37 @@ def as_blocks(blocks: "Sequence[np.ndarray]", dtype) -> "list[np.ndarray]":
     return mats
 
 
-def _flatten(mats: "Sequence[np.ndarray]", dtype) -> np.ndarray:
-    """The blocks' counts end to end, in row-major order."""
-    return np.concatenate([m.ravel() for m in mats] or [np.empty(0, dtype)])
+def as_runs(
+    runs: "Sequence[Sequence[np.ndarray]]",
+    epsilons: "Sequence[float]",
+    gens: "Sequence[np.random.Generator | int | None]",
+    dtype,
+) -> "tuple[list[list[np.ndarray]], list[float], list[np.random.Generator]]":
+    """``(blocks, epsilon, generator)`` of every run, each one validated."""
+    if not len(runs) == len(epsilons) == len(gens):
+        raise ValueError("need one epsilon and one generator per run")
+    return (
+        [as_blocks(blocks, dtype) for blocks in runs],
+        [check_epsilon(eps) for eps in epsilons],
+        [ensure_rng(g) for g in gens],
+    )
 
 
-def _split(flat: np.ndarray, mats: "Sequence[np.ndarray]") -> "list[np.ndarray]":
-    """Inverse of :func:`_flatten`: one view of ``flat`` per block."""
+def _flatten(runs: "Sequence[Sequence[np.ndarray]]", dtype) -> np.ndarray:
+    """Every run's counts end to end, block by block in row-major order."""
+    return np.concatenate(
+        [m.ravel() for mats in runs for m in mats] or [np.empty(0, dtype)]
+    )
+
+
+def _split(flat: np.ndarray, shapes: "Sequence[tuple[int, ...]]") -> "list[np.ndarray]":
+    """One view of ``flat`` per block shape, in order."""
     out = []
     pos = 0
-    for m in mats:
-        out.append(flat[pos : pos + m.size].reshape(m.shape))
-        pos += m.size
+    for shape in shapes:
+        size = shape[0] * shape[1]
+        out.append(flat[pos : pos + size].reshape(shape))
+        pos += size
     return out
 
 
@@ -58,10 +79,11 @@ def _split(flat: np.ndarray, mats: "Sequence[np.ndarray]") -> "list[np.ndarray]"
 class HistogramMechanism:
     """``M_hist``: an eps-DP histogram release (Section 2.1).
 
-    Subclasses implement :meth:`release_blocks`, the only method that draws
-    noise.  Rows are released in order from one generator, and each row
-    spends ``epsilon``: rows over disjoint data (the clusters) compose in
-    parallel, rows over the same data sequentially, as the caller charges.
+    Subclasses implement :meth:`release_runs`, the only method that draws
+    noise.  A run's rows are released in order from its generator, and each
+    row spends the run's epsilon: rows over disjoint data (the clusters)
+    compose in parallel, rows over the same data sequentially, as the
+    caller charges.
     """
 
     epsilon: float
@@ -69,13 +91,31 @@ class HistogramMechanism:
     def __post_init__(self) -> None:
         check_epsilon(self.epsilon)
 
+    def release_runs(
+        self,
+        runs: "Sequence[Sequence[np.ndarray]]",
+        epsilons: "Sequence[float]",
+        gens: "Sequence[np.random.Generator | int | None]",
+    ) -> np.ndarray:
+        """Release every row of every run, end to end in one vector.
+
+        ``runs[r]`` is a sequence of ``(R_i, m_i)`` count matrices released
+        from ``gens[r]`` at ``epsilons[r]``.  Each generator is consumed as
+        :meth:`release_blocks` on that run alone would consume it; the
+        noisy counts come back as float64, run by run, block by block, in
+        row-major order.
+        """
+        raise NotImplementedError
+
     def release_blocks(
         self,
         blocks: "Sequence[np.ndarray]",
         rng: np.random.Generator | int | None = None,
     ) -> "list[np.ndarray]":
-        """Release every row of a sequence of ``(R_i, m_i)`` count matrices."""
-        raise NotImplementedError
+        """Release every row of a sequence of ``(R_i, m_i)`` count matrices
+        from one generator at ``epsilon``: one run of :meth:`release_runs`."""
+        flat = self.release_runs([blocks], [self.epsilon], [rng])
+        return _split(flat, [np.shape(b) for b in blocks])
 
     def release(
         self, counts: np.ndarray, rng: np.random.Generator | int | None = None
@@ -105,35 +145,42 @@ class GeometricHistogram(HistogramMechanism):
 
     clamp_negative: bool = True
 
-    def release_blocks(
+    def release_runs(
         self,
-        blocks: "Sequence[np.ndarray]",
-        rng: np.random.Generator | int | None = None,
-    ) -> "list[np.ndarray]":
-        """Release ``(R_i, m_i)`` count matrices from one geometric draw.
+        runs: "Sequence[Sequence[np.ndarray]]",
+        epsilons: "Sequence[float]",
+        gens: "Sequence[np.random.Generator | int | None]",
+    ) -> np.ndarray:
+        """Release every run's count matrices, one geometric draw per run.
 
-        Each count gets the difference of two one-sided geometric draws.
-        One flat sample is consumed row by row: a row of ``m`` counts takes
-        ``m`` draws for the positive side, then ``m`` for the negative one,
-        the order of releasing the rows one at a time.
+        Each count gets the difference of two one-sided geometric draws.  A
+        run's flat sample is consumed row by row: a row of ``m`` counts
+        takes ``m`` draws for the positive side, then ``m`` for the negative
+        one, the order of releasing the rows one at a time.
         """
-        mats = as_blocks(blocks, np.int64)
-        gen = ensure_rng(rng)
-        p = 1.0 - float(np.exp(-self.epsilon))
-        # A row of width m whose first count has flat index s owns draws
-        # [2s, 2s + 2m): count k of it takes draw k + s, minus draw k + s + m.
+        runs, epsilons, gens = as_runs(runs, epsilons, gens, np.int64)
+        # Run r draws twice its count total, so with the runs' samples end
+        # to end, a row of width m whose first count has flat index s owns
+        # draws [2s, 2s + 2m): count k of it takes draw k + s, minus draw
+        # k + s + m.
+        draws = np.concatenate([
+            gen.geometric(
+                1.0 - float(np.exp(-eps)), size=2 * sum(m.size for m in mats)
+            )
+            for mats, eps, gen in zip(runs, epsilons, gens)
+        ] or [np.empty(0, np.int64)])
+        mats = [m for run in runs for m in run]
         widths = np.repeat(
             np.array([m.shape[1] for m in mats], dtype=np.intp),
             [m.shape[0] for m in mats],
         )
         pos = np.arange(widths.sum()) + np.repeat(np.cumsum(widths) - widths, widths)
-        draws = gen.geometric(p, size=2 * pos.size)
-        noisy = _flatten(mats, np.int64)
+        noisy = _flatten(runs, np.int64)
         noisy += draws[pos]
         noisy -= draws[pos + np.repeat(widths, widths)]
         if self.clamp_negative:
             np.maximum(noisy, 0, out=noisy)
-        return _split(noisy.astype(np.float64), mats)
+        return noisy.astype(np.float64)
 
     def expected_l1_error(self, domain_size: int) -> float:
         """Expected L1 noise mass over a ``domain_size``-bin histogram."""
@@ -149,20 +196,25 @@ class LaplaceHistogram(HistogramMechanism):
 
     clamp_negative: bool = True
 
-    def release_blocks(
+    def release_runs(
         self,
-        blocks: "Sequence[np.ndarray]",
-        rng: np.random.Generator | int | None = None,
-    ) -> "list[np.ndarray]":
-        """Release ``(R_i, m_i)`` count matrices from one Laplace draw,
+        runs: "Sequence[Sequence[np.ndarray]]",
+        epsilons: "Sequence[float]",
+        gens: "Sequence[np.random.Generator | int | None]",
+    ) -> np.ndarray:
+        """Release every run's count matrices, one Laplace draw per run,
         consumed block by block in row-major order."""
-        mats = as_blocks(blocks, np.float64)
-        gen = ensure_rng(rng)
-        noisy = _flatten(mats, np.float64)
-        noisy += gen.laplace(loc=0.0, scale=1.0 / self.epsilon, size=noisy.size)
+        runs, epsilons, gens = as_runs(runs, epsilons, gens, np.float64)
+        noisy = _flatten(runs, np.float64)
+        noisy += np.concatenate([
+            gen.laplace(
+                loc=0.0, scale=1.0 / eps, size=sum(m.size for m in mats)
+            )
+            for mats, eps, gen in zip(runs, epsilons, gens)
+        ] or [np.empty(0)])
         if self.clamp_negative:
             np.maximum(noisy, 0.0, out=noisy)
-        return _split(noisy, mats)
+        return noisy
 
     def expected_l1_error(self, domain_size: int) -> float:
         return domain_size / self.epsilon
@@ -200,5 +252,6 @@ def epsilon_for_l1_error(
 
 # Self-register this backend's release surface with the taint manifest.
 register_sanitizer("release")
+register_sanitizer("release_runs")
 register_sanitizer("release_blocks")
 register_sanitizer("release_column")

@@ -11,8 +11,9 @@ budget triple, n_candidates, weights, seed-stream id)``
 Two consequences the service tests pin down:
 
 * a cache hit returns a byte-identical response body (entries store a
-  marshalled copy of the decoded canonical JSON encoding and re-serve fresh
-  ``marshal.loads`` copies, so callers can never mutate the cached object)
+  marshalled copy of the body, built as ``json.loads`` would decode its
+  canonical JSON encoding, and re-serve fresh ``marshal.loads`` copies, so
+  callers can never mutate the cached object)
   with **zero** new budget charged to any tenant;
 * the dataset fingerprint / clustering signature in the key make staleness
   structural — rebinning, schema changes, or relabeling produce different
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import json
 import marshal
+import pickle
 import threading
 
 from collections import OrderedDict
@@ -50,26 +52,29 @@ def canonical_json(payload: dict) -> str:
 class CacheEntry:
     """One released explanation: its copy form + the epsilon it cost.
 
-    The copy form is the *decoded* canonical JSON text (so the same lists,
-    floats and key order ``json.loads`` gives), marshalled once when the
-    entry is built by :meth:`decoded`.  Every hit unmarshals a fresh deep
-    copy from it, about three times faster than parsing the JSON again.
+    The copy form is the response body as ``json.loads`` would give it
+    back from :func:`canonical_json` (the same lists, floats and key
+    order), marshalled once when the entry is built by :meth:`of`.  Every
+    hit unmarshals a fresh deep copy from it, about three times faster
+    than parsing the JSON again.
     """
 
     copy_form: bytes
     epsilon_total: float
 
     @classmethod
-    def decoded(
-        cls, canonical: str, epsilon_total: float
-    ) -> "tuple[CacheEntry, dict]":
-        """A new entry plus the body it was built from, decoded once.
+    def of(cls, body: dict, epsilon_total: float) -> "CacheEntry":
+        """The entry of a decoded body; the caller may go on using ``body``.
 
-        Nobody else holds the returned body, so the payer of a fresh
-        release can be served it without a second decode.
+        ``body`` shares interned strings (its dict keys, the schema's names
+        and domain values) and floats with other objects; ``marshal`` would
+        write those interned and by reference, and every hit would re-intern
+        them on load.  A pickle round trip of our own body gives fresh,
+        uninterned strings and unshared floats, as ``json.loads`` does, so
+        the copy form loads as fast as the decoded canonical JSON's.
         """
-        body = json.loads(canonical)
-        return cls(marshal.dumps(body), epsilon_total), body
+        fresh = pickle.loads(pickle.dumps(body, pickle.HIGHEST_PROTOCOL))
+        return cls(marshal.dumps(fresh), epsilon_total)
 
     def payload(self) -> dict:
         """A fresh (mutation-safe) copy of the response body."""

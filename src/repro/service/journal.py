@@ -324,34 +324,49 @@ class TenantLedgerStore:
 
         Returns ``(records, dirty)`` — ``dirty`` means the on-disk file has
         a trailing fragment that must be rewritten away before appending.
+        The complete lines are parsed in one call, as one JSON array.  When
+        that fails, or does not give exactly one object per line, the lines
+        are parsed one by one to find the torn tail or the corrupt line.
         """
         try:
             with open(self.journal_path) as fh:
                 raw = fh.read()
         except FileNotFoundError:
             return [], False
-        records: "list[dict]" = []
         lines = raw.split("\n")
         torn_tail = bool(lines and lines[-1] != "")  # no trailing newline
         if lines and lines[-1] == "":
             lines.pop()
-        for i, line in enumerate(lines):
-            if not line.strip():
-                continue
-            last = i == len(lines) - 1
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError:
-                if last and torn_tail:
-                    return records, True  # the record never committed
-                raise LedgerStoreError(
-                    f"journal {self.journal_path!r} is corrupt at line {i + 1}"
-                ) from None
-            if not isinstance(rec, dict):
-                raise LedgerStoreError(
-                    f"journal {self.journal_path!r} line {i + 1} is not an object"
-                )
-            records.append(rec)
+        body = [line for line in lines if line.strip()]
+        try:
+            records = json.loads("[" + ",".join(body) + "]")
+        except json.JSONDecodeError:
+            records = None
+        if (
+            records is None
+            or len(records) != len(body)
+            or not all(isinstance(rec, dict) for rec in records)
+        ):
+            records = []
+            for i, line in enumerate(lines):
+                if not line.strip():
+                    continue
+                last = i == len(lines) - 1
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError:
+                    if last and torn_tail:
+                        return records, True  # the record never committed
+                    raise LedgerStoreError(
+                        f"journal {self.journal_path!r} is corrupt "
+                        f"at line {i + 1}"
+                    ) from None
+                if not isinstance(rec, dict):
+                    raise LedgerStoreError(
+                        f"journal {self.journal_path!r} line {i + 1} "
+                        "is not an object"
+                    )
+                records.append(rec)
         # A complete final record missing only its newline is committed but
         # still needs the rewrite, or the next append glues to it.
         return records, torn_tail

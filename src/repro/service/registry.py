@@ -30,6 +30,7 @@ current one (charge rows with ``units`` and ``token``) refuses to load as
 
 from __future__ import annotations
 
+import gc
 import os
 import threading
 
@@ -395,7 +396,15 @@ class ServiceRegistry:
         self.ledger_dir = os.fspath(ledger_dir) if ledger_dir is not None else None
         if self.ledger_dir is not None:
             os.makedirs(self.ledger_dir, exist_ok=True)
-            self._load_ledgers()
+            # Reload allocates one tracked object per charge and drops none,
+            # so the cyclic collector's passes over them find nothing.
+            collecting = gc.isenabled()
+            gc.disable()
+            try:
+                self._load_ledgers()
+            finally:
+                if collecting:
+                    gc.enable()
 
     # -- datasets -------------------------------------------------------- #
 

@@ -24,8 +24,8 @@ requests from many tenants over registered datasets.  A request's lifecycle:
    ledgers persist crash-safely before the response is released.
 5. **Engine** — all funded seeds run through
    :func:`~repro.evaluation.sweeps.explain_batched`: one batched scoring
-   pass over the dataset's counts, then per-seed histogram releases whose
-   bytes equal the serial ``DPClustX.explain`` path.
+   pass over the dataset's counts, then one histogram release for every
+   seed, whose bytes equal the serial ``DPClustX.explain`` path.
 6. **Response** — payloads are cached and every waiting future resolves
    with an envelope recording how it was served (``miss`` — the payer,
    ``coalesced`` — a free rider in the same batch, or ``hit``).
@@ -50,7 +50,8 @@ from ..obs.metrics import Histogram, MetricsRegistry, histogram_quantile
 from ..obs.tracing import attach_trace, new_trace_id, span_histogram, trace_id_of
 from ..pipeline import ClusteringSpec
 from ..privacy.budget import BudgetError, ExplanationBudget, PrivacyAccountant
-from .cache import CacheEntry, ExplanationCache, canonical_json
+# canonical_json is re-exported: the encoding explanation_payload bodies compare under.
+from .cache import CacheEntry, ExplanationCache, canonical_json  # noqa: F401
 from .journal import commit_scope
 from .queue import RequestQueue, run_worker
 from .registry import (
@@ -419,6 +420,13 @@ def latency_summary(hist: Histogram) -> dict:
     return summary
 
 
+def _json_number(value):
+    """``value`` as ``json.loads(canonical_json(value))`` reads it back."""
+    if type(value) in (bool, int, float):
+        return value
+    return int(value) if isinstance(value, int) else float(value)
+
+
 def explanation_payload(
     request: ExplainRequest, entry: DatasetEntry, explanation: GlobalExplanation
 ) -> dict:
@@ -426,24 +434,27 @@ def explanation_payload(
 
     Every field is a pure function of the cache key, so re-serialising the
     payload is byte-stable — the property the cache's canonical encoding
-    and the byte-identity tests rely on.
+    and the byte-identity tests rely on.  The body is built decoded: it
+    equals ``json.loads(canonical_json(body))``, keys in sorted order at
+    every level and only JSON-native values, so a miss serves it without
+    encoding and parsing it first.
     """
     return {
-        "dataset": entry.dataset_id,
-        "fingerprint": entry.fingerprint,
-        "signature": entry.signature,
-        "explainer": request.explainer,
-        "seed": request.seed,
-        "n_candidates": request.n_candidates,
-        "weights": [float(w) for w in request.weights],
-        "epsilon": {
-            "cand_set": request.eps_cand_set,
-            "top_comb": request.eps_top_comb,
-            "hist": request.eps_hist,
-            "total": request.epsilon_total,
-        },
-        "combination": list(explanation.combination),
         "clusters": [single_to_dict(e) for e in explanation],
+        "combination": list(explanation.combination),
+        "dataset": entry.dataset_id,
+        "epsilon": {
+            "cand_set": _json_number(request.eps_cand_set),
+            "hist": _json_number(request.eps_hist),
+            "top_comb": _json_number(request.eps_top_comb),
+            "total": _json_number(request.epsilon_total),
+        },
+        "explainer": request.explainer,
+        "fingerprint": entry.fingerprint,
+        "n_candidates": int(request.n_candidates),
+        "seed": int(request.seed),
+        "signature": entry.signature,
+        "weights": [float(w) for w in request.weights],
     }
 
 
@@ -936,10 +947,8 @@ class ExplanationService:
         for (key, group, payer, _, _), explanation in zip(
             funded, explanations
         ):
-            payload = explanation_payload(payer.request, entry, explanation)
-            cache_entry, payer_result = CacheEntry.decoded(
-                canonical_json(payload), payer.request.epsilon_total
-            )
+            payer_result = explanation_payload(payer.request, entry, explanation)
+            cache_entry = CacheEntry.of(payer_result, payer.request.epsilon_total)
             self.cache.put(key, cache_entry)
             for p in group:
                 if p.future.done():

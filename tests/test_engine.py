@@ -376,6 +376,64 @@ class TestCombinationTensors:
                 tensor[picks], global_score(counts, combo, w), **TOL
             )
 
+    @pytest.mark.parametrize("weights", [Weights(), Weights(0.5, 0.5, 0.0)])
+    def test_batched_rows_equal_single_run_tensors_bitwise(self, weights):
+        for counts in all_providers(17):
+            engine = ScoringEngine(counts)
+            n_runs = 4
+            for k in range(1, min(4, len(counts.names)) + 1):
+                rng = np.random.default_rng(k)
+                runs = [self._candidate_sets(counts, rng, k=k) for _ in range(n_runs)]
+                columns = np.stack([
+                    [engine.columns(attrs) for attrs in sets] for sets in runs
+                ])
+                got = engine.combination_score_tensor(columns, weights)
+                assert got.shape == (n_runs, k ** counts.n_clusters)
+                for row, sets in zip(got, runs):
+                    single = engine.combination_score_tensor(sets, weights)
+                    assert np.array_equal(row, single.reshape(-1))
+
+    def test_batched_tensor_sums_each_element_in_the_documented_order(self):
+        # Per-cluster terms by cluster, then the pairs in combinations order,
+        # one scalar at a time: the batched broadcast must give these bits.
+        weights = Weights()
+        for counts in all_providers(19):
+            n_clusters = counts.n_clusters
+            if n_clusters < 2 or n_clusters > 5:
+                continue
+            engine = ScoringEngine(counts)
+            base = engine.score_matrix(weights.lambda_int, weights.lambda_suf)
+            sizes = engine.stack.sizes
+            tvd = engine.pair_tvd_tensor()
+            scale = weights.lambda_div / (n_clusters * (n_clusters - 1) // 2)
+            k = min(2, len(counts.names))
+            rng = np.random.default_rng(6)
+            runs = [self._candidate_sets(counts, rng, k=k) for _ in range(3)]
+            columns = np.stack([
+                [engine.columns(attrs) for attrs in sets] for sets in runs
+            ])
+            got = engine.combination_score_tensor(columns, weights)
+            for row, cols in zip(got, columns):
+                want = []
+                for picks in itertools.product(range(k), repeat=n_clusters):
+                    a = [cols[c][j] for c, j in enumerate(picks)]
+                    v = np.float64(0.0)
+                    for c in range(n_clusters):
+                        v += base[c, a[c]] / n_clusters
+                    for c, c2 in itertools.combinations(range(n_clusters), 2):
+                        w = np.minimum(sizes[a[c], c], sizes[a[c2], c2])
+                        v += scale * (w * tvd[a[c], c, c2] if a[c] == a[c2] else w)
+                    want.append(v)
+                assert np.array_equal(row, np.array(want))
+
+    def test_batched_tensor_rejects_a_wrong_shape(self):
+        counts = all_providers(18)[0]
+        engine = ScoringEngine(counts)
+        with pytest.raises(ValueError, match=r"\(R, \|C\|, k\)"):
+            engine.combination_score_tensor(
+                np.zeros((2, counts.n_clusters + 1, 2), dtype=np.intp), Weights()
+            )
+
     def test_ragged_candidate_sets(self):
         # Non-uniform k exercises the per-pair fallback path.
         counts = all_providers(15)[1]

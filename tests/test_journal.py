@@ -172,6 +172,47 @@ class TestCrashReplayIdentity:
         with pytest.raises(LedgerStoreError, match="corrupt"):
             TenantLedgerStore.open(str(tmp_path / "t"))
 
+    def test_two_records_glued_on_one_line_refuse(self, tmp_path):
+        tenant, store = make_tenant(tmp_path)
+        acc = tenant.accountant("d")
+        for label in ("a", "b", "c"):
+            acc.spend(0.1, label)
+        path = tmp_path / "t.journal"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text(lines[0] + lines[1].rstrip("\n") + lines[2])
+        with pytest.raises(LedgerStoreError, match="corrupt at line 2"):
+            TenantLedgerStore.open(str(tmp_path / "t"))
+
+    def test_non_object_line_refuses_with_its_number(self, tmp_path):
+        tenant, store = make_tenant(tmp_path)
+        acc = tenant.accountant("d")
+        acc.spend(0.3, "a")
+        path = tmp_path / "t.journal"
+        path.write_text(path.read_text() + "\n[1, 2]\n")
+        with pytest.raises(LedgerStoreError, match="line 3 is not an object"):
+            TenantLedgerStore.open(str(tmp_path / "t"))
+
+    def test_clean_journal_is_parsed_in_one_call(self, tmp_path, monkeypatch):
+        import repro.service.journal as journal_mod
+
+        tenant, store = make_tenant(tmp_path)
+        acc = tenant.accountant("d")
+        for label in ("a", "b", "c"):
+            acc.spend(0.1, label)
+        real_loads = json.loads
+        calls = []
+
+        def counting_loads(text, *args, **kwargs):
+            calls.append(text)
+            return real_loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(journal_mod.json, "loads", counting_loads)
+        _, _, journal = TenantLedgerStore.open(str(tmp_path / "t"))
+        assert len(journal["d"]) == 3
+        # One parse for the snapshot file, one for the whole journal.
+        assert [t.count('"seq"') for t in calls if t.startswith("[")] == [3]
+        assert not [t for t in calls if t.startswith('{"seq"')]
+
     def test_journal_without_snapshot_refuses_to_load(self, tmp_path):
         (tmp_path / "ghost.journal").write_text("")
         with pytest.raises(LedgerStoreError, match="snapshot"):
@@ -699,6 +740,47 @@ class TestOnePassReload:
             "row a", "row b", "record d",
         ]
         assert [c.label for c in reloaded.accountant("e")] == ["row c"]
+
+
+class TestReloadPausesTheCollector:
+    @pytest.fixture
+    def gc_state(self):
+        import gc
+
+        was = gc.isenabled()
+        yield gc
+        if was:
+            gc.enable()
+        else:
+            gc.disable()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_reload_runs_with_the_collector_off(
+        self, tmp_path, monkeypatch, gc_state, enabled
+    ):
+        tenant, _ = make_tenant(tmp_path)
+        tenant.accountant("d").spend(0.1, "a")
+        real_open = TenantLedgerStore.open
+        seen = []
+
+        def spy_open(cls, *args, **kwargs):
+            seen.append(gc_state.isenabled())
+            return real_open(*args, **kwargs)
+
+        monkeypatch.setattr(TenantLedgerStore, "open", classmethod(spy_open))
+        (gc_state.enable if enabled else gc_state.disable)()
+        registry = ServiceRegistry(ledger_dir=str(tmp_path))
+        assert seen == [False]
+        assert gc_state.isenabled() is enabled
+        assert registry.tenant("t").accountant("d").total_units() == 100_000_000
+
+    def test_failed_reload_turns_the_collector_back_on(self, tmp_path, gc_state):
+        make_tenant(tmp_path)
+        (tmp_path / "t.journal").write_text("GARBAGE\n{}\n")
+        gc_state.enable()
+        with pytest.raises(ServiceError, match="corrupt"):
+            ServiceRegistry(ledger_dir=str(tmp_path))
+        assert gc_state.isenabled()
 
 
 class TestRestoreRebase:

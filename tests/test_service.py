@@ -14,6 +14,7 @@ from __future__ import annotations
 import gc
 import json
 import os
+import sys
 import threading
 import warnings
 import urllib.error
@@ -23,11 +24,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import ClusteringSpec, DPClustX, KMeans, diabetes_like
 from repro.core.counts import ClusteredCounts
 from repro.dataset.rebin import rebin_dataset
 from repro.service import (
+    CacheEntry,
     ExplainRequest,
     ExplanationService,
     PipelineRequest,
@@ -37,6 +41,7 @@ from repro.service import (
     ServiceRegistry,
     Tenant,
     canonical_json,
+    explanation_payload,
     make_server,
 )
 
@@ -161,6 +166,72 @@ class TestRequestValidation:
         assert service.registry.tenant("t").accountant("diabetes").total() == 0.0
 
 
+def _typed(obj):
+    """``obj`` with its key order and every leaf's type spelled out."""
+    if isinstance(obj, dict):
+        return ("dict", [(k, _typed(v)) for k, v in obj.items()])
+    if isinstance(obj, list):
+        return ("list", [_typed(v) for v in obj])
+    return (type(obj).__name__, repr(obj))
+
+
+_FLOAT_EPSILONS = st.floats(
+    min_value=0.0, max_value=1e6, exclude_min=True,
+    allow_nan=False, allow_infinity=False,
+)
+_EPSILONS = st.one_of(
+    _FLOAT_EPSILONS,
+    _FLOAT_EPSILONS.map(np.float64),  # a programmatic caller's numpy scalar
+    st.integers(min_value=1, max_value=10**6),
+)
+
+
+@st.composite
+def _weights(draw):
+    if draw(st.booleans()):
+        return draw(st.permutations((1, 0, 0)))
+    raw = draw(
+        st.lists(st.floats(0.0, 5.0), min_size=3, max_size=3).filter(
+            lambda w: sum(w) > 0.1
+        )
+    )
+    return tuple(w / sum(raw) for w in raw)
+
+
+_REQUESTS = st.builds(
+    ExplainRequest,
+    tenant=st.text(min_size=1, max_size=8),
+    dataset=st.text(min_size=1, max_size=8),
+    eps_cand_set=_EPSILONS,
+    eps_top_comb=_EPSILONS,
+    eps_hist=_EPSILONS,
+    n_candidates=st.integers(min_value=1, max_value=64),
+    weights=_weights(),
+    seed=st.integers(min_value=0, max_value=2**70),
+    trace_id=st.text(max_size=8),
+)
+
+
+@pytest.fixture(scope="module")
+def released(dataset, clustering):
+    """One registered entry and one explanation released over it."""
+    entry = ServiceRegistry().register_dataset("d", dataset, clustering)
+    return entry, DPClustX().explain(dataset, clustering, rng=0)
+
+
+class TestDecodedPayload:
+    @settings(max_examples=200, deadline=None)
+    @given(request=_REQUESTS)
+    def test_payload_is_its_own_canonical_decode(self, released, request):
+        entry, explanation = released
+        body = explanation_payload(request.validated(), entry, explanation)
+        decoded = json.loads(canonical_json(body))
+        assert body == decoded
+        assert _typed(body) == _typed(decoded)
+        copy = CacheEntry.of(body, request.epsilon_total).payload()
+        assert _typed(copy) == _typed(decoded)
+
+
 class TestCacheSemantics:
     def test_hit_is_byte_identical_and_free(self, dataset, clustering):
         service = make_service(dataset, clustering)
@@ -264,6 +335,64 @@ class TestCacheSemantics:
             assert envelope["meta"]["cache"] == "hit"
         assert calls == []
         assert canonical_json(envelope["result"]) == expected
+
+    def test_hit_strings_are_not_interned(self, dataset, clustering):
+        """The copy form holds fresh strings, as the decoded JSON did, so a
+        hit does not re-intern every key and domain value it loads."""
+        service = make_service(dataset, clustering)
+        service.create_tenant("alice", 1.0)
+        client = ServiceClient(service, "alice", "diabetes")
+        client.explain(seed=0)
+        body = client.explain(seed=0)["result"]
+
+        def strings(node):
+            if isinstance(node, dict):
+                for k, v in node.items():
+                    yield k
+                    yield from strings(v)
+            elif isinstance(node, list):
+                for v in node:
+                    yield from strings(v)
+            elif isinstance(node, str):
+                yield node
+
+        # An interned string is the one ``sys.intern`` returns for any
+        # equal fresh copy; one-character strings are shared singletons.
+        interned = [
+            s for s in strings(body)
+            if len(s) > 1 and sys.intern(s.encode().decode()) is s
+        ]
+        assert "clusters" in body and interned == []
+
+    def test_funded_miss_neither_encodes_nor_parses_json(
+        self, dataset, clustering, monkeypatch
+    ):
+        """A miss marshals the decoded body; no JSON text is made or read."""
+        service = make_service(dataset, clustering)
+        service.create_tenant("alice", 1.0)
+        client = ServiceClient(service, "alice", "diabetes")
+        calls = []
+        real_dumps, real_loads = json.dumps, json.loads
+
+        def counting_dumps(*args, **kwargs):
+            calls.append("dumps")
+            return real_dumps(*args, **kwargs)
+
+        def counting_loads(*args, **kwargs):
+            calls.append("loads")
+            return real_loads(*args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", counting_dumps)
+        monkeypatch.setattr(json, "loads", counting_loads)
+        envelope = client.explain(seed=3)
+        monkeypatch.undo()
+        assert envelope["meta"]["cache"] == "miss"
+        assert calls == []
+        # The payer's body is the one the cache re-serves, byte for byte.
+        hit = client.explain(seed=3)
+        assert hit["meta"]["cache"] == "hit"
+        assert canonical_json(hit["result"]) == canonical_json(envelope["result"])
+        assert hit["result"] == envelope["result"]
 
     def test_reregistering_rebinned_dataset_invalidates(
         self, dataset, clustering

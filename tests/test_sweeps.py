@@ -213,6 +213,36 @@ class TestBatchedReleases:
         [GeometricHistogram(0.5), LaplaceHistogram(0.5), HierarchicalHistogram(0.5)],
         ids=["geometric", "laplace", "hierarchical"],
     )
+    def test_release_runs_match_one_run_at_a_time(self, mech):
+        rng = np.random.default_rng(2)
+        runs = [
+            [rng.integers(0, 9, shape) for shape in BLOCK_SHAPES[i:]]
+            for i in range(3)
+        ]
+        epsilons = [0.3, 0.7, 1.9]
+        batch_gens = [np.random.default_rng(s) for s in (4, 5, 6)]
+        serial_gens = [np.random.default_rng(s) for s in (4, 5, 6)]
+        flat = mech.release_runs(runs, epsilons, batch_gens)
+        expected = [
+            b.ravel()
+            for blocks, eps, gen in zip(runs, epsilons, serial_gens)
+            for b in mech.with_epsilon(eps).release_blocks(blocks, gen)
+        ]
+        assert flat.dtype == np.float64
+        assert np.array_equal(flat, np.concatenate(expected))
+        assert [g.bit_generator.state for g in batch_gens] == [
+            g.bit_generator.state for g in serial_gens
+        ]
+
+    def test_release_runs_need_one_epsilon_and_generator_per_run(self):
+        with pytest.raises(ValueError, match="one epsilon and one generator"):
+            GeometricHistogram(1.0).release_runs([[np.zeros((1, 2))]], [1.0], [])
+
+    @pytest.mark.parametrize(
+        "mech",
+        [GeometricHistogram(0.5), LaplaceHistogram(0.5), HierarchicalHistogram(0.5)],
+        ids=["geometric", "laplace", "hierarchical"],
+    )
     def test_release_blocks_rejects_vectors(self, mech):
         with pytest.raises(ValueError, match=r"\(R, m\) matrix"):
             mech.release_blocks([np.zeros((2, 4)), np.zeros(4)])
@@ -360,6 +390,45 @@ class TestRunTrialsBatched:
         assert isinstance(selectors["DPClustX"].explainer, DPClustX)
 
 
+def _release_bytes(explanations) -> list:
+    """Every byte a release depends on: combination, attributes, histograms."""
+    return [
+        (
+            tuple(e.combination),
+            [
+                (s.cluster, s.attribute.name, s.hist_cluster.tobytes(),
+                 s.hist_rest.tobytes())
+                for s in e
+            ],
+        )
+        for e in explanations
+    ]
+
+
+def _charge_rows(accountant) -> list:
+    return sorted((c.label, c.units, c.composition) for c in accountant)
+
+
+MECHANISMS = pytest.mark.parametrize(
+    "mech",
+    [GeometricHistogram(1.0), LaplaceHistogram(1.0), HierarchicalHistogram(1.0)],
+    ids=["geometric", "laplace", "hierarchical"],
+)
+
+
+@pytest.fixture(scope="module")
+def counts_by_k():
+    """Counts of one table under 2, 3, 5 and 8 random clusters."""
+    from repro.synth import diabetes_like
+
+    data = diabetes_like(n_rows=2_000, n_groups=4, seed=3)
+    rng = np.random.default_rng(5)
+    return {
+        n: ClusteredCounts(data, rng.integers(0, n, size=len(data)), n_clusters=n)
+        for n in (2, 3, 5, 8)
+    }
+
+
 class TestExplainBatched:
     """The service's batch entry point: full explanations for many seeds."""
 
@@ -377,6 +446,125 @@ class TestExplainBatched:
             for e_got, e_serial in zip(got, serial):
                 assert np.array_equal(e_got.hist_cluster, e_serial.hist_cluster)
                 assert np.array_equal(e_got.hist_rest, e_serial.hist_rest)
+
+    @MECHANISMS
+    @pytest.mark.parametrize("n_clusters", [2, 3, 5, 8])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_byte_identical_for_every_mechanism_and_shape(
+        self, counts_by_k, mech, n_clusters, k
+    ):
+        from repro.core.dpclustx import DPClustX
+
+        counts = counts_by_k[n_clusters]
+        explainer = DPClustX(n_candidates=k, histogram_mechanism=mech)
+        seeds = [0, 1, 5, 11]
+        batched = explain_batched(explainer, counts, seeds)
+        serial = [
+            explainer.explain(counts.dataset, None, rng=seed, counts=counts)
+            for seed in seeds
+        ]
+        assert _release_bytes(batched) == _release_bytes(serial)
+
+    @MECHANISMS
+    def test_runs_with_different_distinct_attribute_counts(self, counts_by_k, mech):
+        from repro.core.dpclustx import DPClustX
+        from repro.core.hbe import AttributeCombination
+        from repro.privacy.budget import PrivacyAccountant
+
+        counts = counts_by_k[3]
+        a, b, c = counts.names[:3]
+        # |A'| = 3, 1 and 2: eps_full differs from run to run in one batch.
+        combos = [
+            AttributeCombination((a, b, c)),
+            AttributeCombination((a, a, a)),
+            AttributeCombination((b, a, b)),
+        ]
+        explainer = DPClustX(histogram_mechanism=mech)
+        batch_acc, serial_acc = PrivacyAccountant(), PrivacyAccountant()
+        batched = explainer.release_histograms(
+            counts, combos, [np.random.default_rng(s) for s in (7, 8, 9)],
+            accountant=batch_acc,
+        )
+        serial = [
+            explainer.release_histograms(
+                counts, combo, np.random.default_rng(s), accountant=serial_acc
+            )
+            for combo, s in zip(combos, (7, 8, 9))
+        ]
+        assert _release_bytes(batched) == _release_bytes(serial)
+        assert [(c.label, c.units, c.composition) for c in batch_acc] == [
+            (c.label, c.units, c.composition) for c in serial_acc
+        ]
+
+    def test_accountant_rows_equal_the_serial_path(self, counts_by_k):
+        from repro.core.dpclustx import DPClustX
+        from repro.privacy.budget import PrivacyAccountant
+
+        counts = counts_by_k[5]
+        explainer = DPClustX(n_candidates=2)
+        seeds = [0, 1, 2, 3]
+        batch_acc, serial_acc = PrivacyAccountant(), PrivacyAccountant()
+        gens = [np.random.default_rng(s) for s in seeds]
+        selections = explainer.select_combinations(counts, gens, batch_acc)
+        batched = explainer.release_histograms(
+            counts, [s.combination for s in selections], gens, accountant=batch_acc
+        )
+        serial = [
+            explainer.explain(
+                counts.dataset, None, rng=seed, accountant=serial_acc, counts=counts
+            )
+            for seed in seeds
+        ]
+        assert _release_bytes(batched) == _release_bytes(serial)
+        assert _charge_rows(batch_acc) == _charge_rows(serial_acc)
+        assert batch_acc.total_units() == serial_acc.total_units()
+
+    def test_refused_histogram_charge_leaves_every_generator_undrawn(
+        self, counts_by_k
+    ):
+        from repro.core.dpclustx import DPClustX
+        from repro.privacy.budget import BudgetError, PrivacyAccountant
+
+        counts = counts_by_k[3]
+        explainer = DPClustX(n_candidates=2)
+        gens = [np.random.default_rng(s) for s in (0, 1, 2)]
+        combos = [s.combination for s in explainer.select_combinations(counts, gens)]
+        states = [g.bit_generator.state for g in gens]
+        # Room for two runs' histograms, not three: the one charge refuses.
+        acc = PrivacyAccountant(limit=2.5 * explainer.budget.eps_hist)
+        with pytest.raises(BudgetError):
+            explainer.release_histograms(counts, combos, gens, accountant=acc)
+        assert [g.bit_generator.state for g in gens] == states
+        assert acc.total_units() == 0
+
+    def test_refused_batch_leaves_every_generator_undrawn(self, counts_by_k):
+        from repro.core.dpclustx import DPClustX
+        from repro.privacy.budget import BudgetError, PrivacyAccountant
+
+        explainer = DPClustX(n_candidates=2)
+        gens = [np.random.default_rng(s) for s in (0, 1, 2)]
+        states = [g.bit_generator.state for g in gens]
+        acc = PrivacyAccountant(limit=2.5 * explainer.budget.eps_cand_set)
+        with pytest.raises(BudgetError):
+            explainer.select_combinations(counts_by_k[3], gens, acc)
+        assert [g.bit_generator.state for g in gens] == states
+        assert acc.total_units() == 0
+
+    def test_mismatched_generators_refuse_before_charging(self, counts_by_k):
+        from repro.core.dpclustx import DPClustX
+        from repro.privacy.budget import PrivacyAccountant
+
+        counts = counts_by_k[3]
+        explainer = DPClustX(n_candidates=2)
+        gens = [np.random.default_rng(s) for s in (0, 1, 2)]
+        combos = [s.combination for s in explainer.select_combinations(counts, gens)]
+        states = [g.bit_generator.state for g in gens]
+        acc = PrivacyAccountant()
+        for short in (gens[:2], []):
+            with pytest.raises(ValueError, match="generators"):
+                explainer.release_histograms(counts, combos, short, accountant=acc)
+        assert [g.bit_generator.state for g in gens] == states
+        assert acc.total_units() == 0
 
     def test_release_histograms_charges_accountant(self, diabetes_counts):
         from repro.core.dpclustx import DPClustX

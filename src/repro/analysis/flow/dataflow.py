@@ -37,9 +37,19 @@ callee -> caller.  A walk reads nothing but its body and the summaries
 of the callees it resolves, and which calls resolve is fixed by the body
 alone.  So when a summary changes, its callers become dirty and are
 walked later in the same round (if they come later in source order) or
-in the next, and nothing else needs a walk: the summaries, hits and
-round count are those of walking every function every round, at about
-one walk per function.  Tests pin both.
+in the next, and nothing else needs a walk: the summaries and round
+count are those of walking every function every round, at about one
+walk per function.
+
+Findings come from the same walks.  Each walk also collects its hits,
+replacing those of the function's earlier walk; a function is walked
+again whenever a summary it read changes, so at convergence its last
+walk read the final summaries, and its hits are those a reporting pass
+over every function would record.  Only when :data:`MAX_ROUNDS` cuts the
+iteration short are functions left dirty, and those are walked once
+more.  A ``def`` nested in a body is walked with it, and its reads count
+as its outer function's.  Tests pin all of this against a reference
+that walks every function every round and then reports.
 
 Every taint carries a bounded trace of :class:`~repro.analysis.model.
 TraceHop` — the evidence path rendered into the v2 JSON schema.
@@ -187,13 +197,15 @@ def _const_keys(node: ast.Dict) -> "set[str]":
 
 
 class FlowAnalysis:
-    """Whole-tree taint analysis: summaries by fixpoint, then findings.
+    """Whole-tree taint analysis: summaries and findings by one fixpoint.
 
     Construct once per lint run (the flow rules share one instance through
     the :class:`~repro.analysis.rules.LintContext` cache), then read
     ``hits`` — every source-kind taint that reached a sink, attributed to
     the module/function where source and sink met, and every draw made
     before any charge, attributed to the function that made or called it.
+    ``hits`` are kept from each function's last walk of the fixpoint and
+    listed in call-graph order, a function's nested defs before its own.
     """
 
     def __init__(self, modules: "list[Module]", callgraph: CallGraph,
@@ -202,7 +214,8 @@ class FlowAnalysis:
         self.callgraph = callgraph
         self.config = config
         self.summaries: "dict[tuple[str, str], FunctionSummary]" = {}
-        #: (module path) -> list of resolved sink hits with their functions
+        #: Every source-kind sink hit and uncharged draw, with the module
+        #: and function it is reported in.
         self.hits: "list[tuple[Module, FunctionInfo, SinkHit]]" = []
         #: callee key -> keys of the functions whose bodies resolve a call
         #: to it: the summaries each walk reads, recorded as it reads them.
@@ -217,6 +230,12 @@ class FlowAnalysis:
         self._ran = True
         infos = list(self.callgraph.functions.items())
         dirty = {key for key, _ in infos}
+        #: function key -> the hits of its latest walk (closures' first)
+        found: "dict[tuple[str, str], list]" = {}
+
+        def walk(key, info) -> FunctionSummary:
+            found[key] = []
+            return self._analyze(info, found[key])
 
         def round_() -> bool:
             changed = False
@@ -224,7 +243,7 @@ class FlowAnalysis:
                 if key not in dirty:
                     continue
                 dirty.discard(key)
-                new = self._analyze(info, collect=None)
+                new = walk(key, info)
                 if self.summaries.get(key) != new:
                     self.summaries[key] = new
                     dirty.update(self._callers[key])
@@ -232,19 +251,28 @@ class FlowAnalysis:
             return changed
 
         self.rounds = fixpoint(round_)
-        # Reporting pass with stable summaries.
-        for _, info in infos:
-            hits: "list[SinkHit]" = []
-            self._analyze(info, collect=hits)
-            for hit in hits:
-                self.hits.append((info.module, info, hit))
+        # A function is dirty here only when the round cap cut the
+        # iteration short: its last walk read a summary changed since.
+        for key, info in infos:
+            if key in dirty:
+                walk(key, info)
+        self.hits = [hit for key, _ in infos for hit in found[key]]
 
     # ------------------------------------------------------------------ #
     # per-function transfer
     # ------------------------------------------------------------------ #
 
     def _analyze(self, info: FunctionInfo,
-                 collect: "list[SinkHit] | None") -> FunctionSummary:
+                 collect: "list[tuple[Module, FunctionInfo, SinkHit]]",
+                 unit: "tuple[str, str] | None" = None) -> FunctionSummary:
+        """Walk one body: return its summary and append its hits to
+        ``collect``, the draws of the defs nested in it before its own.
+
+        ``unit`` is the call-graph function this walk belongs to: a nested
+        def's reads of callee summaries count as its outer function's, so
+        a change to one of them walks the outer function again.
+        """
+        unit = unit or _key(info)
         node = info.node
         env: "dict[str, set[Taint]]" = {}
         params = [a.arg for a in (
@@ -253,10 +281,11 @@ class FlowAnalysis:
         offset = 1 if params and params[0] in ("self", "cls") else 0
         for i, name in enumerate(params[offset:]):
             env[name] = {Taint("param", param=i)}
-        state = _State(self, info, env, collect)
+        state = _State(self, info, env, unit)
         state.exec_stmts(node.body)
-        for inner in state.closures.values():  # reporting pass only
-            self._report_closure(info, inner)
+        for inner in state.closures.values():
+            self._walk_closure(info, inner, collect, unit)
+        collect.extend((info.module, info, hit) for hit in state.hits)
         return FunctionSummary(
             returns=_limit(state.returns),
             param_sinks=state.settled_param_sinks(),
@@ -264,17 +293,18 @@ class FlowAnalysis:
             draws_first=state.draws_first,
         )
 
-    def _report_closure(self, outer: FunctionInfo, node) -> None:
-        """A def nested in a body is no call-graph node: walk it for its own
-        draws only (closures were never taint units)."""
+    def _walk_closure(self, outer: FunctionInfo, node, collect,
+                      unit: "tuple[str, str]") -> None:
+        """A def nested in a body is no call-graph node: walk it with its
+        outer function for its own draws only (closures were never taint
+        units)."""
         qual = f"{outer.class_name}.{node.name}" if outer.class_name \
             else node.name
         info = FunctionInfo(outer.module, node, qual, outer.class_name)
-        hits: "list[SinkHit]" = []
-        self._analyze(info, collect=hits)
-        self.hits.extend(
-            (info.module, info, hit) for hit in hits
-            if hit.channel == CHANNEL_DRAW
+        inner: "list[tuple[Module, FunctionInfo, SinkHit]]" = []
+        self._analyze(info, inner, unit)
+        collect.extend(
+            entry for entry in inner if entry[2].channel == CHANNEL_DRAW
         )
 
 
@@ -282,12 +312,15 @@ class _State:
     """Mutable walk state for one function body."""
 
     def __init__(self, analysis: FlowAnalysis, info: FunctionInfo,
-                 env: "dict[str, set[Taint]]",
-                 collect: "list[SinkHit] | None"):
+                 env: "dict[str, set[Taint]]", unit: "tuple[str, str]"):
         self.a = analysis
         self.info = info
         self.env = env
-        self.collect = collect
+        #: The call-graph function whose walk this is (see ``_analyze``).
+        self.unit = unit
+        #: Source-kind taints at sinks and draws before any charge, in
+        #: walk order.
+        self.hits: "list[SinkHit]" = []
         self.returns: "set[Taint]" = set()
         self.param_sinks: "set[tuple[int, str, tuple[TraceHop, ...]]]" = set()
         #: Param-to-sink entries routed through a callee that calls back
@@ -309,8 +342,7 @@ class _State:
 
     def exec_stmt(self, stmt: ast.stmt) -> None:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if self.collect is not None:
-                self.closures[id(stmt)] = stmt  # reported after this body
+            self.closures[id(stmt)] = stmt  # walked after this body
             return
         if isinstance(stmt, ast.ClassDef):
             return  # nested scopes are their own analysis unit
@@ -560,7 +592,7 @@ class _State:
             node, self.info.module, self.info.class_name
         )
         if info is not None:
-            self.a._callers[_key(info)].add(_key(self.info))
+            self.a._callers[_key(info)].add(self.unit)
         self._order_call(node, callee_name, info)
 
         # Sanitizer: the returned value is differentially private.
@@ -629,17 +661,16 @@ class _State:
 
     def _draw(self, node: ast.Call, trace: "tuple[TraceHop, ...]") -> None:
         """A draw made before any charge: the summary keeps the first, the
-        reporting pass records every one."""
+        hits every one."""
         if not self.draws_first:
             self.draws_first = trace
-        if self.collect is not None:
-            self.collect.append(SinkHit(
-                channel=CHANNEL_DRAW,
-                node_line=node.lineno,
-                node_col=node.col_offset,
-                taint=Taint("source", tag=TAG_DRAW, trace=trace),
-                hop=trace[-1],
-            ))
+        self.hits.append(SinkHit(
+            channel=CHANNEL_DRAW,
+            node_line=node.lineno,
+            node_col=node.col_offset,
+            taint=Taint("source", tag=TAG_DRAW, trace=trace),
+            hop=trace[-1],
+        ))
 
     def _apply_summary(self, node: ast.Call, info: FunctionInfo,
                        arg_nodes, arg_taints) -> "set[Taint]":
@@ -740,18 +771,17 @@ class _State:
             # path from our parameter to this sink in the summary.
             self.param_sinks.add((taint.param, channel, taint.trace))
             return
-        if self.collect is not None:
-            self.collect.append(
-                SinkHit(
-                    channel=channel,
-                    node_line=getattr(node, "lineno", 1),
-                    node_col=getattr(node, "col_offset", 0),
-                    taint=taint,
-                    hop=taint.trace[-1] if taint.trace else TraceHop(
-                        self.path, getattr(node, "lineno", 1), "sink"
-                    ),
-                )
+        self.hits.append(
+            SinkHit(
+                channel=channel,
+                node_line=getattr(node, "lineno", 1),
+                node_col=getattr(node, "col_offset", 0),
+                taint=taint,
+                hop=taint.trace[-1] if taint.trace else TraceHop(
+                    self.path, getattr(node, "lineno", 1), "sink"
+                ),
             )
+        )
 
     def settled_param_sinks(self) -> "frozenset":
         """This walk's param-to-sink entries for the summary.

@@ -34,6 +34,7 @@ requests from many tenants over registered datasets.  A request's lifecycle:
 from __future__ import annotations
 
 import copy
+import numbers
 import threading
 import time
 
@@ -203,6 +204,16 @@ class ExplainRequest:
                 f"weights must be a sequence of three floats, "
                 f"got {self.weights!r}",
             )
+        for key in ("eps_cand_set", "eps_top_comb", "eps_hist"):
+            value = getattr(self, key)
+            # ``float()`` in the budget check would admit "0.1" and True.
+            if type(value) is not float and (
+                not isinstance(value, numbers.Real) or isinstance(value, bool)
+            ):
+                raise ServiceError(
+                    400, "invalid-request",
+                    f"{key!r} must be a real number, got {value!r}",
+                )
         try:
             self.budget()
             self.weights_obj()

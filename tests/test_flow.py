@@ -10,6 +10,7 @@ whole-repo flow-clean gate.
 """
 
 import ast
+import functools
 import glob
 import hashlib
 import json
@@ -36,6 +37,7 @@ from repro.analysis import (
 from repro.analysis.callgraph import build_callgraph
 from repro.analysis.diff import select_diff_paths
 from repro.analysis.flow import FLOW_RULE_NAMES, FlowAnalysis, load_taint_config
+from repro.analysis.flow import dataflow
 from repro.analysis.flow.dataflow import MAX_ROUNDS, fixpoint
 from repro.analysis.loader import iter_python_files, load_module
 from repro.analysis.sarif import to_sarif
@@ -426,7 +428,7 @@ class TestChargeSummaries:
         charging = drawing = 0
         for key, info in analysis.callgraph.functions.items():
             settled = analysis.summaries[key]
-            again = analysis._analyze(info, collect=None)
+            again = analysis._analyze(info, collect=[])
             assert again.charges == settled.charges, key
             assert again.draws_first == settled.draws_first, key
             charging += settled.charges
@@ -438,25 +440,25 @@ class TestChargeSummaries:
 # the dirty-set fixpoint walks less and computes the same summaries
 # --------------------------------------------------------------------------- #
 
-def _full_rounds(analysis: FlowAnalysis) -> FlowAnalysis:
+def _full_rounds(analysis: FlowAnalysis,
+                 max_rounds: int = MAX_ROUNDS) -> FlowAnalysis:
     """The reference the dirty set must match: every round walks every
-    function, then the same reporting pass as ``FlowAnalysis.run``."""
+    function (at most ``max_rounds`` rounds), then a reporting pass walks
+    every function again with the summaries as they stand."""
     infos = list(analysis.callgraph.functions.items())
 
     def round_() -> bool:
         changed = False
         for key, info in infos:
-            new = analysis._analyze(info, collect=None)
+            new = analysis._analyze(info, collect=[])
             if analysis.summaries.get(key) != new:
                 analysis.summaries[key] = new
                 changed = True
         return changed
 
-    analysis.rounds = fixpoint(round_)
+    analysis.rounds = fixpoint(round_, max_rounds)
     for _, info in infos:
-        hits = []
-        analysis._analyze(info, collect=hits)
-        analysis.hits.extend((info.module, info, hit) for hit in hits)
+        analysis._analyze(info, collect=analysis.hits)
     return analysis
 
 
@@ -481,21 +483,66 @@ class TestDirtySetFixpoint:
         assert fast.rounds == ref.rounds
 
     def test_walks_only_functions_whose_callees_changed(self):
-        """Full rounds would walk every function ``rounds`` times; the
-        dirty set walks each about once on ``src/``."""
+        """Full rounds would walk every function ``rounds`` times, and a
+        reporting pass once more; the dirty set walks each about once on
+        ``src/``, and reports from those walks.  Every walk counts,
+        those of nested defs too."""
         analysis = _unrun_analysis([os.path.join(SRC, "repro")])
         walk = analysis._analyze
         walks = []
 
-        def counted(info, collect):
-            if collect is None:
-                walks.append(info)
-            return walk(info, collect)
+        def counted(info, collect, unit=None):
+            walks.append(info)
+            return walk(info, collect, unit)
 
         analysis._analyze = counted
         analysis.run()
         assert analysis.rounds > 2
         assert len(walks) < 2 * len(analysis.callgraph.functions)
+
+    def test_nested_def_reads_walk_its_outer_function_again(self, tmp_path):
+        """A nested def is walked with its outer function, so a late change
+        to a summary only the nested def reads walks the outer one again."""
+        path = tmp_path / "late_closure_draw.py"
+        path.write_text(
+            "def outer(gen):\n"
+            "    def inner():\n"
+            "        return helper(gen)\n"
+            "    return inner\n"
+            "\n"
+            "def helper(gen):\n"
+            "    return deeper(gen)\n"
+            "\n"
+            "def deeper(gen):\n"
+            "    return gen.laplace(0.0, 1.0)\n"
+        )
+        fast = _unrun_analysis([str(path)])
+        ref = _full_rounds(
+            FlowAnalysis(fast.modules, fast.callgraph, fast.config)
+        )
+        fast.run()
+        assert fast.hits == ref.hits
+        assert [(info.qualname, hit.node_line)
+                for _, info, hit in fast.hits][0] == ("inner", 3)
+
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_round_cap_rewalks_the_functions_left_dirty(self, cap, monkeypatch):
+        """Cut short by the round cap, the run still reports what a
+        reporting pass over the capped summaries would: the functions a
+        late summary change left dirty are walked once more."""
+        path = fixture("charge_before_release_deep.py")
+        fast = _unrun_analysis([path])
+        ref = _full_rounds(
+            FlowAnalysis(fast.modules, fast.callgraph, fast.config), cap
+        )
+        assert _flow_analysis([path]).rounds > cap
+        monkeypatch.setattr(
+            dataflow, "fixpoint", functools.partial(fixpoint, max_rounds=cap)
+        )
+        fast.run()
+        assert fast.rounds == ref.rounds == cap
+        assert fast.summaries == ref.summaries
+        assert fast.hits == ref.hits
 
 
 # --------------------------------------------------------------------------- #

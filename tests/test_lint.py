@@ -4,6 +4,7 @@ Fixture files under ``tests/fixtures/lint/`` are known-bad/known-good
 snippets per rule; they are parsed by the linter, never imported.
 """
 
+import gc
 import json
 import os
 import subprocess
@@ -29,6 +30,7 @@ from repro.analysis import (
     render_trace,
     sort_findings,
 )
+from repro.analysis import engine as lint_engine
 from test_flow import FIRE_CASES as FLOW_FIRE_CASES
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -287,6 +289,34 @@ class TestEngine:
     def test_missing_path_raises(self):
         with pytest.raises(FileNotFoundError):
             lint_paths([fixture("does_not_exist.py")])
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("name", ["no_global_rng_ok.py", "does_not_exist.py"])
+    def test_run_pauses_the_collector_and_restores_it(
+        self, enabled, name, monkeypatch
+    ):
+        """The collector is off for the run and left as the run found it,
+        also when the run raises."""
+        seen = []
+        build = lint_engine.build_callgraph
+
+        def spy(modules):
+            seen.append(gc.isenabled())
+            return build(modules)
+
+        monkeypatch.setattr(lint_engine, "build_callgraph", spy)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if name == "does_not_exist.py":
+                with pytest.raises(FileNotFoundError):
+                    lint_paths([fixture(name)])
+            else:
+                lint_paths([fixture(name)])
+                assert seen == [False]
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
 
     def test_syntax_error_becomes_parse_error_finding(self, tmp_path):
         bad = tmp_path / "broken.py"

@@ -151,6 +151,8 @@ class TestRequestValidation:
             {"n_candidates": "3"},
             {"n_candidates": 2.5},
             {"n_candidates": True},
+            {"eps_cand_set": "0.1"},  # float() would admit it
+            {"eps_top_comb": True},  # float() would charge it as 1.0
         ],
     )
     def test_malformed_request_refused_without_burning_budget(
@@ -163,6 +165,22 @@ class TestRequestValidation:
         envelope = service.explain(ExplainRequest(**fields))
         assert envelope["status"] == "error"
         assert envelope["code"] == 400
+        assert envelope["error"]["reason"] == "invalid-request"
+        assert service.registry.tenant("t").accountant("diabetes").total() == 0.0
+
+    def test_pipeline_refuses_a_string_epsilon(self, dataset, clustering):
+        """The explanation half of a pipeline request is admitted by the
+        same check, before the clustering charge."""
+        service = make_service(dataset, clustering)
+        service.create_tenant("t", 5.0)
+        envelope = service.pipeline(
+            PipelineRequest(
+                tenant="t", dataset="diabetes", n_clusters=3,
+                clustering_epsilon=1.0, eps_hist="0.1",
+            )
+        )
+        assert envelope["status"] == "error" and envelope["code"] == 400
+        assert envelope["error"]["reason"] == "invalid-request"
         assert service.registry.tenant("t").accountant("diabetes").total() == 0.0
 
 

@@ -11,7 +11,8 @@
 #    interprocedural taint + lockset rules: zero findings allowed,
 #    suppressions must carry reasons, and the JSON report is archived as
 #    LINT_report.json with a SARIF 2.1.0 twin at LINT_report.sarif.  The
-#    step's wall time is printed (reported, not gated).
+#    step's wall time and the line count of src/ are printed (reported,
+#    not gated).
 # 2. Tier-1 tests (python -m pytest over tests/, per pytest.ini).
 # 3. Scoring bench (bench_micro.py) compares the scalar-oracle scoring path
 #    against the batched engine on diabetes_like(50k) with 8 clusters and
@@ -96,6 +97,9 @@ lint_end=$(date +%s.%N)
 # Reported, not gated: a timing gate within host noise would be flaky.
 awk -v s="$lint_start" -v e="$lint_end" \
     'BEGIN { printf "repro-lint wall time: %.2f s\n", e - s }'
+# Also reported, not gated: the size of src/, the figure ROADMAP's
+# "Delete what does not pay" item tracks.
+echo "src/ lines: $(find src -name '*.py' | xargs cat | wc -l)"
 
 python - <<'EOF'
 import json

@@ -113,9 +113,6 @@ class ProductCounts(CountsProvider):
     def is_pair(self, name: str) -> bool:
         return name in self._pairs
 
-    def pair_members(self, name: str) -> tuple[str, str]:
-        return self._pairs[name]
-
     def domain_size(self, name: str) -> int:
         if name in self._pairs:
             a, b = self._pairs[name]

@@ -26,10 +26,8 @@ from .scores import (
     SCORE_SENSITIVITY,
     SENSITIVE_SCORE_SENSITIVITY,
     Weights,
-    enumerate_combinations,
     global_score,
     global_score_range,
-    sensitive_global_score,
     sensitive_single_cluster_score,
     single_cluster_score,
     single_cluster_scores_matrix,
@@ -64,10 +62,8 @@ __all__ = [
     "SCORE_SENSITIVITY",
     "SENSITIVE_SCORE_SENSITIVITY",
     "Weights",
-    "enumerate_combinations",
     "global_score",
     "global_score_range",
-    "sensitive_global_score",
     "sensitive_single_cluster_score",
     "single_cluster_score",
     "single_cluster_scores_matrix",

@@ -90,14 +90,6 @@ def _cluster_tvd_matrix(
     return out
 
 
-def _perm_div(tvd: np.ndarray, perm: "tuple[int, ...]") -> float:
-    """``PermDiv_A(p)``: summand i is ``min_{j<i} TVD(p(i), p(j))``, 1 for i=0."""
-    total = 1.0  # the first element contributes the maximal value 1
-    for i in range(1, len(perm)):
-        total += min(tvd[perm[i], perm[j]] for j in range(i))
-    return total
-
-
 @functools.lru_cache(maxsize=8)
 def _all_perms(g: int) -> np.ndarray:
     """All permutations of ``range(g)`` as a ``(g!, g)`` index matrix."""

@@ -7,7 +7,6 @@ functions, hence have sensitivity <= 1 (Lemma A.3; Propositions 4.12, 4.14).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,19 +15,16 @@ from ..counts import CountsProvider
 from .diversity import (
     diversity_range,
     global_diversity_low_sens,
-    global_diversity_sensitive,
     pair_diversity_low_sens,
 )
 from .interestingness import (
     global_interestingness_low_sens,
-    global_interestingness_tvd,
     interestingness_low_sens,
     interestingness_tvd,
 )
 from .sufficiency import (
     cluster_sufficiency_normalized,
     global_sufficiency_low_sens,
-    global_sufficiency_sensitive,
     sufficiency_low_sens,
 )
 
@@ -50,8 +46,12 @@ class Weights:
     lambda_div: float = 1.0 / 3.0
 
     def __post_init__(self) -> None:
-        vals = (self.lambda_int, self.lambda_suf, self.lambda_div)
-        if any(v < 0 for v in vals):
+        self.check((self.lambda_int, self.lambda_suf, self.lambda_div))
+
+    @staticmethod
+    def check(vals: "tuple[float, float, float]") -> None:
+        """Raise ``ValueError`` unless ``vals`` are non-negative and sum to 1."""
+        if min(vals) < 0:
             raise ValueError("weights must be non-negative")
         total = sum(vals)
         # np.isclose(total, 1.0, atol=1e-9) in plain arithmetic (its default
@@ -192,33 +192,3 @@ def sensitive_single_cluster_score(
     if gamma_suf:
         score += gamma_suf * cluster_sufficiency_normalized(counts, c, name)
     return score
-
-
-def sensitive_global_score(
-    counts: CountsProvider,
-    attributes: "tuple[str, ...] | list[str]",
-    weights: Weights,
-    rng: np.random.Generator | int | None = 0,
-) -> float:
-    """The sensitive ``Quality`` of Section 6.1 in [0, 1].
-
-    ``lambda_Int * Int + lambda_Suf * Suf + lambda_Div * Div`` with the
-    normalized permutation diversity (footnote 6).
-    """
-    score = 0.0
-    if weights.lambda_int:
-        score += weights.lambda_int * global_interestingness_tvd(counts, attributes)
-    if weights.lambda_suf:
-        score += weights.lambda_suf * global_sufficiency_sensitive(counts, attributes)
-    if weights.lambda_div:
-        score += weights.lambda_div * global_diversity_sensitive(
-            counts, attributes, rng, normalized=True
-        )
-    return score
-
-
-def enumerate_combinations(
-    candidate_sets: "list[list[str]]",
-) -> "itertools.product":
-    """All attribute combinations drawing one candidate per cluster (Line 5)."""
-    return itertools.product(*candidate_sets)

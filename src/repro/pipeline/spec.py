@@ -31,7 +31,13 @@ from ..clustering.dp_kmeans import DPKMeans
 from ..clustering.dp_kmodes import DPKModes
 from ..core.hbe import GlobalExplanation
 from ..dataset.table import Dataset
-from ..privacy.budget import PrivacyAccountant, check_epsilon
+from ..privacy.budget import (
+    PrivacyAccountant,
+    check_choice,
+    check_epsilon,
+    check_fields,
+    check_int,
+)
 
 PIPELINE_METHODS = ("dp-kmeans", "dp-kmodes")
 """The server-fittable DP clustering methods (references [64] and [53])."""
@@ -43,6 +49,17 @@ request path (before any future/timeout machinery exists), so unbounded
 ``n_clusters``/``n_iterations`` would let one cheap-epsilon request pin a
 handler thread (and its fit-stripe lock) or attempt a huge center
 allocation.  Both caps sit far above the paper's scales (|C| <= 8, T = 5)."""
+
+SPEC_CHECKS = {
+    "method": lambda v, name: check_choice(v, name, PIPELINE_METHODS),
+    "n_clusters": lambda v, name: check_int(v, name, 1, MAX_CLUSTERS),
+    "epsilon": check_epsilon,
+    "n_iterations": lambda v, name: check_int(v, name, 1, MAX_ITERATIONS),
+    "seed": lambda v, name: check_int(v, name, 0),
+}
+"""The admission check of each :class:`ClusteringSpec` field (run by
+:func:`~repro.privacy.budget.check_fields`); a pipeline request admits its
+clustering fields with the same checks."""
 
 
 def _epsilon_text(epsilon: float) -> str:
@@ -82,33 +99,20 @@ class ClusteringSpec:
     seed: int = 0
 
     def validated(self) -> "ClusteringSpec":
-        """Raise ``ValueError`` on anything the fitters would choke on."""
-        if self.method not in PIPELINE_METHODS:
-            raise ValueError(
-                f"unknown clustering method {self.method!r}; "
-                f"supported: {PIPELINE_METHODS}"
-            )
-        if not isinstance(self.n_clusters, int) or self.n_clusters < 1:
-            raise ValueError("n_clusters must be an integer >= 1")
-        if self.n_clusters > MAX_CLUSTERS:
-            raise ValueError(f"n_clusters must be <= {MAX_CLUSTERS}")
-        check_epsilon(self.epsilon, name="clustering epsilon")
-        if not isinstance(self.n_iterations, int) or self.n_iterations < 1:
-            raise ValueError("n_iterations must be an integer >= 1")
-        if self.n_iterations > MAX_ITERATIONS:
-            raise ValueError(f"n_iterations must be <= {MAX_ITERATIONS}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ValueError("seed must be an integer")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        return self
+        """This spec with every field admitted by :data:`SPEC_CHECKS`.
+
+        Raises ``ValueError`` on anything the fitters would choke on,
+        ``True`` or ``"1.0"`` included.  An integral float count becomes an
+        ``int`` and a real epsilon a ``float``; ``self`` comes back when
+        nothing needed normalising.
+        """
+        return check_fields(self, SPEC_CHECKS)
 
     def build(self) -> "DPKMeans | DPKModes":
         """The configured fitter for this spec."""
-        self.validated()
-        if self.method == "dp-kmeans":
-            return DPKMeans(self.n_clusters, self.epsilon, self.n_iterations)
-        return DPKModes(self.n_clusters, self.epsilon, self.n_iterations)
+        spec = self.validated()
+        fitter = DPKMeans if spec.method == "dp-kmeans" else DPKModes
+        return fitter(spec.n_clusters, spec.epsilon, spec.n_iterations)
 
     def fit(
         self,
@@ -124,8 +128,9 @@ class ClusteringSpec:
         data yields an identical clustering object.  An explicit ``rng``
         (e.g. a session's stream) overrides that determinism.
         """
-        gen = rng if rng is not None else np.random.default_rng(self.seed)
-        return self.build().fit(dataset, gen, accountant=accountant)
+        spec = self.validated()
+        gen = rng if rng is not None else np.random.default_rng(spec.seed)
+        return spec.build().fit(dataset, gen, accountant=accountant)
 
     def cache_key(self, fingerprint: str) -> tuple:
         """The fitted-clustering release identity over one dataset."""
@@ -163,23 +168,6 @@ class ClusteringSpec:
             "n_iterations": self.n_iterations,
             "seed": self.seed,
         }
-
-    @classmethod
-    def from_json(cls, body: dict) -> "ClusteringSpec":
-        """Build a spec from decoded JSON fields (raises ``ValueError``)."""
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(body) - known
-        if unknown:
-            raise ValueError(f"unknown clustering fields: {sorted(unknown)}")
-        kwargs = dict(body)
-        if "method" not in kwargs:
-            raise ValueError("'method' is required")
-        if "epsilon" in kwargs:
-            kwargs["epsilon"] = float(kwargs["epsilon"])
-        for key in ("n_clusters", "n_iterations", "seed"):
-            if key in kwargs:
-                kwargs[key] = int(kwargs[key])
-        return cls(**kwargs).validated()
 
 
 @dataclass(frozen=True)

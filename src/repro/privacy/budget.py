@@ -55,29 +55,93 @@ snapshot plus the journal records written after it, in one pass.
 
 from __future__ import annotations
 
+import numbers
 import threading
 
 from contextlib import AbstractContextManager, nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 #: Nano-epsilon grid: integer accounting units per 1.0 of epsilon.
 GRID = 10**9
 
+_INF = float("inf")
+
 
 class BudgetError(ValueError):
     """Raised on non-positive epsilons or ledger misuse."""
 
 
-def check_epsilon(epsilon: float, *, name: str = "epsilon") -> float:
-    """Validate that an epsilon is a positive finite float and return it."""
-    eps = float(epsilon)
+def check_real(value, name: str = "value") -> float:
+    """Admit a real number as a ``float``, the same object for a ``float``.
+
+    Type-strict: a ``bool``, a string or any other non-real is refused, never
+    cast, and so is a real too large for a float.
+    """
+    if type(value) is float:
+        return value
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            raise BudgetError(f"{name} must be finite") from None
+    raise BudgetError(f"{name} must be a real number, got {type(value).__name__}")
+
+
+def check_epsilon(epsilon, name: str = "epsilon") -> float:
+    """Admit a positive finite real epsilon (:func:`check_real`) as a float:
+    ``True`` or ``"0.1"`` is refused, never charged as 1.0 or 0.1."""
+    eps = epsilon if type(epsilon) is float else check_real(epsilon, name)
     if not eps > 0.0:
-        raise BudgetError(f"{name} must be positive, got {epsilon!r}")
-    if not eps < float("inf"):
-        raise BudgetError(f"{name} must be finite, got {epsilon!r}")
+        raise BudgetError(f"{name} must be positive, got {eps!r}")
+    if not eps < _INF:
+        raise BudgetError(f"{name} must be finite, got {eps!r}")
     return eps
+
+
+def check_int(value, name: str, lo: int, hi: "int | None" = None) -> int:
+    """Admit an integer in ``[lo, hi]`` as an ``int`` (raises ``ValueError``).
+
+    Takes an integer that is not a ``bool``, or an integral finite float
+    (JSON's ``3.0``); ``1.7``, ``inf`` and ``"3"`` are refused.
+    """
+    if type(value) is not int:
+        if isinstance(value, bool) or not (
+            isinstance(value, numbers.Integral)
+            or isinstance(value, float) and value.is_integer()
+        ):
+            raise ValueError(f"{name} must be an integer, got {type(value).__name__}")
+        value = int(value)
+    if value < lo:
+        raise ValueError(f"{name} must be >= {lo}")
+    if hi is not None and value > hi:
+        raise ValueError(f"{name} must be <= {hi}")
+    return value
+
+
+def check_choice(value, name: str, choices: "tuple[str, ...]") -> str:
+    """Admit one of the strings ``choices`` (raises ``ValueError``)."""
+    if not isinstance(value, str) or value not in choices:
+        raise ValueError(f"{name} must be one of {choices}")
+    return value
+
+
+def check_fields(obj, checks: "Mapping[str, Callable]"):
+    """The frozen dataclass ``obj`` with each field ``checks`` names admitted.
+
+    Each check is called as ``check(value, field)`` and returns the
+    admitted value or raises ``ValueError``.  ``obj`` itself comes back when
+    every check returned its value unchanged (the same object), else a copy
+    holding the normalised values.
+    """
+    changed = {}
+    for field, check in checks.items():
+        value = getattr(obj, field)
+        admitted = check(value, field)
+        if admitted is not value:
+            changed[field] = admitted
+    return replace(obj, **changed) if changed else obj
 
 
 def quantize_epsilon(epsilon: float, *, name: str = "epsilon") -> int:

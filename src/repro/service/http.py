@@ -176,14 +176,19 @@ class ExplanationHandler(BaseHTTPRequestHandler):
                 raise ServiceError(400, "invalid-request", "body too large")
             try:
                 body = json.loads(self.rfile.read(length))
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
+                # Undecodable bytes and over-long integer literals raise
+                # plain ValueError, too deep a nesting RecursionError.
                 raise ServiceError(
                     400, "invalid-request", f"bad JSON: {exc}"
                 ) from None
             if isinstance(body, dict):
-                if body.get("trace_id"):
-                    trace_id = str(body["trace_id"])
-                else:
+                # Adopted only as a non-empty string; any other trace_id
+                # stays in the body for admission to refuse.
+                supplied = body.get("trace_id", "")
+                if isinstance(supplied, str) and supplied:
+                    trace_id = supplied
+                elif supplied == "":
                     body = {**body, "trace_id": trace_id}
             try:
                 if self.path == "/v1/pipeline":
@@ -199,6 +204,11 @@ class ExplanationHandler(BaseHTTPRequestHandler):
             self._send_json(envelope["code"], envelope)
         except ServiceError as exc:
             self._send_error_envelope(exc, trace_id)
+        except Exception as exc:  # noqa: BLE001 — answer, never drop the link
+            # Redacted like the service's own 500s: type name only.
+            self._send_error_envelope(
+                ServiceError(500, "internal-error", type(exc).__name__), trace_id
+            )
 
 
 def make_server(

@@ -34,7 +34,6 @@ requests from many tenants over registered datasets.  A request's lifecycle:
 from __future__ import annotations
 
 import copy
-import numbers
 import threading
 import time
 
@@ -49,8 +48,19 @@ from ..core.quality.scores import Weights
 from ..evaluation.sweeps import explain_batched
 from ..obs.metrics import Histogram, MetricsRegistry, histogram_quantile
 from ..obs.tracing import attach_trace, new_trace_id, span_histogram, trace_id_of
-from ..pipeline import ClusteringSpec
-from ..privacy.budget import BudgetError, ExplanationBudget, PrivacyAccountant
+from ..pipeline.spec import SPEC_CHECKS, ClusteringSpec
+from ..privacy.budget import (
+    BudgetError,
+    ExplanationBudget,
+    PrivacyAccountant,
+    check_choice,
+    check_epsilon,
+    check_fields,
+    check_int,
+    check_real,
+    epsilon_from_units,
+    quantize_epsilon,
+)
 # canonical_json is re-exported: the encoding explanation_payload bodies compare under.
 from .cache import CacheEntry, ExplanationCache, canonical_json  # noqa: F401
 from .journal import commit_scope
@@ -69,39 +79,84 @@ _EXPLAINERS = ("DPClustX",)
 def _with_trace_id(request, trace_id: str):
     """A shallow copy of a frozen request with ``trace_id`` set.
 
-    ``dataclasses.replace`` would re-run ``__init__`` and ``__post_init__``
-    on every request; the source is already normalised, so a shallow copy
-    with one field swapped is equal and cheaper.
+    ``dataclasses.replace`` would re-run ``__init__`` on every request; a
+    shallow copy with one field swapped is equal and cheaper.
     """
     clone = copy.copy(request)
     object.__setattr__(clone, "trace_id", trace_id)
     return clone
 
 
-#: JSON field coercions shared by the request parsers, in the order they
-#: apply (the first failing field names the 400).  ``tenant``, ``dataset``,
-#: ``explainer`` and ``method`` stay as sent; ``validated()`` checks them.
-_JSON_COERCIONS = (
-    ("weights", lambda ws: tuple(float(w) for w in ws)),
-    ("eps_cand_set", float),
-    ("eps_top_comb", float),
-    ("eps_hist", float),
-    ("clustering_epsilon", float),
-    ("n_candidates", int),
-    ("seed", int),
-    ("n_clusters", int),
-    ("n_iterations", int),
-    ("clustering_seed", int),
-    ("trace_id", str),
-)
+def _traced(request):
+    """``request``, minted a trace id at this edge unless it carries one."""
+    trace_id = request.trace_id
+    if isinstance(trace_id, str) and trace_id:
+        return request
+    return _with_trace_id(request, new_trace_id())
+
+
+def _check_str(value, name: str, empty: bool = False) -> str:
+    if not isinstance(value, str) or not (value or empty):
+        raise ValueError(f"{name!r} must be a {'' if empty else 'non-empty '}string")
+    return value
+
+
+def _check_weights(weights, name: str) -> "tuple[float, float, float]":
+    """Three real weights (Definition 4.13) as a tuple of floats.
+
+    A tuple of three floats comes back as the same object; a list, or any
+    non-float real, makes a new tuple.
+    """
+    if not isinstance(weights, (tuple, list)) or len(weights) != 3:
+        raise ValueError(f"{name!r} must be a sequence of three real numbers")
+    a, b, c = weights
+    if not (type(weights) is tuple and type(a) is type(b) is type(c) is float):
+        weights = (check_real(a, name), check_real(b, name), check_real(c, name))
+    Weights.check(weights)
+    return weights
+
+
+#: The admission schema: the one check of each request field, in the order
+#: a refusal names them (run by :func:`~repro.privacy.budget.check_fields`).
+#: Every check refuses a value of the wrong type rather than cast it:
+#: ``True``, ``"0.1"`` or ``1.7`` is never admitted as 1.0, 0.1 or 1.
+_EXPLAIN_CHECKS = {
+    "tenant": _check_str,
+    "dataset": _check_str,
+    "explainer": lambda v, name: check_choice(v, name, _EXPLAINERS),
+    "eps_cand_set": check_epsilon,
+    "eps_top_comb": check_epsilon,
+    "eps_hist": check_epsilon,
+    "n_candidates": lambda v, name: check_int(v, name, 1),
+    "weights": _check_weights,
+    "seed": lambda v, name: check_int(v, name, 0),
+    "trace_id": lambda v, name: _check_str(v, name, empty=True),
+}
+#: A pipeline request's clustering fields take the clustering spec's checks.
+_PIPELINE_CHECKS = {
+    **_EXPLAIN_CHECKS,
+    "method": SPEC_CHECKS["method"],
+    "n_clusters": SPEC_CHECKS["n_clusters"],
+    "clustering_epsilon": SPEC_CHECKS["epsilon"],
+    "n_iterations": SPEC_CHECKS["n_iterations"],
+    "clustering_seed": SPEC_CHECKS["seed"],
+}
+
+
+def _admitted(request, checks: Mapping):
+    """``request`` admitted by ``checks``, or a 400 :class:`ServiceError`."""
+    try:
+        return check_fields(request, checks)
+    except ValueError as exc:
+        raise ServiceError(400, "invalid-request", str(exc)) from None
 
 
 def _request_from_json(cls, body: Mapping):
-    """Build a ``cls`` request from a decoded JSON object (400 on bad input).
+    """The admitted ``cls`` request of a decoded JSON object (400 on bad input).
 
     Refuses a non-object body, unknown fields and a missing ``tenant`` or
-    ``dataset``, then coerces the numeric fields and ``trace_id`` that
-    ``cls`` declares.
+    ``dataset``.  The field values are then admitted by ``validated()``,
+    exactly as a Python caller's are: nothing is cast here.
     """
     if not isinstance(body, Mapping):
         raise ServiceError(400, "invalid-request", "body must be a JSON object")
@@ -113,14 +168,20 @@ def _request_from_json(cls, body: Mapping):
     for key in ("tenant", "dataset"):
         if key not in body:
             raise ServiceError(400, "invalid-request", f"{key!r} is required")
-    kwargs = dict(body)
+    return cls(**body).validated()
+
+
+def _exact_epsilon(epsilon: float) -> float:
+    """``epsilon`` as the ledger charges it: the float of its grid units.
+
+    The float sum ``0.1 + 0.1 + 0.1`` reads ``0.30000000000000004``; the
+    ledger charges exactly 0.3.  An epsilon below the grid, which the
+    ledger refuses, is shown as sent.
+    """
     try:
-        for key, coerce in _JSON_COERCIONS:
-            if key in kwargs:
-                kwargs[key] = coerce(kwargs[key])
-    except (TypeError, ValueError) as exc:
-        raise ServiceError(400, "invalid-request", str(exc)) from None
-    return cls(**kwargs)
+        return epsilon_from_units(quantize_epsilon(epsilon))
+    except BudgetError:
+        return epsilon
 
 
 @dataclass(frozen=True)
@@ -150,17 +211,7 @@ class ExplainRequest:
     explainer: str = "DPClustX"
     trace_id: str = ""
 
-    def __post_init__(self) -> None:
-        # Programmatic callers naturally pass weights as a list; normalise
-        # to a tuple so cache_key()/engine_key() stay hashable.  Anything
-        # else (wrong arity, non-floats) is rejected by validated().
-        if isinstance(self.weights, list):
-            object.__setattr__(self, "weights", tuple(self.weights))
-
-    @classmethod
-    def from_json(cls, body: Mapping) -> "ExplainRequest":
-        """Build a request from a decoded JSON object (HTTP front end)."""
-        return _request_from_json(cls, body)
+    from_json = classmethod(_request_from_json)
 
     def with_trace(self, trace_id: str) -> "ExplainRequest":
         """A copy carrying ``trace_id`` (same release identity)."""
@@ -177,63 +228,15 @@ class ExplainRequest:
         return self.eps_cand_set + self.eps_top_comb + self.eps_hist
 
     def validated(self) -> "ExplainRequest":
-        """Parameter validation; raises a 400-style :class:`ServiceError`.
+        """This request with every field admitted; a 400 otherwise.
 
-        Everything the engine could choke on is rejected here, *before* any
-        budget is reserved — a malformed request must never burn budget.
+        Everything the engine could choke on is refused here, *before* any
+        budget is reserved: a malformed request must never burn budget.
+        Each field is checked by type (:data:`_EXPLAIN_CHECKS`), and the
+        admitted request holds float epsilons, int counts and a tuple of
+        float weights; ``self`` comes back when it already does.
         """
-        for key in ("tenant", "dataset"):
-            value = getattr(self, key)
-            if not isinstance(value, str) or not value:
-                raise ServiceError(
-                    400, "invalid-request", f"{key!r} must be a non-empty string"
-                )
-        if self.explainer not in _EXPLAINERS:
-            raise ServiceError(
-                400,
-                "invalid-request",
-                f"unknown explainer {self.explainer!r}; supported: {_EXPLAINERS}",
-            )
-        if (
-            not isinstance(self.weights, (tuple, list))
-            or len(self.weights) != 3
-        ):
-            raise ServiceError(
-                400,
-                "invalid-request",
-                f"weights must be a sequence of three floats, "
-                f"got {self.weights!r}",
-            )
-        for key in ("eps_cand_set", "eps_top_comb", "eps_hist"):
-            value = getattr(self, key)
-            # ``float()`` in the budget check would admit "0.1" and True.
-            if type(value) is not float and (
-                not isinstance(value, numbers.Real) or isinstance(value, bool)
-            ):
-                raise ServiceError(
-                    400, "invalid-request",
-                    f"{key!r} must be a real number, got {value!r}",
-                )
-        try:
-            self.budget()
-            self.weights_obj()
-        except (BudgetError, TypeError, ValueError) as exc:
-            raise ServiceError(400, "invalid-request", str(exc)) from None
-        if not isinstance(self.n_candidates, int) or isinstance(
-            self.n_candidates, bool
-        ):
-            raise ServiceError(
-                400, "invalid-request", "n_candidates must be an integer"
-            )
-        if self.n_candidates < 1:
-            raise ServiceError(400, "invalid-request", "n_candidates must be >= 1")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ServiceError(400, "invalid-request", "seed must be an integer")
-        if self.seed < 0:
-            raise ServiceError(400, "invalid-request", "seed must be >= 0")
-        if not isinstance(self.trace_id, str):
-            raise ServiceError(400, "invalid-request", "trace_id must be a string")
-        return self
+        return _admitted(self, _EXPLAIN_CHECKS)
 
     def engine_key(self) -> tuple:
         """The coalescing key: everything but the seed stream and tenant.
@@ -302,14 +305,7 @@ class PipelineRequest:
     explainer: str = "DPClustX"
     trace_id: str = ""
 
-    def __post_init__(self) -> None:
-        if isinstance(self.weights, list):
-            object.__setattr__(self, "weights", tuple(self.weights))
-
-    @classmethod
-    def from_json(cls, body: Mapping) -> "PipelineRequest":
-        """Build a request from a decoded JSON object (HTTP front end)."""
-        return _request_from_json(cls, body)
+    from_json = classmethod(_request_from_json)
 
     def with_trace(self, trace_id: str) -> "PipelineRequest":
         """A copy carrying ``trace_id`` (same release identity)."""
@@ -341,13 +337,9 @@ class PipelineRequest:
         )
 
     def validated(self) -> "PipelineRequest":
-        """400-style validation of both halves before any budget moves."""
-        try:
-            self.spec().validated()
-        except (BudgetError, TypeError, ValueError) as exc:
-            raise ServiceError(400, "invalid-request", str(exc)) from None
-        self.explain_request().validated()
-        return self
+        """Both halves admitted (:data:`_PIPELINE_CHECKS`) before any
+        budget moves; a 400 otherwise."""
+        return _admitted(self, _PIPELINE_CHECKS)
 
 
 def _check_width(request: "ExplainRequest | PipelineRequest", entry) -> None:
@@ -431,13 +423,6 @@ def latency_summary(hist: Histogram) -> dict:
     return summary
 
 
-def _json_number(value):
-    """``value`` as ``json.loads(canonical_json(value))`` reads it back."""
-    if type(value) in (bool, int, float):
-        return value
-    return int(value) if isinstance(value, int) else float(value)
-
-
 def explanation_payload(
     request: ExplainRequest, entry: DatasetEntry, explanation: GlobalExplanation
 ) -> dict:
@@ -448,24 +433,25 @@ def explanation_payload(
     and the byte-identity tests rely on.  The body is built decoded: it
     equals ``json.loads(canonical_json(body))``, keys in sorted order at
     every level and only JSON-native values, so a miss serves it without
-    encoding and parsing it first.
+    encoding and parsing it first.  ``request`` is an admitted one
+    (:meth:`ExplainRequest.validated`), so its values are JSON-native.
     """
     return {
         "clusters": [single_to_dict(e) for e in explanation],
         "combination": list(explanation.combination),
         "dataset": entry.dataset_id,
         "epsilon": {
-            "cand_set": _json_number(request.eps_cand_set),
-            "hist": _json_number(request.eps_hist),
-            "top_comb": _json_number(request.eps_top_comb),
-            "total": _json_number(request.epsilon_total),
+            "cand_set": request.eps_cand_set,
+            "hist": request.eps_hist,
+            "top_comb": request.eps_top_comb,
+            "total": request.epsilon_total,
         },
         "explainer": request.explainer,
         "fingerprint": entry.fingerprint,
-        "n_candidates": int(request.n_candidates),
-        "seed": int(request.seed),
+        "n_candidates": request.n_candidates,
+        "seed": request.seed,
         "signature": entry.signature,
-        "weights": [float(w) for w in request.weights],
+        "weights": list(request.weights),
     }
 
 
@@ -609,12 +595,10 @@ class ExplanationService:
         block on resolve; it is *not* part of the engine or cache key, so
         tracing never perturbs coalescing, caching, or released bytes.
         """
-        if not request.trace_id:
-            request = request.with_trace(new_trace_id())
         pending = _Pending(request, self._latency)
         self._events.inc(1, ("requests",))
         try:
-            request.validated()
+            request = pending.request = _traced(request.validated())
             entry = self.registry.dataset(request.dataset)
             self.registry.tenant(request.tenant, self.auto_tenant_budget)
             if entry.counts is None:
@@ -627,6 +611,7 @@ class ExplanationService:
             _check_width(request, entry)
         except ServiceError as exc:
             self._events.inc(1, ("errors",))
+            pending.request = _traced(pending.request)
             pending.resolve(self._error_envelope(exc))
             return pending.future
         t0 = time.perf_counter()
@@ -680,20 +665,18 @@ class ExplanationService:
         """
         if request is None:
             request = PipelineRequest(**kwargs)
-        if not request.trace_id:
-            request = request.with_trace(new_trace_id())
         self._events.inc(1, ("pipeline_requests",))
         try:
-            request.validated()
+            request = _traced(request.validated())
             base = self.registry.dataset(request.dataset)
             self.registry.tenant(request.tenant, self.auto_tenant_budget)
             _check_width(request, base)
         except ServiceError as exc:
             self._events.inc(1, ("errors",))
-            return attach_trace(self._error_envelope(exc), request.trace_id)
+            return attach_trace(self._error_envelope(exc), _traced(request).trace_id)
         spec = request.spec()
         try:
-            entry, fit_status, charged_fit = self._fitted_entry(
+            entry, fit_status, fit_units = self._fitted_entry(
                 base, spec, request.tenant
             )
         except BudgetError as exc:
@@ -702,9 +685,7 @@ class ExplanationService:
             tenant = self.registry.tenant(request.tenant, self.auto_tenant_budget)
             accountant = tenant.accountant(base.base_id)
             envelope = attach_trace(
-                self._budget_refusal(
-                    request.tenant, request.dataset, spec.epsilon, accountant, exc
-                ),
+                self._budget_refusal(request, spec.epsilon, accountant, exc),
                 request.trace_id,
             )
             envelope["error"]["stage"] = "clustering"
@@ -722,29 +703,34 @@ class ExplanationService:
                 ),
                 request.trace_id,
             )
-        envelope = self.explain(
-            request.explain_request(entry.dataset_id), timeout=timeout
-        )
+        explain_half = request.explain_request(entry.dataset_id)
+        envelope = self.explain(explain_half, timeout=timeout)
         envelope["pipeline"] = {
             "dataset": request.dataset,
             "fitted_dataset": entry.dataset_id,
             "clustering": {**spec.describe(), "signature": entry.signature},
             "clustering_cache": fit_status,
-            "charged_clustering_epsilon": charged_fit,
+            "charged_clustering_epsilon": epsilon_from_units(fit_units),
         }
         meta = envelope.get("meta")
         if meta is not None:
-            meta["charged_total_epsilon"] = charged_fit + meta.get(
-                "charged_epsilon", 0.0
+            # Summed in grid units, as the ledger sums the two charges.
+            explain_units = (
+                quantize_epsilon(explain_half.epsilon_total)
+                if meta["cache"] == "miss"
+                else 0
+            )
+            meta["charged_total_epsilon"] = epsilon_from_units(
+                fit_units + explain_units
             )
         return envelope
 
     def _fitted_entry(
         self, base: DatasetEntry, spec: ClusteringSpec, tenant_id: str
-    ) -> "tuple[DatasetEntry, str, float]":
+    ) -> "tuple[DatasetEntry, str, int]":
         """Fit-or-reuse the requested DP clustering under the tenant ledger.
 
-        Returns ``(derived entry, "hit"|"miss", charged epsilon)``.  The
+        Returns ``(derived entry, "hit"|"miss", charged grid units)``.  The
         registry's derived entry ``base::spec-slug`` is the one record of
         the fit, and the slug names the spec exactly.  Fits are
         single-flight per derived id (striped locks), so concurrent
@@ -763,13 +749,13 @@ class ExplanationService:
         entry = self.registry.derived(derived_id, base)
         if entry is not None:
             self._events.inc(1, ("clustering_cache_hits",))
-            return entry, "hit", 0.0
+            return entry, "hit", 0
         stripes = self._fit_stripes
         with stripes[hash(derived_id) % len(stripes)]:
             entry = self.registry.derived(derived_id, base)
             if entry is not None:
                 self._events.inc(1, ("clustering_cache_hits",))
-                return entry, "hit", 0.0
+                return entry, "hit", 0
             tenant = self.registry.tenant(tenant_id, self.auto_tenant_budget)
             accountant = tenant.accountant(base.base_id)
             token = accountant.spend(spec.epsilon, spec.label(base.dataset_id))
@@ -798,7 +784,7 @@ class ExplanationService:
                     "the clustering fit; retry",
                 )
             self._events.inc(1, ("clustering_fits",))
-            return entry, "miss", spec.epsilon
+            return entry, "miss", quantize_epsilon(spec.epsilon)
 
     def process_pending(self) -> int:
         """Drain the queue inline (single-threaded mode); returns batch count.
@@ -960,6 +946,7 @@ class ExplanationService:
         ):
             payer_result = explanation_payload(payer.request, entry, explanation)
             cache_entry = CacheEntry.of(payer_result, payer.request.epsilon_total)
+            charged = _exact_epsilon(payer.request.epsilon_total)
             self.cache.put(key, cache_entry)
             for p in group:
                 if p.future.done():
@@ -971,7 +958,7 @@ class ExplanationService:
                             p.request,
                             cache_entry,
                             "miss",
-                            p.request.epsilon_total,
+                            charged,
                             result=payer_result,
                         )
                     )
@@ -1035,7 +1022,8 @@ class ExplanationService:
             except BudgetError as exc:
                 self._events.inc(1, ("refused",))
                 self._budget_refusals.inc(1, (request.tenant, request.dataset))
-                p.resolve(self._refusal_envelope(request, accountant, exc))
+                requested = request.epsilon_total
+                p.resolve(self._budget_refusal(request, requested, accountant, exc))
         return None, None, None
 
     # -- envelopes -------------------------------------------------------- #
@@ -1061,29 +1049,14 @@ class ExplanationService:
             },
         }
 
-    def _refusal_envelope(
-        self,
-        request: ExplainRequest,
-        accountant: PrivacyAccountant,
-        exc: BudgetError,
-    ) -> dict:
-        """The structured 429-style over-budget refusal."""
-        return self._budget_refusal(
-            request.tenant,
-            request.dataset,
-            request.epsilon_total,
-            accountant,
-            exc,
-        )
-
     def _budget_refusal(
         self,
-        tenant_id: str,
-        dataset_id: str,
+        request: "ExplainRequest | PipelineRequest",
         requested: float,
         accountant: PrivacyAccountant,
         exc: BudgetError,
     ) -> dict:
+        """The structured 429-style refusal of ``requested`` epsilon."""
         # One locked read: spent/remaining/limit move together, so a
         # concurrent charge can never make this envelope report
         # spent + remaining != limit.
@@ -1094,9 +1067,9 @@ class ExplanationService:
             "error": {
                 "reason": "budget-exhausted",
                 "message": str(exc),
-                "tenant": tenant_id,
-                "dataset": dataset_id,
-                "requested_epsilon": requested,
+                "tenant": request.tenant,
+                "dataset": request.dataset,
+                "requested_epsilon": _exact_epsilon(requested),
                 "spent": balance.spent,
                 "remaining": balance.remaining,
                 "limit": balance.limit,
@@ -1191,7 +1164,7 @@ class ServiceClient:
         self.last_trace_id: "str | None" = None
 
     def explain(self, dataset: str | None = None, **params) -> dict:
-        target = dataset or self.dataset
+        target = self.dataset if dataset is None else dataset
         if target is None:
             raise ValueError("no dataset given (per-call or client default)")
         request = ExplainRequest(tenant=self.tenant, dataset=target, **params)
@@ -1201,7 +1174,7 @@ class ServiceClient:
 
     def pipeline(self, dataset: str | None = None, **params) -> dict:
         """End-to-end request: server-side DP clustering + explanation."""
-        target = dataset or self.dataset
+        target = self.dataset if dataset is None else dataset
         if target is None:
             raise ValueError("no dataset given (per-call or client default)")
         request = PipelineRequest(tenant=self.tenant, dataset=target, **params)

@@ -319,8 +319,7 @@ class ShardWorker:
     def _handle_explain(self, frames: FrameSocket, rid, body) -> None:
         try:
             request = ExplainRequest.from_json(body)
-            if isinstance(request.tenant, str) and request.tenant:
-                self._check_owner(request.tenant)
+            self._check_owner(request.tenant)
         except ServiceError as exc:
             frames.write({"id": rid, "envelope": _error_envelope(exc)})
             return

@@ -121,10 +121,6 @@ class PlantedClusterGenerator:
     def n_groups(self) -> int:
         return int(np.asarray(self.group_weights).size)
 
-    @property
-    def signal_names(self) -> tuple[str, ...]:
-        return tuple(m.attribute.name for m in self.models if m.is_signal)
-
     def generate(
         self, n_rows: int, rng: np.random.Generator | int | None = None
     ) -> tuple[Dataset, np.ndarray]:

@@ -63,19 +63,33 @@ class TestClusteringSpec:
             {"method": "dp-kmeans", "n_iterations": 0},
             {"method": "dp-kmeans", "n_iterations": 10_000_000},  # resource cap
             {"method": "dp-kmeans", "seed": -1},
+            # Checked by type, never cast: True would slug as "kTrue",
+            # "1.0" would fail inside the fitter, 1.7 would fit as seed 1.
+            {"method": "dp-kmeans", "n_clusters": True},
+            {"method": "dp-kmeans", "n_iterations": True},
+            {"method": "dp-kmeans", "epsilon": "1.0"},
+            {"method": "dp-kmeans", "epsilon": True},
+            {"method": "dp-kmeans", "epsilon": 10**400},
+            {"method": "dp-kmeans", "n_clusters": 2.5},
+            {"method": "dp-kmeans", "seed": 1.7},
+            {"method": "dp-kmeans", "seed": float("inf")},
+            {"method": ["dp-kmeans"]},
         ],
     )
     def test_validated_rejects(self, kwargs):
         with pytest.raises((ValueError, TypeError)):
             ClusteringSpec(**{"n_clusters": 3, **kwargs}).validated()
 
-    def test_from_json_roundtrip_and_unknown_fields(self):
-        spec = ClusteringSpec.from_json(
-            {"method": "dp-kmodes", "n_clusters": 4, "epsilon": 0.5, "seed": 2}
-        )
-        assert spec == ClusteringSpec("dp-kmodes", 4, 0.5, 5, 2)
-        with pytest.raises(ValueError):
-            ClusteringSpec.from_json({"method": "dp-kmeans", "evil": 1})
+    def test_validated_normalises_and_keeps_a_normal_spec(self):
+        """Integral float counts become ints and an int epsilon a float,
+        so the slug (the derived id) names the same fit either way."""
+        spec = ClusteringSpec("dp-kmeans", 3.0, 1, 5.0, 2.0).validated()
+        assert spec == ClusteringSpec("dp-kmeans", 3, 1.0, 5, 2)
+        assert [type(v) for v in (spec.n_clusters, spec.epsilon, spec.seed)] == [
+            int, float, int,
+        ]
+        assert spec.slug() == "dp-kmeans/k3/eps1/T5/s2"
+        assert spec.validated() is spec
 
     @pytest.mark.parametrize(
         "epsilon, text",

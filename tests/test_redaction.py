@@ -10,7 +10,9 @@ data-shape mismatches report no row counts or chunk lengths.
 from __future__ import annotations
 
 import json
+
 from concurrent.futures import Future
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -106,10 +108,11 @@ class TestEnvelopeRedaction:
 
         worker = ShardWorker.__new__(ShardWorker)
         worker.service = FakeService()
-        frames = Frames()
-        # Empty tenant skips shard-ownership routing; the request still
+        # A one-shard worker owns every tenant, so the admitted request
         # reaches submit() and the pre-failed future drives reply().
-        worker._handle_explain(frames, 7, {"tenant": "", "dataset": "d"})
+        worker.config = SimpleNamespace(index=0, n_shards=1)
+        frames = Frames()
+        worker._handle_explain(frames, 7, {"tenant": "t", "dataset": "d"})
         (msg,) = frames.sent
         assert msg["id"] == 7
         envelope = msg["envelope"]

@@ -30,6 +30,8 @@ from hypothesis import strategies as st
 from repro import ClusteringSpec, DPClustX, KMeans, diabetes_like
 from repro.core.counts import ClusteredCounts
 from repro.dataset.rebin import rebin_dataset
+from repro.obs.tracing import trace_id_of
+from repro.privacy.budget import quantize_epsilon
 from repro.service import (
     CacheEntry,
     ExplainRequest,
@@ -153,6 +155,21 @@ class TestRequestValidation:
             {"n_candidates": True},
             {"eps_cand_set": "0.1"},  # float() would admit it
             {"eps_top_comb": True},  # float() would charge it as 1.0
+            {"seed": 1.7},  # int() would serve it as seed 1
+            {"seed": float("inf")},  # JSON 1e400; int() raised OverflowError
+            {"seed": float("nan")},
+            {"seed": True},
+            {"eps_hist": True},
+            {"eps_hist": "1e-1"},
+            {"eps_hist": 10**400},  # a real too large for a float
+            {"eps_hist": float("nan")},
+            {"n_candidates": 2.9},
+            {"weights": (True, False, False)},
+            {"weights": ("1", 0, 0)},
+            {"weights": (10**400, 0, 0)},
+            {"weights": [[1], 0, 0]},
+            {"explainer": ["DPClustX"]},
+            {"trace_id": 5},
         ],
     )
     def test_malformed_request_refused_without_burning_budget(
@@ -167,6 +184,73 @@ class TestRequestValidation:
         assert envelope["code"] == 400
         assert envelope["error"]["reason"] == "invalid-request"
         assert service.registry.tenant("t").accountant("diabetes").total() == 0.0
+
+    @pytest.mark.parametrize(
+        "bad_fields",
+        [
+            {"n_clusters": True},  # would fit k=1 under a "kTrue" slug
+            {"n_iterations": True},
+            {"clustering_epsilon": "1.0"},
+            {"clustering_epsilon": True},  # float() would charge it as 1.0
+            {"clustering_epsilon": 10**400},
+            {"n_clusters": 2.5},
+            {"clustering_seed": 1.7},
+            {"method": None},
+        ],
+    )
+    def test_pipeline_refuses_mistyped_clustering_fields(
+        self, dataset, clustering, bad_fields
+    ):
+        service = make_service(dataset, clustering)
+        service.create_tenant("t", 5.0)
+        envelope = service.pipeline(
+            PipelineRequest(
+                **{"tenant": "t", "dataset": "diabetes", "n_clusters": 3,
+                   **bad_fields}
+            )
+        )
+        assert envelope["status"] == "error" and envelope["code"] == 400
+        assert envelope["error"]["reason"] == "invalid-request"
+        assert envelope["error"]["trace_id"]
+        assert service.registry.tenant("t").accountant("diabetes").total() == 0.0
+        assert fitted_count(service) == 0
+
+    @pytest.mark.parametrize(
+        "bad_fields",
+        [
+            {"seed": 1.7},
+            {"seed": float("inf")},  # what json.loads reads 1e400 as
+            {"eps_hist": True},
+            {"eps_hist": "1e-1"},
+            {"n_candidates": 2.9},
+            {"weights": [0.5, 0.5]},
+            {"trace_id": 5},
+        ],
+    )
+    def test_json_edge_refuses_what_it_once_coerced(self, bad_fields):
+        with pytest.raises(ServiceError) as exc:
+            ExplainRequest.from_json({"tenant": "t", "dataset": "d", **bad_fields})
+        assert exc.value.code == 400
+
+    def test_validated_normalises_to_one_form(self):
+        """Both edges admit a request into one normal form: float epsilons
+        and weights, int counts.  The cache key does not change."""
+        raw = ExplainRequest(
+            tenant="t", dataset="d", eps_hist=1, n_candidates=np.int64(2),
+            weights=[1, 0, 0], seed=3.0,
+        )
+        admitted = raw.validated()
+        assert admitted.eps_hist == 1.0 and type(admitted.eps_hist) is float
+        assert type(admitted.n_candidates) is int and type(admitted.seed) is int
+        assert admitted.weights == (1.0, 0.0, 0.0)
+        assert [type(w) for w in admitted.weights] == [float] * 3
+        assert admitted == ExplainRequest.from_json(
+            {"tenant": "t", "dataset": "d", "eps_hist": 1, "n_candidates": 2,
+             "weights": [1, 0, 0], "seed": 3.0}
+        )
+        plain = ExplainRequest(tenant="t", dataset="d", seed=3)
+        assert plain.validated() is plain  # the hot path allocates nothing
+        assert admitted.validated() is admitted
 
     def test_pipeline_refuses_a_string_epsilon(self, dataset, clustering):
         """The explanation half of a pipeline request is admitted by the
@@ -238,7 +322,7 @@ def released(dataset, clustering):
 
 
 class TestDecodedPayload:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(request=_REQUESTS)
     def test_payload_is_its_own_canonical_decode(self, released, request):
         entry, explanation = released
@@ -834,6 +918,35 @@ class TestBudgetEnforcement:
             sum(r["meta"]["charged_epsilon"] for r in ok)
         )
 
+    def test_charged_epsilon_sums_to_the_ledger_exactly(
+        self, dataset, clustering
+    ):
+        """Envelopes report the grid units charged, not a float sum: over a
+        tenant's funded releases the quantized charges add up to the
+        ledger's units exactly, and the default triple reads 0.3."""
+        service = make_service(dataset, clustering)
+        service.create_tenant("erin", 3.0)
+        client = ServiceClient(service, "erin", "diabetes")
+        triples = [(0.1, 0.1, 0.1), (0.1, 0.2, 0.3), (1 / 3, 1 / 3, 1 / 3),
+                   (0.07, 0.11, 0.13), (0.1, 0.1, 0.1)]
+        charged = []
+        for seed, (cand, top, hist) in enumerate(triples):
+            for _ in range(2):  # the repeat is a free hit
+                envelope = client.explain(
+                    seed=seed, eps_cand_set=cand, eps_top_comb=top,
+                    eps_hist=hist,
+                )
+                assert envelope["status"] == "ok"
+                charged.append(envelope["meta"]["charged_epsilon"])
+        assert charged[0] == 0.3  # not 0.30000000000000004
+        funded = [eps for eps in charged if eps]
+        assert len(funded) == len(triples)
+        accountant = service.registry.tenant("erin").accountant("diabetes")
+        assert sum(map(quantize_epsilon, funded)) == accountant.total_units()
+        service.create_tenant("broke", 0.1)
+        refused = ServiceClient(service, "broke", "diabetes").explain(seed=99)
+        assert refused["error"]["requested_epsilon"] == 0.3
+
 
 class TestPersistence:
     def test_ledger_survives_restart(self, dataset, clustering, tmp_path):
@@ -1176,6 +1289,21 @@ class TestPipelineRoute:
         labels = [c.label for c in accountant]
         assert any(label.startswith("pipeline: dp-kmeans") for label in labels)
         assert any(label.startswith("service: DPClustX") for label in labels)
+
+    def test_charged_total_epsilon_is_the_ledger_units(self, dataset):
+        service = self.make_labels_free(dataset)
+        service.create_tenant("t", 5.0)
+        envelope = service.pipeline(
+            PipelineRequest(
+                tenant="t", dataset="raw", n_clusters=3,
+                clustering_epsilon=0.7, eps_hist=0.2,
+            )
+        )
+        assert envelope["pipeline"]["charged_clustering_epsilon"] == 0.7
+        assert envelope["meta"]["charged_epsilon"] == 0.4
+        assert envelope["meta"]["charged_total_epsilon"] == 1.1  # not 1.0999...
+        accountant = service.registry.tenant("t").accountant("raw")
+        assert quantize_epsilon(1.1) == accountant.total_units()
 
     def test_repeat_request_hits_both_caches_at_zero_charge(self, dataset):
         service = self.make_labels_free(dataset)
@@ -1594,6 +1722,204 @@ class TestHTTP:
         with pytest.raises(urllib.error.HTTPError) as exc:
             urllib.request.urlopen(request)
         assert exc.value.code == 400
+
+    @pytest.mark.parametrize(
+        "seed_literal",
+        [b"1e400", b"1.7", b"9" * 5000],  # 5000 digits exceed int parsing
+        ids=["1e400", "1.7", "5000-digits"],
+    )
+    def test_unservable_seed_maps_to_400_with_trace_id(
+        self, server, seed_literal
+    ):
+        status, envelope = _post_raw(
+            server, "/v1/explain",
+            b'{"tenant": "web", "dataset": "diabetes", "seed": '
+            + seed_literal + b"}",
+        )
+        assert status == 400 and envelope["code"] == 400
+        assert envelope["error"]["reason"] == "invalid-request"
+        assert trace_id_of(envelope)
+        assert not server.service.registry.tenants()  # nothing was charged
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"\x80", b"\xff\xfe{", b"[" * 100_000],
+        ids=["bad-utf8", "bad-utf16", "deep-nesting"],
+    )
+    def test_undecodable_body_maps_to_400(self, server, data):
+        """Bad bytes and too deep a nesting raise ValueError/RecursionError
+        from json.loads, not JSONDecodeError; each is still a 400."""
+        status, envelope = _post_raw(server, "/v1/explain", data)
+        assert status == 400 and envelope["error"]["reason"] == "invalid-request"
+        assert trace_id_of(envelope)
+
+    @pytest.mark.parametrize(
+        "supplied, status",
+        [("abc", 200), ("", 200), (5, 400), (None, 400), (["abc"], 400)],
+    )
+    def test_trace_id_adopted_only_when_a_non_empty_string(
+        self, server, supplied, status
+    ):
+        body = {"tenant": "web", "dataset": "diabetes", "trace_id": supplied}
+        got, envelope = _post_raw(
+            server, "/v1/explain", json.dumps(body).encode()
+        )
+        assert got == status
+        trace_id = trace_id_of(envelope)
+        assert trace_id and isinstance(trace_id, str)
+        assert (trace_id == supplied) == (supplied == "abc")
+
+
+def _post_raw(server, path: str, data: bytes) -> "tuple[int, dict]":
+    """POST ``data`` as sent; returns the status and the decoded envelope."""
+    port = server.server_address[1]
+    request = urllib.request.Request(
+        f"http://127.0.0.1:{port}{path}",
+        data=data,
+        headers={"Content-Type": "application/json"},
+    )
+    try:
+        with urllib.request.urlopen(request) as response:
+            return response.status, json.load(response)
+    except urllib.error.HTTPError as exc:
+        return exc.code, json.load(exc)
+
+
+_EXPLAIN_FIELDS = tuple(ExplainRequest.__dataclass_fields__)
+_PIPELINE_FIELDS = tuple(PipelineRequest.__dataclass_fields__)
+
+#: Values a bad field takes: non-finite, huge, bool, string and nested.
+_EDGE_CASES = st.sampled_from([
+    True, False, None, float("inf"), float("-inf"), float("nan"), 1.7, 3.0,
+    2**63, 10**400, -(10**400), -1, 0, "", "0.1", "1e-1", "3", [], {},
+    [1, 0, 0],
+])
+_JSON_VALUES = st.one_of(
+    # Edge cases three times in four: a bad field is rare among any values.
+    _EDGE_CASES,
+    _EDGE_CASES,
+    _EDGE_CASES,
+    st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=8,
+    ),
+)
+#: Python-edge values add what JSON cannot carry.
+_PY_VALUES = st.one_of(
+    _JSON_VALUES,
+    st.tuples(_JSON_VALUES, _JSON_VALUES, _JSON_VALUES),
+    st.floats().map(np.float64),
+    st.integers(-3, 10).map(np.int64),
+    st.sampled_from([b"0.1", {1, 2, 3}, np.ones(3), (1, 0, 0), 0.5 + 0j]),
+)
+
+
+#: In-range values per field, so a body with one bad field gets past the
+#: others to the check that must refuse it (or to the engine and ledger).
+_PLAUSIBLE = {
+    "tenant": st.sampled_from(["p0", "p1"]),
+    "dataset": st.just("diabetes"),
+    "eps_cand_set": st.sampled_from([0.05, 0.1, 1]),
+    "eps_top_comb": st.sampled_from([0.05, 0.1, 1]),
+    "eps_hist": st.sampled_from([0.05, 0.1, 1]),
+    "n_candidates": st.integers(1, 3),
+    "weights": st.sampled_from([[1 / 3, 1 / 3, 1 / 3], [1, 0, 0]]),
+    "seed": st.integers(0, 5),
+    "explainer": st.just("DPClustX"),
+    "trace_id": st.text(max_size=4),
+    "method": st.sampled_from(["dp-kmeans", "dp-kmodes"]),
+    "n_clusters": st.integers(2, 3),
+    "clustering_epsilon": st.sampled_from([0.2, 1.0]),
+    "n_iterations": st.integers(1, 3),
+    "clustering_seed": st.integers(0, 2),
+}
+
+
+@st.composite
+def _request_bodies(draw, fields, values):
+    """A body of in-range ``fields`` with one or two of them set to any of
+    ``values``."""
+    body = {
+        f: draw(_PLAUSIBLE[f])
+        for f in fields
+        if f in ("tenant", "dataset") or draw(st.booleans())
+    }
+    for f in draw(st.lists(st.sampled_from(fields), min_size=1, max_size=2)):
+        body[f] = draw(values)
+    return body
+
+
+def _spent(service) -> dict:
+    return {t.tenant_id: t.describe()["ledgers"] for t in service.registry.tenants()}
+
+
+def _assert_answered(envelope: dict, before: dict, service) -> None:
+    """``ok``, or a structured 4xx/429 refusal; a 400 moves no budget."""
+    assert envelope["status"] in ("ok", "error", "refused"), envelope
+    code = envelope["code"]
+    if envelope["status"] == "ok":
+        assert code == 200
+    else:
+        assert 400 <= code < 500, envelope
+    assert trace_id_of(envelope)
+    if code == 400:
+        assert _spent(service) == before
+
+
+@pytest.fixture(scope="module")
+def admission_server(dataset, clustering):
+    service = make_service(dataset, clustering, auto_tenant_budget=1.0)
+    server = make_server(service, port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+
+
+@pytest.fixture(scope="module")
+def client_service(dataset, clustering):
+    return make_service(dataset, clustering, auto_tenant_budget=1.0)
+
+
+class TestAdmissionProperties:
+    """Any body or keyword set is served or refused in a structured way."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        route=st.sampled_from(["/v1/explain", "/v1/pipeline"]),
+        body=st.data(),
+    )
+    def test_any_json_body_gets_an_envelope(self, admission_server, route, body):
+        fields = _PIPELINE_FIELDS if route == "/v1/pipeline" else _EXPLAIN_FIELDS
+        drawn = body.draw(
+            _request_bodies(fields, _JSON_VALUES)
+            | _JSON_VALUES
+            | st.dictionaries(st.text(max_size=5), _JSON_VALUES, max_size=3)
+        )
+        service = admission_server.service
+        before = _spent(service)
+        status, envelope = _post_raw(
+            admission_server, route, json.dumps(drawn).encode()
+        )
+        assert status == envelope["code"]
+        _assert_answered(envelope, before, service)
+
+    @settings(max_examples=300, deadline=None)
+    @given(pipeline=st.booleans(), data=st.data())
+    def test_any_client_keywords_get_an_envelope(
+        self, client_service, pipeline, data
+    ):
+        fields = _PIPELINE_FIELDS if pipeline else _EXPLAIN_FIELDS
+        params = data.draw(_request_bodies(fields, _PY_VALUES))
+        client = ServiceClient(client_service, params.pop("tenant"), "diabetes")
+        before = _spent(client_service)
+        call = client.pipeline if pipeline else client.explain
+        envelope = call(**params)
+        _assert_answered(envelope, before, client_service)
+        assert client.last_trace_id == trace_id_of(envelope)
 
 
 class TestLatencyStats:
